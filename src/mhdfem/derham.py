@@ -13,7 +13,6 @@ sign per tet, so coefficients are single-valued global DOFs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,14 +129,12 @@ def p2_values(bary: np.ndarray) -> np.ndarray:
     return np.concatenate([vert, edge], axis=1)
 
 
-@lru_cache(maxsize=32)
 def _edge_signs(mesh: Mesh) -> np.ndarray:
     a = mesh.tets[:, _LOCAL_EDGES[:, 0]]
     b = mesh.tets[:, _LOCAL_EDGES[:, 1]]
     return np.where(a < b, 1.0, -1.0)
 
 
-@lru_cache(maxsize=32)
 def _sorted_face_locals(mesh: Mesh) -> np.ndarray:
     # local vertex positions of each tet face, ordered by global vertex id
     tf = mesh.tets[:, _LOCAL_FACES]

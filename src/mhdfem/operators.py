@@ -21,9 +21,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import RULE_DEG6, FormKind, assemble, assemble_load
+from .assembly import (RULE_DEG6, FormKind, _bary, _face_field_at,
+                       _tet_weights, _velocity_field_at, assemble,
+                       assemble_load)
 from .derham import (NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
-                     curl_incidence, div_incidence, grad_incidence, p2_values)
+                     curl_incidence, div_incidence, grad_incidence, p2_values,
+                     tabulate_rt)
 from .mesh import Mesh
 
 _POINCARE_DOF_LIMIT = 2000
@@ -192,7 +195,9 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
 
     Probes pair random constrained velocity fields with random
     divergence-free face-element fields (curls of constrained edge-element
-    fields).  Degenerate magnetic probes are resampled.
+    fields).  Degenerate magnetic probes are resampled.  |u x B|^2 is a
+    degree-6 polynomial on each tet, so the degree-6 rule applied to u and
+    B at its points integrates it exactly; no matrix is assembled.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -203,6 +208,10 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
     if free_e.size == 0 or free_u.size == 0:
         raise CapabilityError("mesh has no interior DOFs to probe")
     G = curl_incidence(mesh)
+    lam = _bary(RULE_DEG6.tet_points)
+    vals = p2_values(lam)
+    rt_vals, _ = tabulate_rt(mesh, lam)
+    wq = _tet_weights(mesh, RULE_DEG6)
     rng = np.random.default_rng(seed)
     best = 0.0
     done = 0
@@ -215,8 +224,9 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
             continue
         u = np.zeros(vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
-        cross = assemble(FormKind("CrossCoupling", coeff=B), vel, vel)
-        num = math.sqrt(max(u @ (cross @ u), 0.0))
+        cross = np.cross(_velocity_field_at(vel, u, vals),
+                         _face_field_at(ops.space_d, B, rt_vals))
+        num = math.sqrt(np.sum(wq * np.einsum("tqk,tqk->tq", cross, cross)))
         den = math.sqrt(u @ (vel_mass @ u) + u @ (vel_stiff @ u)) * curl_norm
         best = max(best, num / den)
         done += 1
@@ -231,20 +241,15 @@ def estimate_sobolev_ratio(mesh: Mesh, trials: int = 50, seed: int = 0) -> float
         raise ValueError("trials must be at least 1")
     vel = build_space(mesh, VELOCITY, essential_bc=True)
     stiff = assemble(FormKind("VectorLaplacian"), vel, vel)
-    lam = np.column_stack([1.0 - RULE_DEG6.tet_points.sum(axis=1),
-                           RULE_DEG6.tet_points])
-    vals = p2_values(lam)
-    wq = (6.0 * mesh.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]
-    dofs = np.concatenate(
-        [mesh.tets, mesh.num_vertices + mesh.tet_edges], axis=1)
+    vals = p2_values(_bary(RULE_DEG6.tet_points))
+    wq = _tet_weights(mesh, RULE_DEG6)
     free_u = vel.free_index
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
         u = np.zeros(vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
-        at = np.stack([np.einsum("qi,ti->tq", vals, u[c * vel.n_scalar + dofs])
-                       for c in range(3)], axis=-1)
+        at = _velocity_field_at(vel, u, vals)
         mag2 = np.einsum("tqk,tqk->tq", at, at)
         l6 = np.sum(wq * mag2 ** 3) ** (1.0 / 6.0)
         best = max(best, l6 / math.sqrt(u @ (stiff @ u)))

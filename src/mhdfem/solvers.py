@@ -181,7 +181,9 @@ class _Forms:
     mean_p: np.ndarray
 
 
-@lru_cache(maxsize=8)
+# one entry: a larger cache would keep the forms and factorizations of
+# meshes the caller has already dropped alive
+@lru_cache(maxsize=1)
 def _fixed_forms(mesh: Mesh) -> _Forms:
     ops = DiscreteOps(mesh)
     vel = build_space(mesh, VELOCITY, essential_bc=True)

@@ -14,6 +14,7 @@ from mhdfem.harness import (ConfigError, _dump_json, _study_csv,
                             exact_errors, load_config, manufactured_case,
                             run_diagnose, run_solve, run_study)
 from mhdfem.mesh import build_box_mesh
+from mhdfem.operators import estimate_cross_bound
 from mhdfem.solvers import zero_state_bj
 
 
@@ -318,6 +319,21 @@ def test_run_study_inspace_is_exact_at_every_level(tmp_path):
     lines = text.strip().splitlines()
     assert lines[0].startswith("level,h,iterations,converged,err_u_h1")
     assert len(lines) == 3
+
+
+def test_run_study_probes_constants_only_for_be(monkeypatch):
+    calls = []
+
+    def counted(mesh, trials, seed):
+        calls.append(seed)
+        return estimate_cross_bound(mesh, trials=trials, seed=seed)
+
+    monkeypatch.setattr("mhdfem.harness.estimate_cross_bound", counted)
+    cfg = {"case": "inspace-1", "levels": [2, 3], "seed": 5}
+    run_study(load_config({**cfg, "formulation": "BJ"}))
+    assert calls == []
+    run_study(load_config({**cfg, "formulation": "BE"}))
+    assert calls == [5, 5]
 
 
 def test_run_study_aborts_on_nonconvergence():

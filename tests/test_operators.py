@@ -319,6 +319,63 @@ def test_cross_bound_refinement_trend(mesh2):
     assert 0 < fine <= coarse
 
 
+def assembled_cross_bound(mesh, trials, seed):
+    """The probe with its numerator as u^T C u of the assembled
+    velocity-velocity cross Gram matrix, same draws as the library."""
+    ops = DiscreteOps(mesh)
+    vel, vel_mass, vel_stiff = ops._velocity_forms()
+    free_e = ops.space_c.free_index
+    free_u = vel.free_index
+    G = curl_incidence(mesh)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    done = 0
+    while done < trials:
+        e = np.zeros(ops.space_c.dof_count)
+        e[free_e] = rng.standard_normal(free_e.size)
+        B = G @ e
+        curl_norm = ops.norm_c(ops.weak_curl(B))
+        if curl_norm <= 1e-14 * np.linalg.norm(e):
+            continue
+        u = np.zeros(vel.dof_count)
+        u[free_u] = rng.standard_normal(free_u.size)
+        cross = assemble(FormKind("CrossCoupling", coeff=B), vel, vel)
+        num = math.sqrt(max(u @ (cross @ u), 0.0))
+        den = math.sqrt(u @ (vel_mass @ u) + u @ (vel_stiff @ u)) * curl_norm
+        best = max(best, num / den)
+        done += 1
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cross_bound_matches_assembled_gram(n, seed):
+    mesh = build_box_mesh(n, n, n)
+    ref = assembled_cross_bound(mesh, trials=20, seed=seed)
+    got = estimate_cross_bound(mesh, trials=20, seed=seed)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_cross_gram_form_equals_quadrature_of_cross(mesh2):
+    rng = np.random.default_rng(11)
+    vel = build_space(mesh2, VELOCITY, essential_bc=True)
+    rt = build_space(mesh2, RT, essential_bc=True)
+    lam = np.column_stack([1.0 - RULE_DEG6.tet_points.sum(axis=1),
+                           RULE_DEG6.tet_points])
+    wq = (6.0 * mesh2.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]
+    rt_vals, _ = tabulate_rt(mesh2, lam)
+    pts = np.einsum("qi,tik->tqk", lam, mesh2.vertices[mesh2.tets])
+    for _ in range(3):
+        u = random_free(vel, rng)
+        B = random_free(rt, rng)
+        C = assemble(FormKind("CrossCoupling", coeff=B), vel, vel)
+        u_at = point_eval(vel, u, pts.reshape(-1, 3)).reshape(pts.shape)
+        b_at = np.einsum("tqfk,tf->tqk", rt_vals, B[mesh2.tet_faces])
+        cross = np.cross(u_at, b_at)
+        quad = np.sum(wq * np.einsum("tqk,tqk->tq", cross, cross))
+        assert u @ (C @ u) == pytest.approx(quad, rel=1e-12, abs=0)
+
+
 def test_cross_bound_validates_trials(mesh2):
     with pytest.raises(ValueError, match="trials"):
         estimate_cross_bound(mesh2, trials=0)

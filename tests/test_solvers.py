@@ -1,7 +1,9 @@
 """Picard steps, structure diagnostics, and the nonlinear driver."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -465,6 +467,17 @@ def test_zero_data_converges_immediately(mesh2):
         d = diagnostics(state, params0)
         for key, val in d.items():
             assert val is None or val == 0.0, key
+
+
+def test_fixed_forms_release_dropped_meshes(params):
+    mesh_a = build_box_mesh(2, 2, 2)
+    solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
+    solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
+                    max_iter=1)
+    ref = weakref.ref(mesh_a)
+    del mesh_a
+    gc.collect()
+    assert ref() is None
 
 
 def test_report_structure(solved_bj):
