@@ -1,12 +1,16 @@
-"""Sparse storage, block saddle-point systems, and a deterministic LU solve.
+"""Sparse storage, block saddle-point systems, and deterministic solves.
 
 Assembly produces triplet streams whose arrival order must not influence the
 result, so duplicates are summed in fully sorted order (row, column, value);
 the finalized matrix is bitwise independent of how contributions were
-interleaved.  Solves go through SuperLU with equilibration and one step of
-iterative refinement, which keeps row-wise residuals small enough that the
-structural invariants downstream (exact divergence constraints) survive the
-linear algebra.
+interleaved.  Direct solves go through SuperLU with equilibration and one
+step of iterative refinement, which keeps row-wise residuals small enough
+that the structural invariants downstream (exact divergence constraints)
+survive the linear algebra.  A system that is a perturbation of a block
+operator whose two diagonal blocks are factored once (factor_blocks) is
+solved by GMRES preconditioned with the block lower-triangular operator
+(solve_preconditioned), to the same residual contract, with the direct
+solve as the fallback.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 from scipy.sparse.linalg import splu
 
 SparseMatrix = sp.csr_matrix
@@ -159,6 +162,28 @@ def _worst_pivot(a_csc) -> tuple[int, int]:
     return step, int(lu.perm_c[step])
 
 
+def _factor(a_csc):
+    """SuperLU factors of a square matrix; SingularSystemError on breakdown."""
+    try:
+        lu = splu(a_csc)
+    except RuntimeError as exc:
+        step, unknown = _worst_pivot(a_csc)
+        raise SingularSystemError(
+            f"sparse LU failed ({exc}); breakdown at elimination step {step}, "
+            f"unknown {unknown}", pivot_index=step, unknown_index=unknown) from exc
+
+    # a zero pivot makes the triangular solves emit garbage (and BLAS
+    # error chatter); reject before attempting one
+    d = np.abs(lu.U.diagonal())
+    if d.min() == 0.0:
+        step = int(np.argmin(d))
+        raise SingularSystemError(
+            f"exact zero pivot at elimination step {step}, "
+            f"unknown {int(lu.perm_c[step])}",
+            pivot_index=step, unknown_index=int(lu.perm_c[step]))
+    return lu
+
+
 def solve_direct(A, b) -> np.ndarray:
     """Solve Ax = b by sparse LU with threshold partial pivoting.
 
@@ -177,25 +202,7 @@ def solve_direct(A, b) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
 
-    a_csc = a_csr.tocsc()
-    try:
-        lu = splu(a_csc)
-    except RuntimeError as exc:
-        step, unknown = _worst_pivot(a_csc)
-        raise SingularSystemError(
-            f"sparse LU failed ({exc}); breakdown at elimination step {step}, "
-            f"unknown {unknown}", pivot_index=step, unknown_index=unknown) from exc
-
-    # a zero pivot makes the triangular solves emit garbage (and BLAS
-    # error chatter); reject before attempting one
-    d = np.abs(lu.U.diagonal())
-    if d.min() == 0.0:
-        step = int(np.argmin(d))
-        raise SingularSystemError(
-            f"exact zero pivot at elimination step {step}, "
-            f"unknown {int(lu.perm_c[step])}",
-            pivot_index=step, unknown_index=int(lu.perm_c[step]))
-
+    lu = _factor(a_csr.tocsc())
     x = lu.solve(b)
     fro = np.sqrt(np.dot(a_csr.data, a_csr.data))
     bnorm = np.linalg.norm(b)
@@ -220,6 +227,147 @@ def solve_direct(A, b) -> np.ndarray:
         pivot_index=step, unknown_index=int(lu.perm_c[step]))
 
 
-def export_matrix(A, path) -> None:
-    """Write A in MatrixMarket coordinate format."""
-    mmwrite(str(path), sp.coo_matrix(A))
+# ---------------------------------------------------------------------------
+# block-preconditioned Krylov solves
+
+# GMRES stops once its residual falls below _KRYLOV_REL ||b||; the closing
+# preconditioner correction then pushes every row where the preconditioner
+# equals the matrix to factorization roundoff
+_KRYLOV_REL = 1e-13
+_KRYLOV_RESTART = 30
+# iterations after which GMRES counts as stalled and the solve falls back
+# to a fresh factorization of the whole system
+_KRYLOV_CAP = 60
+
+
+@dataclass(frozen=True, eq=False)
+class BlockFactors:
+    """LU factors of the two diagonal blocks of a square operator.
+
+    first and second partition the unknowns, each in ascending order;
+    lu_first and lu_second factor the operator restricted to first x first
+    and second x second.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    lu_first: object
+    lu_second: object
+
+
+def _factor_block(a_csc):
+    lu = _factor(a_csc)
+    # a preconditioner must not hide a singular system: a block whose
+    # smallest pivot sits at roundoff of the largest is treated as singular,
+    # where solve_direct would only reject an exact zero
+    d = np.abs(lu.U.diagonal())
+    if d.min() <= d.size * np.finfo(float).eps * d.max():
+        step = int(np.argmin(d))
+        raise SingularSystemError(
+            f"pivot {d[step]:.3e} at roundoff of the largest {d.max():.3e}, "
+            f"elimination step {step}, unknown {int(lu.perm_c[step])}",
+            pivot_index=step, unknown_index=int(lu.perm_c[step]))
+    return lu
+
+
+def factor_blocks(L, first) -> BlockFactors:
+    """Factor the two diagonal blocks of L split by the index set first.
+
+    A singular or numerically singular block raises SingularSystemError.
+    """
+    a = sp.csr_matrix(L)
+    mask = np.zeros(a.shape[0], dtype=bool)
+    mask[np.asarray(first, dtype=np.int64)] = True
+    one, two = np.flatnonzero(mask), np.flatnonzero(~mask)
+    return BlockFactors(first=one, second=two,
+                        lu_first=_factor_block(a[one][:, one].tocsc()),
+                        lu_second=_factor_block(a[two][:, two].tocsc()))
+
+
+def _gmres(a, b, precond, tol):
+    """Right-preconditioned restarted GMRES from x = 0.
+
+    Returns (x, iterations, converged); converged means the true residual
+    |b - a x| fell to tol within _KRYLOV_CAP iterations.
+    """
+    x = np.zeros(b.size)
+    r = b.copy()
+    its = 0
+    while True:
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, its, True
+        if its >= _KRYLOV_CAP:
+            return x, its, False
+        m = min(_KRYLOV_RESTART, _KRYLOV_CAP - its)
+        v = np.zeros((m + 1, b.size))
+        z = np.zeros((m, b.size))
+        h = np.zeros((m + 1, m))
+        e1 = np.zeros(m + 1)
+        e1[0] = beta
+        v[0] = r / beta
+        for k in range(m):
+            z[k] = precond(v[k])
+            w = a @ z[k]
+            for i in range(k + 1):  # modified Gram-Schmidt
+                h[i, k] = v[i] @ w
+                w -= h[i, k] * v[i]
+            h[k + 1, k] = np.linalg.norm(w)
+            its += 1
+            c = np.linalg.lstsq(h[:k + 2, :k + 1], e1[:k + 2], rcond=None)[0]
+            if (h[k + 1, k] == 0.0 or np.linalg.norm(
+                    h[:k + 2, :k + 1] @ c - e1[:k + 2]) <= tol):
+                break
+            v[k + 1] = w / h[k + 1, k]
+        x = x + z[:k + 1].T @ c
+        r = b - a @ x
+
+
+def solve_preconditioned(A, b, factors: BlockFactors | None):
+    """Solve Ax = b by GMRES with a block lower-triangular preconditioner.
+
+    With A split as [A_11 A_12; A_21 A_22] by factors.first/second, the
+    preconditioner is P = [S 0; A_21 K], S and K the factored blocks, so
+    P differs from A only where A_11 differs from S, A_22 from K, or A_12
+    is nonzero.  After GMRES one correction x <- x + P^-1 (b - A x) always
+    follows; it leaves a residual only in the rows where P and A differ,
+    every other row holds to factorization roundoff.  The solve then
+    verifies solve_direct's residual contract.  When GMRES stalls, the
+    contract fails, or factors is None, the system goes to solve_direct,
+    whose SingularSystemError propagates.
+
+    Returns (x, record); record holds unknowns, krylov_iterations,
+    relative_residual (|b - Ax| / (|A|_F |x| + |b|)) and fallback.
+    """
+    a = sp.csr_matrix(A)
+    b = np.asarray(b, dtype=np.float64).ravel()
+    fro = np.sqrt(np.dot(a.data, a.data))
+    bnorm = np.linalg.norm(b)
+
+    def relative_residual(x):
+        scale = fro * np.linalg.norm(x) + bnorm
+        res = np.linalg.norm(b - a @ x)
+        return float(res / scale) if scale > 0.0 else float(res)
+
+    its, rel = 0, None
+    if factors is not None:
+        one, two = factors.first, factors.second
+        a21 = a[two][:, one]
+
+        def precond(rho):
+            out = np.empty_like(rho)
+            y1 = factors.lu_first.solve(rho[one])
+            out[one] = y1
+            out[two] = factors.lu_second.solve(rho[two] - a21 @ y1)
+            return out
+
+        x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm)
+        if converged:
+            x = x + precond(b - a @ x)
+            rel = relative_residual(x)
+    fallback = rel is None or rel > _RESIDUAL_REL
+    if fallback:
+        x = solve_direct(a, b)
+        rel = relative_residual(x)
+    return x, {"unknowns": int(b.size), "krylov_iterations": its,
+               "relative_residual": rel, "fallback": fallback}

@@ -3,10 +3,17 @@
 Two linearizations of the coupled momentum/induction system are run over
 the discrete de Rham spaces: an electric-field step in (u, E, B, p, r)
 and a current-based step in (u, j, sigma, B, p, r).  Each iteration
-assembles one monolithic saddle-point matrix, eliminates the essential
-boundary conditions symmetrically, and solves with sparse LU.  The
-zero-mean constraints on p and r are enforced by explicit scalar
-multipliers, so the assembled systems are square.
+assembles one monolithic saddle-point matrix and eliminates the essential
+boundary conditions symmetrically.  The zero-mean constraints on p and r
+are enforced by explicit scalar multipliers, so the assembled systems are
+square.
+
+Only the convection and cross-coupling blocks depend on the iterate.  The
+rest is a Stokes block over (u, p) and a Maxwell block over the
+electromagnetic unknowns, uncoupled; both are factored once per mesh and
+parameter set, and each step is solved by GMRES preconditioned with them
+(linalg.solve_preconditioned), falling back to a direct factorization of
+the whole step when GMRES stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -45,7 +52,10 @@ from .derham import (
     tabulate_nedelec,
     tabulate_rt,
 )
-from .linalg import BlockSystem, SingularSystemError, solve_direct
+# solve_direct stays importable from this module: perfbench's tracing test
+# calls it as mhdfem.solvers.solve_direct
+from .linalg import (BlockFactors, BlockSystem, SingularSystemError,  # noqa: F401
+                     factor_blocks, solve_direct, solve_preconditioned)
 from .mesh import Mesh
 from .operators import (
     DiagnosticConstants,
@@ -96,6 +106,8 @@ class MhdStateBE:
 
     B_prev is the magnetic field the step was linearized around; the
     current density of this iterate is the L2 function E + u x B_prev.
+    linear_solve is the record of the linear solve that produced the
+    iterate (see PicardReport), None for a state no step produced.
     """
 
     mesh: Mesh
@@ -105,11 +117,13 @@ class MhdStateBE:
     p: np.ndarray
     r: np.ndarray
     B_prev: np.ndarray
+    linear_solve: dict | None = None
 
 
 @dataclass(eq=False)
 class MhdStateBJ:
-    """Current-based iterate (u, j, sigma, B, p, r); B_prev as in MhdStateBE."""
+    """Current-based iterate (u, j, sigma, B, p, r); B_prev and
+    linear_solve as in MhdStateBE."""
 
     mesh: Mesh
     u: np.ndarray
@@ -119,6 +133,7 @@ class MhdStateBJ:
     p: np.ndarray
     r: np.ndarray
     B_prev: np.ndarray
+    linear_solve: dict | None = None
 
 
 def zero_state_be(mesh: Mesh) -> MhdStateBE:
@@ -142,8 +157,13 @@ class PicardReport:
     iterations holds one record per Picard step: increment norms, the
     increment energy (weighted velocity gradient plus current terms), its
     ratio against the previous step (recorded from the second step on),
-    and the structure diagnostics of the new iterate.  termination is
-    "converged" or "max-iterations"; non-convergence is never raised.
+    the structure diagnostics of the new iterate, and linear_solve: the
+    step's reduced system size (unknowns), its GMRES iterations
+    (krylov_iterations), the achieved |b - Ax| / (|A|_F |x| + |b|)
+    (relative_residual), and whether the step fell back to a direct
+    factorization of the whole system (fallback).  Every entry is a
+    deterministic function of the inputs.  termination is "converged" or
+    "max-iterations"; non-convergence is never raised.
     """
 
     formulation: str
@@ -179,10 +199,12 @@ class _Forms:
     div: sp.csr_matrix
     curl: sp.csr_matrix
     mean_p: np.ndarray
+    # formulation -> ((r_e, r_m, s), BlockFactors or None); see _block_factors
+    blocks: dict = field(default_factory=dict)
 
 
-# one entry: a larger cache would keep the forms and factorizations of
-# meshes the caller has already dropped alive
+# one entry: a larger cache would keep the forms and factorizations
+# (block factors included) of meshes the caller has already dropped alive
 @lru_cache(maxsize=1)
 def _fixed_forms(mesh: Mesh) -> _Forms:
     ops = DiscreteOps(mesh)
@@ -262,45 +284,86 @@ def _h1_velocity(forms: _Forms, v: np.ndarray) -> float:
 
 # p, r and the scalar mean multipliers carry no essential condition
 _SPACE_OF = {"u": "vel", "E": "edge", "j": "edge", "sigma": "edge", "B": "face"}
+_UNKNOWNS = {"BE": ("u", "E", "B", "p", "r", "mp", "mr"),
+             "BJ": ("u", "j", "sigma", "B", "p", "r", "mp", "mr")}
+# the Stokes block; every other unknown belongs to the Maxwell block
+_STOKES = ("u", "p", "mp")
 
 
-def _essential_masks(forms: _Forms, names) -> dict:
+def _essential_masks(forms: _Forms, formulation: str) -> dict:
     spaces = {"vel": forms.vel, "edge": forms.ops.space_c,
               "face": forms.ops.space_d}
-    return {n: spaces[_SPACE_OF[n]].boundary_dof for n in names}
+    return {n: spaces[_SPACE_OF[n]].boundary_dof
+            for n in _UNKNOWNS[formulation] if n in _SPACE_OF}
 
 
-def _mean_rows(system: BlockSystem, forms: _Forms) -> None:
+def _linear_system(forms: _Forms, formulation: str,
+                   params: MhdParams) -> BlockSystem:
+    """The data-independent part of a step: Stokes (+) Maxwell, uncoupled."""
+    ops = forms.ops
+    re, rm, s = params.r_e, params.r_m, params.s
+    dims = {"u": forms.vel.dof_count, "E": ops.space_c.dof_count,
+            "j": ops.space_c.dof_count, "sigma": ops.space_c.dof_count,
+            "B": ops.space_d.dof_count, "p": forms.pres.dof_count,
+            "r": forms.mult.dof_count, "mp": 1, "mr": 1}
+    system = BlockSystem([(n, dims[n]) for n in _UNKNOWNS[formulation]])
+    system.add_block("u", "u", (1.0 / re) * forms.lap)
+    system.add_block("u", "p", -forms.bdiv.T)
+    system.add_block("p", "u", -forms.bdiv)
+    if formulation == "BE":
+        system.add_block("E", "E", s * ops.M_c)
+        system.add_block("E", "B", -(s / rm) * ops.K_cd.T)
+        system.add_block("B", "E", (s / rm) * ops.K_cd)
+    else:
+        system.add_block("j", "j", s * ops.M_c)
+        system.add_block("j", "B", -(s / rm) * ops.K_cd.T)
+        system.add_block("sigma", "sigma", (s / rm) * ops.M_c)
+        system.add_block("B", "j", (s / rm) * ops.K_cd)
+        system.add_block("B", "sigma", -(s / rm) * ops.K_cd)
+    system.add_block("B", "r", forms.div.T)
+    system.add_block("r", "B", forms.div)
     vols = forms.mult.mesh.volumes
     system.add_block("p", "mp", forms.mean_p[:, None])
     system.add_block("mp", "p", forms.mean_p[None, :])
     system.add_block("r", "mr", vols[:, None])
     system.add_block("mr", "r", vols[None, :])
+    return system
+
+
+def _block_factors(forms: _Forms, formulation: str,
+                   params: MhdParams) -> BlockFactors | None:
+    """Factored Stokes and Maxwell blocks of the reduced linear system.
+
+    Cached on the mesh's forms, one parameter set per formulation; None
+    when a block is singular, which leaves every step to the direct solve.
+    """
+    key = (params.r_e, params.r_m, params.s)
+    cached = forms.blocks.get(formulation)
+    if cached is None or cached[0] != key:
+        reduced = apply_essential_bc(_linear_system(forms, formulation, params),
+                                     _essential_masks(forms, formulation))
+        mat, _ = reduced.assemble()
+        index = reduced.split(np.arange(reduced.size))
+        stokes = np.concatenate([index[n] for n in _STOKES])
+        try:
+            factors = factor_blocks(mat, stokes)
+        except SingularSystemError:
+            factors = None
+        cached = forms.blocks[formulation] = (key, factors)
+    return cached[1]
 
 
 def _be_system(forms: _Forms, prev: MhdStateBE, params: MhdParams,
                loads: dict) -> BlockSystem:
-    ops = forms.ops
-    vel, ned, rt = forms.vel, ops.space_c, ops.space_d
-    re, rm, s = params.r_e, params.r_m, params.s
+    vel, ned, s = forms.vel, forms.ops.space_c, params.s
     conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
     cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
     cross2 = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, vel)
 
-    system = BlockSystem([("u", vel.dof_count), ("E", ned.dof_count),
-                          ("B", rt.dof_count), ("p", forms.pres.dof_count),
-                          ("r", forms.mult.dof_count), ("mp", 1), ("mr", 1)])
-    system.add_block("u", "u", (1.0 / re) * forms.lap + conv + s * cross2)
+    system = _linear_system(forms, "BE", params)
+    system.add_block("u", "u", conv + s * cross2)
     system.add_block("u", "E", s * cross.T)
-    system.add_block("u", "p", -forms.bdiv.T)
     system.add_block("E", "u", s * cross)
-    system.add_block("E", "E", s * ops.M_c)
-    system.add_block("E", "B", -(s / rm) * ops.K_cd.T)
-    system.add_block("B", "E", (s / rm) * ops.K_cd)
-    system.add_block("B", "r", forms.div.T)
-    system.add_block("p", "u", -forms.bdiv)
-    system.add_block("r", "B", forms.div)
-    _mean_rows(system, forms)
     for name, slot in (("u", "f"), ("E", "l"), ("B", "h"),
                        ("p", "m"), ("r", "z")):
         system.set_rhs(name, loads[slot])
@@ -309,39 +372,28 @@ def _be_system(forms: _Forms, prev: MhdStateBE, params: MhdParams,
 
 def _bj_system(forms: _Forms, prev: MhdStateBJ, params: MhdParams,
                loads: dict) -> BlockSystem:
-    ops = forms.ops
-    vel, ned, rt = forms.vel, ops.space_c, ops.space_d
-    re, rm, s = params.r_e, params.r_m, params.s
+    vel, ned = forms.vel, forms.ops.space_c
+    rm, s = params.r_m, params.s
     conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
     cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
 
-    system = BlockSystem([("u", vel.dof_count), ("j", ned.dof_count),
-                          ("sigma", ned.dof_count), ("B", rt.dof_count),
-                          ("p", forms.pres.dof_count),
-                          ("r", forms.mult.dof_count), ("mp", 1), ("mr", 1)])
-    system.add_block("u", "u", (1.0 / re) * forms.lap + conv)
+    system = _linear_system(forms, "BJ", params)
+    system.add_block("u", "u", conv)
     system.add_block("u", "j", s * cross.T)
-    system.add_block("u", "p", -forms.bdiv.T)
-    system.add_block("j", "j", s * ops.M_c)
-    system.add_block("j", "B", -(s / rm) * ops.K_cd.T)
-    system.add_block("sigma", "sigma", (s / rm) * ops.M_c)
     system.add_block("sigma", "u", -(s / rm) * cross)
-    system.add_block("B", "j", (s / rm) * ops.K_cd)
-    system.add_block("B", "sigma", -(s / rm) * ops.K_cd)
-    system.add_block("B", "r", forms.div.T)
-    system.add_block("p", "u", -forms.bdiv)
-    system.add_block("r", "B", forms.div)
-    _mean_rows(system, forms)
     for name, slot in (("u", "f"), ("j", "l"), ("sigma", "g"), ("B", "h"),
                        ("p", "m"), ("r", "z")):
         system.set_rhs(name, loads[slot])
     return system
 
 
-def _solve_blocks(system: BlockSystem, masks: dict) -> dict:
+def _solve_blocks(forms: _Forms, formulation: str, system: BlockSystem,
+                  params: MhdParams) -> tuple[dict, dict]:
+    masks = _essential_masks(forms, formulation)
     reduced = apply_essential_bc(system, masks)
     a, b = reduced.assemble()
-    x = solve_direct(a, b)
+    x, record = solve_preconditioned(
+        a, b, _block_factors(forms, formulation, params))
     parts = reduced.split(x)
     out = {}
     for name, dim in system.spaces:
@@ -352,7 +404,7 @@ def _solve_blocks(system: BlockSystem, masks: dict) -> dict:
             full = np.zeros(dim)
             full[np.flatnonzero(~mask)] = parts[name]
             out[name] = full
-    return out
+    return out, record
 
 
 def be_picard_step(prev: MhdStateBE, params: MhdParams) -> MhdStateBE:
@@ -360,7 +412,7 @@ def be_picard_step(prev: MhdStateBE, params: MhdParams) -> MhdStateBE:
     forms = _fixed_forms(prev.mesh)
     system = _be_system(forms, prev, params, _rhs_loads(forms, params))
     try:
-        parts = _solve_blocks(system, _essential_masks(forms, ("u", "E", "B")))
+        parts, record = _solve_blocks(forms, "BE", system, params)
     except SingularSystemError as exc:
         raise SingularSystemError(
             "B-E regime violation: the linearized electric-field step is "
@@ -372,7 +424,7 @@ def be_picard_step(prev: MhdStateBE, params: MhdParams) -> MhdStateBE:
             unknown_index=exc.unknown_index) from exc
     return MhdStateBE(mesh=prev.mesh, u=parts["u"], E=parts["E"],
                       B=parts["B"], p=parts["p"], r=parts["r"],
-                      B_prev=prev.B.copy())
+                      B_prev=prev.B.copy(), linear_solve=record)
 
 
 def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
@@ -380,8 +432,7 @@ def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
     forms = _fixed_forms(prev.mesh)
     system = _bj_system(forms, prev, params, _rhs_loads(forms, params))
     try:
-        parts = _solve_blocks(system,
-                              _essential_masks(forms, ("u", "j", "sigma", "B")))
+        parts, record = _solve_blocks(forms, "BJ", system, params)
     except SingularSystemError as exc:
         raise SingularSystemError(
             "singular current-based step: this linearization is uniquely "
@@ -392,7 +443,7 @@ def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
             unknown_index=exc.unknown_index) from exc
     return MhdStateBJ(mesh=prev.mesh, u=parts["u"], j=parts["j"],
                       sigma=parts["sigma"], B=parts["B"], p=parts["p"],
-                      r=parts["r"], B_prev=prev.B.copy())
+                      r=parts["r"], B_prev=prev.B.copy(), linear_solve=record)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +668,7 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
             "energy_work": diag["energy_work"],
             "energy_residual": diag["energy_residual"],
             "energy_scale": diag["energy_scale"],
+            "linear_solve": new.linear_solve,
         })
         state = new
         prev_energy = energy

@@ -3,15 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.io import mmread
 
 from mhdfem.linalg import (
     AssemblyError,
     BlockSystem,
     SingularSystemError,
-    export_matrix,
+    factor_blocks,
     finalize_assembly,
     solve_direct,
+    solve_preconditioned,
 )
 
 
@@ -159,10 +159,73 @@ def test_block_system_validates_shapes_and_names():
         BlockSystem([("u", 2), ("u", 3)])
 
 
-def test_matrix_export_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    a = sp.random(12, 12, density=0.3, random_state=rng, format="csr")
-    path = tmp_path / "a.mtx"
-    export_matrix(a, path)
-    back = sp.csr_matrix(mmread(path))
-    assert np.allclose(back.toarray(), a.toarray(), rtol=0, atol=1e-15)
+
+# ---------------------------------------------------------------------------
+# block-preconditioned solves
+
+
+def perturbed_block_system(rng, n1=40, n2=30, eps=0.05):
+    """Block-diagonal L plus a small first-row-block perturbation and an
+    arbitrary coupling in the second block's rows."""
+    def block(n):
+        m = sp.random(n, n, density=0.1, random_state=rng, format="csr")
+        return m + sp.identity(n, format="csr") * 4.0
+
+    lin = sp.block_diag([block(n1), block(n2)], format="csr")
+    small = eps * sp.random(n1, n1 + n2, density=0.1, random_state=rng)
+    coupling = sp.random(n2, n1, density=0.1, random_state=rng)
+    a = lin + sp.vstack([small, sp.hstack([coupling, sp.csr_matrix((n2, n2))])])
+    perm = rng.permutation(n1 + n2)
+    # scatter the first block over the unknowns
+    a = sp.csr_matrix(a)[perm][:, perm]
+    lin = lin[perm][:, perm]
+    first = np.flatnonzero(perm < n1)
+    return sp.csr_matrix(a), lin, first
+
+
+def test_preconditioned_solve_matches_direct():
+    rng = np.random.default_rng(3)
+    a, lin, first = perturbed_block_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    x, record = solve_preconditioned(a, b, factor_blocks(lin, first))
+    ref = solve_direct(a, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert record["fallback"] is False
+    assert record["unknowns"] == a.shape[0]
+    assert 0 < record["krylov_iterations"] < 30
+    fro = np.sqrt(np.dot(a.data, a.data))
+    res = b - a @ x
+    assert record["relative_residual"] == pytest.approx(
+        np.linalg.norm(res) / (fro * np.linalg.norm(x) + np.linalg.norm(b)))
+    # the closing correction leaves a residual only where P and A differ
+    second = np.setdiff1d(np.arange(a.shape[0]), first)
+    assert np.linalg.norm(res[second]) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_preconditioned_solve_zero_rhs_is_exact_zero():
+    rng = np.random.default_rng(4)
+    a, lin, first = perturbed_block_system(rng)
+    x, record = solve_preconditioned(a, np.zeros(a.shape[0]),
+                                     factor_blocks(lin, first))
+    assert not x.any()
+    assert record["relative_residual"] == 0.0
+    assert record["fallback"] is False
+
+
+def test_preconditioned_solve_without_factors_is_direct():
+    rng = np.random.default_rng(5)
+    a, _, _ = perturbed_block_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    x, record = solve_preconditioned(a, b, None)
+    assert np.array_equal(x, solve_direct(a, b))
+    assert record["fallback"] is True
+    assert record["krylov_iterations"] == 0
+
+
+def test_factor_blocks_rejects_numerically_singular_block():
+    # exactly singular in real arithmetic; the factorization sees a pivot
+    # at roundoff instead of an exact zero
+    s = sp.csr_matrix(np.array([[0.1, 0.3], [0.3, 0.9]]))
+    lin = sp.block_diag([s, sp.identity(2)], format="csr")
+    with pytest.raises(SingularSystemError, match="roundoff"):
+        factor_blocks(lin, [0, 1])

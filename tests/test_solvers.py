@@ -8,20 +8,23 @@ import weakref
 import numpy as np
 import pytest
 
-from mhdfem.assembly import (RULE_DEG4, RULE_DEG6, FormKind, assemble,
-                             assemble_load)
+from mhdfem import linalg
+from mhdfem.assembly import (RULE_DEG4, RULE_DEG6, FormKind,
+                             apply_essential_bc, assemble, assemble_load)
 from mhdfem.derham import (P1, RT, VELOCITY, AnalyticField, build_space,
                            curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
-from mhdfem.linalg import SingularSystemError
+from mhdfem.linalg import SingularSystemError, solve_direct
 from mhdfem.mesh import build_box_mesh, derive_topology
 from mhdfem.operators import DiagnosticConstants, DiscreteOps, poincare_h01_box
 from mhdfem.solvers import (MhdParams, MhdStateBJ,
                             be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state_be, zero_state_bj,
-                            _fixed_forms, _load_vector)
+                            _be_system, _bj_system, _block_factors,
+                            _essential_masks, _fixed_forms, _load_vector,
+                            _rhs_loads)
 
 
 def smooth_force(pts):
@@ -289,6 +292,111 @@ def test_be_step_solves_every_equation(mesh2, ops2, params, seeded_be):
         <= 1e-12 * max(np.linalg.norm(s2.u), 1e-30)
     assert np.abs(div @ s2.B).max() \
         <= 1e-12 * max(np.abs(s2.B).max(), 1e-30)
+
+
+# ---------------------------------------------------------------------------
+# block-preconditioned step solves
+
+STEPS = {"BE": (zero_state_be, be_picard_step, _be_system),
+         "BJ": (zero_state_bj, bj_picard_step, _bj_system)}
+
+
+def seeded_start(mesh, formulation):
+    init = STEPS[formulation][0](mesh)
+    init.B = seed_flux(mesh)
+    init.B_prev = init.B.copy()
+    return init
+
+
+def direct_step_fields(prev, params, formulation):
+    """The step's reduced system solved by one LU of the whole matrix."""
+    forms = _fixed_forms(prev.mesh)
+    system = STEPS[formulation][2](forms, prev, params,
+                                   _rhs_loads(forms, params))
+    masks = _essential_masks(forms, formulation)
+    reduced = apply_essential_bc(system, masks)
+    a, b = reduced.assemble()
+    x = solve_direct(a, b)
+    out = {}
+    for name, part in reduced.split(x).items():
+        full = np.zeros(dict(system.spaces)[name])
+        if name in masks:
+            full[~masks[name]] = part
+        else:
+            full[:] = part
+        out[name] = full
+    return out, x
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_preconditioned_steps_match_direct_solve(params, formulation):
+    mesh = build_box_mesh(3, 3, 3)
+    state = seeded_start(mesh, formulation)
+    for _ in range(3):
+        ref, x = direct_step_fields(state, params, formulation)
+        state = STEPS[formulation][1](state, params)
+        record = state.linear_solve
+        assert record["fallback"] is False
+        assert record["unknowns"] == x.size
+        assert 0 < record["krylov_iterations"] <= 10
+        assert record["relative_residual"] <= 1e-10
+        for name, want in ref.items():
+            if name in ("mp", "mr"):
+                continue
+            # r vanishes in exact arithmetic and both solves return
+            # roundoff, so it is measured against the whole solution
+            scale = np.linalg.norm(x if name == "r" else want)
+            assert np.linalg.norm(getattr(state, name) - want) \
+                <= 1e-10 * scale, (formulation, name)
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_stalled_krylov_falls_back_to_direct(params, formulation,
+                                             monkeypatch):
+    mesh = build_box_mesh(3, 3, 3)
+    init = seeded_start(mesh, formulation)
+    ref, x = direct_step_fields(init, params, formulation)
+    monkeypatch.setattr(linalg, "_KRYLOV_CAP", 0)
+    state = STEPS[formulation][1](init, params)
+    assert state.linear_solve == {
+        "unknowns": x.size, "krylov_iterations": 0,
+        "relative_residual": state.linear_solve["relative_residual"],
+        "fallback": True}
+    assert state.linear_solve["relative_residual"] <= 1e-10
+    for name, want in ref.items():
+        if name not in ("mp", "mr"):
+            assert np.array_equal(getattr(state, name), want), name
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_step_is_bitwise_deterministic(params, formulation):
+    mesh = build_box_mesh(3, 3, 3)
+    prev = STEPS[formulation][1](seeded_start(mesh, formulation), params)
+    one = STEPS[formulation][1](prev, params)
+    two = STEPS[formulation][1](prev, params)
+    assert one.linear_solve == two.linear_solve
+    for name in ("u", "B", "p", "r", "B_prev"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+
+def test_block_factors_cached_per_mesh_and_params(mesh2, params):
+    forms = _fixed_forms(mesh2)
+    first = _block_factors(forms, "BJ", params)
+    assert _block_factors(forms, "BJ", params) is first
+    other = MhdParams(r_e=2.0, r_m=1.0, s=1.0, f=smooth_force)
+    assert _block_factors(forms, "BJ", other) is not first
+
+
+def test_block_factors_release_dropped_meshes(params):
+    mesh_a = build_box_mesh(2, 2, 2)
+    solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
+    ref = weakref.ref(_block_factors(_fixed_forms(mesh_a), "BJ", params))
+    assert ref() is not None
+    solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
+                    max_iter=1)
+    del mesh_a
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
