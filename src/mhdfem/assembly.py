@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -93,9 +94,10 @@ def _edge_rule():
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Tet rule plus the lower-dimensional rules used by DOF functionals."""
+    """Tet rule plus the lower-dimensional rules used by DOF functionals;
+    hashed by identity, so a rule can key a table of tabulations."""
 
     tet_points: np.ndarray    # (nq, 3) reference coordinates
     tet_weights: np.ndarray   # sum = 1/6
@@ -169,33 +171,147 @@ def _tet_weights(mesh, rule: QuadratureRule) -> np.ndarray:
     return (6.0 * mesh.volumes)[:, None] * rule.tet_weights[None, :]
 
 
-def _p2_dofs(space: FeSpace) -> np.ndarray:
-    mesh = space.mesh
+def _p2_dofs(mesh) -> np.ndarray:
     return np.concatenate([mesh.tets, mesh.num_vertices + mesh.tet_edges], axis=1)
 
 
-def _triplets_from_elements(rows, cols, elem) -> tuple:
-    return rows.ravel(), cols.ravel(), elem.ravel()
+def _velocity_dofs(mesh) -> np.ndarray:
+    """Velocity DOF of each (tet, component, local P2 function), (T, 3, 10)."""
+    n = mesh.num_vertices + mesh.num_edges
+    return _p2_dofs(mesh)[:, None, :] + n * np.arange(3)[None, :, None]
 
 
-def _velocity_field_at(space: FeSpace, coeff, vals) -> np.ndarray:
-    """Evaluate a velocity FE function at tabulated points, (T, nq, 3)."""
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (space.dof_count,):
-        raise AssemblyError("velocity coefficient vector has wrong length")
-    gd = _p2_dofs(space)
-    out = np.empty((space.mesh.num_tets, vals.shape[0], 3))
-    for c in range(3):
-        out[:, :, c] = np.einsum("qi,ti->tq", vals, coeff[c * space.n_scalar + gd])
-    return out
+def _finalize_elements(rows, cols, elem, trial: FeSpace,
+                       test: FeSpace) -> SparseMatrix:
+    """Sum element arrays into the global matrix; rows and cols hold the
+    global DOFs of the entries and broadcast against elem."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, elem)
+    return finalize_assembly(rows.ravel(), cols.ravel(), vals.ravel(),
+                             (test.dof_count, trial.dof_count))
 
 
-def _face_field_at(space: FeSpace, coeff, rt_vals) -> np.ndarray:
-    """Evaluate a face-element FE function at tabulated points, (T, nq, 3)."""
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (space.dof_count,):
-        raise AssemblyError("face-element coefficient vector has wrong length")
-    return np.einsum("tqfk,tf->tqk", rt_vals, coeff[space.mesh.tet_faces])
+class Tabulation:
+    """Basis functions of one mesh at the points of one tet rule.
+
+    wq (T, nq) physical weights, p2 (nq, 10) P2 values, vel_dofs (T, 3, 10)
+    the velocity DOF of each (tet, component, local P2 function); points
+    (T, nq, 3), p2_grads (T, nq, 10, 3), ned (T, nq, 6, 3) and rt
+    (T, nq, 4, 3) are tabulated on first use.
+    """
+
+    def __init__(self, mesh, rule: QuadratureRule):
+        self.mesh = mesh
+        self.lam = _bary(rule.tet_points)
+        self.wq = _tet_weights(mesh, rule)
+        self.p2 = p2_values(self.lam)
+        self.vel_dofs = _velocity_dofs(mesh)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.einsum("qi,tik->tqk", self.lam,
+                         self.mesh.vertices[self.mesh.tets])
+
+    @cached_property
+    def p2_grads(self) -> np.ndarray:
+        return tabulate_p2_gradients(self.mesh, self.lam)
+
+    @cached_property
+    def ned(self) -> np.ndarray:
+        return tabulate_nedelec(self.mesh, self.lam)[0]
+
+    @cached_property
+    def rt(self) -> np.ndarray:
+        return tabulate_rt(self.mesh, self.lam)[0]
+
+    def _local(self, coeff, dofs, size, what) -> np.ndarray:
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.shape != (size,):
+            raise AssemblyError(f"{what} coefficient vector has wrong length")
+        return coeff[dofs]
+
+    # FE functions at the points, (T, nq, 3)
+    def velocity_at(self, u) -> np.ndarray:
+        m = self.mesh
+        u = self._local(u, self.vel_dofs, 3 * (m.num_vertices + m.num_edges),
+                        "velocity")
+        return np.matmul(self.p2, u.transpose(0, 2, 1))
+
+    def edge_at(self, e) -> np.ndarray:
+        e = self._local(e, self.mesh.tet_edges, self.mesh.num_edges,
+                        "edge-element")
+        return np.einsum("tqek,te->tqk", self.ned, e)
+
+    def face_at(self, b) -> np.ndarray:
+        b = self._local(b, self.mesh.tet_faces, self.mesh.num_faces,
+                        "face-element")
+        return np.einsum("tqfk,tf->tqk", self.rt, b)
+
+    def edge_load(self, field_at) -> np.ndarray:
+        """(field, w_e) for every edge function, field given at the points."""
+        at = np.matmul(self.ned, field_at[..., None])[..., 0]
+        elem = np.matmul(self.wq[:, None, :], at)[:, 0]
+        return np.bincount(self.mesh.tet_edges.ravel(), elem.ravel(),
+                           minlength=self.mesh.num_edges)
+
+
+# ---------------------------------------------------------------------------
+# element kernels of the iterate-dependent forms: batched matrix products
+# against a Tabulation, shared by assemble() and the Picard steps
+
+
+def convection_elements(tab: Tabulation, w) -> np.ndarray:
+    """1/2 [(w.grad phi_j, phi_i) - (w.grad phi_i, phi_j)], (T, 3, 10, 10):
+    one scalar block, repeated on the three velocity components."""
+    wgrad = np.matmul(tab.p2_grads, tab.velocity_at(w)[..., None])[..., 0]
+    adv = np.matmul(tab.p2.T * tab.wq[:, None, :], wgrad)
+    elem = 0.5 * (adv - adv.transpose(0, 2, 1))
+    return np.broadcast_to(elem[:, None], (elem.shape[0], 3, 10, 10))
+
+
+def cross_elements(tab: Tabulation, g) -> np.ndarray:
+    """((phi_(c,i) x G), w_j) = (e_c, (G x w_j) phi_i), (T, 3, 10, 6)."""
+    t, q = tab.wq.shape
+    gxw = np.cross(tab.face_at(g)[:, :, None, :], tab.ned)
+    out = np.matmul(tab.p2.T * tab.wq[:, None, :], gxw.reshape(t, q, 18))
+    return out.reshape(t, 10, 6, 3).transpose(0, 3, 1, 2)
+
+
+def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
+    """((phi_(d,j) x G), (phi_(c,i) x G)), (T, 3, 3, 10, 10) over c, d, i, j."""
+    t, q = tab.wq.shape
+    basis_cross = np.cross(np.eye(3)[None, None], tab.face_at(g)[:, :, None])
+    cc = np.matmul(basis_cross, basis_cross.transpose(0, 1, 3, 2))
+    pp = (tab.p2[:, :, None] * tab.p2[:, None, :]).reshape(q, 100)
+    wcc = (tab.wq[:, :, None] * cc.reshape(t, q, 9)).transpose(0, 2, 1)
+    return np.matmul(wcc.reshape(t * 9, q), pp).reshape(t, 3, 3, 10, 10)
+
+
+# name -> (kernel, rule integrating it exactly); a single cross product
+# is degree 4, convection and the double cross product degree 6
+ELEMENT_KERNELS = {"convection": (convection_elements, RULE_DEG6),
+                   "cross": (cross_elements, RULE_DEG4),
+                   "cross_cross": (cross_cross_elements, RULE_DEG6)}
+
+
+def element_dofs(mesh, kernel: str) -> tuple:
+    """Global (row, col) DOFs of a kernel's element array, broadcastable
+    to its shape; the cross kernel's rows are edges, its columns velocity."""
+    vd = _velocity_dofs(mesh)
+    if kernel == "convection":
+        return vd[:, :, :, None], vd[:, :, None, :]
+    if kernel == "cross_cross":
+        return vd[:, :, None, :, None], vd[:, None, :, None, :]
+    return mesh.tet_edges[:, None, None, :], vd[:, :, :, None]
+
+
+def _assemble_elements(kernel: str, coeff, trial: FeSpace, test: FeSpace,
+                       transpose: bool = False) -> SparseMatrix:
+    func, rule = ELEMENT_KERNELS[kernel]
+    rows, cols = element_dofs(trial.mesh, kernel)
+    if transpose:
+        rows, cols = cols, rows
+    return _finalize_elements(rows, cols, func(Tabulation(trial.mesh, rule),
+                                                coeff), trial, test)
 
 
 def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
@@ -215,7 +331,9 @@ def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
         grads = tabulate_p2_gradients(mesh, lam)
         wq = _tet_weights(mesh, rule)
         elem = np.einsum("tq,tqik,tqjk->tij", wq, grads, grads)
-        return _stack_components(trial, test, elem, 3)
+        vd = _velocity_dofs(mesh)
+        return _finalize_elements(vd[:, :, :, None], vd[:, :, None, :],
+                                  elem[:, None], trial, test)
 
     if tag == "Mass":
         return _assemble_mass(form, trial, test)
@@ -239,42 +357,21 @@ def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
         k_cd = SparseMatrix(m_d @ curl_incidence(mesh))
         return SparseMatrix(k_cd.T) if kind == "face-edge" else k_cd
 
-    if tag == "Convection":
-        _check_pair(form, trial, test, [("velocity", "velocity")])
+    if tag in ("Convection", "CrossCoupling"):
+        kind = _check_pair(form, trial, test, [
+            ("velocity", "velocity"), ("velocity", "edge"), ("edge", "velocity")]
+            if tag == "CrossCoupling" else [("velocity", "velocity")])
         if form.coeff is None:
-            raise AssemblyError("Convection needs a velocity coefficient field")
-        rule = RULE_DEG6
-        lam = _bary(rule.tet_points)
-        vals = p2_values(lam)
-        grads = tabulate_p2_gradients(mesh, lam)
-        wq = _tet_weights(mesh, rule)
-        w_at = _velocity_field_at(trial, form.coeff, vals)
-        wgrad = np.einsum("tqc,tqjc->tqj", w_at, grads)
-        adv = np.einsum("tq,qi,tqj->tij", wq, vals, wgrad)
-        elem = 0.5 * (adv - adv.transpose(0, 2, 1))
-        return _stack_components(trial, test, elem, 3)
-
-    if tag == "CrossCoupling":
-        return _assemble_cross(form, trial, test)
+            field = "velocity" if tag == "Convection" else "face-element"
+            raise AssemblyError(f"{tag} needs a {field} coefficient field")
+        if tag == "Convection":
+            return _assemble_elements("convection", form.coeff, trial, test)
+        if kind == "velocity-velocity":
+            return _assemble_elements("cross_cross", form.coeff, trial, test)
+        return _assemble_elements("cross", form.coeff, trial, test,
+                                  transpose=kind == "edge-velocity")
 
     raise AssemblyError(f"unknown form tag {tag!r}")
-
-
-def _stack_components(trial: FeSpace, test: FeSpace, elem, ncomp) -> SparseMatrix:
-    """Scatter one scalar element block (rows = test index i) into ncomp
-    diagonal components."""
-    gd_t = _p2_dofs(trial)
-    gd_s = _p2_dofs(test)
-    rows, cols, vals = [], [], []
-    for c in range(ncomp):
-        rows.append(np.broadcast_to((c * test.n_scalar + gd_s)[:, :, None],
-                                    elem.shape).ravel())
-        cols.append(np.broadcast_to((c * trial.n_scalar + gd_t)[:, None, :],
-                                    elem.shape).ravel())
-        vals.append(elem.ravel())
-    return finalize_assembly(np.concatenate(rows), np.concatenate(cols),
-                             np.concatenate(vals),
-                             (test.dof_count, trial.dof_count))
 
 
 def _assemble_mass(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
@@ -289,151 +386,60 @@ def _assemble_mass(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatri
     if kind == "cell-cell":
         n = mesh.num_tets
         return finalize_assembly(np.arange(n), np.arange(n), mesh.volumes, (n, n))
-    if kind in ("velocity-velocity", "P2-P2"):
-        vals = p2_values(lam)
+    if kind in ("velocity-velocity", "P2-P2", "P1-P1"):
+        vals = p1_values(lam) if kind == "P1-P1" else p2_values(lam)
         elem = np.einsum("tq,qi,qj->tij", wq, vals, vals)
-        if kind == "P2-P2":
-            gd = _p2_dofs(trial)
-            return finalize_assembly(
-                *_triplets_from_elements(
-                    np.broadcast_to(gd[:, :, None], elem.shape),
-                    np.broadcast_to(gd[:, None, :], elem.shape), elem),
-                (test.dof_count, trial.dof_count))
-        return _stack_components(trial, test, elem, 3)
-    if kind == "P1-P1":
-        vals = p1_values(lam)
-        elem = np.einsum("tq,qi,qj->tij", wq, vals, vals)
-        gd = mesh.tets
-        return finalize_assembly(
-            *_triplets_from_elements(
-                np.broadcast_to(gd[:, :, None], elem.shape),
-                np.broadcast_to(gd[:, None, :], elem.shape), elem),
-            (test.dof_count, trial.dof_count))
-    if kind == "edge-edge":
-        vals, _ = tabulate_nedelec(mesh, lam)
-        gd = mesh.tet_edges
+        if kind == "velocity-velocity":
+            vd = _velocity_dofs(mesh)
+            return _finalize_elements(vd[:, :, :, None], vd[:, :, None, :],
+                                      elem[:, None], trial, test)
+        gd = mesh.tets if kind == "P1-P1" else _p2_dofs(mesh)
     else:
-        vals, _ = tabulate_rt(mesh, lam)
-        gd = mesh.tet_faces
-    elem = np.einsum("tq,tqik,tqjk->tij", wq, vals, vals)
-    return finalize_assembly(
-        *_triplets_from_elements(
-            np.broadcast_to(gd[:, :, None], elem.shape),
-            np.broadcast_to(gd[:, None, :], elem.shape), elem),
-        (test.dof_count, trial.dof_count))
+        if kind == "edge-edge":
+            vals, _ = tabulate_nedelec(mesh, lam)
+            gd = mesh.tet_edges
+        else:
+            vals, _ = tabulate_rt(mesh, lam)
+            gd = mesh.tet_faces
+        elem = np.einsum("tq,tqik,tqjk->tij", wq, vals, vals)
+    return _finalize_elements(gd[:, :, None], gd[:, None, :], elem,
+                              trial, test)
 
 
 def _div_velocity_p1(vel: FeSpace, p1: FeSpace) -> SparseMatrix:
     """Matrix of (div u, q): rows P1 test, cols velocity trial."""
     mesh = vel.mesh
-    rule = RULE_DEG4
-    lam = _bary(rule.tet_points)
+    lam = _bary(RULE_DEG4.tet_points)
     grads = tabulate_p2_gradients(mesh, lam)
-    wq = _tet_weights(mesh, rule)
-    gd_u = _p2_dofs(vel)
-    rows, cols, vals = [], [], []
-    for c in range(3):
-        elem = np.einsum("tq,qi,tqj->tij", wq, p1_values(lam), grads[:, :, :, c])
-        rows.append(np.broadcast_to(mesh.tets[:, :, None], elem.shape).ravel())
-        cols.append(np.broadcast_to((c * vel.n_scalar + gd_u)[:, None, :],
-                                    elem.shape).ravel())
-        vals.append(elem.ravel())
-    return finalize_assembly(np.concatenate(rows), np.concatenate(cols),
-                             np.concatenate(vals), (p1.dof_count, vel.dof_count))
-
-
-def _assemble_cross(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
-    """Cross-product couplings against a face-element field G.
-
-    velocity trial, edge test:   M[i,j] = ((phi_j x G), w_i)
-    edge trial, velocity test:   M[i,j] = ((phi_i x G), w_j)   (the transpose)
-    velocity trial and test:     M[i,j] = ((phi_j x G), (phi_i x G))
-    """
-    kind = _check_pair(form, trial, test, [
-        ("velocity", "edge"), ("edge", "velocity"), ("velocity", "velocity")])
-    if form.coeff is None:
-        raise AssemblyError("CrossCoupling needs a face-element coefficient field")
-    mesh = trial.mesh
-    vel = trial if trial.kind.components == 3 else test
-    # the double-cross integrand has two G factors, degree 6; single cross is 4
-    rule = RULE_DEG6 if kind == "velocity-velocity" else RULE_DEG4
-    lam = _bary(rule.tet_points)
-    wq = _tet_weights(mesh, rule)
-    vals = p2_values(lam)
-    rt_vals, _ = tabulate_rt(mesh, lam)
-    g_at = np.einsum("tqfk,tf->tqk", rt_vals,
-                     np.asarray(form.coeff, float)[mesh.tet_faces])
-    # (e_c x G) at each quadrature point for the three unit vectors
-    basis_cross = np.cross(np.eye(3)[None, None, :, :], g_at[:, :, None, :])
-
-    gd_u = _p2_dofs(vel)
-    n = vel.n_scalar
-    if kind == "velocity-velocity":
-        cc = np.einsum("tqck,tqdk->tqcd", basis_cross, basis_cross)
-        elem = np.einsum("tq,qi,qj,tqcd->tcidj", wq, vals, vals, cc)
-        rows = np.broadcast_to((np.arange(3) * n)[None, :, None, None, None]
-                               + gd_u[:, None, :, None, None], elem.shape)
-        cols = np.broadcast_to((np.arange(3) * n)[None, None, None, :, None]
-                               + gd_u[:, None, None, None, :], elem.shape)
-        return finalize_assembly(rows.ravel(), cols.ravel(), elem.ravel(),
-                                 (test.dof_count, trial.dof_count))
-
-    ned_vals, _ = tabulate_nedelec(mesh, lam)
-    elem = np.einsum("tq,qi,tqck,tqjk->tcij", wq, vals, basis_cross, ned_vals)
-    rows_u = np.broadcast_to(
-        gd_u[:, None, :, None] + (np.arange(3) * n)[None, :, None, None], elem.shape)
-    cols_e = np.broadcast_to(mesh.tet_edges[:, None, None, :], elem.shape)
-    if kind == "velocity-edge":
-        return finalize_assembly(cols_e.ravel(), rows_u.ravel(), elem.ravel(),
-                                 (test.dof_count, trial.dof_count))
-    return finalize_assembly(rows_u.ravel(), cols_e.ravel(), elem.ravel(),
-                             (test.dof_count, trial.dof_count))
+    wq = _tet_weights(mesh, RULE_DEG4)
+    elem = np.stack([np.einsum("tq,qi,tqj->tij", wq, p1_values(lam),
+                               grads[:, :, :, c]) for c in range(3)], axis=1)
+    return _finalize_elements(mesh.tets[:, None, :, None],
+                              _velocity_dofs(mesh)[:, :, None, :], elem,
+                              vel, p1)
 
 
 def assemble_load(space: FeSpace, field, rule: QuadratureRule = RULE_DEG6) -> np.ndarray:
     """Load vector (field, phi_i) by tet quadrature on an analytic field."""
-    mesh = space.mesh
-    lam = _bary(rule.tet_points)
-    wq = _tet_weights(mesh, rule)
-    pts = np.einsum("qi,tik->tqk", lam, mesh.vertices[mesh.tets])
-    f = np.asarray(field(pts.reshape(-1, 3)), dtype=float)
-    tag = space.kind.tag
-
-    if tag in ("P1", "P2") and space.kind.components == 1:
-        f = f.reshape(mesh.num_tets, -1)
-        vals = p1_values(lam) if tag == "P1" else p2_values(lam)
-        gd = mesh.tets if tag == "P1" else _p2_dofs(space)
-        elem = np.einsum("tq,tq,qi->ti", wq, f, vals)
-        out = np.zeros(space.dof_count)
-        np.add.at(out, gd.ravel(), elem.ravel())
-        return out
-    if tag == "P2" and space.kind.components == 3:
-        f = f.reshape(mesh.num_tets, -1, 3)
-        vals = p2_values(lam)
-        gd = _p2_dofs(space)
-        out = np.zeros(space.dof_count)
-        for c in range(3):
-            elem = np.einsum("tq,tq,qi->ti", wq, f[:, :, c], vals)
-            np.add.at(out, (c * space.n_scalar + gd).ravel(), elem.ravel())
-        return out
-    if tag == "NedelecEdge0":
-        f = f.reshape(mesh.num_tets, -1, 3)
-        vals, _ = tabulate_nedelec(mesh, lam)
-        elem = np.einsum("tq,tqk,tqik->ti", wq, f, vals)
-        out = np.zeros(space.dof_count)
-        np.add.at(out, mesh.tet_edges.ravel(), elem.ravel())
-        return out
-    if tag == "RaviartThomas0":
-        f = f.reshape(mesh.num_tets, -1, 3)
-        vals, _ = tabulate_rt(mesh, lam)
-        elem = np.einsum("tq,tqk,tqik->ti", wq, f, vals)
-        out = np.zeros(space.dof_count)
-        np.add.at(out, mesh.tet_faces.ravel(), elem.ravel())
-        return out
+    mesh, tag = space.mesh, space.kind.tag
+    tab = Tabulation(mesh, rule)
+    f = np.asarray(field(tab.points.reshape(-1, 3)), dtype=float)
+    f = f.reshape(*tab.wq.shape, -1)
     if tag == "DG0":
-        f = f.reshape(mesh.num_tets, -1)
-        return np.einsum("tq,tq->t", wq, f)
-    raise AssemblyError(f"cannot build a load vector for {tag!r}")
+        return np.einsum("tq,tq->t", tab.wq, f[..., 0])
+    if tag in ("P1", "P2"):
+        vals = p1_values(tab.lam) if tag == "P1" else tab.p2
+        elem = np.einsum("tq,tqc,qi->tci", tab.wq, f, vals)
+        gd = (mesh.tets[:, None, :] if tag == "P1"
+              else tab.vel_dofs[:, :space.kind.components])
+    elif tag in ("NedelecEdge0", "RaviartThomas0"):
+        edge = tag == "NedelecEdge0"
+        elem = np.einsum("tq,tqk,tqik->ti", tab.wq, f,
+                         tab.ned if edge else tab.rt)
+        gd = mesh.tet_edges if edge else mesh.tet_faces
+    else:
+        raise AssemblyError(f"cannot build a load vector for {tag!r}")
+    return np.bincount(gd.ravel(), elem.ravel(), minlength=space.dof_count)
 
 
 def apply_essential_bc(system: BlockSystem, masks: dict) -> BlockSystem:

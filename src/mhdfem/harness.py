@@ -13,18 +13,17 @@ environment probes, seeded randomness only.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import sympy
 
-from .assembly import RULE_DEG6
+from .assembly import RULE_DEG4, RULE_DEG6, Tabulation
 from .derham import (NEDELEC, P1, RT, AnalyticField, build_space,
                      check_commuting, curl_incidence, div_incidence,
-                     interpolate, p1_values, p2_values, point_eval,
-                     tabulate_nedelec, tabulate_p2_gradients, tabulate_rt)
+                     interpolate, p1_values, point_eval)
 from .linalg import SingularSystemError
 from .mesh import build_box_mesh, write_vtk
 from .operators import (DiagnosticConstants, DiscreteOps,
@@ -419,54 +418,31 @@ def manufactured_case(name: str) -> ManufacturedCase:
 # ---------------------------------------------------------------------------
 # error norms against an exact solution
 
-_LAM6 = np.column_stack([1.0 - RULE_DEG6.tet_points.sum(axis=1),
-                         RULE_DEG6.tet_points])
-
-
-def _phys_weights(mesh):
-    return (6.0 * mesh.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]
-
-
-def _quad_points(mesh):
-    return np.einsum("qi,tik->tqk", _LAM6, mesh.vertices[mesh.tets])
-
-
 def exact_errors(mesh, case: ManufacturedCase, state) -> dict:
     """Quadrature norms of the discretization error at a solver state."""
-    wq = _phys_weights(mesh)
-    pts = _quad_points(mesh)
-    flat = pts.reshape(-1, 3)
-    nq = pts.shape[1]
-    gd = np.concatenate([mesh.tets, mesh.num_vertices + mesh.tet_edges],
-                        axis=1)
-    n = mesh.num_vertices + mesh.num_edges
+    tab = Tabulation(mesh, RULE_DEG6)
+    wq, flat = tab.wq, tab.points.reshape(-1, 3)
 
-    p2v = p2_values(_LAM6)
-    u_h = np.stack([np.einsum("qi,ti->tq", p2v, state.u[c * n + gd])
-                    for c in range(3)], axis=-1)
-    grads = tabulate_p2_gradients(mesh, _LAM6)
-    gu_h = np.stack([np.einsum("tqik,ti->tqk", grads, state.u[c * n + gd])
-                     for c in range(3)], axis=2)
+    u_h = tab.velocity_at(state.u)
+    gu_h = np.einsum("tqik,tci->tqck", tab.p2_grads, state.u[tab.vel_dofs])
     if case.velocity is not None:
-        u_h = u_h - case.velocity(flat).reshape(mesh.num_tets, nq, 3)
-        gu_h = gu_h - case.velocity_grad(flat).reshape(mesh.num_tets, nq, 3, 3)
+        u_h = u_h - case.velocity(flat).reshape(u_h.shape)
+        gu_h = gu_h - case.velocity_grad(flat).reshape(gu_h.shape)
     err_u = math.sqrt(float(
         np.sum(wq * (np.einsum("tqk,tqk->tq", u_h, u_h)
                      + np.einsum("tqij,tqij->tq", gu_h, gu_h)))))
 
-    rt_vals, _ = tabulate_rt(mesh, _LAM6)
-    b_h = np.einsum("tqfk,tf->tqk", rt_vals, state.B[mesh.tet_faces])
-    db = b_h - case.flux(flat).reshape(mesh.num_tets, nq, 3)
+    b_h = tab.face_at(state.B)
+    db = b_h - case.flux(flat).reshape(b_h.shape)
     err_b_sq = float(np.sum(wq * np.einsum("tqk,tqk->tq", db, db)))
     # the exact flux is divergence free, so the graph defect is all discrete
     cell_div = (div_incidence(mesh) @ state.B) / mesh.volumes
     err_graph = math.sqrt(err_b_sq + float(np.sum(mesh.volumes
                                                   * cell_div ** 2)))
 
-    p1v = p1_values(_LAM6)
-    p_h = np.einsum("qi,ti->tq", p1v, state.p[mesh.tets])
+    p_h = np.einsum("qi,ti->tq", p1_values(tab.lam), state.p[mesh.tets])
     if case.pressure is not None:
-        p_h = p_h - case.pressure(flat).reshape(mesh.num_tets, nq)
+        p_h = p_h - case.pressure(flat).reshape(p_h.shape)
     err_p = math.sqrt(float(np.sum(wq * p_h ** 2)))
 
     return {"u_h1": err_u, "b_l2": math.sqrt(err_b_sq),
@@ -538,25 +514,19 @@ def _report_section(report):
             "iterations": [dict(rec) for rec in report.iterations]}
 
 
+# the tet centroid as a one-point rule, for cellwise field output
+_CENTROID = replace(RULE_DEG4, tet_points=np.full((1, 3), 0.25),
+                    tet_weights=np.array([1.0 / 6.0]))
+
+
 def _cell_fields(mesh, state, formulation):
-    center = np.full((1, 4), 0.25)
-    rt_vals, _ = tabulate_rt(mesh, center)
-    b_cell = np.einsum("tqfk,tf->tk", rt_vals, state.B[mesh.tet_faces])
-    ned_vals, _ = tabulate_nedelec(mesh, center)
+    tab = Tabulation(mesh, _CENTROID)
     if formulation == "BJ":
-        cur = np.einsum("tqek,te->tk", ned_vals, state.j[mesh.tet_edges])
+        cur = tab.edge_at(state.j)
     else:
-        n = mesh.num_vertices + mesh.num_edges
-        gd = np.concatenate([mesh.tets, mesh.num_vertices + mesh.tet_edges],
-                            axis=1)
-        p2v = p2_values(center)
-        u_c = np.stack([np.einsum("qi,ti->t", p2v, state.u[c * n + gd])
-                        for c in range(3)], axis=-1)
-        bp_cell = np.einsum("tqfk,tf->tk", rt_vals,
-                            state.B_prev[mesh.tet_faces])
-        cur = np.einsum("tqek,te->tk", ned_vals, state.E[mesh.tet_edges]) \
-            + np.cross(u_c, bp_cell)
-    return b_cell, cur
+        cur = tab.edge_at(state.E) + np.cross(tab.velocity_at(state.u),
+                                              tab.face_at(state.B_prev))
+    return tab.face_at(state.B)[:, 0], cur[:, 0]
 
 
 def _write_fields(mesh, state, formulation, path):

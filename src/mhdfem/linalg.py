@@ -173,13 +173,17 @@ def _factor(a_csc):
             f"unknown {unknown}", pivot_index=step, unknown_index=unknown) from exc
 
     # a zero pivot makes the triangular solves emit garbage (and BLAS
-    # error chatter); reject before attempting one
+    # error chatter); a pivot at roundoff of the largest marks a
+    # numerically singular matrix, whose solve could pass the residual
+    # check with one of many solutions.  Which of the two a singular matrix
+    # shows depends on the ordering, and so on the explicit zeros its
+    # pattern carries; reject both before solving
     d = np.abs(lu.U.diagonal())
-    if d.min() == 0.0:
+    if d.min() <= d.size * np.finfo(float).eps * d.max():
         step = int(np.argmin(d))
         raise SingularSystemError(
-            f"exact zero pivot at elimination step {step}, "
-            f"unknown {int(lu.perm_c[step])}",
+            f"pivot {d[step]:.3e} at roundoff of the largest {d.max():.3e}, "
+            f"elimination step {step}, unknown {int(lu.perm_c[step])}",
             pivot_index=step, unknown_index=int(lu.perm_c[step]))
     return lu
 
@@ -189,8 +193,8 @@ def solve_direct(A, b) -> np.ndarray:
 
     Factors, always applies one step of iterative refinement, and verifies
     ||Ax-b|| <= 1e-10 (||A||_F ||x|| + ||b||), refining further if needed.
-    A zero pivot or a residual that refinement cannot repair raises
-    SingularSystemError.
+    A pivot at roundoff of the largest (an exact zero included) or a
+    residual that refinement cannot repair raises SingularSystemError.
     """
     a_csr = sp.csr_matrix(A)
     n, m = a_csr.shape
@@ -255,21 +259,6 @@ class BlockFactors:
     lu_second: object
 
 
-def _factor_block(a_csc):
-    lu = _factor(a_csc)
-    # a preconditioner must not hide a singular system: a block whose
-    # smallest pivot sits at roundoff of the largest is treated as singular,
-    # where solve_direct would only reject an exact zero
-    d = np.abs(lu.U.diagonal())
-    if d.min() <= d.size * np.finfo(float).eps * d.max():
-        step = int(np.argmin(d))
-        raise SingularSystemError(
-            f"pivot {d[step]:.3e} at roundoff of the largest {d.max():.3e}, "
-            f"elimination step {step}, unknown {int(lu.perm_c[step])}",
-            pivot_index=step, unknown_index=int(lu.perm_c[step]))
-    return lu
-
-
 def factor_blocks(L, first) -> BlockFactors:
     """Factor the two diagonal blocks of L split by the index set first.
 
@@ -280,8 +269,8 @@ def factor_blocks(L, first) -> BlockFactors:
     mask[np.asarray(first, dtype=np.int64)] = True
     one, two = np.flatnonzero(mask), np.flatnonzero(~mask)
     return BlockFactors(first=one, second=two,
-                        lu_first=_factor_block(a[one][:, one].tocsc()),
-                        lu_second=_factor_block(a[two][:, two].tocsc()))
+                        lu_first=_factor(a[one][:, one].tocsc()),
+                        lu_second=_factor(a[two][:, two].tocsc()))
 
 
 def _gmres(a, b, precond, tol):

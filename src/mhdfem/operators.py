@@ -21,12 +21,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (RULE_DEG6, FormKind, _bary, _face_field_at,
-                       _tet_weights, _velocity_field_at, assemble,
+from .assembly import (RULE_DEG6, FormKind, Tabulation, assemble,
                        assemble_load)
 from .derham import (NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
-                     curl_incidence, div_incidence, grad_incidence, p2_values,
-                     tabulate_rt)
+                     curl_incidence, div_incidence, grad_incidence)
 from .mesh import Mesh
 
 _POINCARE_DOF_LIMIT = 2000
@@ -208,10 +206,7 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
     if free_e.size == 0 or free_u.size == 0:
         raise CapabilityError("mesh has no interior DOFs to probe")
     G = curl_incidence(mesh)
-    lam = _bary(RULE_DEG6.tet_points)
-    vals = p2_values(lam)
-    rt_vals, _ = tabulate_rt(mesh, lam)
-    wq = _tet_weights(mesh, RULE_DEG6)
+    tab = Tabulation(mesh, RULE_DEG6)
     rng = np.random.default_rng(seed)
     best = 0.0
     done = 0
@@ -224,9 +219,8 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
             continue
         u = np.zeros(vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
-        cross = np.cross(_velocity_field_at(vel, u, vals),
-                         _face_field_at(ops.space_d, B, rt_vals))
-        num = math.sqrt(np.sum(wq * np.einsum("tqk,tqk->tq", cross, cross)))
+        cross = np.cross(tab.velocity_at(u), tab.face_at(B))
+        num = math.sqrt(np.sum(tab.wq * np.einsum("tqk,tqk->tq", cross, cross)))
         den = math.sqrt(u @ (vel_mass @ u) + u @ (vel_stiff @ u)) * curl_norm
         best = max(best, num / den)
         done += 1
@@ -241,17 +235,16 @@ def estimate_sobolev_ratio(mesh: Mesh, trials: int = 50, seed: int = 0) -> float
         raise ValueError("trials must be at least 1")
     vel = build_space(mesh, VELOCITY, essential_bc=True)
     stiff = assemble(FormKind("VectorLaplacian"), vel, vel)
-    vals = p2_values(_bary(RULE_DEG6.tet_points))
-    wq = _tet_weights(mesh, RULE_DEG6)
+    tab = Tabulation(mesh, RULE_DEG6)
     free_u = vel.free_index
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
         u = np.zeros(vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
-        at = _velocity_field_at(vel, u, vals)
+        at = tab.velocity_at(u)
         mag2 = np.einsum("tqk,tqk->tq", at, at)
-        l6 = np.sum(wq * mag2 ** 3) ** (1.0 / 6.0)
+        l6 = np.sum(tab.wq * mag2 ** 3) ** (1.0 / 6.0)
         best = max(best, l6 / math.sqrt(u @ (stiff @ u)))
     return best
 

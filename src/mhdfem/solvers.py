@@ -2,18 +2,20 @@
 
 Two linearizations of the coupled momentum/induction system are run over
 the discrete de Rham spaces: an electric-field step in (u, E, B, p, r)
-and a current-based step in (u, j, sigma, B, p, r).  Each iteration
-assembles one monolithic saddle-point matrix and eliminates the essential
-boundary conditions symmetrically.  The zero-mean constraints on p and r
-are enforced by explicit scalar multipliers, so the assembled systems are
-square.
+and a current-based step in (u, j, sigma, B, p, r).  The zero-mean
+constraints on p and r are enforced by explicit scalar multipliers, so
+every step system is square once the essential boundary conditions are
+eliminated symmetrically.
 
 Only the convection and cross-coupling blocks depend on the iterate.  The
-rest is a Stokes block over (u, p) and a Maxwell block over the
-electromagnetic unknowns, uncoupled; both are factored once per mesh and
-parameter set, and each step is solved by GMRES preconditioned with them
-(linalg.solve_preconditioned), falling back to a direct factorization of
-the whole step when GMRES stalls.
+rest, a Stokes block over (u, p) and a Maxwell block over the
+electromagnetic unknowns, is reduced and both blocks are factored once per
+mesh and parameter set, in a step plan that also maps every entry of the
+iterate blocks' element arrays to its place in one fixed reduced CSR
+pattern.  A step computes those element arrays, scatters them onto the
+fixed values with one bincount, and solves by GMRES preconditioned with
+the factored blocks (linalg.solve_preconditioned), falling back to a
+direct factorization of the whole step when GMRES stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -32,41 +34,19 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (
-    RULE_DEG6,
-    FormKind,
-    apply_essential_bc,
-    assemble,
-    assemble_load,
-)
-from .derham import (
-    DG0,
-    P1,
-    VELOCITY,
-    AnalyticField,
-    FeSpace,
-    build_space,
-    curl_incidence,
-    div_incidence,
-    p2_values,
-    tabulate_nedelec,
-    tabulate_rt,
-)
+from .assembly import (ELEMENT_KERNELS, RULE_DEG4, RULE_DEG6, FormKind,
+                       Tabulation, apply_essential_bc, assemble,
+                       assemble_load, element_dofs)
+from .derham import (DG0, P1, VELOCITY, AnalyticField, FeSpace, build_space,
+                     curl_incidence, div_incidence)
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
 from .linalg import (BlockFactors, BlockSystem, SingularSystemError,  # noqa: F401
                      factor_blocks, solve_direct, solve_preconditioned)
 from .mesh import Mesh
-from .operators import (
-    DiagnosticConstants,
-    DiscreteOps,
-    estimate_cross_bound,
-    poincare_h01_box,
-    sobolev_embedding_constant,
-)
-
-_LAM6 = np.column_stack([1.0 - RULE_DEG6.tet_points.sum(axis=1),
-                         RULE_DEG6.tet_points])
+from .operators import (DiagnosticConstants, DiscreteOps,
+                        estimate_cross_bound, poincare_h01_box,
+                        sobolev_embedding_constant)
 
 
 @dataclass(frozen=True)
@@ -79,7 +59,9 @@ class MhdParams:
     edge-element space, h the face-element space, m the pressure space,
     z the piecewise constants.  Each slot accepts None, a callable of
     points (n, 3), an AnalyticField, or a coefficient vector in the
-    matching space (paired through that space's mass matrix).
+    matching space (paired through that space's mass matrix).  The solver
+    computes the loads of one parameter object once per mesh, so data
+    must not change after construction.
     """
 
     r_e: float
@@ -199,11 +181,15 @@ class _Forms:
     div: sp.csr_matrix
     curl: sp.csr_matrix
     mean_p: np.ndarray
-    # formulation -> ((r_e, r_m, s), BlockFactors or None); see _block_factors
-    blocks: dict = field(default_factory=dict)
+    # quadrature rule -> its Tabulation on the mesh; see _tab
+    tabs: dict = field(default_factory=dict)
+    # formulation -> _StepPlan of the last (r_e, r_m, s); see _step_plan
+    plans: dict = field(default_factory=dict)
+    # [params, loads] of the last parameter object; see _loads
+    loads: list = field(default_factory=list)
 
 
-# one entry: a larger cache would keep the forms and factorizations
+# one entry: a larger cache would keep the forms, tabulations and step plans
 # (block factors included) of meshes the caller has already dropped alive
 @lru_cache(maxsize=1)
 def _fixed_forms(mesh: Mesh) -> _Forms:
@@ -226,6 +212,13 @@ def _fixed_forms(mesh: Mesh) -> _Forms:
     )
 
 
+def _tab(forms: _Forms, rule) -> Tabulation:
+    """The mesh's basis at one rule's points, tabulated on first use."""
+    if rule not in forms.tabs:
+        forms.tabs[rule] = Tabulation(forms.vel.mesh, rule)
+    return forms.tabs[rule]
+
+
 def _load_vector(space: FeSpace, data, mass) -> np.ndarray:
     if data is None:
         return np.zeros(space.dof_count)
@@ -241,37 +234,41 @@ def _load_vector(space: FeSpace, data, mass) -> np.ndarray:
     return mass @ vec
 
 
-def _rhs_loads(forms: _Forms, params: MhdParams) -> dict:
-    ops = forms.ops
-    return {
-        "f": _load_vector(forms.vel, params.f, forms.vel_mass),
-        "l": _load_vector(ops.space_c, params.l, ops.M_c),
-        "g": _load_vector(ops.space_c, params.g, ops.M_c),
-        "h": _load_vector(ops.space_d, params.h, ops.M_d),
-        "m": _load_vector(forms.pres, params.m, forms.pres_mass),
-        "z": _load_vector(forms.mult, params.z, forms.mult_mass),
-    }
+def _loads(forms: _Forms, params: MhdParams) -> dict:
+    """Full-length load vectors of params' data slots and the L2 norm of f
+    (f_l2), computed once per parameter object and mesh."""
+    if not forms.loads or forms.loads[0] is not params:
+        ops = forms.ops
+        forms.loads[:] = [params, {
+            "f": _load_vector(forms.vel, params.f, forms.vel_mass),
+            "l": _load_vector(ops.space_c, params.l, ops.M_c),
+            "g": _load_vector(ops.space_c, params.g, ops.M_c),
+            "h": _load_vector(ops.space_d, params.h, ops.M_d),
+            "m": _load_vector(forms.pres, params.m, forms.pres_mass),
+            "z": _load_vector(forms.mult, params.z, forms.mult_mass),
+            "f_l2": _data_l2(forms, params.f, forms.vel_mass),
+        }]
+    return forms.loads[1]
 
 
-def _data_l2(mesh: Mesh, space: FeSpace, data, mass) -> float:
+def _data_l2(forms: _Forms, data, mass) -> float:
     """L2 norm of one data slot, by quadrature when the data is analytic."""
     if data is None:
         return 0.0
     if isinstance(data, AnalyticField):
         data = data.value
     if callable(data):
-        pts = np.einsum("qi,tik->tqk", _LAM6, mesh.vertices[mesh.tets])
-        vals = np.asarray(data(pts.reshape(-1, 3)), dtype=float)
-        vals = vals.reshape(mesh.num_tets, _LAM6.shape[0], -1)
-        return math.sqrt(_quad_integral(mesh, np.einsum("tqk,tqk->tq",
-                                                        vals, vals)))
+        tab = _tab(forms, RULE_DEG6)
+        vals = np.asarray(data(tab.points.reshape(-1, 3)), dtype=float)
+        vals = vals.reshape(*tab.wq.shape, -1)
+        return math.sqrt(_quad_integral(forms, np.einsum("tqk,tqk->tq",
+                                                         vals, vals)))
     vec = np.asarray(data, dtype=float)
     return math.sqrt(float(vec @ (mass @ vec)))
 
 
-def _quad_integral(mesh: Mesh, scalar_at: np.ndarray) -> float:
-    wq = (6.0 * mesh.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]
-    return float(np.sum(wq * scalar_at))
+def _quad_integral(forms: _Forms, scalar_at: np.ndarray) -> float:
+    return float(np.sum(_tab(forms, RULE_DEG6).wq * scalar_at))
 
 
 def _h1_velocity(forms: _Forms, v: np.ndarray) -> float:
@@ -330,98 +327,168 @@ def _linear_system(forms: _Forms, formulation: str,
     return system
 
 
-def _block_factors(forms: _Forms, formulation: str,
-                   params: MhdParams) -> BlockFactors | None:
-    """Factored Stokes and Maxwell blocks of the reduced linear system.
+# iterate-dependent blocks: (row unknown, col unknown, element kernel,
+# transposed, coefficient as a function of (r_m, s))
+_ITERATE = {
+    "BE": (("u", "u", "convection", False, lambda rm, s: 1.0),
+           ("u", "u", "cross_cross", False, lambda rm, s: s),
+           ("u", "E", "cross", True, lambda rm, s: s),
+           ("E", "u", "cross", False, lambda rm, s: s)),
+    "BJ": (("u", "u", "convection", False, lambda rm, s: 1.0),
+           ("u", "j", "cross", True, lambda rm, s: s),
+           ("sigma", "u", "cross", False, lambda rm, s: -s / rm)),
+}
+# load slot feeding each unknown's rows; the mean multipliers get zero
+_RHS_SLOT = {"u": "f", "E": "l", "j": "l", "sigma": "g", "B": "h",
+             "p": "m", "r": "z"}
 
-    Cached on the mesh's forms, one parameter set per formulation; None
-    when a block is singular, which leaves every step to the direct solve.
+
+@dataclass(frozen=True, eq=False)
+class _StepPlan:
+    """What every Picard step of one (formulation, r_e, r_m, s) reuses.
+
+    unknowns: (name, full length, free indices) in system order.  pattern:
+    the reduced step matrix's CSR pattern (zero values), the union of the
+    linear system and every _ITERATE block.  slots: the pattern position of
+    each entry of fixed (the linear system's values), then of each
+    _ITERATE block's element array; nnz, a dump slot, for entries in
+    constrained rows or columns.  factors: the factored Stokes and Maxwell blocks, None
+    when one is singular.  rhs: [params, reduced right-hand side].
     """
+
+    key: tuple
+    unknowns: list
+    pattern: sp.csr_matrix
+    fixed: np.ndarray
+    slots: np.ndarray
+    factors: BlockFactors | None
+    rhs: list = field(default_factory=list)
+
+
+def _step_plan(forms: _Forms, formulation: str,
+               params: MhdParams) -> _StepPlan:
+    """The step plan, cached on the mesh's forms, one per formulation."""
     key = (params.r_e, params.r_m, params.s)
-    cached = forms.blocks.get(formulation)
-    if cached is None or cached[0] != key:
-        reduced = apply_essential_bc(_linear_system(forms, formulation, params),
-                                     _essential_masks(forms, formulation))
-        mat, _ = reduced.assemble()
-        index = reduced.split(np.arange(reduced.size))
-        stokes = np.concatenate([index[n] for n in _STOKES])
-        try:
-            factors = factor_blocks(mat, stokes)
-        except SingularSystemError:
-            factors = None
-        cached = forms.blocks[formulation] = (key, factors)
-    return cached[1]
-
-
-def _be_system(forms: _Forms, prev: MhdStateBE, params: MhdParams,
-               loads: dict) -> BlockSystem:
-    vel, ned, s = forms.vel, forms.ops.space_c, params.s
-    conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
-    cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
-    cross2 = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, vel)
-
-    system = _linear_system(forms, "BE", params)
-    system.add_block("u", "u", conv + s * cross2)
-    system.add_block("u", "E", s * cross.T)
-    system.add_block("E", "u", s * cross)
-    for name, slot in (("u", "f"), ("E", "l"), ("B", "h"),
-                       ("p", "m"), ("r", "z")):
-        system.set_rhs(name, loads[slot])
-    return system
-
-
-def _bj_system(forms: _Forms, prev: MhdStateBJ, params: MhdParams,
-               loads: dict) -> BlockSystem:
-    vel, ned = forms.vel, forms.ops.space_c
-    rm, s = params.r_m, params.s
-    conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
-    cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
-
-    system = _linear_system(forms, "BJ", params)
-    system.add_block("u", "u", conv)
-    system.add_block("u", "j", s * cross.T)
-    system.add_block("sigma", "u", -(s / rm) * cross)
-    for name, slot in (("u", "f"), ("j", "l"), ("sigma", "g"), ("B", "h"),
-                       ("p", "m"), ("r", "z")):
-        system.set_rhs(name, loads[slot])
-    return system
-
-
-def _solve_blocks(forms: _Forms, formulation: str, system: BlockSystem,
-                  params: MhdParams) -> tuple[dict, dict]:
+    plan = forms.plans.get(formulation)
+    if plan is not None and plan.key == key:
+        return plan
+    system = _linear_system(forms, formulation, params)
     masks = _essential_masks(forms, formulation)
     reduced = apply_essential_bc(system, masks)
-    a, b = reduced.assemble()
-    x, record = solve_preconditioned(
-        a, b, _block_factors(forms, formulation, params))
-    parts = reduced.split(x)
-    out = {}
-    for name, dim in system.spaces:
-        mask = masks.get(name)
-        if mask is None:
-            out[name] = np.array(parts[name])
-        else:
-            full = np.zeros(dim)
-            full[np.flatnonzero(~mask)] = parts[name]
-            out[name] = full
-    return out, record
+    fixed, _ = reduced.assemble()
+    index = reduced.split(np.arange(reduced.size))
+    n, spaces = reduced.size, system.spaces
+    del system, reduced  # block copies of what fixed holds
+
+    # full DOF of each unknown -> reduced unknown, -1 where constrained
+    unknowns, to_reduced = [], {}
+    for name, dim in spaces:
+        free = (np.flatnonzero(~masks[name]) if name in masks
+                else np.arange(dim))
+        unknowns.append((name, dim, free))
+        to_reduced[name] = np.full(dim, -1, dtype=np.int64)
+        to_reduced[name][free] = index[name]
+    # reduced row * n + col of every entry, -1 where constrained
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(fixed.indptr))
+    keys = [rows * n + fixed.indices]
+    for rname, cname, kernel, transposed, _ in _ITERATE[formulation]:
+        r, c = element_dofs(forms.vel.mesh, kernel)
+        if transposed:
+            r, c = c, r
+        r, c = np.broadcast_arrays(to_reduced[rname][r], to_reduced[cname][c])
+        keys.append(np.where((r >= 0) & (c >= 0), r * n + c, -1).ravel())
+    keys = np.concatenate(keys)
+    used = np.unique(keys[keys >= 0])
+    slots = np.searchsorted(used, keys)
+    slots[keys < 0] = used.size
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(used // n, minlength=n), out=indptr[1:])
+    # the map's temporaries are freed before the blocks are factored, so
+    # the factorization reuses their memory and peak memory stays lower
+    del keys
+    try:
+        factors = factor_blocks(
+            fixed, np.concatenate([index[u] for u in _STOKES]))
+    except SingularSystemError:
+        factors = None
+    plan = forms.plans[formulation] = _StepPlan(
+        key=key, unknowns=unknowns, fixed=fixed.data, slots=slots,
+        pattern=sp.csr_matrix((np.zeros(used.size), used % n, indptr),
+                              shape=(n, n)),
+        factors=factors)
+    return plan
+
+
+def _step_system(forms: _Forms, formulation: str, prev,
+                 params: MhdParams) -> tuple:
+    """(plan, reduced matrix, reduced right-hand side) of one Picard step.
+
+    The element arrays of the iterate-dependent blocks are scattered with
+    one bincount onto the fixed values; it sums in a fixed order, so the
+    matrix is a deterministic function of (prev, params).
+    """
+    # loads first: their temporaries then fit in memory the factorization
+    # of a new plan reuses
+    loads = _loads(forms, params)
+    plan = _step_plan(forms, formulation, params)
+    # weights in slots order: the fixed values, then each block's elements
+    weights = np.empty(plan.slots.size)
+    off = plan.fixed.size
+    weights[:off] = plan.fixed
+    elems = {}
+    for _, _, kernel, _, coef in _ITERATE[formulation]:
+        if kernel not in elems:
+            func, rule = ELEMENT_KERNELS[kernel]
+            elems[kernel] = func(_tab(forms, rule), prev.u
+                                 if kernel == "convection" else prev.B)
+        elem = elems[kernel]
+        np.multiply(coef(params.r_m, params.s), elem,
+                    out=weights[off:off + elem.size].reshape(elem.shape))
+        off += elem.size
+    nnz = plan.pattern.nnz
+    data = np.bincount(plan.slots, weights, minlength=nnz + 1)[:nnz]
+    a = sp.csr_matrix((data, plan.pattern.indices, plan.pattern.indptr),
+                      shape=plan.pattern.shape)
+    if not plan.rhs or plan.rhs[0] is not params:
+        plan.rhs[:] = [params, np.concatenate([
+            loads[_RHS_SLOT[name]][free] if name in _RHS_SLOT
+            else np.zeros(free.size) for name, _, free in plan.unknowns])]
+    return plan, a, plan.rhs[1]
+
+
+_SINGULAR_STEP = {
+    "BE": "B-E regime violation: the linearized electric-field step is "
+          "singular.  It is only guaranteed uniquely solvable under the "
+          "stringent small-Reynolds condition "
+          "R_e <= 2 / (sqrt(5) C2 |f|_(-1)); rescale the data, refine the "
+          "mesh, or switch to the current-based formulation.",
+    "BJ": "singular current-based step: this linearization is uniquely "
+          "solvable for any positive parameters, so a singular system "
+          "indicates an implementation bug (or a mesh with too few "
+          "interior velocity nodes to carry the pressure space).",
+}
+
+
+def _picard_step(prev, params: MhdParams, formulation: str) -> tuple:
+    forms = _fixed_forms(prev.mesh)
+    plan, a, b = _step_system(forms, formulation, prev, params)
+    try:
+        x, record = solve_preconditioned(a, b, plan.factors)
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            _SINGULAR_STEP[formulation], pivot_index=exc.pivot_index,
+            unknown_index=exc.unknown_index) from exc
+    parts, off = {}, 0
+    for name, dim, free in plan.unknowns:
+        parts[name] = np.zeros(dim)
+        parts[name][free] = x[off:off + free.size]
+        off += free.size
+    return parts, record
 
 
 def be_picard_step(prev: MhdStateBE, params: MhdParams) -> MhdStateBE:
     """One electric-field solve linearized around (prev.u, prev.B)."""
-    forms = _fixed_forms(prev.mesh)
-    system = _be_system(forms, prev, params, _rhs_loads(forms, params))
-    try:
-        parts, record = _solve_blocks(forms, "BE", system, params)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            "B-E regime violation: the linearized electric-field step is "
-            "singular.  It is only guaranteed uniquely solvable under the "
-            "stringent small-Reynolds condition "
-            "R_e <= 2 / (sqrt(5) C2 |f|_(-1)); rescale the data, refine the "
-            "mesh, or switch to the current-based formulation.",
-            pivot_index=exc.pivot_index,
-            unknown_index=exc.unknown_index) from exc
+    parts, record = _picard_step(prev, params, "BE")
     return MhdStateBE(mesh=prev.mesh, u=parts["u"], E=parts["E"],
                       B=parts["B"], p=parts["p"], r=parts["r"],
                       B_prev=prev.B.copy(), linear_solve=record)
@@ -429,18 +496,7 @@ def be_picard_step(prev: MhdStateBE, params: MhdParams) -> MhdStateBE:
 
 def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
     """One current-based solve linearized around (prev.u, prev.B)."""
-    forms = _fixed_forms(prev.mesh)
-    system = _bj_system(forms, prev, params, _rhs_loads(forms, params))
-    try:
-        parts, record = _solve_blocks(forms, "BJ", system, params)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            "singular current-based step: this linearization is uniquely "
-            "solvable for any positive parameters, so a singular system "
-            "indicates an implementation bug (or a mesh with too few "
-            "interior velocity nodes to carry the pressure space).",
-            pivot_index=exc.pivot_index,
-            unknown_index=exc.unknown_index) from exc
+    parts, record = _picard_step(prev, params, "BJ")
     return MhdStateBJ(mesh=prev.mesh, u=parts["u"], j=parts["j"],
                       sigma=parts["sigma"], B=parts["B"], p=parts["p"],
                       r=parts["r"], B_prev=prev.B.copy(), linear_solve=record)
@@ -452,22 +508,9 @@ def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
 
 def _be_current_at(forms: _Forms, state: MhdStateBE) -> np.ndarray:
     """E + u x B_prev at the degree-6 quadrature points, (T, nq, 3)."""
-    mesh = state.mesh
-    ned_vals, _ = tabulate_nedelec(mesh, _LAM6)
-    rt_vals, _ = tabulate_rt(mesh, _LAM6)
-    p2v = p2_values(_LAM6)
-    gd = np.concatenate([mesh.tets, mesh.num_vertices + mesh.tet_edges],
-                        axis=1)
-    nsc = forms.vel.n_scalar
-    u_at = np.stack([np.einsum("qi,ti->tq", p2v, state.u[c * nsc + gd])
-                     for c in range(3)], axis=-1)
-    e_at = np.einsum("tqek,te->tqk", ned_vals, state.E[mesh.tet_edges])
-    b_at = np.einsum("tqfk,tf->tqk", rt_vals, state.B_prev[mesh.tet_faces])
-    return e_at + np.cross(u_at, b_at)
-
-
-def _rel(num: float, scale: float) -> float:
-    return num / scale if scale > 0.0 else num
+    tab = _tab(forms, RULE_DEG6)
+    return tab.edge_at(state.E) + np.cross(tab.velocity_at(state.u),
+                                           tab.face_at(state.B_prev))
 
 
 def diagnostics(state, params: MhdParams) -> dict:
@@ -478,9 +521,8 @@ def diagnostics(state, params: MhdParams) -> dict:
     (|R_e^-1 |grad u|^2 + S |j|^2 - <f, u>|, with j = E + u x B_prev for
     electric-field states), energy_scale (pre-cancellation magnitude of the
     identity, the denominator for a relative check), and energy_slack (gap
-    left in the a-priori
-    energy bound, None when the mesh carries no box geometry for the
-    Poincare constant).  Current-based states add curl_j_sigma
+    left in the a-priori energy bound, None when the mesh carries no box
+    geometry for the Poincare constant).  Current-based states add curl_j_sigma
     (|curl(j - sigma)|) and the relative defects elimination_j and
     elimination_sigma of the identities that would eliminate j and sigma.
     All structural values are exactly zero for the zero state with no
@@ -495,14 +537,14 @@ def diagnostics(state, params: MhdParams) -> dict:
            "b_l2": math.sqrt(float(state.B @ (ops.M_d @ state.B))),
            "multiplier_norm": math.sqrt(float(vols @ (state.r ** 2)))}
 
+    loads = _loads(forms, params)
     grad2 = float(state.u @ (forms.lap @ state.u))
-    f_load = _load_vector(forms.vel, params.f, forms.vel_mass)
-    work = float(f_load @ state.u)
+    work = float(loads["f"] @ state.u)
     if isinstance(state, MhdStateBJ):
         j2 = float(state.j @ (ops.M_c @ state.j))
     else:
         cur = _be_current_at(forms, state)
-        j2 = _quad_integral(mesh, np.einsum("tqk,tqk->tq", cur, cur))
+        j2 = _quad_integral(forms, np.einsum("tqk,tqk->tq", cur, cur))
     out["energy_work"] = work
     out["energy_residual"] = abs(grad2 / params.r_e + params.s * j2 - work)
     # magnitude of the terms the identity cancels; the roundoff floor for
@@ -514,8 +556,7 @@ def diagnostics(state, params: MhdParams) -> dict:
                                                            @ state.u)))
     out["energy_slack"] = None
     if mesh.box is not None:
-        dual = poincare_h01_box(mesh.box) * _data_l2(mesh, forms.vel,
-                                                     params.f, forms.vel_mass)
+        dual = poincare_h01_box(mesh.box) * loads["f_l2"]
         out["energy_slack"] = (0.5 * params.r_e * dual ** 2
                                - 0.5 * grad2 / params.r_e - params.s * j2)
 
@@ -525,20 +566,21 @@ def diagnostics(state, params: MhdParams) -> dict:
         out["curl_j_sigma"] = math.sqrt(float(dcurl @ (ops.M_d @ dcurl)))
 
         s, rm = params.s, params.r_m
-        l_vec = _load_vector(ops.space_c, params.l, ops.M_c)
-        g_vec = _load_vector(ops.space_c, params.g, ops.M_c)
-        cross = assemble(FormKind("CrossCoupling", coeff=state.B_prev),
-                         forms.vel, ops.space_c)
+        # (u x B_prev, w_e) for every edge function, the product of the
+        # velocity-edge CrossCoupling matrix with u
+        tab = _tab(forms, RULE_DEG4)
+        cross_u = tab.edge_load(np.cross(tab.velocity_at(state.u),
+                                         tab.face_at(state.B_prev)))
         lhs_j = s * (ops.M_c @ state.j)
-        rhs_j = (s / rm) * (ops.K_cd.T @ state.B) + l_vec
+        rhs_j = (s / rm) * (ops.K_cd.T @ state.B) + loads["l"]
         lhs_s = (s / rm) * (ops.M_c @ state.sigma)
-        rhs_s = (s / rm) * (cross @ state.u) + g_vec
+        rhs_s = (s / rm) * cross_u + loads["g"]
         for key, lhs, rhs in (("elimination_j", lhs_j, rhs_j),
                               ("elimination_sigma", lhs_s, rhs_s)):
             num = float(np.linalg.norm(lhs[free] - rhs[free]))
             scale = max(float(np.linalg.norm(lhs[free])),
                         float(np.linalg.norm(rhs[free])))
-            out[key] = _rel(num, scale)
+            out[key] = num / scale if scale > 0.0 else num
     return out
 
 
@@ -561,7 +603,7 @@ def check_small_data_conditions(params: MhdParams,
         raise ValueError("condition check needs a box mesh for the "
                          "Poincare bound on |f|_(-1)")
     forms = _fixed_forms(mesh)
-    f_l2 = _data_l2(mesh, forms.vel, params.f, forms.vel_mass)
+    f_l2 = _loads(forms, params)["f_l2"]
     dual = poincare_h01_box(mesh.box) * f_l2
     c1, c2 = constants.c1, constants.c2
     re, rm = params.r_e, params.r_m
@@ -646,7 +688,7 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
             ej2 = float(dj @ (forms.ops.M_c @ dj))
         else:
             dcur = _be_current_at(forms, new) - _be_current_at(forms, state)
-            ej2 = _quad_integral(mesh, np.einsum("tqk,tqk->tq", dcur, dcur))
+            ej2 = _quad_integral(forms, np.einsum("tqk,tqk->tq", dcur, dcur))
         energy = 0.5 * grad2 / params.r_e + 0.5 * params.s * ej2 / params.r_m
         ratio = None
         if n >= 2 and prev_energy is not None and prev_energy > 0.0:

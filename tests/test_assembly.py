@@ -17,7 +17,7 @@ from mhdfem.assembly import (
     assemble_load,
     _bary,
 )
-from mhdfem.linalg import AssemblyError, BlockSystem
+from mhdfem.linalg import AssemblyError, BlockSystem, finalize_assembly
 from mhdfem.mesh import build_box_mesh
 
 
@@ -35,6 +35,56 @@ def spaces(cube2):
         "rt": dh.build_space(cube2, dh.RT, True),
         "dg": dh.build_space(cube2, dh.DG0, False, zero_mean=True),
     }
+
+
+def einsum_reference(tag, coeff, trial, test):
+    """Convection and CrossCoupling assembled term by term with einsum
+    contractions over the quadrature points, rows over test DOFs."""
+    m = trial.mesh
+    vel = trial if trial.kind.components == 3 else test
+    rule = RULE_DEG4 if trial is not test else RULE_DEG6
+    lam = _bary(rule.tet_points)
+    wq = (6.0 * m.volumes)[:, None] * rule.tet_weights[None, :]
+    vals = dh.p2_values(lam)
+    ns = vel.n_scalar
+    gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
+    vd = gd[:, None, :] + ns * np.arange(3)[None, :, None]   # (T, c, i)
+    if tag == "Convection":
+        grads = dh.tabulate_p2_gradients(m, lam)
+        w_at = np.stack([np.einsum("qi,ti->tq", vals, coeff[c * ns + gd])
+                         for c in range(3)], axis=-1)
+        wgrad = np.einsum("tqc,tqjc->tqj", w_at, grads)
+        adv = np.einsum("tq,qi,tqj->tij", wq, vals, wgrad)
+        elem = np.broadcast_to((0.5 * (adv - adv.transpose(0, 2, 1)))[:, None],
+                               (m.num_tets, 3, 10, 10))
+        rows, cols = vd[:, :, :, None], vd[:, :, None, :]
+    else:
+        rt_vals, _ = dh.tabulate_rt(m, lam)
+        g_at = np.einsum("tqfk,tf->tqk", rt_vals, coeff[m.tet_faces])
+        basis_cross = np.cross(np.eye(3)[None, None, :, :], g_at[:, :, None, :])
+        if trial is test:
+            cc = np.einsum("tqck,tqdk->tqcd", basis_cross, basis_cross)
+            elem = np.einsum("tq,qi,qj,tqcd->tcidj", wq, vals, vals, cc)
+            rows, cols = vd[:, :, :, None, None], vd[:, None, None, :, :]
+        else:
+            ned_vals, _ = dh.tabulate_nedelec(m, lam)
+            elem = np.einsum("tq,qi,tqck,tqjk->tcij", wq, vals, basis_cross,
+                             ned_vals)
+            rows = m.tet_edges[:, None, None, :]
+            cols = vd[:, :, :, None]
+            if trial is not vel:
+                rows, cols = cols, rows
+    rows, cols, elem = np.broadcast_arrays(rows, cols, elem)
+    return finalize_assembly(rows.ravel(), cols.ravel(), elem.ravel(),
+                             (test.dof_count, trial.dof_count))
+
+
+def assert_matches_reference(form, trial, test):
+    got = assemble(form, trial, test)
+    want = einsum_reference(form.tag, form.coeff, trial, test)
+    assert np.abs((got - want).toarray()).max() \
+        <= 1e-14 * np.abs(want.toarray()).max()
+    return got
 
 
 @pytest.mark.parametrize("rule,deg", [(RULE_DEG4, 4), (RULE_DEG6, 6)])
@@ -117,7 +167,7 @@ def test_convection_is_skew(spaces):
     vel = spaces["vel"]
     rng = np.random.default_rng(3)
     w = rng.standard_normal(vel.dof_count)
-    a = assemble(FormKind("Convection", w), vel, vel)
+    a = assert_matches_reference(FormKind("Convection", w), vel, vel)
     assert np.abs((a + a.T).toarray()).max() < 1e-13
     for _ in range(3):
         v = rng.standard_normal(vel.dof_count)
@@ -154,8 +204,8 @@ def test_cross_coupling_transpose_pair(spaces):
     vel, ned, rt = spaces["vel"], spaces["ned"], spaces["rt"]
     rng = np.random.default_rng(4)
     g = rng.standard_normal(rt.dof_count)
-    to_edge = assemble(FormKind("CrossCoupling", g), vel, ned)
-    to_vel = assemble(FormKind("CrossCoupling", g), ned, vel)
+    to_edge = assert_matches_reference(FormKind("CrossCoupling", g), vel, ned)
+    to_vel = assert_matches_reference(FormKind("CrossCoupling", g), ned, vel)
     assert np.abs((to_edge - to_vel.T).toarray()).max() == 0.0
 
 
@@ -196,7 +246,7 @@ def test_cross_cross_is_gram_matrix(spaces):
     vel, rt = spaces["vel"], spaces["rt"]
     rng = np.random.default_rng(5)
     g = rng.standard_normal(rt.dof_count)
-    a = assemble(FormKind("CrossCoupling", g), vel, vel)
+    a = assert_matches_reference(FormKind("CrossCoupling", g), vel, vel)
     assert np.abs((a - a.T).toarray()).max() < 1e-13
     for _ in range(4):
         v = rng.standard_normal(vel.dof_count)

@@ -117,6 +117,14 @@ def test_zero_row_is_singular():
         solve_direct(a, np.ones(3))
 
 
+def test_numerically_singular_matrix_is_rejected_despite_consistent_rhs():
+    # singular in real arithmetic, with a right-hand side in its range: a
+    # roundoff pivot would return one of many solutions at a tiny residual
+    a = sp.csr_matrix(np.array([[0.1, 0.3], [0.3, 0.9]]))
+    with pytest.raises(SingularSystemError, match="roundoff"):
+        solve_direct(a, np.array([1.0, 3.0]))
+
+
 def test_nonsquare_rejected():
     with pytest.raises(AssemblyError):
         solve_direct(sp.csr_matrix((2, 3)), np.ones(2))

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import mhdfem
 from mhdfem import linalg
 from mhdfem.assembly import (RULE_DEG4, RULE_DEG6, FormKind,
                              apply_essential_bc, assemble, assemble_load)
@@ -22,9 +23,8 @@ from mhdfem.solvers import (MhdParams, MhdStateBJ,
                             be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state_be, zero_state_bj,
-                            _be_system, _bj_system, _block_factors,
-                            _essential_masks, _fixed_forms, _load_vector,
-                            _rhs_loads)
+                            _essential_masks, _fixed_forms, _linear_system,
+                            _load_vector, _step_plan, _step_system)
 
 
 def smooth_force(pts):
@@ -297,8 +297,8 @@ def test_be_step_solves_every_equation(mesh2, ops2, params, seeded_be):
 # ---------------------------------------------------------------------------
 # block-preconditioned step solves
 
-STEPS = {"BE": (zero_state_be, be_picard_step, _be_system),
-         "BJ": (zero_state_bj, bj_picard_step, _bj_system)}
+STEPS = {"BE": (zero_state_be, be_picard_step),
+         "BJ": (zero_state_bj, bj_picard_step)}
 
 
 def seeded_start(mesh, formulation):
@@ -309,23 +309,100 @@ def seeded_start(mesh, formulation):
 
 
 def direct_step_fields(prev, params, formulation):
-    """The step's reduced system solved by one LU of the whole matrix."""
+    """The step's own reduced system solved by one LU of the whole matrix."""
     forms = _fixed_forms(prev.mesh)
-    system = STEPS[formulation][2](forms, prev, params,
-                                   _rhs_loads(forms, params))
-    masks = _essential_masks(forms, formulation)
-    reduced = apply_essential_bc(system, masks)
-    a, b = reduced.assemble()
+    plan, a, b = _step_system(forms, formulation, prev, params)
     x = solve_direct(a, b)
-    out = {}
-    for name, part in reduced.split(x).items():
-        full = np.zeros(dict(system.spaces)[name])
-        if name in masks:
-            full[~masks[name]] = part
-        else:
-            full[:] = part
-        out[name] = full
+    out, off = {}, 0
+    for name, dim, free in plan.unknowns:
+        out[name] = np.zeros(dim)
+        out[name][free] = x[off:off + free.size]
+        off += free.size
     return out, x
+
+
+def assembled_step_system(forms, prev, params, formulation):
+    """A step's reduced system built from assemble() blocks, reduced by
+    apply_essential_bc and merged by BlockSystem.assemble."""
+    vel, ned, s, rm = forms.vel, forms.ops.space_c, params.s, params.r_m
+    conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
+    cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
+    ops = forms.ops
+    loads = {"f": assemble_load(vel, params.f, RULE_DEG6),
+             "l": assemble_load(ned, params.l, RULE_DEG6),
+             "g": ops.M_c @ params.g, "h": ops.M_d @ params.h,
+             "m": np.zeros(forms.pres.dof_count),
+             "z": np.zeros(forms.mult.dof_count)}
+    system = _linear_system(forms, formulation, params)
+    if formulation == "BE":
+        cross2 = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, vel)
+        system.add_block("u", "u", conv + s * cross2)
+        system.add_block("u", "E", s * cross.T)
+        system.add_block("E", "u", s * cross)
+        slots = (("u", "f"), ("E", "l"), ("B", "h"), ("p", "m"), ("r", "z"))
+    else:
+        system.add_block("u", "u", conv)
+        system.add_block("u", "j", s * cross.T)
+        system.add_block("sigma", "u", -(s / rm) * cross)
+        slots = (("u", "f"), ("j", "l"), ("sigma", "g"), ("B", "h"),
+                 ("p", "m"), ("r", "z"))
+    for name, slot in slots:
+        system.set_rhs(name, loads[slot])
+    return apply_essential_bc(system,
+                              _essential_masks(forms, formulation)).assemble()
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_scattered_step_matches_assembled_blocks(formulation, n):
+    mesh = build_box_mesh(n, n, n)
+    forms = _fixed_forms(mesh)
+    rng = np.random.default_rng(n)
+    nc = forms.ops.space_c.dof_count
+    params = MhdParams(r_e=0.7, r_m=1.9, s=2.3, f=smooth_force,
+                       l=lambda p: np.cos(p), g=rng.standard_normal(nc),
+                       h=rng.standard_normal(forms.ops.space_d.dof_count))
+    prev = STEPS[formulation][0](mesh)
+    for _ in range(2):
+        prev.u = rng.standard_normal(prev.u.size)
+        prev.B = rng.standard_normal(prev.B.size)
+        _, a, b = _step_system(forms, formulation, prev, params)
+        want_a, want_b = assembled_step_system(forms, prev, params, formulation)
+        assert a.shape == want_a.shape
+        assert np.abs((a - want_a).toarray()).max() \
+            <= 1e-14 * np.abs(want_a.data).max()
+        assert np.array_equal(b, want_b)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of one mhdfem function through every module binding it."""
+    calls = []
+    orig = getattr(mhdfem.linalg if name == "finalize_assembly"
+                   else mhdfem.assembly, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for mod in (mhdfem.linalg, mhdfem.assembly, mhdfem.operators,
+                mhdfem.solvers):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_later_steps_assemble_nothing_and_load_nothing(params, formulation,
+                                                       monkeypatch):
+    mesh = build_box_mesh(2, 2, 2)
+    first = STEPS[formulation][1](seeded_start(mesh, formulation), params)
+    diagnostics(first, params)
+    finalized = count_calls(monkeypatch, "finalize_assembly")
+    loaded = count_calls(monkeypatch, "assemble_load")
+    second = STEPS[formulation][1](first, params)
+    diagnostics(second, params)
+    assert finalized == [] and loaded == []
+    assert second.linear_solve["fallback"] is False
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -381,22 +458,36 @@ def test_step_is_bitwise_deterministic(params, formulation):
 
 def test_block_factors_cached_per_mesh_and_params(mesh2, params):
     forms = _fixed_forms(mesh2)
-    first = _block_factors(forms, "BJ", params)
-    assert _block_factors(forms, "BJ", params) is first
+    first = _step_plan(forms, "BJ", params)
+    assert _step_plan(forms, "BJ", params) is first
+    assert first.factors is not None
     other = MhdParams(r_e=2.0, r_m=1.0, s=1.0, f=smooth_force)
-    assert _block_factors(forms, "BJ", other) is not first
+    assert _step_plan(forms, "BJ", other) is not first
 
 
 def test_block_factors_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
     solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
-    ref = weakref.ref(_block_factors(_fixed_forms(mesh_a), "BJ", params))
+    ref = weakref.ref(_step_plan(_fixed_forms(mesh_a), "BJ", params).factors)
     assert ref() is not None
     solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
                     max_iter=1)
     del mesh_a
     gc.collect()
     assert ref() is None
+
+
+def test_step_plan_releases_dropped_meshes(params):
+    mesh_a = build_box_mesh(2, 2, 2)
+    solve_nonlinear("BE", params, zero_state_be(mesh_a), max_iter=2)
+    forms = _fixed_forms(mesh_a)
+    refs = [weakref.ref(forms.plans["BE"]), weakref.ref(forms.tabs[RULE_DEG6])]
+    del forms
+    solve_nonlinear("BE", params, zero_state_be(build_box_mesh(2, 2, 2)),
+                    max_iter=1)
+    del mesh_a
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------
