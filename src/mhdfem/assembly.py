@@ -22,8 +22,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .derham import (
     FeSpace,
-    curl_incidence,
-    div_incidence,
     p1_values,
     p2_values,
     tabulate_nedelec,
@@ -130,8 +128,7 @@ def _bary(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forms
 
-_TAGS = ("VectorLaplacian", "Mass", "MixedDiv", "CurlPairing",
-         "Convection", "CrossCoupling")
+_TAGS = ("VectorLaplacian", "Mass", "MixedDiv", "Convection", "CrossCoupling")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +149,7 @@ class FormKind:
 
 _SHORT = {("P1", 1): "P1", ("P2", 1): "P2", ("P2", 3): "velocity",
           ("NedelecEdge0", 1): "edge", ("RaviartThomas0", 1): "face",
-          ("DG0", 1): "cell", ("DG1", 1): "DG1"}
+          ("DG0", 1): "cell"}
 
 
 def _check_pair(form: FormKind, trial: FeSpace, test: FeSpace, pairs) -> str:
@@ -317,9 +314,10 @@ def _assemble_elements(kernel: str, coeff, trial: FeSpace, test: FeSpace,
 def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
     """Assemble the global matrix of a weak form, rows over test DOFs.
 
-    Divergence pairings against piecewise constants and the curl pairings
-    reduce to the integer incidence matrices composed with mass matrices;
-    they are assembled that way, which is the exact integral.
+    MixedDiv is the velocity-pressure pairing (div u, q).  The divergence
+    and curl pairings of the de Rham spaces are integer incidence matrices
+    composed with mass matrices (derham.div_incidence, curl_incidence) and
+    are not assembled here.
     """
     mesh = trial.mesh
     tag = form.tag
@@ -339,23 +337,8 @@ def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
         return _assemble_mass(form, trial, test)
 
     if tag == "MixedDiv":
-        kind = _check_pair(form, trial, test, [
-            ("velocity", "P1"), ("P1", "velocity"),
-            ("face", "cell"), ("cell", "face")])
-        if kind == "face-cell":
-            return SparseMatrix(div_incidence(mesh))
-        if kind == "cell-face":
-            return SparseMatrix(div_incidence(mesh).T)
-        if kind == "velocity-P1":
-            return _div_velocity_p1(trial, test)
-        return SparseMatrix(_div_velocity_p1(test, trial).T)
-
-    if tag == "CurlPairing":
-        kind = _check_pair(form, trial, test, [("edge", "face"), ("face", "edge")])
-        rt = trial if kind == "face-edge" else test
-        m_d = _assemble_mass(FormKind("Mass"), rt, rt)
-        k_cd = SparseMatrix(m_d @ curl_incidence(mesh))
-        return SparseMatrix(k_cd.T) if kind == "face-edge" else k_cd
+        _check_pair(form, trial, test, [("velocity", "P1")])
+        return _div_velocity_p1(trial, test)
 
     if tag in ("Convection", "CrossCoupling"):
         kind = _check_pair(form, trial, test, [

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import _LOCAL_EDGES, _LOCAL_FACES, Mesh
 
-_LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-_LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-
-_TAGS = ("P1", "P2", "NedelecEdge0", "RaviartThomas0", "DG0", "DG1")
+_TAGS = ("P1", "P2", "NedelecEdge0", "RaviartThomas0", "DG0")
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,6 @@ VELOCITY = SpaceKind("P2", components=3)
 NEDELEC = SpaceKind("NedelecEdge0")
 RT = SpaceKind("RaviartThomas0")
 DG0 = SpaceKind("DG0")
-DG1 = SpaceKind("DG1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +81,8 @@ def _scalar_boundary_mask(mesh: Mesh, tag: str) -> np.ndarray:
         return mesh.boundary_edge.copy()
     if tag == "RaviartThomas0":
         return mesh.boundary_face.copy()
-    # piecewise-discontinuous spaces carry no boundary DOFs
-    return np.zeros({"DG0": mesh.num_tets, "DG1": 4 * mesh.num_tets}[tag], dtype=bool)
+    # piecewise constants carry no boundary DOFs
+    return np.zeros(mesh.num_tets, dtype=bool)
 
 
 def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool,
@@ -102,7 +98,6 @@ def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool,
         "NedelecEdge0": mesh.num_edges,
         "RaviartThomas0": mesh.num_faces,
         "DG0": mesh.num_tets,
-        "DG1": 4 * mesh.num_tets,
     }
     n_scalar = counts[kind.tag]
     if essential_bc:
@@ -245,16 +240,6 @@ def interpolate(space: FeSpace, field) -> np.ndarray:
         # reference weights sum to 1/6, so the average carries a factor 6
         return 6.0 * np.einsum("q,tq->t", w, f)
 
-    if tag == "DG1":
-        # sample strictly inside each tet (the space is discontinuous, so
-        # vertex values must not be read off a neighbouring tet) and recover
-        # the local linear polynomial's vertex values exactly
-        x = mesh.vertices[mesh.tets]
-        shrink = 0.5 * np.eye(4) + 0.125
-        pts = np.einsum("qi,tik->tqk", shrink, x)
-        f = np.asarray(field(pts.reshape(-1, 3)), dtype=float).reshape(-1, 4)
-        return (f @ np.linalg.inv(shrink).T).ravel()
-
     raise ValueError(f"cannot interpolate into {tag!r}")
 
 
@@ -328,9 +313,6 @@ def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
         return np.einsum("ni,ni->n", vals, coeffs[gdofs])
     if tag == "DG0":
         return coeffs[tet_of]
-    if tag == "DG1":
-        return np.einsum("ni,ni->n", bary, coeffs[(4 * tet_of)[:, None]
-                                                  + np.arange(4)[None, :]])
 
     g = mesh.grad_bary[tet_of]
     if tag == "NedelecEdge0":

@@ -1,33 +1,37 @@
-"""Weak differential operators, field norms, and constant estimators.
+"""The per-mesh discrete de Rham context, the weak curl, and the
+constant estimators.
+
+DiscreteOps owns what both Picard schemes share on one mesh: the velocity,
+pressure, multiplier, edge and face spaces, every fixed matrix, the
+factored free-edge mass, the basis tabulations at each quadrature rule,
+and the solvers' step plans and loads.  discrete_ops(mesh) hands every
+caller the one instance of the most recent mesh.
 
 The weak curl maps a div-conforming (face-element) function into the
 curl-conforming (edge-element) space through the duality
-(weak_curl B, F) = (B, curl F); the weak divergence maps an edge-element
-function to nodal P1 values through (weak_div w, v) = -(w, grad v).
-Both act on full-length coefficient vectors whose boundary-constrained
-entries are zero and return vectors of the same layout, so mass and
-incidence matrices apply without index bookkeeping.
-
-DiscreteOps instances are immutable after construction; the cached
-factorizations are reused by every solve.
+(weak_curl B, F) = (B, curl F).  It acts on full-length coefficient
+vectors whose boundary-constrained entries are zero and returns a vector
+of the same layout, so mass and incidence matrices apply without index
+bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import (RULE_DEG6, FormKind, Tabulation, assemble,
-                       assemble_load)
-from .derham import (NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
-                     curl_incidence, div_incidence, grad_incidence)
+from .assembly import RULE_DEG6, FormKind, QuadratureRule, Tabulation, assemble
+from .derham import (DG0, NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
+                     curl_incidence, div_incidence)
 from .mesh import Mesh
 
-_POINCARE_DOF_LIMIT = 2000
+# largest free face-DOF count the dense Poincare eigensolve accepts
+POINCARE_DOF_LIMIT = 2000
 
 
 class CapabilityError(Exception):
@@ -35,65 +39,61 @@ class CapabilityError(Exception):
 
 
 class DiscreteOps:
-    """Mass matrices, incidence pairings, and cached factorizations.
+    """Spaces, fixed matrices, factorizations and tabulations of one mesh.
 
     Attributes:
-      space_c, space_d, space_g: edge-, face-, and vertex-based spaces,
-        each carrying its essential boundary condition.
-      M_c, M_d, M_g: mass matrices over the full index sets; constraints
-        enter only through which rows get solved.
+      vel, pres, mult: velocity (with its essential condition), zero-mean
+        pressure and zero-mean multiplier spaces.
+      space_c, space_d: edge- and face-based spaces, each carrying its
+        essential boundary condition.
+      vel_mass, lap, bdiv, pres_mass: velocity mass, vector Laplacian,
+        velocity-pressure pairing (div u, q) and pressure mass.
+      M_c, M_d: edge and face mass matrices over the full index sets;
+        constraints enter only through which rows get solved.
       K_cd: (faces x edges) pairing matrix (curl w_e, w_f).
-      K_gc: (edges x vertices) pairing matrix (grad v_i, w_e).
+      div, curl: face-to-cell and edge-to-face incidences.
+      mean_p: integral of each pressure basis function.
+      plans, loads: the solvers' step plans and loads, cached here so they
+        share the context's lifetime.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        self.vel = build_space(mesh, VELOCITY, essential_bc=True)
+        self.pres = build_space(mesh, P1, essential_bc=False, zero_mean=True)
+        self.mult = build_space(mesh, DG0, essential_bc=False, zero_mean=True)
         self.space_c = build_space(mesh, NEDELEC, essential_bc=True)
         self.space_d = build_space(mesh, RT, essential_bc=True)
-        self.space_g = build_space(mesh, P1, essential_bc=True)
+        self.vel_mass = assemble(FormKind("Mass"), self.vel, self.vel)
+        self.lap = assemble(FormKind("VectorLaplacian"), self.vel, self.vel)
+        self.bdiv = assemble(FormKind("MixedDiv"), self.vel, self.pres)
+        self.pres_mass = assemble(FormKind("Mass"), self.pres, self.pres)
         self.M_c = assemble(FormKind("Mass"), self.space_c, self.space_c)
         self.M_d = assemble(FormKind("Mass"), self.space_d, self.space_d)
-        self.M_g = assemble(FormKind("Mass"), self.space_g, self.space_g)
-        self.K_cd = (self.M_d @ curl_incidence(mesh)).tocsr()
-        self.K_gc = (self.M_c @ grad_incidence(mesh)).tocsr()
-        self._div = div_incidence(mesh)
+        self.div = div_incidence(mesh)
+        self.curl = curl_incidence(mesh)
+        self.K_cd = (self.M_d @ self.curl).tocsr()
+        self.mean_p = np.zeros(self.pres.dof_count)
+        np.add.at(self.mean_p, mesh.tets.ravel(),
+                  np.repeat(mesh.volumes / 4.0, 4))
         self._lu_c = _factor(self.M_c, self.space_c.free_index, "edge")
-        self._lu_g = _factor(self.M_g, self.space_g.free_index, "vertex")
-        # velocity matrices only feed the norms; built on first use
-        self._vel = None
-        self._vel_mass = None
-        self._vel_stiff = None
+        self._tabs = {}
+        # formulation -> the solvers' step plan of the last (r_e, r_m, s)
+        self.plans = {}
+        # [params, loads] of the last parameter object the solvers saw
+        self.loads = []
+
+    def tab(self, rule: QuadratureRule) -> Tabulation:
+        """The mesh's basis at one rule's points, tabulated on first use."""
+        if rule not in self._tabs:
+            self._tabs[rule] = Tabulation(self.mesh, rule)
+        return self._tabs[rule]
 
     def weak_curl(self, B) -> np.ndarray:
         """Edge-element x with (x, F) = (B, curl F) for all admissible F."""
         B = np.asarray(B, dtype=float)
         rhs = self.K_cd.T @ B
         return _solve_free(self._lu_c, rhs, self.space_c)
-
-    def weak_div(self, w) -> np.ndarray:
-        """Nodal y with (y, v) = -(w, grad v) for all admissible v."""
-        w = np.asarray(w, dtype=float)
-        rhs = -(self.K_gc.T @ w)
-        return _solve_free(self._lu_g, rhs, self.space_g)
-
-    def l2_project_curl(self, field) -> np.ndarray:
-        """L2 projection onto the constrained edge-element space.
-
-        field is a point evaluator (callable or .value bundle, integrated
-        with the degree-6 rule) or an edge-element coefficient vector, in
-        which case the projection just re-imposes the constraint.
-        """
-        if hasattr(field, "value"):
-            field = field.value
-        if callable(field):
-            load = assemble_load(self.space_c, field, RULE_DEG6)
-        else:
-            c = np.asarray(field, dtype=float)
-            if c.shape != (self.space_c.dof_count,):
-                raise ValueError("expected a point evaluator or an "
-                                 "edge-element coefficient vector")
-            load = self.M_c @ c
-        return _solve_free(self._lu_c, load, self.space_c)
 
     # -- norms ------------------------------------------------------------
 
@@ -104,44 +104,19 @@ class DiscreteOps:
     def norm_d(self, B) -> float:
         """sqrt(|B|^2 + |div B|^2 + |weak curl B|^2)."""
         B = np.asarray(B, dtype=float)
-        dv = self._div @ B
+        dv = self.div @ B
         x = self.weak_curl(B)
         total = B @ (self.M_d @ B) + np.sum(dv * dv / self.mesh.volumes) \
             + x @ (self.M_c @ x)
         return math.sqrt(max(total, 0.0))
 
-    def norm_h1_velocity(self, u) -> float:
-        """Full H1 norm, sqrt(|u|^2 + |grad u|^2)."""
-        _, mass, stiff = self._velocity_forms()
-        u = np.asarray(u, dtype=float)
-        return math.sqrt(max(u @ (mass @ u) + u @ (stiff @ u), 0.0))
 
-    def seminorm_h1_velocity(self, u) -> float:
-        _, _, stiff = self._velocity_forms()
-        u = np.asarray(u, dtype=float)
-        return math.sqrt(max(u @ (stiff @ u), 0.0))
-
-    def norm_l2_p1(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        return math.sqrt(max(p @ (self.M_g @ p), 0.0))
-
-    def norm_l2_dg0(self, r) -> float:
-        r = np.asarray(r, dtype=float)
-        return math.sqrt(max(np.sum(self.mesh.volumes * r * r), 0.0))
-
-    def norm_a(self, u, B, p, r) -> float:
-        """Combined state norm: full H1 of u, graph norm of B, L2 of the
-        nodal pressure p and the piecewise-constant multiplier r."""
-        return math.sqrt(self.norm_h1_velocity(u) ** 2 + self.norm_d(B) ** 2
-                         + self.norm_l2_p1(p) ** 2 + self.norm_l2_dg0(r) ** 2)
-
-    def _velocity_forms(self):
-        if self._vel is None:
-            self._vel = build_space(self.mesh, VELOCITY, essential_bc=True)
-            self._vel_mass = assemble(FormKind("Mass"), self._vel, self._vel)
-            self._vel_stiff = assemble(
-                FormKind("VectorLaplacian"), self._vel, self._vel)
-        return self._vel, self._vel_mass, self._vel_stiff
+# one entry: a larger cache would keep the contexts, tabulations and step
+# plans (block factors included) of meshes the caller has already dropped
+@lru_cache(maxsize=1)
+def discrete_ops(mesh: Mesh) -> DiscreteOps:
+    """The context of mesh, built once and shared until another mesh asks."""
+    return DiscreteOps(mesh)
 
 
 def _factor(M, free: np.ndarray, what: str):
@@ -169,14 +144,13 @@ def estimate_poincare_constant(mesh: Mesh) -> float:
     """Largest |B| / |weak curl B| over constrained divergence-free
     face-element fields, by a dense generalized eigenproblem on a kernel
     basis of the divergence incidence matrix."""
-    space_d = build_space(mesh, RT, essential_bc=True)
-    free_d = space_d.free_index
-    if free_d.size > _POINCARE_DOF_LIMIT:
+    free_d = build_space(mesh, RT, essential_bc=True).free_index
+    if free_d.size > POINCARE_DOF_LIMIT:
         raise CapabilityError(
-            f"dense eigensolve handles at most {_POINCARE_DOF_LIMIT} free "
+            f"dense eigensolve handles at most {POINCARE_DOF_LIMIT} free "
             f"face DOFs, got {free_d.size}; use a smaller mesh")
-    ops = DiscreteOps(mesh)
-    kernel = scipy.linalg.null_space(div_incidence(mesh).toarray()[:, free_d])
+    ops = discrete_ops(mesh)
+    kernel = scipy.linalg.null_space(ops.div.toarray()[:, free_d])
     if kernel.shape[1] == 0:
         raise CapabilityError("mesh carries no divergence-free fields")
     free_c = ops.space_c.free_index
@@ -199,53 +173,29 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    ops = DiscreteOps(mesh)
-    vel, vel_mass, vel_stiff = ops._velocity_forms()
+    ops = discrete_ops(mesh)
     free_e = ops.space_c.free_index
-    free_u = vel.free_index
+    free_u = ops.vel.free_index
     if free_e.size == 0 or free_u.size == 0:
         raise CapabilityError("mesh has no interior DOFs to probe")
-    G = curl_incidence(mesh)
-    tab = Tabulation(mesh, RULE_DEG6)
+    tab = ops.tab(RULE_DEG6)
     rng = np.random.default_rng(seed)
     best = 0.0
     done = 0
     while done < trials:
         e = np.zeros(ops.space_c.dof_count)
         e[free_e] = rng.standard_normal(free_e.size)
-        B = G @ e
+        B = ops.curl @ e
         curl_norm = ops.norm_c(ops.weak_curl(B))
         if curl_norm <= 1e-14 * np.linalg.norm(e):
             continue
-        u = np.zeros(vel.dof_count)
+        u = np.zeros(ops.vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
         cross = np.cross(tab.velocity_at(u), tab.face_at(B))
         num = math.sqrt(np.sum(tab.wq * np.einsum("tqk,tqk->tq", cross, cross)))
-        den = math.sqrt(u @ (vel_mass @ u) + u @ (vel_stiff @ u)) * curl_norm
+        den = math.sqrt(u @ (ops.vel_mass @ u) + u @ (ops.lap @ u)) * curl_norm
         best = max(best, num / den)
         done += 1
-    return best
-
-
-def estimate_sobolev_ratio(mesh: Mesh, trials: int = 50, seed: int = 0) -> float:
-    """Empirical ratio |u|_{L6} / |grad u| over random constrained velocity
-    fields.  The L6 norm uses the degree-6 tet rule, so this is a sampling
-    estimate rather than an exact integral."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    vel = build_space(mesh, VELOCITY, essential_bc=True)
-    stiff = assemble(FormKind("VectorLaplacian"), vel, vel)
-    tab = Tabulation(mesh, RULE_DEG6)
-    free_u = vel.free_index
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        u = np.zeros(vel.dof_count)
-        u[free_u] = rng.standard_normal(free_u.size)
-        at = tab.velocity_at(u)
-        mag2 = np.einsum("tqk,tqk->tq", at, at)
-        l6 = np.sum(tab.wq * mag2 ** 3) ** (1.0 / 6.0)
-        best = max(best, l6 / math.sqrt(u @ (stiff @ u)))
     return best
 
 
@@ -287,12 +237,3 @@ class DiagnosticConstants:
         if min(vals) <= 0:
             raise ValueError("diagnostic constants must be positive")
 
-
-def estimate_constants(mesh: Mesh, trials: int = 100,
-                       seed: int = 0) -> DiagnosticConstants:
-    """Bundle the analytic Sobolev bound with the mesh-probed constants."""
-    return DiagnosticConstants(
-        c1=sobolev_embedding_constant(),
-        c2=estimate_cross_bound(mesh, trials=trials, seed=seed),
-        poincare_div=estimate_poincare_constant(mesh),
-    )

@@ -29,22 +29,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (ELEMENT_KERNELS, RULE_DEG4, RULE_DEG6, FormKind,
-                       Tabulation, apply_essential_bc, assemble,
-                       assemble_load, element_dofs)
-from .derham import (DG0, P1, VELOCITY, AnalyticField, FeSpace, build_space,
-                     curl_incidence, div_incidence)
+from .assembly import (ELEMENT_KERNELS, RULE_DEG4, RULE_DEG6, Tabulation,
+                       apply_essential_bc, assemble_load, element_dofs)
+from .derham import AnalyticField, FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
 from .linalg import (BlockFactors, BlockSystem, SingularSystemError,  # noqa: F401
                      factor_blocks, solve_direct, solve_preconditioned)
 from .mesh import Mesh
-from .operators import (DiagnosticConstants, DiscreteOps,
+from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                         estimate_cross_bound, poincare_h01_box,
                         sobolev_embedding_constant)
 
@@ -54,25 +51,20 @@ class MhdParams:
     """Physical numbers and right-hand-side data of one nonlinear problem.
 
     r_e, r_m and s are the fluid Reynolds, magnetic Reynolds and coupling
-    numbers; all three must be positive.  The data slots load the test
-    space of the equation they feed: f the velocity space, l and g the
-    edge-element space, h the face-element space, m the pressure space,
-    z the piecewise constants.  Each slot accepts None, a callable of
-    points (n, 3), an AnalyticField, or a coefficient vector in the
-    matching space (paired through that space's mass matrix).  The solver
-    computes the loads of one parameter object once per mesh, so data
-    must not change after construction.
+    numbers; all three must be positive.  The two data slots load the test
+    space of the equation they feed: f the velocity space (the body
+    force), h the face-element space (the induction equation).  Each slot
+    accepts None, a callable of points (n, 3), an AnalyticField, or a
+    coefficient vector in the matching space (paired through that space's
+    mass matrix).  The solver computes the loads of one parameter object
+    once per mesh, so data must not change after construction.
     """
 
     r_e: float
     r_m: float
     s: float
     f: object = None
-    l: object = None
-    g: object = None
     h: object = None
-    m: object = None
-    z: object = None
 
     def __post_init__(self):
         for name in ("r_e", "r_m", "s"):
@@ -164,59 +156,7 @@ class PicardReport:
 
 
 # ---------------------------------------------------------------------------
-# iteration-independent data, cached per mesh
-
-
-@dataclass(frozen=True, eq=False)
-class _Forms:
-    ops: DiscreteOps
-    vel: FeSpace
-    pres: FeSpace
-    mult: FeSpace
-    vel_mass: sp.csr_matrix
-    lap: sp.csr_matrix
-    bdiv: sp.csr_matrix
-    pres_mass: sp.csr_matrix
-    mult_mass: sp.csr_matrix
-    div: sp.csr_matrix
-    curl: sp.csr_matrix
-    mean_p: np.ndarray
-    # quadrature rule -> its Tabulation on the mesh; see _tab
-    tabs: dict = field(default_factory=dict)
-    # formulation -> _StepPlan of the last (r_e, r_m, s); see _step_plan
-    plans: dict = field(default_factory=dict)
-    # [params, loads] of the last parameter object; see _loads
-    loads: list = field(default_factory=list)
-
-
-# one entry: a larger cache would keep the forms, tabulations and step plans
-# (block factors included) of meshes the caller has already dropped alive
-@lru_cache(maxsize=1)
-def _fixed_forms(mesh: Mesh) -> _Forms:
-    ops = DiscreteOps(mesh)
-    vel = build_space(mesh, VELOCITY, essential_bc=True)
-    pres = build_space(mesh, P1, essential_bc=False, zero_mean=True)
-    mult = build_space(mesh, DG0, essential_bc=False, zero_mean=True)
-    mean_p = np.zeros(pres.dof_count)
-    np.add.at(mean_p, mesh.tets.ravel(), np.repeat(mesh.volumes / 4.0, 4))
-    return _Forms(
-        ops=ops, vel=vel, pres=pres, mult=mult,
-        vel_mass=assemble(FormKind("Mass"), vel, vel),
-        lap=assemble(FormKind("VectorLaplacian"), vel, vel),
-        bdiv=assemble(FormKind("MixedDiv"), vel, pres),
-        pres_mass=assemble(FormKind("Mass"), pres, pres),
-        mult_mass=sp.diags(mesh.volumes).tocsr(),
-        div=div_incidence(mesh),
-        curl=curl_incidence(mesh),
-        mean_p=mean_p,
-    )
-
-
-def _tab(forms: _Forms, rule) -> Tabulation:
-    """The mesh's basis at one rule's points, tabulated on first use."""
-    if rule not in forms.tabs:
-        forms.tabs[rule] = Tabulation(forms.vel.mesh, rule)
-    return forms.tabs[rule]
+# loads and norms on the mesh's context
 
 
 def _load_vector(space: FeSpace, data, mass) -> np.ndarray:
@@ -234,46 +174,41 @@ def _load_vector(space: FeSpace, data, mass) -> np.ndarray:
     return mass @ vec
 
 
-def _loads(forms: _Forms, params: MhdParams) -> dict:
+def _loads(ops: DiscreteOps, params: MhdParams) -> dict:
     """Full-length load vectors of params' data slots and the L2 norm of f
     (f_l2), computed once per parameter object and mesh."""
-    if not forms.loads or forms.loads[0] is not params:
-        ops = forms.ops
-        forms.loads[:] = [params, {
-            "f": _load_vector(forms.vel, params.f, forms.vel_mass),
-            "l": _load_vector(ops.space_c, params.l, ops.M_c),
-            "g": _load_vector(ops.space_c, params.g, ops.M_c),
+    if not ops.loads or ops.loads[0] is not params:
+        ops.loads[:] = [params, {
+            "f": _load_vector(ops.vel, params.f, ops.vel_mass),
             "h": _load_vector(ops.space_d, params.h, ops.M_d),
-            "m": _load_vector(forms.pres, params.m, forms.pres_mass),
-            "z": _load_vector(forms.mult, params.z, forms.mult_mass),
-            "f_l2": _data_l2(forms, params.f, forms.vel_mass),
+            "f_l2": _data_l2(ops, params.f, ops.vel_mass),
         }]
-    return forms.loads[1]
+    return ops.loads[1]
 
 
-def _data_l2(forms: _Forms, data, mass) -> float:
+def _data_l2(ops: DiscreteOps, data, mass) -> float:
     """L2 norm of one data slot, by quadrature when the data is analytic."""
     if data is None:
         return 0.0
     if isinstance(data, AnalyticField):
         data = data.value
     if callable(data):
-        tab = _tab(forms, RULE_DEG6)
+        tab = ops.tab(RULE_DEG6)
         vals = np.asarray(data(tab.points.reshape(-1, 3)), dtype=float)
         vals = vals.reshape(*tab.wq.shape, -1)
-        return math.sqrt(_quad_integral(forms, np.einsum("tqk,tqk->tq",
-                                                         vals, vals)))
+        return math.sqrt(_quad_l2sq(tab, vals))
     vec = np.asarray(data, dtype=float)
     return math.sqrt(float(vec @ (mass @ vec)))
 
 
-def _quad_integral(forms: _Forms, scalar_at: np.ndarray) -> float:
-    return float(np.sum(_tab(forms, RULE_DEG6).wq * scalar_at))
+def _quad_l2sq(tab: Tabulation, field_at: np.ndarray) -> float:
+    """Squared L2 norm of a vector field given at the rule's points."""
+    return float(np.sum(tab.wq * np.einsum("tqk,tqk->tq", field_at, field_at)))
 
 
-def _h1_velocity(forms: _Forms, v: np.ndarray) -> float:
-    return math.sqrt(float(v @ (forms.vel_mass @ v))
-                     + float(v @ (forms.lap @ v)))
+def _h1_velocity(ops: DiscreteOps, v: np.ndarray) -> float:
+    return math.sqrt(float(v @ (ops.vel_mass @ v))
+                     + float(v @ (ops.lap @ v)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +222,24 @@ _UNKNOWNS = {"BE": ("u", "E", "B", "p", "r", "mp", "mr"),
 _STOKES = ("u", "p", "mp")
 
 
-def _essential_masks(forms: _Forms, formulation: str) -> dict:
-    spaces = {"vel": forms.vel, "edge": forms.ops.space_c,
-              "face": forms.ops.space_d}
+def _essential_masks(ops: DiscreteOps, formulation: str) -> dict:
+    spaces = {"vel": ops.vel, "edge": ops.space_c, "face": ops.space_d}
     return {n: spaces[_SPACE_OF[n]].boundary_dof
             for n in _UNKNOWNS[formulation] if n in _SPACE_OF}
 
 
-def _linear_system(forms: _Forms, formulation: str,
+def _linear_system(ops: DiscreteOps, formulation: str,
                    params: MhdParams) -> BlockSystem:
     """The data-independent part of a step: Stokes (+) Maxwell, uncoupled."""
-    ops = forms.ops
     re, rm, s = params.r_e, params.r_m, params.s
-    dims = {"u": forms.vel.dof_count, "E": ops.space_c.dof_count,
+    dims = {"u": ops.vel.dof_count, "E": ops.space_c.dof_count,
             "j": ops.space_c.dof_count, "sigma": ops.space_c.dof_count,
-            "B": ops.space_d.dof_count, "p": forms.pres.dof_count,
-            "r": forms.mult.dof_count, "mp": 1, "mr": 1}
+            "B": ops.space_d.dof_count, "p": ops.pres.dof_count,
+            "r": ops.mult.dof_count, "mp": 1, "mr": 1}
     system = BlockSystem([(n, dims[n]) for n in _UNKNOWNS[formulation]])
-    system.add_block("u", "u", (1.0 / re) * forms.lap)
-    system.add_block("u", "p", -forms.bdiv.T)
-    system.add_block("p", "u", -forms.bdiv)
+    system.add_block("u", "u", (1.0 / re) * ops.lap)
+    system.add_block("u", "p", -ops.bdiv.T)
+    system.add_block("p", "u", -ops.bdiv)
     if formulation == "BE":
         system.add_block("E", "E", s * ops.M_c)
         system.add_block("E", "B", -(s / rm) * ops.K_cd.T)
@@ -317,11 +250,11 @@ def _linear_system(forms: _Forms, formulation: str,
         system.add_block("sigma", "sigma", (s / rm) * ops.M_c)
         system.add_block("B", "j", (s / rm) * ops.K_cd)
         system.add_block("B", "sigma", -(s / rm) * ops.K_cd)
-    system.add_block("B", "r", forms.div.T)
-    system.add_block("r", "B", forms.div)
-    vols = forms.mult.mesh.volumes
-    system.add_block("p", "mp", forms.mean_p[:, None])
-    system.add_block("mp", "p", forms.mean_p[None, :])
+    system.add_block("B", "r", ops.div.T)
+    system.add_block("r", "B", ops.div)
+    vols = ops.mesh.volumes
+    system.add_block("p", "mp", ops.mean_p[:, None])
+    system.add_block("mp", "p", ops.mean_p[None, :])
     system.add_block("r", "mr", vols[:, None])
     system.add_block("mr", "r", vols[None, :])
     return system
@@ -338,9 +271,8 @@ _ITERATE = {
            ("u", "j", "cross", True, lambda rm, s: s),
            ("sigma", "u", "cross", False, lambda rm, s: -s / rm)),
 }
-# load slot feeding each unknown's rows; the mean multipliers get zero
-_RHS_SLOT = {"u": "f", "E": "l", "j": "l", "sigma": "g", "B": "h",
-             "p": "m", "r": "z"}
+# load slot feeding each unknown's rows; every other row gets zero
+_RHS_SLOT = {"u": "f", "B": "h"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,15 +297,15 @@ class _StepPlan:
     rhs: list = field(default_factory=list)
 
 
-def _step_plan(forms: _Forms, formulation: str,
+def _step_plan(ops: DiscreteOps, formulation: str,
                params: MhdParams) -> _StepPlan:
-    """The step plan, cached on the mesh's forms, one per formulation."""
+    """The step plan, cached on the mesh's context, one per formulation."""
     key = (params.r_e, params.r_m, params.s)
-    plan = forms.plans.get(formulation)
+    plan = ops.plans.get(formulation)
     if plan is not None and plan.key == key:
         return plan
-    system = _linear_system(forms, formulation, params)
-    masks = _essential_masks(forms, formulation)
+    system = _linear_system(ops, formulation, params)
+    masks = _essential_masks(ops, formulation)
     reduced = apply_essential_bc(system, masks)
     fixed, _ = reduced.assemble()
     index = reduced.split(np.arange(reduced.size))
@@ -392,7 +324,7 @@ def _step_plan(forms: _Forms, formulation: str,
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(fixed.indptr))
     keys = [rows * n + fixed.indices]
     for rname, cname, kernel, transposed, _ in _ITERATE[formulation]:
-        r, c = element_dofs(forms.vel.mesh, kernel)
+        r, c = element_dofs(ops.mesh, kernel)
         if transposed:
             r, c = c, r
         r, c = np.broadcast_arrays(to_reduced[rname][r], to_reduced[cname][c])
@@ -411,7 +343,7 @@ def _step_plan(forms: _Forms, formulation: str,
             fixed, np.concatenate([index[u] for u in _STOKES]))
     except SingularSystemError:
         factors = None
-    plan = forms.plans[formulation] = _StepPlan(
+    plan = ops.plans[formulation] = _StepPlan(
         key=key, unknowns=unknowns, fixed=fixed.data, slots=slots,
         pattern=sp.csr_matrix((np.zeros(used.size), used % n, indptr),
                               shape=(n, n)),
@@ -419,7 +351,7 @@ def _step_plan(forms: _Forms, formulation: str,
     return plan
 
 
-def _step_system(forms: _Forms, formulation: str, prev,
+def _step_system(ops: DiscreteOps, formulation: str, prev,
                  params: MhdParams) -> tuple:
     """(plan, reduced matrix, reduced right-hand side) of one Picard step.
 
@@ -429,8 +361,8 @@ def _step_system(forms: _Forms, formulation: str, prev,
     """
     # loads first: their temporaries then fit in memory the factorization
     # of a new plan reuses
-    loads = _loads(forms, params)
-    plan = _step_plan(forms, formulation, params)
+    loads = _loads(ops, params)
+    plan = _step_plan(ops, formulation, params)
     # weights in slots order: the fixed values, then each block's elements
     weights = np.empty(plan.slots.size)
     off = plan.fixed.size
@@ -439,7 +371,7 @@ def _step_system(forms: _Forms, formulation: str, prev,
     for _, _, kernel, _, coef in _ITERATE[formulation]:
         if kernel not in elems:
             func, rule = ELEMENT_KERNELS[kernel]
-            elems[kernel] = func(_tab(forms, rule), prev.u
+            elems[kernel] = func(ops.tab(rule), prev.u
                                  if kernel == "convection" else prev.B)
         elem = elems[kernel]
         np.multiply(coef(params.r_m, params.s), elem,
@@ -470,8 +402,8 @@ _SINGULAR_STEP = {
 
 
 def _picard_step(prev, params: MhdParams, formulation: str) -> tuple:
-    forms = _fixed_forms(prev.mesh)
-    plan, a, b = _step_system(forms, formulation, prev, params)
+    plan, a, b = _step_system(discrete_ops(prev.mesh), formulation, prev,
+                              params)
     try:
         x, record = solve_preconditioned(a, b, plan.factors)
     except SingularSystemError as exc:
@@ -506,9 +438,11 @@ def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
 # structure diagnostics
 
 
-def _be_current_at(forms: _Forms, state: MhdStateBE) -> np.ndarray:
-    """E + u x B_prev at the degree-6 quadrature points, (T, nq, 3)."""
-    tab = _tab(forms, RULE_DEG6)
+def current_at(tab: Tabulation, state) -> np.ndarray:
+    """The iterate's current density at the rule's points, (T, nq, 3): j
+    for a current-based state, E + u x B_prev for an electric-field one."""
+    if isinstance(state, MhdStateBJ):
+        return tab.edge_at(state.j)
     return tab.edge_at(state.E) + np.cross(tab.velocity_at(state.u),
                                            tab.face_at(state.B_prev))
 
@@ -528,31 +462,30 @@ def diagnostics(state, params: MhdParams) -> dict:
     All structural values are exactly zero for the zero state with no
     data.
     """
-    forms = _fixed_forms(state.mesh)
-    ops = forms.ops
+    ops = discrete_ops(state.mesh)
     mesh = state.mesh
     vols = mesh.volumes
 
-    out = {"div_b_max": float(np.abs((forms.div @ state.B) / vols).max()),
+    out = {"div_b_max": float(np.abs((ops.div @ state.B) / vols).max()),
            "b_l2": math.sqrt(float(state.B @ (ops.M_d @ state.B))),
            "multiplier_norm": math.sqrt(float(vols @ (state.r ** 2)))}
 
-    loads = _loads(forms, params)
-    grad2 = float(state.u @ (forms.lap @ state.u))
+    loads = _loads(ops, params)
+    grad2 = float(state.u @ (ops.lap @ state.u))
     work = float(loads["f"] @ state.u)
     if isinstance(state, MhdStateBJ):
         j2 = float(state.j @ (ops.M_c @ state.j))
     else:
-        cur = _be_current_at(forms, state)
-        j2 = _quad_integral(forms, np.einsum("tqk,tqk->tq", cur, cur))
+        tab = ops.tab(RULE_DEG6)
+        j2 = _quad_l2sq(tab, current_at(tab, state))
     out["energy_work"] = work
     out["energy_residual"] = abs(grad2 / params.r_e + params.s * j2 - work)
     # magnitude of the terms the identity cancels; the roundoff floor for
     # the residual.  The pressure pairing matters for gradient-type forces
     # whose exact velocity is zero.
-    p_norm = math.sqrt(float(state.p @ (forms.pres_mass @ state.p)))
+    p_norm = math.sqrt(float(state.p @ (ops.pres_mass @ state.p)))
     out["energy_scale"] = (abs(work) + grad2 / params.r_e + params.s * j2
-                           + p_norm * float(np.linalg.norm(forms.bdiv
+                           + p_norm * float(np.linalg.norm(ops.bdiv
                                                            @ state.u)))
     out["energy_slack"] = None
     if mesh.box is not None:
@@ -562,19 +495,19 @@ def diagnostics(state, params: MhdParams) -> dict:
 
     if isinstance(state, MhdStateBJ):
         free = ops.space_c.free_index
-        dcurl = forms.curl @ (state.j - state.sigma)
+        dcurl = ops.curl @ (state.j - state.sigma)
         out["curl_j_sigma"] = math.sqrt(float(dcurl @ (ops.M_d @ dcurl)))
 
         s, rm = params.s, params.r_m
         # (u x B_prev, w_e) for every edge function, the product of the
         # velocity-edge CrossCoupling matrix with u
-        tab = _tab(forms, RULE_DEG4)
+        tab = ops.tab(RULE_DEG4)
         cross_u = tab.edge_load(np.cross(tab.velocity_at(state.u),
                                          tab.face_at(state.B_prev)))
         lhs_j = s * (ops.M_c @ state.j)
-        rhs_j = (s / rm) * (ops.K_cd.T @ state.B) + loads["l"]
+        rhs_j = (s / rm) * (ops.K_cd.T @ state.B)
         lhs_s = (s / rm) * (ops.M_c @ state.sigma)
-        rhs_s = (s / rm) * cross_u + loads["g"]
+        rhs_s = (s / rm) * cross_u
         for key, lhs, rhs in (("elimination_j", lhs_j, rhs_j),
                               ("elimination_sigma", lhs_s, rhs_s)):
             num = float(np.linalg.norm(lhs[free] - rhs[free]))
@@ -602,8 +535,7 @@ def check_small_data_conditions(params: MhdParams,
     if mesh.box is None:
         raise ValueError("condition check needs a box mesh for the "
                          "Poincare bound on |f|_(-1)")
-    forms = _fixed_forms(mesh)
-    f_l2 = _loads(forms, params)["f_l2"]
+    f_l2 = _loads(discrete_ops(mesh), params)["f_l2"]
     dual = poincare_h01_box(mesh.box) * f_l2
     c1, c2 = constants.c1, constants.c2
     re, rm = params.r_e, params.r_m
@@ -654,7 +586,7 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
                         f"{expected.__name__}")
 
     mesh = initial.mesh
-    forms = _fixed_forms(mesh)
+    ops = discrete_ops(mesh)
     step = be_picard_step if formulation == "BE" else bj_picard_step
 
     warns = []
@@ -677,25 +609,29 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
     records = []
     prev_energy = None
     termination = "max-iterations"
+    # the B-E current is an L2 function, differenced at the degree-6 points;
+    # each iterate's values are carried to the next step
+    tab = ops.tab(RULE_DEG6)
+    cur = current_at(tab, state) if formulation == "BE" else None
     for n in range(1, max_iter + 1):
         new = step(state, params)
         du = new.u - state.u
-        grad2 = float(du @ (forms.lap @ du))
-        inc_u = math.sqrt(float(du @ (forms.vel_mass @ du)) + grad2)
-        inc_b = forms.ops.norm_d(new.B - state.B)
+        grad2 = float(du @ (ops.lap @ du))
+        inc_u = math.sqrt(float(du @ (ops.vel_mass @ du)) + grad2)
+        inc_b = ops.norm_d(new.B - state.B)
         if formulation == "BJ":
             dj = new.j - state.j
-            ej2 = float(dj @ (forms.ops.M_c @ dj))
+            ej2 = float(dj @ (ops.M_c @ dj))
         else:
-            dcur = _be_current_at(forms, new) - _be_current_at(forms, state)
-            ej2 = _quad_integral(forms, np.einsum("tqk,tqk->tq", dcur, dcur))
+            prev_cur, cur = cur, current_at(tab, new)
+            ej2 = _quad_l2sq(tab, cur - prev_cur)
         energy = 0.5 * grad2 / params.r_e + 0.5 * params.s * ej2 / params.r_m
         ratio = None
         if n >= 2 and prev_energy is not None and prev_energy > 0.0:
             ratio = energy / prev_energy
         diag = diagnostics(new, params)
-        u_h1 = _h1_velocity(forms, new.u)
-        b_d = forms.ops.norm_d(new.B)
+        u_h1 = _h1_velocity(ops, new.u)
+        b_d = ops.norm_d(new.B)
         records.append({
             "iteration": n,
             "increment_u_h1": inc_u,

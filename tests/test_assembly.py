@@ -33,7 +33,6 @@ def spaces(cube2):
         "p1": dh.build_space(cube2, dh.P1, False, zero_mean=True),
         "ned": dh.build_space(cube2, dh.NEDELEC, True),
         "rt": dh.build_space(cube2, dh.RT, True),
-        "dg": dh.build_space(cube2, dh.DG0, False, zero_mean=True),
     }
 
 
@@ -251,29 +250,6 @@ def test_cross_cross_is_gram_matrix(spaces):
     for _ in range(4):
         v = rng.standard_normal(vel.dof_count)
         assert v @ (a @ v) >= -1e-13
-
-
-def test_curl_pairing_transpose(spaces):
-    ned, rt = spaces["ned"], spaces["rt"]
-    k1 = assemble(FormKind("CurlPairing"), ned, rt)
-    k2 = assemble(FormKind("CurlPairing"), rt, ned)
-    assert np.abs((k1 - k2.T).toarray()).max() == 0.0
-
-
-def test_curl_pairing_equals_mass_times_incidence(spaces, cube2):
-    ned, rt = spaces["ned"], spaces["rt"]
-    k = assemble(FormKind("CurlPairing"), ned, rt)
-    md = assemble(FormKind("Mass"), rt, rt)
-    ref = md @ dh.curl_incidence(cube2)
-    assert np.abs((k - ref).toarray()).max() == 0.0
-
-
-def test_mixed_div_against_incidence(spaces, cube2):
-    rt, dg = spaces["rt"], spaces["dg"]
-    b = assemble(FormKind("MixedDiv"), rt, dg)
-    assert np.abs((b - dh.div_incidence(cube2)).toarray()).max() == 0.0
-    bt = assemble(FormKind("MixedDiv"), dg, rt)
-    assert np.abs((bt - dh.div_incidence(cube2).T).toarray()).max() == 0.0
 
 
 def test_velocity_divergence_row_sums_vanish(spaces):

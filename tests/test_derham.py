@@ -117,7 +117,7 @@ def test_gradient_of_linear_reproduced(cube2):
 
 @pytest.mark.parametrize("kind,bc", [
     (dh.P1, False), (dh.P2, False), (dh.VELOCITY, True),
-    (dh.NEDELEC, False), (dh.RT, False), (dh.DG0, False), (dh.DG1, False),
+    (dh.NEDELEC, False), (dh.RT, False), (dh.DG0, False),
 ])
 def test_interpolation_idempotent(cube2, kind, bc):
     space = dh.build_space(cube2, kind, bc)

@@ -14,7 +14,7 @@ from mhdfem.harness import (ConfigError, _dump_json, _study_csv,
                             exact_errors, load_config, manufactured_case,
                             run_diagnose, run_solve, run_study)
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import estimate_cross_bound
+from mhdfem.operators import DiscreteOps, estimate_cross_bound
 from mhdfem.solvers import zero_state_bj
 
 
@@ -334,6 +334,19 @@ def test_run_study_probes_constants_only_for_be(monkeypatch):
     assert calls == []
     run_study(load_config({**cfg, "formulation": "BE"}))
     assert calls == [5, 5]
+
+
+def test_run_diagnose_builds_discrete_ops_once(monkeypatch):
+    builds = []
+    orig = DiscreteOps.__init__
+
+    def counted(self, mesh):
+        builds.append(mesh)
+        orig(self, mesh)
+
+    monkeypatch.setattr(DiscreteOps, "__init__", counted)
+    run_diagnose(load_config({"mesh": [2, 2, 2], "case": "inspace-1"}))
+    assert len(builds) == 1
 
 
 def test_run_study_aborts_on_nonconvergence():

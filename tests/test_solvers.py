@@ -18,13 +18,14 @@ from mhdfem.derham import (P1, RT, VELOCITY, AnalyticField, build_space,
                            tabulate_p2_gradients, tabulate_rt)
 from mhdfem.linalg import SingularSystemError, solve_direct
 from mhdfem.mesh import build_box_mesh, derive_topology
-from mhdfem.operators import DiagnosticConstants, DiscreteOps, poincare_h01_box
+from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
+                              poincare_h01_box)
 from mhdfem.solvers import (MhdParams, MhdStateBJ,
                             be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state_be, zero_state_bj,
-                            _essential_masks, _fixed_forms, _linear_system,
-                            _load_vector, _step_plan, _step_system)
+                            _essential_masks, _linear_system, _load_vector,
+                            _step_plan, _step_system)
 
 
 def smooth_force(pts):
@@ -199,20 +200,20 @@ def test_zero_state_shapes(mesh2):
 
 
 def test_load_vector_paths(mesh2):
-    forms = _fixed_forms(mesh2)
+    ops = discrete_ops(mesh2)
     rng = np.random.default_rng(3)
-    assert not np.any(_load_vector(forms.vel, None, forms.vel_mass))
-    coeff = rng.standard_normal(forms.vel.dof_count)
-    direct = _load_vector(forms.vel, coeff, forms.vel_mass)
-    assert np.allclose(direct, forms.vel_mass @ coeff, rtol=0, atol=0)
-    by_call = _load_vector(forms.vel, smooth_force, forms.vel_mass)
-    wrapped = _load_vector(forms.vel, AnalyticField(value=smooth_force),
-                           forms.vel_mass)
+    assert not np.any(_load_vector(ops.vel, None, ops.vel_mass))
+    coeff = rng.standard_normal(ops.vel.dof_count)
+    direct = _load_vector(ops.vel, coeff, ops.vel_mass)
+    assert np.allclose(direct, ops.vel_mass @ coeff, rtol=0, atol=0)
+    by_call = _load_vector(ops.vel, smooth_force, ops.vel_mass)
+    wrapped = _load_vector(ops.vel, AnalyticField(value=smooth_force),
+                           ops.vel_mass)
     assert np.array_equal(by_call, wrapped)
-    assert np.allclose(by_call, assemble_load(forms.vel, smooth_force,
+    assert np.allclose(by_call, assemble_load(ops.vel, smooth_force,
                                               RULE_DEG6), rtol=0, atol=0)
     with pytest.raises(ValueError):
-        _load_vector(forms.vel, np.zeros(7), forms.vel_mass)
+        _load_vector(ops.vel, np.zeros(7), ops.vel_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +311,8 @@ def seeded_start(mesh, formulation):
 
 def direct_step_fields(prev, params, formulation):
     """The step's own reduced system solved by one LU of the whole matrix."""
-    forms = _fixed_forms(prev.mesh)
-    plan, a, b = _step_system(forms, formulation, prev, params)
+    plan, a, b = _step_system(discrete_ops(prev.mesh), formulation, prev,
+                              params)
     x = solve_direct(a, b)
     out, off = {}, 0
     for name, dim, free in plan.unknowns:
@@ -321,53 +322,42 @@ def direct_step_fields(prev, params, formulation):
     return out, x
 
 
-def assembled_step_system(forms, prev, params, formulation):
+def assembled_step_system(ops, prev, params, formulation):
     """A step's reduced system built from assemble() blocks, reduced by
     apply_essential_bc and merged by BlockSystem.assemble."""
-    vel, ned, s, rm = forms.vel, forms.ops.space_c, params.s, params.r_m
+    vel, ned, s, rm = ops.vel, ops.space_c, params.s, params.r_m
     conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
     cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
-    ops = forms.ops
-    loads = {"f": assemble_load(vel, params.f, RULE_DEG6),
-             "l": assemble_load(ned, params.l, RULE_DEG6),
-             "g": ops.M_c @ params.g, "h": ops.M_d @ params.h,
-             "m": np.zeros(forms.pres.dof_count),
-             "z": np.zeros(forms.mult.dof_count)}
-    system = _linear_system(forms, formulation, params)
+    system = _linear_system(ops, formulation, params)
     if formulation == "BE":
         cross2 = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, vel)
         system.add_block("u", "u", conv + s * cross2)
         system.add_block("u", "E", s * cross.T)
         system.add_block("E", "u", s * cross)
-        slots = (("u", "f"), ("E", "l"), ("B", "h"), ("p", "m"), ("r", "z"))
     else:
         system.add_block("u", "u", conv)
         system.add_block("u", "j", s * cross.T)
         system.add_block("sigma", "u", -(s / rm) * cross)
-        slots = (("u", "f"), ("j", "l"), ("sigma", "g"), ("B", "h"),
-                 ("p", "m"), ("r", "z"))
-    for name, slot in slots:
-        system.set_rhs(name, loads[slot])
+    system.set_rhs("u", assemble_load(vel, params.f, RULE_DEG6))
+    system.set_rhs("B", ops.M_d @ params.h)
     return apply_essential_bc(system,
-                              _essential_masks(forms, formulation)).assemble()
+                              _essential_masks(ops, formulation)).assemble()
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_scattered_step_matches_assembled_blocks(formulation, n):
     mesh = build_box_mesh(n, n, n)
-    forms = _fixed_forms(mesh)
+    ops = discrete_ops(mesh)
     rng = np.random.default_rng(n)
-    nc = forms.ops.space_c.dof_count
     params = MhdParams(r_e=0.7, r_m=1.9, s=2.3, f=smooth_force,
-                       l=lambda p: np.cos(p), g=rng.standard_normal(nc),
-                       h=rng.standard_normal(forms.ops.space_d.dof_count))
+                       h=rng.standard_normal(ops.space_d.dof_count))
     prev = STEPS[formulation][0](mesh)
     for _ in range(2):
         prev.u = rng.standard_normal(prev.u.size)
         prev.B = rng.standard_normal(prev.B.size)
-        _, a, b = _step_system(forms, formulation, prev, params)
-        want_a, want_b = assembled_step_system(forms, prev, params, formulation)
+        _, a, b = _step_system(ops, formulation, prev, params)
+        want_a, want_b = assembled_step_system(ops, prev, params, formulation)
         assert a.shape == want_a.shape
         assert np.abs((a - want_a).toarray()).max() \
             <= 1e-14 * np.abs(want_a.data).max()
@@ -403,6 +393,20 @@ def test_later_steps_assemble_nothing_and_load_nothing(params, formulation,
     diagnostics(second, params)
     assert finalized == [] and loaded == []
     assert second.linear_solve["fallback"] is False
+
+
+def test_be_current_evaluated_once_per_iterate(mesh2, params, monkeypatch):
+    calls = []
+    orig = mhdfem.solvers.current_at
+
+    def counted(tab, state):
+        calls.append(state)
+        return orig(tab, state)
+
+    monkeypatch.setattr(mhdfem.solvers, "current_at", counted)
+    _, report = solve_nonlinear("BE", params, seeded_start(mesh2, "BE"))
+    # the start once, then every iterate in the loop and in diagnostics
+    assert len(calls) == 1 + 2 * report.n_iterations
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -457,18 +461,19 @@ def test_step_is_bitwise_deterministic(params, formulation):
 
 
 def test_block_factors_cached_per_mesh_and_params(mesh2, params):
-    forms = _fixed_forms(mesh2)
-    first = _step_plan(forms, "BJ", params)
-    assert _step_plan(forms, "BJ", params) is first
+    ops = discrete_ops(mesh2)
+    assert discrete_ops(mesh2) is ops
+    first = _step_plan(ops, "BJ", params)
+    assert _step_plan(ops, "BJ", params) is first
     assert first.factors is not None
     other = MhdParams(r_e=2.0, r_m=1.0, s=1.0, f=smooth_force)
-    assert _step_plan(forms, "BJ", other) is not first
+    assert _step_plan(ops, "BJ", other) is not first
 
 
 def test_block_factors_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
     solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
-    ref = weakref.ref(_step_plan(_fixed_forms(mesh_a), "BJ", params).factors)
+    ref = weakref.ref(_step_plan(discrete_ops(mesh_a), "BJ", params).factors)
     assert ref() is not None
     solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
                     max_iter=1)
@@ -480,9 +485,9 @@ def test_block_factors_release_dropped_meshes(params):
 def test_step_plan_releases_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
     solve_nonlinear("BE", params, zero_state_be(mesh_a), max_iter=2)
-    forms = _fixed_forms(mesh_a)
-    refs = [weakref.ref(forms.plans["BE"]), weakref.ref(forms.tabs[RULE_DEG6])]
-    del forms
+    ops = discrete_ops(mesh_a)
+    refs = [weakref.ref(ops.plans["BE"]), weakref.ref(ops.tab(RULE_DEG6))]
+    del ops
     solve_nonlinear("BE", params, zero_state_be(build_box_mesh(2, 2, 2)),
                     max_iter=1)
     del mesh_a
@@ -563,7 +568,12 @@ def test_elimination_identities(mesh2, ops2, params, solved_bj):
         return np.cross(point_eval(vel, state.u, pts),
                         point_eval(rt, state.B_prev, pts))
 
-    sig_pred = ops2.l2_project_curl(cross_field)
+    # L2 projection of u x B_prev onto the constrained edge space
+    free = ops2.space_c.free_index
+    sig_pred = np.zeros(ops2.space_c.dof_count)
+    sig_pred[free] = np.linalg.solve(
+        ops2.M_c[free][:, free].toarray(),
+        assemble_load(ops2.space_c, cross_field, RULE_DEG6)[free])
     assert ops2.norm_c(state.sigma - sig_pred) \
         <= 1e-10 * max(ops2.norm_c(sig_pred), 1e-30)
 
@@ -671,12 +681,14 @@ def test_zero_data_converges_immediately(mesh2):
 def test_fixed_forms_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
     solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
+    ops_ref = weakref.ref(discrete_ops(mesh_a))
     solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
                     max_iter=1)
     ref = weakref.ref(mesh_a)
     del mesh_a
     gc.collect()
     assert ref() is None
+    assert ops_ref() is None
 
 
 def test_report_structure(solved_bj):
