@@ -9,7 +9,9 @@ structural statements (skew-symmetry, adjointness, incidence identities)
 into machine-precision matrix facts rather than approximations.
 
 Matrix layout convention: assemble(form, trial, test) returns the matrix
-M[i, j] = form(trial_j, test_i), i.e. rows run over test DOFs.
+M[i, j] = form(trial_j, test_i), i.e. rows run over test DOFs.  The forms
+that carry an iterate (convection, cross couplings) are element kernels,
+whose element arrays the Picard steps scatter into their own pattern.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .derham import (
     tabulate_p2_gradients,
     tabulate_rt,
 )
-from .linalg import AssemblyError, BlockSystem, SparseMatrix, finalize_assembly
+from .linalg import AssemblyError, SparseMatrix, finalize_assembly
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -128,19 +130,14 @@ def _bary(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forms
 
-_TAGS = ("VectorLaplacian", "Mass", "MixedDiv", "Convection", "CrossCoupling")
+_TAGS = ("VectorLaplacian", "Mass", "MixedDiv")
 
 
 @dataclass(frozen=True, eq=False)
 class FormKind:
-    """Weak-form tag plus the coefficient field it closes over.
-
-    coeff holds velocity coefficients for Convection and face-element
-    (magnetic) coefficients for CrossCoupling; unused otherwise.
-    """
+    """Tag of a constant-coefficient weak form."""
 
     tag: str
-    coeff: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -253,7 +250,7 @@ class Tabulation:
 
 # ---------------------------------------------------------------------------
 # element kernels of the iterate-dependent forms: batched matrix products
-# against a Tabulation, shared by assemble() and the Picard steps
+# against a Tabulation, scattered by the Picard steps
 
 
 def convection_elements(tab: Tabulation, w) -> np.ndarray:
@@ -283,11 +280,10 @@ def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
     return np.matmul(wcc.reshape(t * 9, q), pp).reshape(t, 3, 3, 10, 10)
 
 
-# name -> (kernel, rule integrating it exactly); a single cross product
-# is degree 4, convection and the double cross product degree 6
-ELEMENT_KERNELS = {"convection": (convection_elements, RULE_DEG6),
-                   "cross": (cross_elements, RULE_DEG4),
-                   "cross_cross": (cross_cross_elements, RULE_DEG6)}
+# kernel name -> rule integrating <name>_elements exactly; a single cross
+# product is degree 4, convection and the double cross product degree 6
+KERNEL_RULES = {"convection": RULE_DEG6, "cross": RULE_DEG4,
+                "cross_cross": RULE_DEG6}
 
 
 def element_dofs(mesh, kernel: str) -> tuple:
@@ -299,16 +295,6 @@ def element_dofs(mesh, kernel: str) -> tuple:
     if kernel == "cross_cross":
         return vd[:, :, None, :, None], vd[:, None, :, None, :]
     return mesh.tet_edges[:, None, None, :], vd[:, :, :, None]
-
-
-def _assemble_elements(kernel: str, coeff, trial: FeSpace, test: FeSpace,
-                       transpose: bool = False) -> SparseMatrix:
-    func, rule = ELEMENT_KERNELS[kernel]
-    rows, cols = element_dofs(trial.mesh, kernel)
-    if transpose:
-        rows, cols = cols, rows
-    return _finalize_elements(rows, cols, func(Tabulation(trial.mesh, rule),
-                                                coeff), trial, test)
 
 
 def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
@@ -339,20 +325,6 @@ def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
     if tag == "MixedDiv":
         _check_pair(form, trial, test, [("velocity", "P1")])
         return _div_velocity_p1(trial, test)
-
-    if tag in ("Convection", "CrossCoupling"):
-        kind = _check_pair(form, trial, test, [
-            ("velocity", "velocity"), ("velocity", "edge"), ("edge", "velocity")]
-            if tag == "CrossCoupling" else [("velocity", "velocity")])
-        if form.coeff is None:
-            field = "velocity" if tag == "Convection" else "face-element"
-            raise AssemblyError(f"{tag} needs a {field} coefficient field")
-        if tag == "Convection":
-            return _assemble_elements("convection", form.coeff, trial, test)
-        if kind == "velocity-velocity":
-            return _assemble_elements("cross_cross", form.coeff, trial, test)
-        return _assemble_elements("cross", form.coeff, trial, test,
-                                  transpose=kind == "edge-velocity")
 
     raise AssemblyError(f"unknown form tag {tag!r}")
 
@@ -423,33 +395,3 @@ def assemble_load(space: FeSpace, field, rule: QuadratureRule = RULE_DEG6) -> np
     else:
         raise AssemblyError(f"cannot build a load vector for {tag!r}")
     return np.bincount(gd.ravel(), elem.ravel(), minlength=space.dof_count)
-
-
-def apply_essential_bc(system: BlockSystem, masks: dict) -> BlockSystem:
-    """Restrict a block system to free DOFs (homogeneous essential BCs).
-
-    masks maps space names to boolean constrained-DOF masks; spaces without
-    a mask keep all DOFs.  Rows and columns are deleted symmetrically; with
-    homogeneous data the RHS needs no lift.
-    """
-    free = {}
-    reduced_spaces = []
-    for name, dim in system.spaces:
-        mask = masks.get(name)
-        if mask is None:
-            idx = np.arange(dim)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.size != dim:
-                raise AssemblyError(
-                    f"mask for {name!r} has length {mask.size}, expected {dim}")
-            idx = np.flatnonzero(~mask)
-        free[name] = idx
-        reduced_spaces.append((name, idx.size))
-
-    out = BlockSystem(reduced_spaces)
-    for rname, cname, mat in system._blocks:
-        out.add_block(rname, cname, mat[free[rname]][:, free[cname]])
-    for name, vec in system._rhs.items():
-        out.set_rhs(name, vec[free[name]])
-    return out

@@ -7,7 +7,6 @@ capability limit), 2 configuration error.
 import argparse
 import contextlib
 import ctypes
-import json
 import os
 import sys
 

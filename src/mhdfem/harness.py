@@ -31,8 +31,7 @@ from .operators import (POINCARE_DOF_LIMIT, DiagnosticConstants,
                         estimate_poincare_constant,
                         sobolev_embedding_constant)
 from .solvers import (MhdParams, check_small_data_conditions, current_at,
-                      diagnostics, solve_nonlinear, zero_state_be,
-                      zero_state_bj)
+                      diagnostics, solve_nonlinear, zero_state)
 
 
 class ConfigError(Exception):
@@ -496,7 +495,7 @@ def _problem(config: RunConfig, mesh):
 
 
 def _initial_state(mesh, formulation, case):
-    state = zero_state_be(mesh) if formulation == "BE" else zero_state_bj(mesh)
+    state = zero_state(mesh, formulation)
     if case is not None:
         state.B = case.initial_flux(mesh)
         state.B_prev = state.B.copy()

@@ -1,4 +1,4 @@
-"""Sparse storage, block saddle-point systems, and deterministic solves.
+"""Sparse storage, deterministic assembly, and deterministic solves.
 
 Assembly produces triplet streams whose arrival order must not influence the
 result, so duplicates are summed in fully sorted order (row, column, value);
@@ -14,7 +14,7 @@ solve as the fallback.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,78 +70,6 @@ def finalize_assembly(rows, cols, vals, shape) -> SparseMatrix:
     np.add.at(indptr, r[starts] + 1, 1)
     np.cumsum(indptr, out=indptr)
     return sp.csr_matrix((data, indices, indptr), shape=(nr, nc))
-
-
-@dataclass
-class BlockSystem:
-    """Square block system over a fixed ordered list of unknown segments.
-
-    Blocks are registered by (row space, col space) name and merged into one
-    global matrix by finalize_assembly, so registration order does not
-    affect the result.
-    """
-
-    spaces: list[tuple[str, int]]
-    _blocks: list = field(default_factory=list)
-    _rhs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        names = [n for n, _ in self.spaces]
-        if len(set(names)) != len(names):
-            raise AssemblyError("duplicate space name in block system")
-        self.offsets = {}
-        off = 0
-        for name, dim in self.spaces:
-            if dim < 0:
-                raise AssemblyError(f"negative dimension for space {name!r}")
-            self.offsets[name] = off
-            off += dim
-        self.size = off
-        self._dims = dict(self.spaces)
-
-    def add_block(self, row: str, col: str, mat) -> None:
-        if row not in self._dims or col not in self._dims:
-            raise AssemblyError(f"unknown space in block ({row!r}, {col!r})")
-        mat = sp.csr_matrix(mat)
-        want = (self._dims[row], self._dims[col])
-        if mat.shape != want:
-            raise AssemblyError(
-                f"block ({row!r}, {col!r}) has shape {mat.shape}, expected {want}")
-        self._blocks.append((row, col, mat))
-
-    def set_rhs(self, name: str, vec) -> None:
-        vec = np.asarray(vec, dtype=np.float64).ravel()
-        if name not in self._dims:
-            raise AssemblyError(f"unknown space {name!r}")
-        if vec.size != self._dims[name]:
-            raise AssemblyError(
-                f"rhs for {name!r} has length {vec.size}, expected {self._dims[name]}")
-        self._rhs[name] = vec
-
-    def assemble(self) -> tuple[SparseMatrix, np.ndarray]:
-        rows, cols, vals = [], [], []
-        for rname, cname, mat in self._blocks:
-            coo = mat.tocoo()
-            rows.append(coo.row.astype(np.int64) + self.offsets[rname])
-            cols.append(coo.col.astype(np.int64) + self.offsets[cname])
-            vals.append(coo.data)
-        if rows:
-            a = finalize_assembly(np.concatenate(rows), np.concatenate(cols),
-                                  np.concatenate(vals), (self.size, self.size))
-        else:
-            a = sp.csr_matrix((self.size, self.size))
-        b = np.zeros(self.size)
-        for name, vec in self._rhs.items():
-            off = self.offsets[name]
-            b[off:off + vec.size] = vec
-        return a, b
-
-    def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        x = np.asarray(x).ravel()
-        if x.size != self.size:
-            raise AssemblyError(f"vector length {x.size}, system size {self.size}")
-        return {name: x[self.offsets[name]:self.offsets[name] + dim]
-                for name, dim in self.spaces}
 
 
 _RESIDUAL_REL = 1e-10

@@ -7,15 +7,18 @@ constraints on p and r are enforced by explicit scalar multipliers, so
 every step system is square once the essential boundary conditions are
 eliminated symmetrically.
 
-Only the convection and cross-coupling blocks depend on the iterate.  The
-rest, a Stokes block over (u, p) and a Maxwell block over the
-electromagnetic unknowns, is reduced and both blocks are factored once per
-mesh and parameter set, in a step plan that also maps every entry of the
-iterate blocks' element arrays to its place in one fixed reduced CSR
-pattern.  A step computes those element arrays, scatters them onto the
-fixed values with one bincount, and solves by GMRES preconditioned with
-the factored blocks (linalg.solve_preconditioned), falling back to a
-direct factorization of the whole step when GMRES stalls.
+Each step is written once, as a block table (_FORMULATIONS): the
+unknowns with their spaces, every block as (row, col, operator,
+transposed, coefficient), and the load feeding each row.  Only the
+convection and cross-coupling blocks, whose operators are element
+kernels, depend on the iterate.  Once per mesh and parameter set a step
+plan maps every entry of every block, fixed matrix or element array, to
+its place in one reduced CSR pattern, and factors the Stokes block over
+(u, p) and the Maxwell block over the other unknowns of the fixed part.
+A step computes the element arrays, scatters them onto the fixed values
+with one bincount, and solves by GMRES preconditioned with the factored
+blocks (linalg.solve_preconditioned), falling back to a direct
+factorization of the whole step when GMRES stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -33,12 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (ELEMENT_KERNELS, RULE_DEG4, RULE_DEG6, Tabulation,
-                       apply_essential_bc, assemble_load, element_dofs)
+from . import assembly
+from .assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
+                       assemble_load, element_dofs)
 from .derham import AnalyticField, FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
-from .linalg import (BlockFactors, BlockSystem, SingularSystemError,  # noqa: F401
+from .linalg import (BlockFactors, SingularSystemError,  # noqa: F401
                      factor_blocks, solve_direct, solve_preconditioned)
 from .mesh import Mesh
 from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
@@ -75,53 +79,46 @@ class MhdParams:
 
 
 @dataclass(eq=False)
-class MhdStateBE:
-    """Electric-field iterate (u, E, B, p, r).
+class MhdState:
+    """One Picard iterate of either formulation.
 
-    B_prev is the magnetic field the step was linearized around; the
-    current density of this iterate is the L2 function E + u x B_prev.
-    linear_solve is the record of the linear solve that produced the
-    iterate (see PicardReport), None for a state no step produced.
+    formulation is "BE" for an electric-field iterate (u, E, B, p, r) or
+    "BJ" for a current-based one (u, j, sigma, B, p, r); the fields of the
+    other formulation are None.  B_prev is the magnetic field the step was
+    linearized around; the current density of an electric-field iterate is
+    the L2 function E + u x B_prev.  linear_solve is the record of the
+    linear solve that produced the iterate (see PicardReport), None for a
+    state no step produced.
     """
 
+    formulation: str
     mesh: Mesh
     u: np.ndarray
-    E: np.ndarray
     B: np.ndarray
     p: np.ndarray
     r: np.ndarray
     B_prev: np.ndarray
+    E: np.ndarray | None = None
+    j: np.ndarray | None = None
+    sigma: np.ndarray | None = None
     linear_solve: dict | None = None
 
 
-@dataclass(eq=False)
-class MhdStateBJ:
-    """Current-based iterate (u, j, sigma, B, p, r); B_prev and
-    linear_solve as in MhdStateBE."""
-
-    mesh: Mesh
-    u: np.ndarray
-    j: np.ndarray
-    sigma: np.ndarray
-    B: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    B_prev: np.ndarray
-    linear_solve: dict | None = None
+def zero_state(mesh: Mesh, formulation: str) -> MhdState:
+    """The zero iterate of one formulation on mesh."""
+    ops = discrete_ops(mesh)
+    fields = {name: np.zeros(getattr(ops, space).dof_count)
+              for name, space in _FORMULATIONS[formulation].unknowns if space}
+    return MhdState(formulation, mesh, B_prev=np.zeros(ops.space_d.dof_count),
+                    **fields)
 
 
-def zero_state_be(mesh: Mesh) -> MhdStateBE:
-    nv, ne, nf = mesh.num_vertices, mesh.num_edges, mesh.num_faces
-    return MhdStateBE(mesh=mesh, u=np.zeros(3 * (nv + ne)), E=np.zeros(ne),
-                      B=np.zeros(nf), p=np.zeros(nv),
-                      r=np.zeros(mesh.num_tets), B_prev=np.zeros(nf))
+def zero_state_be(mesh: Mesh) -> MhdState:
+    return zero_state(mesh, "BE")
 
 
-def zero_state_bj(mesh: Mesh) -> MhdStateBJ:
-    nv, ne, nf = mesh.num_vertices, mesh.num_edges, mesh.num_faces
-    return MhdStateBJ(mesh=mesh, u=np.zeros(3 * (nv + ne)), j=np.zeros(ne),
-                      sigma=np.zeros(ne), B=np.zeros(nf), p=np.zeros(nv),
-                      r=np.zeros(mesh.num_tets), B_prev=np.zeros(nf))
+def zero_state_bj(mesh: Mesh) -> MhdState:
+    return zero_state(mesh, "BJ")
 
 
 @dataclass
@@ -212,67 +209,71 @@ def _h1_velocity(ops: DiscreteOps, v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# linearized systems
+# the two formulations as data
 
-# p, r and the scalar mean multipliers carry no essential condition
-_SPACE_OF = {"u": "vel", "E": "edge", "j": "edge", "sigma": "edge", "B": "face"}
-_UNKNOWNS = {"BE": ("u", "E", "B", "p", "r", "mp", "mr"),
-             "BJ": ("u", "j", "sigma", "B", "p", "r", "mp", "mr")}
-# the Stokes block; every other unknown belongs to the Maxwell block
+
+@dataclass(frozen=True)
+class _Formulation:
+    """One linearized Picard step, written as data.
+
+    unknowns: (name, DiscreteOps space) in system order; the spaces of u,
+    the electromagnetic fields and B carry their essential condition, so
+    those unknowns lose their boundary DOFs, and the scalar mean
+    multipliers mp and mr have no space (None).  blocks: (row, col,
+    operator, transposed, coefficient(r_e, r_m, s)), the fixed blocks
+    first.  The operator is a fixed matrix of the context, a vector being
+    one column, or the name of an assembly element kernel, whose blocks
+    depend on the iterate.  loads: the load slot feeding each row; every
+    other row gets zero.
+    """
+
+    unknowns: tuple
+    blocks: tuple
+    loads: dict
+
+
+# shared by both formulations: the Stokes block over (u, p, mp), factored
+# apart from the rest, and the multipliers p, r, mp, mr of the constraints
 _STOKES = ("u", "p", "mp")
-
-
-def _essential_masks(ops: DiscreteOps, formulation: str) -> dict:
-    spaces = {"vel": ops.vel, "edge": ops.space_c, "face": ops.space_d}
-    return {n: spaces[_SPACE_OF[n]].boundary_dof
-            for n in _UNKNOWNS[formulation] if n in _SPACE_OF}
-
-
-def _linear_system(ops: DiscreteOps, formulation: str,
-                   params: MhdParams) -> BlockSystem:
-    """The data-independent part of a step: Stokes (+) Maxwell, uncoupled."""
-    re, rm, s = params.r_e, params.r_m, params.s
-    dims = {"u": ops.vel.dof_count, "E": ops.space_c.dof_count,
-            "j": ops.space_c.dof_count, "sigma": ops.space_c.dof_count,
-            "B": ops.space_d.dof_count, "p": ops.pres.dof_count,
-            "r": ops.mult.dof_count, "mp": 1, "mr": 1}
-    system = BlockSystem([(n, dims[n]) for n in _UNKNOWNS[formulation]])
-    system.add_block("u", "u", (1.0 / re) * ops.lap)
-    system.add_block("u", "p", -ops.bdiv.T)
-    system.add_block("p", "u", -ops.bdiv)
-    if formulation == "BE":
-        system.add_block("E", "E", s * ops.M_c)
-        system.add_block("E", "B", -(s / rm) * ops.K_cd.T)
-        system.add_block("B", "E", (s / rm) * ops.K_cd)
-    else:
-        system.add_block("j", "j", s * ops.M_c)
-        system.add_block("j", "B", -(s / rm) * ops.K_cd.T)
-        system.add_block("sigma", "sigma", (s / rm) * ops.M_c)
-        system.add_block("B", "j", (s / rm) * ops.K_cd)
-        system.add_block("B", "sigma", -(s / rm) * ops.K_cd)
-    system.add_block("B", "r", ops.div.T)
-    system.add_block("r", "B", ops.div)
-    vols = ops.mesh.volumes
-    system.add_block("p", "mp", ops.mean_p[:, None])
-    system.add_block("mp", "p", ops.mean_p[None, :])
-    system.add_block("r", "mr", vols[:, None])
-    system.add_block("mr", "r", vols[None, :])
-    return system
-
-
-# iterate-dependent blocks: (row unknown, col unknown, element kernel,
-# transposed, coefficient as a function of (r_m, s))
-_ITERATE = {
-    "BE": (("u", "u", "convection", False, lambda rm, s: 1.0),
-           ("u", "u", "cross_cross", False, lambda rm, s: s),
-           ("u", "E", "cross", True, lambda rm, s: s),
-           ("E", "u", "cross", False, lambda rm, s: s)),
-    "BJ": (("u", "u", "convection", False, lambda rm, s: 1.0),
-           ("u", "j", "cross", True, lambda rm, s: s),
-           ("sigma", "u", "cross", False, lambda rm, s: -s / rm)),
+_STOKES_BLOCKS = (("u", "u", "lap", False, lambda re, rm, s: 1.0 / re),
+                  ("u", "p", "bdiv", True, lambda re, rm, s: -1.0),
+                  ("p", "u", "bdiv", False, lambda re, rm, s: -1.0))
+_MULTIPLIER_BLOCKS = (("B", "r", "div", True, lambda re, rm, s: 1.0),
+                      ("r", "B", "div", False, lambda re, rm, s: 1.0),
+                      ("p", "mp", "mean_p", False, lambda re, rm, s: 1.0),
+                      ("mp", "p", "mean_p", True, lambda re, rm, s: 1.0),
+                      ("r", "mr", "volumes", False, lambda re, rm, s: 1.0),
+                      ("mr", "r", "volumes", True, lambda re, rm, s: 1.0))
+_MULTIPLIERS = (("p", "pres"), ("r", "mult"), ("mp", None), ("mr", None))
+_FORMULATIONS = {
+    "BE": _Formulation(
+        unknowns=(("u", "vel"), ("E", "space_c"), ("B", "space_d"))
+        + _MULTIPLIERS,
+        blocks=_STOKES_BLOCKS + (
+            ("E", "E", "M_c", False, lambda re, rm, s: s),
+            ("E", "B", "K_cd", True, lambda re, rm, s: -(s / rm)),
+            ("B", "E", "K_cd", False, lambda re, rm, s: s / rm),
+        ) + _MULTIPLIER_BLOCKS + (
+            ("u", "u", "convection", False, lambda re, rm, s: 1.0),
+            ("u", "u", "cross_cross", False, lambda re, rm, s: s),
+            ("u", "E", "cross", True, lambda re, rm, s: s),
+            ("E", "u", "cross", False, lambda re, rm, s: s)),
+        loads={"u": "f", "B": "h"}),
+    "BJ": _Formulation(
+        unknowns=(("u", "vel"), ("j", "space_c"), ("sigma", "space_c"),
+                  ("B", "space_d")) + _MULTIPLIERS,
+        blocks=_STOKES_BLOCKS + (
+            ("j", "j", "M_c", False, lambda re, rm, s: s),
+            ("j", "B", "K_cd", True, lambda re, rm, s: -(s / rm)),
+            ("sigma", "sigma", "M_c", False, lambda re, rm, s: s / rm),
+            ("B", "j", "K_cd", False, lambda re, rm, s: s / rm),
+            ("B", "sigma", "K_cd", False, lambda re, rm, s: -(s / rm)),
+        ) + _MULTIPLIER_BLOCKS + (
+            ("u", "u", "convection", False, lambda re, rm, s: 1.0),
+            ("u", "j", "cross", True, lambda re, rm, s: s),
+            ("sigma", "u", "cross", False, lambda re, rm, s: -s / rm)),
+        loads={"u": "f", "B": "h"}),
 }
-# load slot feeding each unknown's rows; every other row gets zero
-_RHS_SLOT = {"u": "f", "B": "h"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,12 +281,13 @@ class _StepPlan:
     """What every Picard step of one (formulation, r_e, r_m, s) reuses.
 
     unknowns: (name, full length, free indices) in system order.  pattern:
-    the reduced step matrix's CSR pattern (zero values), the union of the
-    linear system and every _ITERATE block.  slots: the pattern position of
-    each entry of fixed (the linear system's values), then of each
-    _ITERATE block's element array; nnz, a dump slot, for entries in
-    constrained rows or columns.  factors: the factored Stokes and Maxwell blocks, None
-    when one is singular.  rhs: [params, reduced right-hand side].
+    the reduced step matrix's CSR pattern (zero values), the union of every
+    block's entries.  fixed: the values of the fixed blocks' entries in
+    free rows and columns.  slots: the pattern position of each of those
+    entries, then of each entry of every iterate block's element array;
+    nnz, a dump slot, for entries in constrained rows or columns.  factors:
+    the factored Stokes and Maxwell blocks of the fixed matrix, None when
+    one is singular.  rhs: [params, reduced right-hand side].
     """
 
     key: tuple
@@ -297,6 +299,20 @@ class _StepPlan:
     rhs: list = field(default_factory=list)
 
 
+def _fixed_matrix(pattern: sp.csr_matrix, fixed: np.ndarray,
+                  slots: np.ndarray) -> sp.csr_matrix:
+    """The fixed part of the scatter: the fixed values on their own
+    entries of pattern, stored zeros included."""
+    at = slots[:fixed.size]
+    keep = np.zeros(pattern.nnz, dtype=bool)
+    keep[at] = True
+    data = np.zeros(pattern.nnz)
+    data[at] = fixed
+    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr]
+    return sp.csr_matrix((data[keep], pattern.indices[keep], indptr),
+                         shape=pattern.shape)
+
+
 def _step_plan(ops: DiscreteOps, formulation: str,
                params: MhdParams) -> _StepPlan:
     """The step plan, cached on the mesh's context, one per formulation."""
@@ -304,77 +320,89 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     plan = ops.plans.get(formulation)
     if plan is not None and plan.key == key:
         return plan
-    system = _linear_system(ops, formulation, params)
-    masks = _essential_masks(ops, formulation)
-    reduced = apply_essential_bc(system, masks)
-    fixed, _ = reduced.assemble()
-    index = reduced.split(np.arange(reduced.size))
-    n, spaces = reduced.size, system.spaces
-    del system, reduced  # block copies of what fixed holds
+    form = _FORMULATIONS[formulation]
 
     # full DOF of each unknown -> reduced unknown, -1 where constrained
-    unknowns, to_reduced = [], {}
-    for name, dim in spaces:
-        free = (np.flatnonzero(~masks[name]) if name in masks
-                else np.arange(dim))
+    unknowns, to_reduced, n = [], {}, 0
+    for name, space in form.unknowns:
+        fe = getattr(ops, space) if space else None
+        dim = fe.dof_count if fe else 1
+        free = fe.free_index if fe else np.arange(1)
         unknowns.append((name, dim, free))
         to_reduced[name] = np.full(dim, -1, dtype=np.int64)
-        to_reduced[name][free] = index[name]
-    # reduced row * n + col of every entry, -1 where constrained
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(fixed.indptr))
-    keys = [rows * n + fixed.indices]
-    for rname, cname, kernel, transposed, _ in _ITERATE[formulation]:
-        r, c = element_dofs(ops.mesh, kernel)
+        to_reduced[name][free] = n + np.arange(free.size)
+        n += free.size
+    # reduced row * n + col of every entry, -1 where constrained: the fixed
+    # blocks' entries in free rows and columns, then each element array
+    keys, fixed = [], []
+    for rname, cname, op, transposed, coef in form.blocks:
+        if op in KERNEL_RULES:
+            r, c = element_dofs(ops.mesh, op)
+        else:
+            mat = ops.mesh.volumes if op == "volumes" else getattr(ops, op)
+            coo = sp.coo_matrix(mat[:, None] if mat.ndim == 1 else mat)
+            r, c = coo.row, coo.col
         if transposed:
             r, c = c, r
         r, c = np.broadcast_arrays(to_reduced[rname][r], to_reduced[cname][c])
-        keys.append(np.where((r >= 0) & (c >= 0), r * n + c, -1).ravel())
+        k = np.where((r >= 0) & (c >= 0), r * n + c, -1).ravel()
+        if op not in KERNEL_RULES:
+            fixed.append(coef(*key) * coo.data[k >= 0])
+            k = k[k >= 0]
+        keys.append(k)
     keys = np.concatenate(keys)
     used = np.unique(keys[keys >= 0])
     slots = np.searchsorted(used, keys)
     slots[keys < 0] = used.size
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(used // n, minlength=n), out=indptr[1:])
+    pattern = sp.csr_matrix((np.zeros(used.size), used % n, indptr),
+                            shape=(n, n))
+    fixed = np.concatenate(fixed)
     # the map's temporaries are freed before the blocks are factored, so
     # the factorization reuses their memory and peak memory stays lower
-    del keys
+    del keys, used, k
+    stokes = np.concatenate([to_reduced[u][free] for u, _, free in unknowns
+                             if u in _STOKES])
     try:
-        factors = factor_blocks(
-            fixed, np.concatenate([index[u] for u in _STOKES]))
+        factors = factor_blocks(_fixed_matrix(pattern, fixed, slots), stokes)
     except SingularSystemError:
         factors = None
     plan = ops.plans[formulation] = _StepPlan(
-        key=key, unknowns=unknowns, fixed=fixed.data, slots=slots,
-        pattern=sp.csr_matrix((np.zeros(used.size), used % n, indptr),
-                              shape=(n, n)),
-        factors=factors)
+        key=key, unknowns=unknowns, pattern=pattern, fixed=fixed,
+        slots=slots, factors=factors)
     return plan
 
 
-def _step_system(ops: DiscreteOps, formulation: str, prev,
+def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
                  params: MhdParams) -> tuple:
     """(plan, reduced matrix, reduced right-hand side) of one Picard step.
 
-    The element arrays of the iterate-dependent blocks are scattered with
-    one bincount onto the fixed values; it sums in a fixed order, so the
+    The element arrays of the iterate blocks are scattered with one
+    bincount onto the fixed values; it sums in a fixed order, so the
     matrix is a deterministic function of (prev, params).
     """
     # loads first: their temporaries then fit in memory the factorization
     # of a new plan reuses
     loads = _loads(ops, params)
     plan = _step_plan(ops, formulation, params)
+    form = _FORMULATIONS[formulation]
     # weights in slots order: the fixed values, then each block's elements
     weights = np.empty(plan.slots.size)
     off = plan.fixed.size
     weights[:off] = plan.fixed
     elems = {}
-    for _, _, kernel, _, coef in _ITERATE[formulation]:
+    for _, _, kernel, _, coef in form.blocks:
+        if kernel not in KERNEL_RULES:
+            continue
         if kernel not in elems:
-            func, rule = ELEMENT_KERNELS[kernel]
-            elems[kernel] = func(ops.tab(rule), prev.u
+            # looked up when called, so a rebinding of the module's kernel
+            # (a profiler's, say) takes effect
+            func = getattr(assembly, f"{kernel}_elements")
+            elems[kernel] = func(ops.tab(KERNEL_RULES[kernel]), prev.u
                                  if kernel == "convection" else prev.B)
         elem = elems[kernel]
-        np.multiply(coef(params.r_m, params.s), elem,
+        np.multiply(coef(*plan.key), elem,
                     out=weights[off:off + elem.size].reshape(elem.shape))
         off += elem.size
     nnz = plan.pattern.nnz
@@ -383,7 +411,7 @@ def _step_system(ops: DiscreteOps, formulation: str, prev,
                       shape=plan.pattern.shape)
     if not plan.rhs or plan.rhs[0] is not params:
         plan.rhs[:] = [params, np.concatenate([
-            loads[_RHS_SLOT[name]][free] if name in _RHS_SLOT
+            loads[form.loads[name]][free] if name in form.loads
             else np.zeros(free.size) for name, _, free in plan.unknowns])]
     return plan, a, plan.rhs[1]
 
@@ -401,7 +429,9 @@ _SINGULAR_STEP = {
 }
 
 
-def _picard_step(prev, params: MhdParams, formulation: str) -> tuple:
+def _picard_step(prev: MhdState, params: MhdParams,
+                 formulation: str) -> MhdState:
+    """One step of formulation linearized around (prev.u, prev.B)."""
     plan, a, b = _step_system(discrete_ops(prev.mesh), formulation, prev,
                               params)
     try:
@@ -415,23 +445,20 @@ def _picard_step(prev, params: MhdParams, formulation: str) -> tuple:
         parts[name] = np.zeros(dim)
         parts[name][free] = x[off:off + free.size]
         off += free.size
-    return parts, record
+    fields = {name: parts[name]
+              for name, space in _FORMULATIONS[formulation].unknowns if space}
+    return MhdState(formulation, prev.mesh, B_prev=prev.B.copy(),
+                    linear_solve=record, **fields)
 
 
-def be_picard_step(prev: MhdStateBE, params: MhdParams) -> MhdStateBE:
+def be_picard_step(prev: MhdState, params: MhdParams) -> MhdState:
     """One electric-field solve linearized around (prev.u, prev.B)."""
-    parts, record = _picard_step(prev, params, "BE")
-    return MhdStateBE(mesh=prev.mesh, u=parts["u"], E=parts["E"],
-                      B=parts["B"], p=parts["p"], r=parts["r"],
-                      B_prev=prev.B.copy(), linear_solve=record)
+    return _picard_step(prev, params, "BE")
 
 
-def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
+def bj_picard_step(prev: MhdState, params: MhdParams) -> MhdState:
     """One current-based solve linearized around (prev.u, prev.B)."""
-    parts, record = _picard_step(prev, params, "BJ")
-    return MhdStateBJ(mesh=prev.mesh, u=parts["u"], j=parts["j"],
-                      sigma=parts["sigma"], B=parts["B"], p=parts["p"],
-                      r=parts["r"], B_prev=prev.B.copy(), linear_solve=record)
+    return _picard_step(prev, params, "BJ")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +468,7 @@ def bj_picard_step(prev: MhdStateBJ, params: MhdParams) -> MhdStateBJ:
 def current_at(tab: Tabulation, state) -> np.ndarray:
     """The iterate's current density at the rule's points, (T, nq, 3): j
     for a current-based state, E + u x B_prev for an electric-field one."""
-    if isinstance(state, MhdStateBJ):
+    if state.formulation == "BJ":
         return tab.edge_at(state.j)
     return tab.edge_at(state.E) + np.cross(tab.velocity_at(state.u),
                                            tab.face_at(state.B_prev))
@@ -473,7 +500,7 @@ def diagnostics(state, params: MhdParams) -> dict:
     loads = _loads(ops, params)
     grad2 = float(state.u @ (ops.lap @ state.u))
     work = float(loads["f"] @ state.u)
-    if isinstance(state, MhdStateBJ):
+    if state.formulation == "BJ":
         j2 = float(state.j @ (ops.M_c @ state.j))
     else:
         tab = ops.tab(RULE_DEG6)
@@ -493,14 +520,14 @@ def diagnostics(state, params: MhdParams) -> dict:
         out["energy_slack"] = (0.5 * params.r_e * dual ** 2
                                - 0.5 * grad2 / params.r_e - params.s * j2)
 
-    if isinstance(state, MhdStateBJ):
+    if state.formulation == "BJ":
         free = ops.space_c.free_index
         dcurl = ops.curl @ (state.j - state.sigma)
         out["curl_j_sigma"] = math.sqrt(float(dcurl @ (ops.M_d @ dcurl)))
 
         s, rm = params.s, params.r_m
-        # (u x B_prev, w_e) for every edge function, the product of the
-        # velocity-edge CrossCoupling matrix with u
+        # (u x B_prev, w_e) for every edge function, the velocity-edge
+        # cross-coupling matrix applied to u
         tab = ops.tab(RULE_DEG4)
         cross_u = tab.edge_load(np.cross(tab.velocity_at(state.u),
                                          tab.face_at(state.B_prev)))
@@ -580,10 +607,9 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
         raise ValueError(f"unknown formulation {formulation!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    expected = MhdStateBE if formulation == "BE" else MhdStateBJ
-    if not isinstance(initial, expected):
-        raise TypeError(f"initial state for {formulation} must be "
-                        f"{expected.__name__}")
+    if initial.formulation != formulation:
+        raise TypeError(f"initial state for {formulation} is a "
+                        f"{initial.formulation} state")
 
     mesh = initial.mesh
     ops = discrete_ops(mesh)

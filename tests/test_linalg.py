@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from mhdfem.linalg import (
     AssemblyError,
-    BlockSystem,
     SingularSystemError,
     factor_blocks,
     finalize_assembly,
@@ -130,42 +129,6 @@ def test_nonsquare_rejected():
         solve_direct(sp.csr_matrix((2, 3)), np.ones(2))
     with pytest.raises(AssemblyError):
         solve_direct(sp.identity(3, format="csr"), np.ones(2))
-
-
-def test_block_system_assembles_saddle_point():
-    bs = BlockSystem([("u", 2), ("p", 1)])
-    bs.add_block("u", "u", sp.identity(2) * 2.0)
-    bs.add_block("u", "p", sp.csr_matrix(np.array([[1.0], [1.0]])))
-    bs.add_block("p", "u", sp.csr_matrix(np.array([[1.0, 1.0]])))
-    bs.set_rhs("u", [3.0, 3.0])
-    a, b = bs.assemble()
-    assert a.shape == (3, 3)
-    assert b.tolist() == [3.0, 3.0, 0.0]
-    x = solve_direct(a, b)
-    seg = bs.split(x)
-    assert seg["u"] == pytest.approx([0.0, 0.0], abs=1e-14)
-    assert seg["p"] == pytest.approx([3.0])
-
-
-def test_block_system_sums_repeated_blocks():
-    bs = BlockSystem([("a", 2)])
-    bs.add_block("a", "a", sp.identity(2))
-    bs.add_block("a", "a", sp.identity(2))
-    a, _ = bs.assemble()
-    assert np.array_equal(a.toarray(), 2.0 * np.eye(2))
-
-
-def test_block_system_validates_shapes_and_names():
-    bs = BlockSystem([("u", 2), ("p", 1)])
-    with pytest.raises(AssemblyError):
-        bs.add_block("u", "q", sp.identity(2))
-    with pytest.raises(AssemblyError):
-        bs.add_block("u", "p", sp.identity(2))
-    with pytest.raises(AssemblyError):
-        bs.set_rhs("p", [1.0, 2.0])
-    with pytest.raises(AssemblyError):
-        BlockSystem([("u", 2), ("u", 3)])
-
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mhdfem.assembly import RULE_DEG4, RULE_DEG6, FormKind, assemble
+from mhdfem.assembly import RULE_DEG4, RULE_DEG6
 from mhdfem.derham import (NEDELEC, RT, VELOCITY, build_space, curl_incidence,
                            div_incidence, point_eval, tabulate_nedelec,
                            tabulate_rt)
@@ -14,6 +14,8 @@ from mhdfem.operators import (CapabilityError, DiagnosticConstants,
                               DiscreteOps, estimate_cross_bound,
                               estimate_poincare_constant, poincare_h01_box,
                               sobolev_embedding_constant)
+
+from kernel_matrix import kernel_matrix
 
 # regression value for the coarsest box; the dense eigensolve is the oracle
 POINCARE_SINGLE_CUBE = 0.2236067977499790
@@ -119,7 +121,7 @@ def test_cross_coupling_load_matches_quadrature(mesh2, ops2):
     scale = np.linalg.norm(load[free])
 
     # the assembled coupling matrix applied to u gives that load on free rows
-    coupling = assemble(FormKind("CrossCoupling", coeff=B), vel, ops2.space_c)
+    coupling = kernel_matrix("cross", B, mesh2)
     assert np.linalg.norm((coupling @ u)[free] - load[free]) <= 1e-12 * scale
 
 
@@ -216,7 +218,7 @@ def assembled_cross_bound(mesh, trials, seed):
             continue
         u = np.zeros(vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
-        cross = assemble(FormKind("CrossCoupling", coeff=B), vel, vel)
+        cross = kernel_matrix("cross_cross", B, mesh)
         num = math.sqrt(max(u @ (cross @ u), 0.0))
         den = math.sqrt(u @ (vel_mass @ u) + u @ (vel_stiff @ u)) * curl_norm
         best = max(best, num / den)
@@ -245,7 +247,7 @@ def test_cross_gram_form_equals_quadrature_of_cross(mesh2):
     for _ in range(3):
         u = random_free(vel, rng)
         B = random_free(rt, rng)
-        C = assemble(FormKind("CrossCoupling", coeff=B), vel, vel)
+        C = kernel_matrix("cross_cross", B, mesh2)
         u_at = point_eval(vel, u, pts.reshape(-1, 3)).reshape(pts.shape)
         b_at = np.einsum("tqfk,tf->tqk", rt_vals, B[mesh2.tet_faces])
         cross = np.cross(u_at, b_at)

@@ -7,11 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mhdfem
 from mhdfem import linalg
-from mhdfem.assembly import (RULE_DEG4, RULE_DEG6, FormKind,
-                             apply_essential_bc, assemble, assemble_load)
+from mhdfem.assembly import RULE_DEG4, RULE_DEG6, FormKind, assemble, assemble_load
 from mhdfem.derham import (P1, RT, VELOCITY, AnalyticField, build_space,
                            curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
@@ -20,12 +20,13 @@ from mhdfem.linalg import SingularSystemError, solve_direct
 from mhdfem.mesh import build_box_mesh, derive_topology
 from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                               poincare_h01_box)
-from mhdfem.solvers import (MhdParams, MhdStateBJ,
-                            be_picard_step, bj_picard_step,
+from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state_be, zero_state_bj,
-                            _essential_masks, _linear_system, _load_vector,
-                            _step_plan, _step_system)
+                            _fixed_matrix, _load_vector, _step_plan,
+                            _step_system)
+
+from kernel_matrix import kernel_matrix
 
 
 def smooth_force(pts):
@@ -225,8 +226,8 @@ def test_bj_step_solves_every_equation(mesh2, ops2, params, seeded_bj):
     vel = build_space(mesh2, VELOCITY, essential_bc=True)
     pres = build_space(mesh2, P1, essential_bc=False, zero_mean=True)
     lap = assemble(FormKind("VectorLaplacian"), vel, vel)
-    conv = assemble(FormKind("Convection", coeff=s1.u), vel, vel)
-    cross = assemble(FormKind("CrossCoupling", coeff=s1.B), vel, ops2.space_c)
+    conv = kernel_matrix("convection", s1.u, mesh2)
+    cross = kernel_matrix("cross", s1.B, mesh2)
     bdiv = assemble(FormKind("MixedDiv"), vel, pres)
     div = div_incidence(mesh2)
     f_load = assemble_load(vel, smooth_force, RULE_DEG6)
@@ -266,9 +267,9 @@ def test_be_step_solves_every_equation(mesh2, ops2, params, seeded_be):
     vel = build_space(mesh2, VELOCITY, essential_bc=True)
     pres = build_space(mesh2, P1, essential_bc=False, zero_mean=True)
     lap = assemble(FormKind("VectorLaplacian"), vel, vel)
-    conv = assemble(FormKind("Convection", coeff=s1.u), vel, vel)
-    cross = assemble(FormKind("CrossCoupling", coeff=s1.B), vel, ops2.space_c)
-    cross2 = assemble(FormKind("CrossCoupling", coeff=s1.B), vel, vel)
+    conv = kernel_matrix("convection", s1.u, mesh2)
+    cross = kernel_matrix("cross", s1.B, mesh2)
+    cross2 = kernel_matrix("cross_cross", s1.B, mesh2)
     bdiv = assemble(FormKind("MixedDiv"), vel, pres)
     div = div_incidence(mesh2)
     f_load = assemble_load(vel, smooth_force, RULE_DEG6)
@@ -322,26 +323,74 @@ def direct_step_fields(prev, params, formulation):
     return out, x
 
 
-def assembled_step_system(ops, prev, params, formulation):
-    """A step's reduced system built from assemble() blocks, reduced by
-    apply_essential_bc and merged by BlockSystem.assemble."""
-    vel, ned, s, rm = ops.vel, ops.space_c, params.s, params.r_m
-    conv = assemble(FormKind("Convection", coeff=prev.u), vel, vel)
-    cross = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, ned)
-    system = _linear_system(ops, formulation, params)
+def paper_system(ops, formulation, params, prev=None):
+    """A step's reduced matrix and right-hand side, the blocks transcribed
+    from the paper's B-E and B-J schemes and merged by sp.bmat, then
+    restricted to free DOFs; without prev, the matrix is the fixed part
+    (no convection, no cross coupling)."""
+    re, rm, s = params.r_e, params.r_m, params.s
+    lap, bdiv, m_c, k_cd, div = ops.lap, ops.bdiv, ops.M_c, ops.K_cd, ops.div
+    mean = sp.csr_matrix(ops.mean_p[:, None])
+    vol = sp.csr_matrix(ops.mesh.volumes[:, None])
     if formulation == "BE":
-        cross2 = assemble(FormKind("CrossCoupling", coeff=prev.B), vel, vel)
-        system.add_block("u", "u", conv + s * cross2)
-        system.add_block("u", "E", s * cross.T)
-        system.add_block("E", "u", s * cross)
+        # unknowns u, E, B, p, r, mp, mr
+        blocks = [
+            [(1.0 / re) * lap, None, None, -bdiv.T, None, None, None],
+            [None, s * m_c, -(s / rm) * k_cd.T, None, None, None, None],
+            [None, (s / rm) * k_cd, None, None, div.T, None, None],
+            [-bdiv, None, None, None, None, mean, None],
+            [None, None, div, None, None, None, vol],
+            [None, None, None, mean.T, None, None, None],
+            [None, None, None, None, vol.T, None, None]]
     else:
-        system.add_block("u", "u", conv)
-        system.add_block("u", "j", s * cross.T)
-        system.add_block("sigma", "u", -(s / rm) * cross)
-    system.set_rhs("u", assemble_load(vel, params.f, RULE_DEG6))
-    system.set_rhs("B", ops.M_d @ params.h)
-    return apply_essential_bc(system,
-                              _essential_masks(ops, formulation)).assemble()
+        # unknowns u, j, sigma, B, p, r, mp, mr
+        blocks = [
+            [(1.0 / re) * lap, None, None, None, -bdiv.T, None, None, None],
+            [None, s * m_c, None, -(s / rm) * k_cd.T, None, None, None, None],
+            [None, None, (s / rm) * m_c, None, None, None, None, None],
+            [None, (s / rm) * k_cd, -(s / rm) * k_cd, None, None, div.T, None,
+             None],
+            [-bdiv, None, None, None, None, None, mean, None],
+            [None, None, None, div, None, None, None, vol],
+            [None, None, None, None, mean.T, None, None, None],
+            [None, None, None, None, None, vol.T, None, None]]
+    if prev is not None:
+        conv = kernel_matrix("convection", prev.u, ops.mesh)
+        cross = kernel_matrix("cross", prev.B, ops.mesh)
+        blocks[0][1] = s * cross.T
+        if formulation == "BE":
+            cross2 = kernel_matrix("cross_cross", prev.B, ops.mesh)
+            blocks[0][0] = blocks[0][0] + conv + s * cross2
+            blocks[1][0] = s * cross
+        else:
+            blocks[0][0] = blocks[0][0] + conv
+            blocks[2][0] = -(s / rm) * cross
+    edge = [ops.space_c.boundary_dof] * (1 if formulation == "BE" else 2)
+    n_scalar = ops.pres.dof_count + ops.mult.dof_count + 2
+    constrained = np.concatenate([ops.vel.boundary_dof, *edge,
+                                  ops.space_d.boundary_dof,
+                                  np.zeros(n_scalar, dtype=bool)])
+    zeros = [np.zeros(ops.space_c.dof_count)] * len(edge)
+    rhs = np.concatenate([assemble_load(ops.vel, params.f, RULE_DEG6), *zeros,
+                          ops.M_d @ params.h, np.zeros(n_scalar)])
+    keep = np.flatnonzero(~constrained)
+    return sp.bmat(blocks, format="csr")[keep][:, keep], rhs[keep]
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_plan_fixed_matrix_is_the_paper_system(formulation):
+    ops = discrete_ops(build_box_mesh(3, 3, 3))
+    params = MhdParams(r_e=0.7, r_m=1.9, s=2.3, f=smooth_force,
+                       h=np.zeros(ops.space_d.dof_count))
+    plan = _step_plan(ops, formulation, params)
+    got = _fixed_matrix(plan.pattern, plan.fixed, plan.slots)
+    want, _ = paper_system(ops, formulation, params)
+    # the factored operator keeps its stored zeros: they steer SuperLU's
+    # ordering and with it every bit downstream
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.count_nonzero(got.data == 0.0) == 30
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -357,7 +406,7 @@ def test_scattered_step_matches_assembled_blocks(formulation, n):
         prev.u = rng.standard_normal(prev.u.size)
         prev.B = rng.standard_normal(prev.B.size)
         _, a, b = _step_system(ops, formulation, prev, params)
-        want_a, want_b = assembled_step_system(ops, prev, params, formulation)
+        want_a, want_b = paper_system(ops, formulation, params, prev)
         assert a.shape == want_a.shape
         assert np.abs((a - want_a).toarray()).max() \
             <= 1e-14 * np.abs(want_a.data).max()
@@ -700,7 +749,7 @@ def test_report_structure(solved_bj):
     assert report.iterations[0]["ratio"] is None
     assert all(rec["ratio"] is not None for rec in report.iterations[1:])
     assert len(report.ratios()) == report.n_iterations - 1
-    assert isinstance(state, MhdStateBJ)
+    assert state.formulation == "BJ"
 
 
 def test_contraction_under_small_data(solved_bj, solved_be, mesh2, params):
@@ -722,7 +771,7 @@ def test_max_iterations_is_reported_not_raised(mesh2, params):
     state, report = solve_nonlinear("BJ", params, init, max_iter=1)
     assert report.termination == "max-iterations"
     assert report.n_iterations == 1
-    assert isinstance(state, MhdStateBJ)
+    assert state.formulation == "BJ"
 
 
 def test_solver_input_validation(mesh2, params):
