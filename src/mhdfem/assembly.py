@@ -1,4 +1,5 @@
-"""Quadrature tables and element assembly for every form in the solvers.
+"""Quadrature tables, per-mesh basis tabulations and the element kernels
+of every form in the solvers.
 
 All integrands arising from the lowest-order spaces with P2 coefficient
 fields are polynomial, and the rules are chosen to integrate them exactly:
@@ -8,10 +9,13 @@ products against a magnetic field).  Exact integration is what turns the
 structural statements (skew-symmetry, adjointness, incidence identities)
 into machine-precision matrix facts rather than approximations.
 
-Matrix layout convention: assemble(form, trial, test) returns the matrix
-M[i, j] = form(trial_j, test_i), i.e. rows run over test DOFs.  The forms
-that carry an iterate (convection, cross couplings) are element kernels,
-whose element arrays the Picard steps scatter into their own pattern.
+Each form is an element kernel: <name>_elements(tab[, coeff]) contracts
+the basis values of a Tabulation into one element array per tet, and
+element_dofs(mesh, name) gives the global row and column of each entry,
+rows over test DOFs.  kernel_matrix sums the fixed forms' arrays into the
+matrices of operators.DiscreteOps; the Picard steps scatter the arrays of
+the forms that carry an iterate (convection, cross couplings) into their
+own pattern.  Loads integrate data given at a tabulation's points.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .derham import (
     FeSpace,
-    p1_values,
     p2_values,
     tabulate_nedelec,
     tabulate_p2_gradients,
@@ -128,75 +131,32 @@ def _bary(points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forms
-
-_TAGS = ("VectorLaplacian", "Mass", "MixedDiv")
-
-
-@dataclass(frozen=True, eq=False)
-class FormKind:
-    """Tag of a constant-coefficient weak form."""
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise AssemblyError(f"unknown form tag {self.tag!r}")
-
-
-_SHORT = {("P1", 1): "P1", ("P2", 1): "P2", ("P2", 3): "velocity",
-          ("NedelecEdge0", 1): "edge", ("RaviartThomas0", 1): "face",
-          ("DG0", 1): "cell"}
-
-
-def _check_pair(form: FormKind, trial: FeSpace, test: FeSpace, pairs) -> str:
-    if trial.mesh is not test.mesh:
-        raise AssemblyError("trial and test spaces live on different meshes")
-    tagpair = (_SHORT[(trial.kind.tag, trial.kind.components)],
-               _SHORT[(test.kind.tag, test.kind.components)])
-    if tagpair not in pairs:
-        raise AssemblyError(
-            f"form {form.tag} does not accept trial={tagpair[0]}, test={tagpair[1]}")
-    return "-".join(tagpair)
-
-
-def _tet_weights(mesh, rule: QuadratureRule) -> np.ndarray:
-    # reference weights sum to 1/6; |detJ| = 6 * volume
-    return (6.0 * mesh.volumes)[:, None] * rule.tet_weights[None, :]
-
-
-def _p2_dofs(mesh) -> np.ndarray:
-    return np.concatenate([mesh.tets, mesh.num_vertices + mesh.tet_edges], axis=1)
+# tabulation
 
 
 def _velocity_dofs(mesh) -> np.ndarray:
     """Velocity DOF of each (tet, component, local P2 function), (T, 3, 10)."""
     n = mesh.num_vertices + mesh.num_edges
-    return _p2_dofs(mesh)[:, None, :] + n * np.arange(3)[None, :, None]
-
-
-def _finalize_elements(rows, cols, elem, trial: FeSpace,
-                       test: FeSpace) -> SparseMatrix:
-    """Sum element arrays into the global matrix; rows and cols hold the
-    global DOFs of the entries and broadcast against elem."""
-    rows, cols, vals = np.broadcast_arrays(rows, cols, elem)
-    return finalize_assembly(rows.ravel(), cols.ravel(), vals.ravel(),
-                             (test.dof_count, trial.dof_count))
+    p2 = np.concatenate([mesh.tets, mesh.num_vertices + mesh.tet_edges],
+                        axis=1)
+    return p2[:, None, :] + n * np.arange(3)[None, :, None]
 
 
 class Tabulation:
     """Basis functions of one mesh at the points of one tet rule.
 
-    wq (T, nq) physical weights, p2 (nq, 10) P2 values, vel_dofs (T, 3, 10)
-    the velocity DOF of each (tet, component, local P2 function); points
-    (T, nq, 3), p2_grads (T, nq, 10, 3), ned (T, nq, 6, 3) and rt
-    (T, nq, 4, 3) are tabulated on first use.
+    lam (nq, 4) barycentric coordinates of the points, which are also the
+    P1 values; wq (T, nq) physical weights, p2 (nq, 10) P2 values, vel_dofs
+    (T, 3, 10) the velocity DOF of each (tet, component, local P2
+    function); points (T, nq, 3), p2_grads (T, nq, 10, 3), ned (T, nq, 6,
+    3) and rt (T, nq, 4, 3) are tabulated on first use.
     """
 
     def __init__(self, mesh, rule: QuadratureRule):
         self.mesh = mesh
         self.lam = _bary(rule.tet_points)
-        self.wq = _tet_weights(mesh, rule)
+        # reference weights sum to 1/6; |detJ| = 6 * volume
+        self.wq = (6.0 * mesh.volumes)[:, None] * rule.tet_weights[None, :]
         self.p2 = p2_values(self.lam)
         self.vel_dofs = _velocity_dofs(mesh)
 
@@ -249,6 +209,46 @@ class Tabulation:
 
 
 # ---------------------------------------------------------------------------
+# element kernels of the fixed forms: einsum contractions on the degree-4
+# tabulation, each exact for its constant-coefficient integrand
+
+
+def velocity_mass_elements(tab: Tabulation) -> np.ndarray:
+    """(phi_j, phi_i), (T, 1, 10, 10): one scalar block, repeated on the
+    three velocity components."""
+    return np.einsum("tq,qi,qj->tij", tab.wq, tab.p2, tab.p2)[:, None]
+
+
+def laplacian_elements(tab: Tabulation) -> np.ndarray:
+    """(grad phi_j, grad phi_i), (T, 1, 10, 10), repeated likewise."""
+    return np.einsum("tq,tqik,tqjk->tij", tab.wq, tab.p2_grads,
+                     tab.p2_grads)[:, None]
+
+
+def divergence_elements(tab: Tabulation) -> np.ndarray:
+    """(d_c phi_j, psi_i) of velocity component c against the P1 hat psi_i,
+    (T, 3, 4, 10)."""
+    return np.stack([np.einsum("tq,qi,tqj->tij", tab.wq, tab.lam,
+                               tab.p2_grads[:, :, :, c]) for c in range(3)],
+                    axis=1)
+
+
+def pressure_mass_elements(tab: Tabulation) -> np.ndarray:
+    """(psi_j, psi_i) of the P1 hats, (T, 4, 4)."""
+    return np.einsum("tq,qi,qj->tij", tab.wq, tab.lam, tab.lam)
+
+
+def edge_mass_elements(tab: Tabulation) -> np.ndarray:
+    """(w_j, w_i) of the edge functions, (T, 6, 6)."""
+    return np.einsum("tq,tqik,tqjk->tij", tab.wq, tab.ned, tab.ned)
+
+
+def face_mass_elements(tab: Tabulation) -> np.ndarray:
+    """(w_j, w_i) of the face functions, (T, 4, 4)."""
+    return np.einsum("tq,tqik,tqjk->tij", tab.wq, tab.rt, tab.rt)
+
+
+# ---------------------------------------------------------------------------
 # element kernels of the iterate-dependent forms: batched matrix products
 # against a Tabulation, scattered by the Picard steps
 
@@ -280,118 +280,61 @@ def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
     return np.matmul(wcc.reshape(t * 9, q), pp).reshape(t, 3, 3, 10, 10)
 
 
-# kernel name -> rule integrating <name>_elements exactly; a single cross
-# product is degree 4, convection and the double cross product degree 6
-KERNEL_RULES = {"convection": RULE_DEG6, "cross": RULE_DEG4,
+# kernel name -> rule integrating <name>_elements exactly; the fixed forms
+# and a single cross product are degree 4, convection and the double cross
+# product degree 6
+KERNEL_RULES = {"velocity_mass": RULE_DEG4, "laplacian": RULE_DEG4,
+                "divergence": RULE_DEG4, "pressure_mass": RULE_DEG4,
+                "edge_mass": RULE_DEG4, "face_mass": RULE_DEG4,
+                "convection": RULE_DEG6, "cross": RULE_DEG4,
                 "cross_cross": RULE_DEG6}
 
 
 def element_dofs(mesh, kernel: str) -> tuple:
     """Global (row, col) DOFs of a kernel's element array, broadcastable
-    to its shape; the cross kernel's rows are edges, its columns velocity."""
+    to its shape, and the global matrix's shape.  Rows run over test DOFs:
+    the cross kernel's rows are edges and its columns velocity, the
+    divergence kernel's rows pressure."""
     vd = _velocity_dofs(mesh)
-    if kernel == "convection":
-        return vd[:, :, :, None], vd[:, :, None, :]
+    n_vel, n_edge = 3 * (mesh.num_vertices + mesh.num_edges), mesh.num_edges
+    if kernel in ("velocity_mass", "laplacian", "convection"):
+        return vd[:, :, :, None], vd[:, :, None, :], (n_vel, n_vel)
     if kernel == "cross_cross":
-        return vd[:, :, None, :, None], vd[:, None, :, None, :]
-    return mesh.tet_edges[:, None, None, :], vd[:, :, :, None]
+        return vd[:, :, None, :, None], vd[:, None, :, None, :], (n_vel, n_vel)
+    if kernel == "cross":
+        return mesh.tet_edges[:, None, None, :], vd[:, :, :, None], \
+            (n_edge, n_vel)
+    if kernel == "divergence":
+        return mesh.tets[:, None, :, None], vd[:, :, None, :], \
+            (mesh.num_vertices, n_vel)
+    local, n = {"pressure_mass": (mesh.tets, mesh.num_vertices),
+                "edge_mass": (mesh.tet_edges, n_edge),
+                "face_mass": (mesh.tet_faces, mesh.num_faces)}[kernel]
+    return local[:, :, None], local[:, None, :], (n, n)
 
 
-def assemble(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
-    """Assemble the global matrix of a weak form, rows over test DOFs.
-
-    MixedDiv is the velocity-pressure pairing (div u, q).  The divergence
-    and curl pairings of the de Rham spaces are integer incidence matrices
-    composed with mass matrices (derham.div_incidence, curl_incidence) and
-    are not assembled here.
-    """
-    mesh = trial.mesh
-    tag = form.tag
-
-    if tag == "VectorLaplacian":
-        _check_pair(form, trial, test, [("velocity", "velocity")])
-        rule = RULE_DEG4
-        lam = _bary(rule.tet_points)
-        grads = tabulate_p2_gradients(mesh, lam)
-        wq = _tet_weights(mesh, rule)
-        elem = np.einsum("tq,tqik,tqjk->tij", wq, grads, grads)
-        vd = _velocity_dofs(mesh)
-        return _finalize_elements(vd[:, :, :, None], vd[:, :, None, :],
-                                  elem[:, None], trial, test)
-
-    if tag == "Mass":
-        return _assemble_mass(form, trial, test)
-
-    if tag == "MixedDiv":
-        _check_pair(form, trial, test, [("velocity", "P1")])
-        return _div_velocity_p1(trial, test)
-
-    raise AssemblyError(f"unknown form tag {tag!r}")
+def kernel_matrix(tab: Tabulation, kernel: str, *coeff) -> SparseMatrix:
+    """Global matrix of <kernel>_elements on tab, rows over test DOFs; an
+    iterate kernel takes its coefficient vector as coeff."""
+    # looked up when called, so a rebinding of the module's kernel (a
+    # profiler's, say) takes effect
+    elem = globals()[f"{kernel}_elements"](tab, *coeff)
+    rows, cols, shape = element_dofs(tab.mesh, kernel)
+    rows, cols, vals = np.broadcast_arrays(rows, cols, elem)
+    return finalize_assembly(rows.ravel(), cols.ravel(), vals.ravel(), shape)
 
 
-def _assemble_mass(form: FormKind, trial: FeSpace, test: FeSpace) -> SparseMatrix:
-    kind = _check_pair(form, trial, test, [
-        ("velocity", "velocity"), ("P2", "P2"), ("P1", "P1"),
-        ("edge", "edge"), ("face", "face"), ("cell", "cell")])
-    mesh = trial.mesh
-    rule = RULE_DEG4
-    lam = _bary(rule.tet_points)
-    wq = _tet_weights(mesh, rule)
-
-    if kind == "cell-cell":
-        n = mesh.num_tets
-        return finalize_assembly(np.arange(n), np.arange(n), mesh.volumes, (n, n))
-    if kind in ("velocity-velocity", "P2-P2", "P1-P1"):
-        vals = p1_values(lam) if kind == "P1-P1" else p2_values(lam)
-        elem = np.einsum("tq,qi,qj->tij", wq, vals, vals)
-        if kind == "velocity-velocity":
-            vd = _velocity_dofs(mesh)
-            return _finalize_elements(vd[:, :, :, None], vd[:, :, None, :],
-                                      elem[:, None], trial, test)
-        gd = mesh.tets if kind == "P1-P1" else _p2_dofs(mesh)
+def assemble_load(tab: Tabulation, space: FeSpace,
+                  field_at: np.ndarray) -> np.ndarray:
+    """Load vector (field, phi_i) of the velocity or face-element space,
+    the field given at tab's points, (T, nq, 3)."""
+    if space.kind.components == 3:
+        elem = np.einsum("tq,tqc,qi->tci", tab.wq, field_at, tab.p2)
+        dofs = tab.vel_dofs
+    elif space.kind.tag == "RaviartThomas0":
+        elem = np.einsum("tq,tqk,tqik->ti", tab.wq, field_at, tab.rt)
+        dofs = tab.mesh.tet_faces
     else:
-        if kind == "edge-edge":
-            vals, _ = tabulate_nedelec(mesh, lam)
-            gd = mesh.tet_edges
-        else:
-            vals, _ = tabulate_rt(mesh, lam)
-            gd = mesh.tet_faces
-        elem = np.einsum("tq,tqik,tqjk->tij", wq, vals, vals)
-    return _finalize_elements(gd[:, :, None], gd[:, None, :], elem,
-                              trial, test)
-
-
-def _div_velocity_p1(vel: FeSpace, p1: FeSpace) -> SparseMatrix:
-    """Matrix of (div u, q): rows P1 test, cols velocity trial."""
-    mesh = vel.mesh
-    lam = _bary(RULE_DEG4.tet_points)
-    grads = tabulate_p2_gradients(mesh, lam)
-    wq = _tet_weights(mesh, RULE_DEG4)
-    elem = np.stack([np.einsum("tq,qi,tqj->tij", wq, p1_values(lam),
-                               grads[:, :, :, c]) for c in range(3)], axis=1)
-    return _finalize_elements(mesh.tets[:, None, :, None],
-                              _velocity_dofs(mesh)[:, :, None, :], elem,
-                              vel, p1)
-
-
-def assemble_load(space: FeSpace, field, rule: QuadratureRule = RULE_DEG6) -> np.ndarray:
-    """Load vector (field, phi_i) by tet quadrature on an analytic field."""
-    mesh, tag = space.mesh, space.kind.tag
-    tab = Tabulation(mesh, rule)
-    f = np.asarray(field(tab.points.reshape(-1, 3)), dtype=float)
-    f = f.reshape(*tab.wq.shape, -1)
-    if tag == "DG0":
-        return np.einsum("tq,tq->t", tab.wq, f[..., 0])
-    if tag in ("P1", "P2"):
-        vals = p1_values(tab.lam) if tag == "P1" else tab.p2
-        elem = np.einsum("tq,tqc,qi->tci", tab.wq, f, vals)
-        gd = (mesh.tets[:, None, :] if tag == "P1"
-              else tab.vel_dofs[:, :space.kind.components])
-    elif tag in ("NedelecEdge0", "RaviartThomas0"):
-        edge = tag == "NedelecEdge0"
-        elem = np.einsum("tq,tqk,tqik->ti", tab.wq, f,
-                         tab.ned if edge else tab.rt)
-        gd = mesh.tet_edges if edge else mesh.tet_faces
-    else:
-        raise AssemblyError(f"cannot build a load vector for {tag!r}")
-    return np.bincount(gd.ravel(), elem.ravel(), minlength=space.dof_count)
+        raise AssemblyError(f"cannot build a load vector for "
+                            f"{space.kind.tag!r}")
+    return np.bincount(dofs.ravel(), elem.ravel(), minlength=space.dof_count)

@@ -3,7 +3,7 @@
 The four sequence spaces are P1 (vertices), lowest-order edge elements
 (edges), lowest-order face elements (faces), and piecewise constants (tets).
 Velocity is three stacked P2 scalar components, component-major, and
-pressure is P1 with a zero-mean flag.
+pressure is P1.
 
 Orientation is fixed once and globally: edge tangents run from lower to
 higher vertex index, face normals follow the right-hand rule on the
@@ -58,7 +58,6 @@ class FeSpace:
     n_scalar: int
     dof_count: int
     boundary_dof: np.ndarray
-    zero_mean: bool = False
 
     def __post_init__(self):
         self.boundary_dof.setflags(write=False)
@@ -85,8 +84,7 @@ def _scalar_boundary_mask(mesh: Mesh, tag: str) -> np.ndarray:
     return np.zeros(mesh.num_tets, dtype=bool)
 
 
-def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool,
-                zero_mean: bool = False) -> FeSpace:
+def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool) -> FeSpace:
     """Enumerate DOFs in entity-index order and attach the BC mask.
 
     Vector (velocity) DOF layout is component-major: coefficient
@@ -106,15 +104,11 @@ def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool,
         mask = np.zeros(kind.components * n_scalar, dtype=bool)
     return FeSpace(kind=kind, mesh=mesh, n_scalar=n_scalar,
                    dof_count=kind.components * n_scalar,
-                   boundary_dof=mask, zero_mean=zero_mean)
+                   boundary_dof=mask)
 
 
 # ---------------------------------------------------------------------------
 # reference shape functions (barycentric arguments, shape (nq, 4))
-
-def p1_values(bary: np.ndarray) -> np.ndarray:
-    return np.asarray(bary, dtype=float)
-
 
 def p2_values(bary: np.ndarray) -> np.ndarray:
     """P2 values, local order: 4 vertex functions then 6 edge bubbles."""
@@ -371,34 +365,29 @@ def grad_incidence(mesh: Mesh) -> sp.csr_matrix:
     return sp.csr_matrix((s, (e, v)), shape=(mesh.num_edges, mesh.num_vertices))
 
 
-def check_commuting(mesh: Mesh, field) -> dict:
+def check_commuting(mesh: Mesh, field: AnalyticField) -> dict:
     """Defect norms of the two commuting squares for an analytic field.
 
-    field carries .value and optionally .curl / .div callables.  Returns
-    discrete-L2 norms of curl(interp_edge F) - interp_face(curl F) and
-    div(interp_face C) - cellavg(div C); entries are None when the matching
-    derivative is not supplied.
+    Returns discrete-L2 norms of curl(interp_edge F) - interp_face(curl F)
+    and div(interp_face C) - cellavg(div C); entries are None when field
+    carries no matching derivative.
     """
-    from .assembly import FormKind, assemble
+    from .operators import discrete_ops
 
     out = {"curl_defect": None, "div_defect": None}
-    value = field.value if hasattr(field, "value") else field["value"]
-    curl = getattr(field, "curl", None) if hasattr(field, "value") else field.get("curl")
-    div = getattr(field, "div", None) if hasattr(field, "value") else field.get("div")
-
-    if curl is not None:
+    rt = build_space(mesh, RT, essential_bc=False)
+    if field.curl is not None:
         ned = build_space(mesh, NEDELEC, essential_bc=False)
-        rt = build_space(mesh, RT, essential_bc=False)
-        defect = curl_incidence(mesh) @ interpolate(ned, value) \
-            - interpolate(rt, curl)
-        m_d = assemble(FormKind("Mass"), rt, rt)
+        defect = curl_incidence(mesh) @ interpolate(ned, field.value) \
+            - interpolate(rt, field.curl)
+        m_d = discrete_ops(mesh).M_d
         out["curl_defect"] = float(np.sqrt(abs(defect @ (m_d @ defect))))
 
-    if div is not None:
-        rt = build_space(mesh, RT, essential_bc=False)
+    if field.div is not None:
         dg = build_space(mesh, DG0, essential_bc=False)
-        cell_div = (div_incidence(mesh) @ interpolate(rt, value)) / mesh.volumes
-        defect = cell_div - interpolate(dg, div)
+        cell_div = (div_incidence(mesh) @ interpolate(rt, field.value)) \
+            / mesh.volumes
+        defect = cell_div - interpolate(dg, field.div)
         out["div_defect"] = float(np.sqrt(np.sum(mesh.volumes * defect ** 2)))
     return out
 

@@ -23,7 +23,7 @@ import sympy
 from .assembly import RULE_DEG4, RULE_DEG6, Tabulation
 from .derham import (NEDELEC, P1, RT, AnalyticField, build_space,
                      check_commuting, curl_incidence, div_incidence,
-                     interpolate, p1_values, point_eval)
+                     interpolate, point_eval)
 from .linalg import SingularSystemError
 from .mesh import build_box_mesh, write_vtk
 from .operators import (POINCARE_DOF_LIMIT, DiagnosticConstants,
@@ -442,7 +442,7 @@ def exact_errors(mesh, case: ManufacturedCase, state) -> dict:
     err_graph = math.sqrt(err_b_sq + float(np.sum(mesh.volumes
                                                   * cell_div ** 2)))
 
-    p_h = np.einsum("qi,ti->tq", p1_values(tab.lam), state.p[mesh.tets])
+    p_h = np.einsum("qi,ti->tq", tab.lam, state.p[mesh.tets])
     if case.pressure is not None:
         p_h = p_h - case.pressure(flat).reshape(p_h.shape)
     err_p = math.sqrt(float(np.sum(wq * p_h ** 2)))

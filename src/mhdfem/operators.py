@@ -2,7 +2,8 @@
 constant estimators.
 
 DiscreteOps owns what both Picard schemes share on one mesh: the velocity,
-pressure, multiplier, edge and face spaces, every fixed matrix, the
+pressure, multiplier, edge and face spaces, every fixed matrix (summed
+from the assembly element kernels on its degree-4 tabulation), the
 factored free-edge mass, the basis tabulations at each quadrature rule,
 and the solvers' step plans and loads.  discrete_ops(mesh) hands every
 caller the one instance of the most recent mesh.
@@ -25,7 +26,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import RULE_DEG6, FormKind, QuadratureRule, Tabulation, assemble
+from .assembly import (RULE_DEG4, RULE_DEG6, QuadratureRule, Tabulation,
+                       kernel_matrix)
 from .derham import (DG0, NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
                      curl_incidence, div_incidence)
 from .mesh import Mesh
@@ -42,8 +44,9 @@ class DiscreteOps:
     """Spaces, fixed matrices, factorizations and tabulations of one mesh.
 
     Attributes:
-      vel, pres, mult: velocity (with its essential condition), zero-mean
-        pressure and zero-mean multiplier spaces.
+      vel, pres, mult: velocity (with its essential condition), pressure
+        and multiplier spaces; the step systems constrain the last two to
+        zero mean.
       space_c, space_d: edge- and face-based spaces, each carrying its
         essential boundary condition.
       vel_mass, lap, bdiv, pres_mass: velocity mass, vector Laplacian,
@@ -60,16 +63,16 @@ class DiscreteOps:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.vel = build_space(mesh, VELOCITY, essential_bc=True)
-        self.pres = build_space(mesh, P1, essential_bc=False, zero_mean=True)
-        self.mult = build_space(mesh, DG0, essential_bc=False, zero_mean=True)
+        self.pres = build_space(mesh, P1, essential_bc=False)
+        self.mult = build_space(mesh, DG0, essential_bc=False)
         self.space_c = build_space(mesh, NEDELEC, essential_bc=True)
         self.space_d = build_space(mesh, RT, essential_bc=True)
-        self.vel_mass = assemble(FormKind("Mass"), self.vel, self.vel)
-        self.lap = assemble(FormKind("VectorLaplacian"), self.vel, self.vel)
-        self.bdiv = assemble(FormKind("MixedDiv"), self.vel, self.pres)
-        self.pres_mass = assemble(FormKind("Mass"), self.pres, self.pres)
-        self.M_c = assemble(FormKind("Mass"), self.space_c, self.space_c)
-        self.M_d = assemble(FormKind("Mass"), self.space_d, self.space_d)
+        self._tabs = {}
+        tab = self.tab(RULE_DEG4)
+        (self.vel_mass, self.lap, self.bdiv, self.pres_mass, self.M_c,
+         self.M_d) = (kernel_matrix(tab, kernel) for kernel in (
+             "velocity_mass", "laplacian", "divergence", "pressure_mass",
+             "edge_mass", "face_mass"))
         self.div = div_incidence(mesh)
         self.curl = curl_incidence(mesh)
         self.K_cd = (self.M_d @ self.curl).tocsr()
@@ -77,7 +80,6 @@ class DiscreteOps:
         np.add.at(self.mean_p, mesh.tets.ravel(),
                   np.repeat(mesh.volumes / 4.0, 4))
         self._lu_c = _factor(self.M_c, self.space_c.free_index, "edge")
-        self._tabs = {}
         # formulation -> the solvers' step plan of the last (r_e, r_m, s)
         self.plans = {}
         # [params, loads] of the last parameter object the solvers saw
@@ -142,24 +144,28 @@ def _solve_free(lu, rhs: np.ndarray, space: FeSpace) -> np.ndarray:
 
 def estimate_poincare_constant(mesh: Mesh) -> float:
     """Largest |B| / |weak curl B| over constrained divergence-free
-    face-element fields, by a dense generalized eigenproblem on a kernel
-    basis of the divergence incidence matrix."""
-    free_d = build_space(mesh, RT, essential_bc=True).free_index
-    if free_d.size > POINCARE_DOF_LIMIT:
+    face-element fields.
+
+    Those fields are the curls of constrained edge fields, so the constant
+    is 1 / sqrt(mu) for the smallest nonzero eigenvalue mu of the discrete
+    Maxwell problem (curl w, curl v) = mu (w, v) over free edges, solved
+    densely.  On a box its kernel is exactly the gradients of the
+    interior-vertex hats, so mu comes after one zero per interior vertex.
+    """
+    n_free_d = int(np.count_nonzero(~mesh.boundary_face))
+    if n_free_d > POINCARE_DOF_LIMIT:
         raise CapabilityError(
             f"dense eigensolve handles at most {POINCARE_DOF_LIMIT} free "
-            f"face DOFs, got {free_d.size}; use a smaller mesh")
+            f"face DOFs, got {n_free_d}; use a smaller mesh")
     ops = discrete_ops(mesh)
-    kernel = scipy.linalg.null_space(ops.div.toarray()[:, free_d])
-    if kernel.shape[1] == 0:
-        raise CapabilityError("mesh carries no divergence-free fields")
     free_c = ops.space_c.free_index
-    mass = kernel.T @ ops.M_d[free_d][:, free_d].toarray() @ kernel
-    rhs = ops.K_cd.T[free_c][:, free_d].toarray() @ kernel
-    curl = rhs.T @ ops._lu_c.solve(rhs)
-    eigs = scipy.linalg.eigh(0.5 * (mass + mass.T), 0.5 * (curl + curl.T),
-                             eigvals_only=True)
-    return float(math.sqrt(eigs[-1]))
+    n_grad = int(np.count_nonzero(~mesh.boundary_vertex))
+    if free_c.size <= n_grad:
+        raise CapabilityError("mesh carries no divergence-free fields")
+    stiff = (ops.curl.T @ ops.K_cd)[free_c][:, free_c].toarray()
+    mass = ops.M_c[free_c][:, free_c].toarray()
+    eigs = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
+    return float(1.0 / math.sqrt(eigs[n_grad]))
 
 
 def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from . import assembly
 from .assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
                        assemble_load, element_dofs)
-from .derham import AnalyticField, FeSpace
+from .derham import FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
 from .linalg import (BlockFactors, SingularSystemError,  # noqa: F401
@@ -58,9 +58,10 @@ class MhdParams:
     numbers; all three must be positive.  The two data slots load the test
     space of the equation they feed: f the velocity space (the body
     force), h the face-element space (the induction equation).  Each slot
-    accepts None, a callable of points (n, 3), an AnalyticField, or a
-    coefficient vector in the matching space (paired through that space's
-    mass matrix).  The solver computes the loads of one parameter object
+    accepts None, a callable of points (n, 3) returning (n, 3) values, or
+    a coefficient vector in the matching space (paired through that
+    space's mass matrix).  The solver evaluates a callable once per mesh,
+    at the degree-6 points, and computes the loads of one parameter object
     once per mesh, so data must not change after construction.
     """
 
@@ -156,46 +157,33 @@ class PicardReport:
 # loads and norms on the mesh's context
 
 
-def _load_vector(space: FeSpace, data, mass) -> np.ndarray:
+def _slot_load(tab: Tabulation, space: FeSpace, data, mass) -> tuple:
+    """(load vector, squared L2 norm) of one data slot; a callable is
+    evaluated once, at tab's points, and both come from those values."""
     if data is None:
-        return np.zeros(space.dof_count)
-    if isinstance(data, AnalyticField):
-        data = data.value
+        return np.zeros(space.dof_count), 0.0
     if callable(data):
-        return assemble_load(space, data, RULE_DEG6)
+        at = np.asarray(data(tab.points.reshape(-1, 3)), dtype=float)
+        at = at.reshape(*tab.wq.shape, -1)
+        return assemble_load(tab, space, at), _quad_l2sq(tab, at)
     vec = np.asarray(data, dtype=float)
     if vec.shape != (space.dof_count,):
         raise ValueError(
             f"data for the {space.kind.tag} slot must be callable or a "
             f"coefficient vector of length {space.dof_count}")
-    return mass @ vec
+    load = mass @ vec
+    return load, float(vec @ load)
 
 
 def _loads(ops: DiscreteOps, params: MhdParams) -> dict:
     """Full-length load vectors of params' data slots and the L2 norm of f
     (f_l2), computed once per parameter object and mesh."""
     if not ops.loads or ops.loads[0] is not params:
-        ops.loads[:] = [params, {
-            "f": _load_vector(ops.vel, params.f, ops.vel_mass),
-            "h": _load_vector(ops.space_d, params.h, ops.M_d),
-            "f_l2": _data_l2(ops, params.f, ops.vel_mass),
-        }]
-    return ops.loads[1]
-
-
-def _data_l2(ops: DiscreteOps, data, mass) -> float:
-    """L2 norm of one data slot, by quadrature when the data is analytic."""
-    if data is None:
-        return 0.0
-    if isinstance(data, AnalyticField):
-        data = data.value
-    if callable(data):
         tab = ops.tab(RULE_DEG6)
-        vals = np.asarray(data(tab.points.reshape(-1, 3)), dtype=float)
-        vals = vals.reshape(*tab.wq.shape, -1)
-        return math.sqrt(_quad_l2sq(tab, vals))
-    vec = np.asarray(data, dtype=float)
-    return math.sqrt(float(vec @ (mass @ vec)))
+        f, f_l2sq = _slot_load(tab, ops.vel, params.f, ops.vel_mass)
+        h, _ = _slot_load(tab, ops.space_d, params.h, ops.M_d)
+        ops.loads[:] = [params, {"f": f, "h": h, "f_l2": math.sqrt(f_l2sq)}]
+    return ops.loads[1]
 
 
 def _quad_l2sq(tab: Tabulation, field_at: np.ndarray) -> float:
@@ -337,7 +325,7 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     keys, fixed = [], []
     for rname, cname, op, transposed, coef in form.blocks:
         if op in KERNEL_RULES:
-            r, c = element_dofs(ops.mesh, op)
+            r, c, _ = element_dofs(ops.mesh, op)
         else:
             mat = ops.mesh.volumes if op == "volumes" else getattr(ops, op)
             coo = sp.coo_matrix(mat[:, None] if mat.ndim == 1 else mat)

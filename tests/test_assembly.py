@@ -9,17 +9,16 @@ from mhdfem import derham as dh
 from mhdfem.assembly import (
     DOF_EDGE_RULE,
     DOF_TRI_RULE,
+    KERNEL_RULES,
     RULE_DEG4,
     RULE_DEG6,
-    FormKind,
-    assemble,
+    Tabulation,
     assemble_load,
+    kernel_matrix,
     _bary,
 )
 from mhdfem.linalg import AssemblyError, finalize_assembly
 from mhdfem.mesh import build_box_mesh
-
-from kernel_matrix import kernel_matrix
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +30,16 @@ def cube2():
 def spaces(cube2):
     return {
         "vel": dh.build_space(cube2, dh.VELOCITY, True),
-        "p1": dh.build_space(cube2, dh.P1, False, zero_mean=True),
+        "p1": dh.build_space(cube2, dh.P1, False),
         "ned": dh.build_space(cube2, dh.NEDELEC, True),
         "rt": dh.build_space(cube2, dh.RT, True),
     }
+
+
+def form_matrix(kernel, mesh, *coeff):
+    """Global matrix of one assembly kernel on its own rule's tabulation."""
+    return kernel_matrix(Tabulation(mesh, KERNEL_RULES[kernel]), kernel,
+                         *coeff)
 
 
 def einsum_reference(kernel, coeff, trial, test):
@@ -81,8 +86,9 @@ def einsum_reference(kernel, coeff, trial, test):
 
 
 def assert_matches_reference(kernel, coeff, trial, test):
-    got = kernel_matrix(kernel, coeff, trial.mesh,
-                        transpose=trial.kind.components == 1)
+    got = form_matrix(kernel, trial.mesh, coeff)
+    if trial.kind.components == 1:
+        got = got.T
     want = einsum_reference(kernel, coeff, trial, test)
     assert np.abs((got - want).toarray()).max() \
         <= 1e-14 * np.abs(want.toarray()).max()
@@ -127,19 +133,13 @@ def test_edge_rule_exactness():
         assert abs(np.sum(w * t ** k) - 1.0 / (k + 1)) < 1e-14
 
 
-def test_dg0_mass_is_volume_diagonal():
-    m = build_box_mesh(1, 1, 1)
-    dg = dh.build_space(m, dh.DG0, False)
-    mass = assemble(FormKind("Mass"), dg, dg)
-    assert mass.nnz == m.num_tets
-    assert np.abs(mass.diagonal() - m.volumes).max() < 1e-16
-    assert abs(mass.diagonal().sum() - 1.0) < 1e-14
+MASS = {"vel": "velocity_mass", "ned": "edge_mass", "rt": "face_mass",
+        "p1": "pressure_mass"}
 
 
 @pytest.mark.parametrize("key", ["vel", "ned", "rt", "p1"])
 def test_mass_matrices_symmetric_positive(spaces, key):
-    s = spaces[key]
-    mass = assemble(FormKind("Mass"), s, s)
+    mass = form_matrix(MASS[key], spaces[key].mesh)
     asym = np.abs((mass - mass.T).toarray())
     scale = np.abs(mass.toarray()).max()
     assert asym.max() <= 1e-14 * scale
@@ -149,7 +149,7 @@ def test_mass_matrices_symmetric_positive(spaces, key):
 
 def test_rt_mass_reproduces_constant_norms(spaces, cube2):
     rt = spaces["rt"]
-    mass = assemble(FormKind("Mass"), rt, rt)
+    mass = form_matrix("face_mass", cube2)
     for c in (np.array([1.0, 0.0, 0.0]), np.array([0.4, -2.0, 1.5])):
         coeffs = dh.interpolate(rt, lambda x: np.broadcast_to(c, x.shape))
         exact = np.dot(c, c) * cube2.volumes.sum()
@@ -158,7 +158,7 @@ def test_rt_mass_reproduces_constant_norms(spaces, cube2):
 
 def test_laplacian_symmetric_and_kernel_free_on_bc(spaces):
     vel = spaces["vel"]
-    lap = assemble(FormKind("VectorLaplacian"), vel, vel)
+    lap = form_matrix("laplacian", vel.mesh)
     assert np.abs((lap - lap.T).toarray()).max() < 1e-14
     free = vel.free_index
     sub = lap[free][:, free].toarray()
@@ -182,7 +182,7 @@ def test_convection_against_dense_oracle():
     vel = dh.build_space(m, dh.VELOCITY, False)
     rng = np.random.default_rng(9)
     w = rng.standard_normal(vel.dof_count)
-    a = kernel_matrix("convection", w, m).toarray()
+    a = form_matrix("convection", m, w).toarray()
 
     lam = _bary(RULE_DEG6.tet_points)
     vals = dh.p2_values(lam)
@@ -218,7 +218,7 @@ def test_cross_coupling_antisymmetry_oracle():
     rt = dh.build_space(m, dh.RT, False)
     rng = np.random.default_rng(8)
     g = rng.standard_normal(rt.dof_count)
-    x_ev = kernel_matrix("cross", g, m, transpose=True).toarray()
+    x_ev = form_matrix("cross", m, g).T.toarray()
 
     lam = _bary(RULE_DEG4.tet_points)
     vals = dh.p2_values(lam)
@@ -258,7 +258,7 @@ def test_velocity_divergence_row_sums_vanish(spaces):
     # summing (div u, psi_q) over all P1 hats integrates div u over the box,
     # which is zero for velocities vanishing on the boundary
     vel, p1 = spaces["vel"], spaces["p1"]
-    b = assemble(FormKind("MixedDiv"), vel, p1)
+    b = form_matrix("divergence", vel.mesh)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(vel.dof_count)
     u[vel.boundary_dof] = 0.0
@@ -268,11 +268,18 @@ def test_velocity_divergence_row_sums_vanish(spaces):
 def test_load_partition_of_unity(spaces, cube2):
     vel = spaces["vel"]
     c = np.array([1.0, 2.0, -0.5])
-    load = assemble_load(vel, lambda x: np.broadcast_to(c, x.shape))
+    tab = Tabulation(cube2, RULE_DEG6)
+    load = assemble_load(tab, vel, np.broadcast_to(c, tab.points.shape))
     ns = vel.n_scalar
     vol = cube2.volumes.sum()
     for comp in range(3):
         assert abs(load[comp * ns:(comp + 1) * ns].sum() - c[comp] * vol) < 1e-12
+
+
+def fe_field_at(space, coeffs, tab):
+    """An FE coefficient field at tab's points, (T, nq, 3)."""
+    at = dh.point_eval(space, coeffs, tab.points.reshape(-1, 3))
+    return at.reshape(tab.points.shape)
 
 
 def test_load_matches_mass_action_for_fe_fields(spaces, cube2):
@@ -280,22 +287,22 @@ def test_load_matches_mass_action_for_fe_fields(spaces, cube2):
     ned = spaces["ned"]
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(ned.dof_count)
-    load = assemble_load(ned, lambda x: dh.point_eval(ned, coeffs, x))
-    mass = assemble(FormKind("Mass"), ned, ned)
+    tab = Tabulation(cube2, RULE_DEG6)
+    load = tab.edge_load(fe_field_at(ned, coeffs, tab))
+    mass = form_matrix("edge_mass", cube2)
     assert np.abs(load - mass @ coeffs).max() < 1e-12
 
 
-def test_mesh_mismatch_rejected():
-    m1 = build_box_mesh(1, 1, 1)
-    m2 = build_box_mesh(1, 1, 1)
-    v1 = dh.build_space(m1, dh.VELOCITY, True)
-    v2 = dh.build_space(m2, dh.VELOCITY, True)
-    with pytest.raises(AssemblyError):
-        assemble(FormKind("VectorLaplacian"), v1, v2)
+def test_face_load_matches_mass_action(spaces, cube2):
+    rt = spaces["rt"]
+    coeffs = np.random.default_rng(10).standard_normal(rt.dof_count)
+    tab = Tabulation(cube2, RULE_DEG6)
+    load = assemble_load(tab, rt, fe_field_at(rt, coeffs, tab))
+    mass = form_matrix("face_mass", cube2)
+    assert np.abs(load - mass @ coeffs).max() < 1e-12
 
 
-def test_unsupported_pairing_rejected(spaces):
+def test_load_rejects_spaces_without_data_slot(spaces, cube2):
+    tab = Tabulation(cube2, RULE_DEG6)
     with pytest.raises(AssemblyError):
-        assemble(FormKind("VectorLaplacian"), spaces["ned"], spaces["ned"])
-    with pytest.raises(AssemblyError):
-        FormKind("NotAForm")
+        assemble_load(tab, spaces["p1"], np.zeros(tab.points.shape))

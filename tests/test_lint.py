@@ -34,3 +34,45 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(texts):
+    """Module-level `_name`s (functions, classes, assignments) that no
+    module of texts reads, as `module.name`; texts maps module name to
+    source.  A read is a loaded name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, text in texts.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_unused_private_name_is_caught():
+    texts = {"a": "_KEPT = 1\n_DEAD, x = 2, 3\ndef _f():\n    return _KEPT\n"
+                  "class _C:\n    pass\n",
+             "b": "from .a import _C\n"}
+    assert unused_private_names(texts) == ["a._DEAD", "a._f"]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.stem: p.read_text()
+                                 for p in SOURCES}) == []

@@ -4,18 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mhdfem.assembly import RULE_DEG4, RULE_DEG6
+from mhdfem.assembly import RULE_DEG4, RULE_DEG6, Tabulation, kernel_matrix
 from mhdfem.derham import (NEDELEC, RT, VELOCITY, build_space, curl_incidence,
                            div_incidence, point_eval, tabulate_nedelec,
                            tabulate_rt)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (CapabilityError, DiagnosticConstants,
                               DiscreteOps, estimate_cross_bound,
-                              estimate_poincare_constant, poincare_h01_box,
-                              sobolev_embedding_constant)
-
-from kernel_matrix import kernel_matrix
+                              discrete_ops, estimate_poincare_constant,
+                              poincare_h01_box, sobolev_embedding_constant)
 
 # regression value for the coarsest box; the dense eigensolve is the oracle
 POINCARE_SINGLE_CUBE = 0.2236067977499790
@@ -121,7 +120,7 @@ def test_cross_coupling_load_matches_quadrature(mesh2, ops2):
     scale = np.linalg.norm(load[free])
 
     # the assembled coupling matrix applied to u gives that load on free rows
-    coupling = kernel_matrix("cross", B, mesh2)
+    coupling = kernel_matrix(Tabulation(mesh2, RULE_DEG4), "cross", B)
     assert np.linalg.norm((coupling @ u)[free] - load[free]) <= 1e-12 * scale
 
 
@@ -165,6 +164,28 @@ def test_poincare_refinement_ratio(mesh2):
     c4 = estimate_poincare_constant(build_box_mesh(4, 4, 4))
     assert c2 > 0 and c4 > 0
     assert 0.5 <= c2 / c4 <= 2.0
+
+
+def null_space_poincare(mesh):
+    """The constant by its definition: a dense kernel basis of the
+    divergence incidence on free faces, and on it the largest eigenvalue of
+    |B|^2 against |weak curl B|^2."""
+    ops = discrete_ops(mesh)
+    free_c, free_d = ops.space_c.free_index, ops.space_d.free_index
+    kernel = scipy.linalg.null_space(ops.div.toarray()[:, free_d])
+    mass = kernel.T @ ops.M_d[free_d][:, free_d].toarray() @ kernel
+    rhs = ops.K_cd.T[free_c][:, free_d].toarray() @ kernel
+    curl = rhs.T @ np.linalg.solve(ops.M_c[free_c][:, free_c].toarray(), rhs)
+    eigs = scipy.linalg.eigh(0.5 * (mass + mass.T), 0.5 * (curl + curl.T),
+                             eigvals_only=True)
+    return math.sqrt(eigs[-1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_poincare_matches_null_space_reference(n):
+    mesh = build_box_mesh(n, n, n)
+    assert estimate_poincare_constant(mesh) \
+        == pytest.approx(null_space_poincare(mesh), rel=1e-12, abs=0)
 
 
 def test_poincare_capability_limit():
@@ -218,7 +239,7 @@ def assembled_cross_bound(mesh, trials, seed):
             continue
         u = np.zeros(vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
-        cross = kernel_matrix("cross_cross", B, mesh)
+        cross = kernel_matrix(ops.tab(RULE_DEG6), "cross_cross", B)
         num = math.sqrt(max(u @ (cross @ u), 0.0))
         den = math.sqrt(u @ (vel_mass @ u) + u @ (vel_stiff @ u)) * curl_norm
         best = max(best, num / den)
@@ -244,10 +265,11 @@ def test_cross_gram_form_equals_quadrature_of_cross(mesh2):
     wq = (6.0 * mesh2.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]
     rt_vals, _ = tabulate_rt(mesh2, lam)
     pts = np.einsum("qi,tik->tqk", lam, mesh2.vertices[mesh2.tets])
+    tab = Tabulation(mesh2, RULE_DEG6)
     for _ in range(3):
         u = random_free(vel, rng)
         B = random_free(rt, rng)
-        C = kernel_matrix("cross_cross", B, mesh2)
+        C = kernel_matrix(tab, "cross_cross", B)
         u_at = point_eval(vel, u, pts.reshape(-1, 3)).reshape(pts.shape)
         b_at = np.einsum("tqfk,tf->tqk", rt_vals, B[mesh2.tet_faces])
         cross = np.cross(u_at, b_at)

@@ -11,8 +11,9 @@ import scipy.sparse as sp
 
 import mhdfem
 from mhdfem import linalg
-from mhdfem.assembly import RULE_DEG4, RULE_DEG6, FormKind, assemble, assemble_load
-from mhdfem.derham import (P1, RT, VELOCITY, AnalyticField, build_space,
+from mhdfem.assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
+                             assemble_load, kernel_matrix)
+from mhdfem.derham import (RT, VELOCITY, build_space,
                            curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
@@ -23,10 +24,8 @@ from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state_be, zero_state_bj,
-                            _fixed_matrix, _load_vector, _step_plan,
+                            _fixed_matrix, _loads, _slot_load, _step_plan,
                             _step_system)
-
-from kernel_matrix import kernel_matrix
 
 
 def smooth_force(pts):
@@ -169,6 +168,19 @@ def quad_work(mesh, u, force):
                         * np.einsum("tqk,tqk->tq", f_at, u_at)))
 
 
+def iterate_matrix(kernel, coeff, mesh):
+    """Global matrix of an iterate kernel at coefficient coeff."""
+    return kernel_matrix(Tabulation(mesh, KERNEL_RULES[kernel]), kernel,
+                         coeff)
+
+
+def force_load(ops, force):
+    """The velocity load of a callable force at the degree-6 points."""
+    tab = ops.tab(RULE_DEG6)
+    at = np.asarray(force(tab.points.reshape(-1, 3)), dtype=float)
+    return assemble_load(tab, ops.vel, at.reshape(tab.points.shape))
+
+
 def tet_divergences(mesh, B):
     _, divs = tabulate_rt(mesh, lam_of(RULE_DEG4))
     return np.einsum("tf,tf->t", divs, B[mesh.tet_faces])
@@ -202,19 +214,42 @@ def test_zero_state_shapes(mesh2):
 
 def test_load_vector_paths(mesh2):
     ops = discrete_ops(mesh2)
+    tab = ops.tab(RULE_DEG6)
     rng = np.random.default_rng(3)
-    assert not np.any(_load_vector(ops.vel, None, ops.vel_mass))
+    load, l2sq = _slot_load(tab, ops.vel, None, ops.vel_mass)
+    assert not np.any(load) and l2sq == 0.0
     coeff = rng.standard_normal(ops.vel.dof_count)
-    direct = _load_vector(ops.vel, coeff, ops.vel_mass)
+    direct, _ = _slot_load(tab, ops.vel, coeff, ops.vel_mass)
     assert np.allclose(direct, ops.vel_mass @ coeff, rtol=0, atol=0)
-    by_call = _load_vector(ops.vel, smooth_force, ops.vel_mass)
-    wrapped = _load_vector(ops.vel, AnalyticField(value=smooth_force),
-                           ops.vel_mass)
-    assert np.array_equal(by_call, wrapped)
-    assert np.allclose(by_call, assemble_load(ops.vel, smooth_force,
-                                              RULE_DEG6), rtol=0, atol=0)
+    by_call, l2sq = _slot_load(tab, ops.vel, smooth_force, ops.vel_mass)
+    assert np.allclose(by_call, force_load(ops, smooth_force), rtol=0,
+                       atol=0)
+    assert l2sq == quad_l2sq(mesh2, smooth_force(tab.points.reshape(-1, 3))
+                             .reshape(tab.points.shape), RULE_DEG6)
     with pytest.raises(ValueError):
-        _load_vector(ops.vel, np.zeros(7), ops.vel_mass)
+        _slot_load(tab, ops.vel, np.zeros(7), ops.vel_mass)
+
+
+def test_callable_data_evaluated_once_per_params(mesh2, params):
+    calls = {"f": 0, "h": 0}
+
+    def counted(slot, data):
+        def field(pts):
+            calls[slot] += 1
+            return data(pts)
+        return field
+
+    counting = MhdParams(r_e=params.r_e, r_m=params.r_m, s=params.s,
+                         f=counted("f", smooth_force),
+                         h=counted("h", seed_field))
+    constants = DiagnosticConstants(c1=1.0, c2=1.0)
+    for formulation in ("BE", "BJ"):
+        solve_nonlinear(formulation, counting,
+                        seeded_start(mesh2, formulation), max_iter=2,
+                        constants=constants)
+    # the load vector, f_l2 and every step and diagnostic share one call
+    assert calls == {"f": 1, "h": 1}
+    assert _loads(discrete_ops(mesh2), counting)["f_l2"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +259,11 @@ def test_load_vector_paths(mesh2):
 def test_bj_step_solves_every_equation(mesh2, ops2, params, seeded_bj):
     _, s1, s2 = seeded_bj
     vel = build_space(mesh2, VELOCITY, essential_bc=True)
-    pres = build_space(mesh2, P1, essential_bc=False, zero_mean=True)
-    lap = assemble(FormKind("VectorLaplacian"), vel, vel)
-    conv = kernel_matrix("convection", s1.u, mesh2)
-    cross = kernel_matrix("cross", s1.B, mesh2)
-    bdiv = assemble(FormKind("MixedDiv"), vel, pres)
+    lap, bdiv = ops2.lap, ops2.bdiv
+    conv = iterate_matrix("convection", s1.u, mesh2)
+    cross = iterate_matrix("cross", s1.B, mesh2)
     div = div_incidence(mesh2)
-    f_load = assemble_load(vel, smooth_force, RULE_DEG6)
+    f_load = force_load(ops2, smooth_force)
     re, rm, s = params.r_e, params.r_m, params.s
     free_u, free_e = vel.free_index, ops2.space_c.free_index
     free_f = ops2.space_d.free_index
@@ -265,14 +298,12 @@ def test_bj_step_solves_every_equation(mesh2, ops2, params, seeded_bj):
 def test_be_step_solves_every_equation(mesh2, ops2, params, seeded_be):
     _, s1, s2 = seeded_be
     vel = build_space(mesh2, VELOCITY, essential_bc=True)
-    pres = build_space(mesh2, P1, essential_bc=False, zero_mean=True)
-    lap = assemble(FormKind("VectorLaplacian"), vel, vel)
-    conv = kernel_matrix("convection", s1.u, mesh2)
-    cross = kernel_matrix("cross", s1.B, mesh2)
-    cross2 = kernel_matrix("cross_cross", s1.B, mesh2)
-    bdiv = assemble(FormKind("MixedDiv"), vel, pres)
+    lap, bdiv = ops2.lap, ops2.bdiv
+    conv = iterate_matrix("convection", s1.u, mesh2)
+    cross = iterate_matrix("cross", s1.B, mesh2)
+    cross2 = iterate_matrix("cross_cross", s1.B, mesh2)
     div = div_incidence(mesh2)
-    f_load = assemble_load(vel, smooth_force, RULE_DEG6)
+    f_load = force_load(ops2, smooth_force)
     re, rm, s = params.r_e, params.r_m, params.s
     free_u, free_e = vel.free_index, ops2.space_c.free_index
     free_f = ops2.space_d.free_index
@@ -355,11 +386,11 @@ def paper_system(ops, formulation, params, prev=None):
             [None, None, None, None, mean.T, None, None, None],
             [None, None, None, None, None, vol.T, None, None]]
     if prev is not None:
-        conv = kernel_matrix("convection", prev.u, ops.mesh)
-        cross = kernel_matrix("cross", prev.B, ops.mesh)
+        conv = iterate_matrix("convection", prev.u, ops.mesh)
+        cross = iterate_matrix("cross", prev.B, ops.mesh)
         blocks[0][1] = s * cross.T
         if formulation == "BE":
-            cross2 = kernel_matrix("cross_cross", prev.B, ops.mesh)
+            cross2 = iterate_matrix("cross_cross", prev.B, ops.mesh)
             blocks[0][0] = blocks[0][0] + conv + s * cross2
             blocks[1][0] = s * cross
         else:
@@ -371,7 +402,7 @@ def paper_system(ops, formulation, params, prev=None):
                                   ops.space_d.boundary_dof,
                                   np.zeros(n_scalar, dtype=bool)])
     zeros = [np.zeros(ops.space_c.dof_count)] * len(edge)
-    rhs = np.concatenate([assemble_load(ops.vel, params.f, RULE_DEG6), *zeros,
+    rhs = np.concatenate([force_load(ops, params.f), *zeros,
                           ops.M_d @ params.h, np.zeros(n_scalar)])
     keep = np.flatnonzero(~constrained)
     return sp.bmat(blocks, format="csr")[keep][:, keep], rhs[keep]
@@ -442,6 +473,22 @@ def test_later_steps_assemble_nothing_and_load_nothing(params, formulation,
     diagnostics(second, params)
     assert finalized == [] and loaded == []
     assert second.linear_solve["fallback"] is False
+
+
+def test_discrete_ops_tabulates_each_rule_once(params, monkeypatch):
+    # one context build and one B-J step tabulate every basis they use once
+    # per rule: the fixed forms and the cross kernel share the degree-4
+    # tabulation, convection and the loads the degree-6 one
+    calls = []
+    for name in ("tabulate_p2_gradients", "tabulate_nedelec", "tabulate_rt"):
+        def counted(mesh, lam, _name=name, _orig=getattr(mhdfem.assembly,
+                                                         name)):
+            calls.append((_name, np.asarray(lam).tobytes()))
+            return _orig(mesh, lam)
+        monkeypatch.setattr(mhdfem.assembly, name, counted)
+    mesh = build_box_mesh(2, 2, 2)
+    bj_picard_step(seeded_start(mesh, "BJ"), params)
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_be_current_evaluated_once_per_iterate(mesh2, params, monkeypatch):
@@ -619,10 +666,11 @@ def test_elimination_identities(mesh2, ops2, params, solved_bj):
 
     # L2 projection of u x B_prev onto the constrained edge space
     free = ops2.space_c.free_index
+    tab = ops2.tab(RULE_DEG6)
+    at = cross_field(tab.points.reshape(-1, 3)).reshape(tab.points.shape)
     sig_pred = np.zeros(ops2.space_c.dof_count)
     sig_pred[free] = np.linalg.solve(
-        ops2.M_c[free][:, free].toarray(),
-        assemble_load(ops2.space_c, cross_field, RULE_DEG6)[free])
+        ops2.M_c[free][:, free].toarray(), tab.edge_load(at)[free])
     assert ops2.norm_c(state.sigma - sig_pred) \
         <= 1e-10 * max(ops2.norm_c(sig_pred), 1e-30)
 
