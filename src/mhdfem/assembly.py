@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .derham import (
@@ -33,7 +34,7 @@ from .derham import (
     tabulate_p2_gradients,
     tabulate_rt,
 )
-from .linalg import AssemblyError, SparseMatrix, finalize_assembly
+from .linalg import AssemblyError, SparseMatrix
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -315,13 +316,19 @@ def element_dofs(mesh, kernel: str) -> tuple:
 
 def kernel_matrix(tab: Tabulation, kernel: str, *coeff) -> SparseMatrix:
     """Global matrix of <kernel>_elements on tab, rows over test DOFs; an
-    iterate kernel takes its coefficient vector as coeff."""
+    iterate kernel takes its coefficient vector as coeff.
+
+    One COO-to-CSR conversion sums the duplicates; the triplets always
+    arrive in canonical element order, so the result is deterministic
+    without the sort of linalg.finalize_assembly.
+    """
     # looked up when called, so a rebinding of the module's kernel (a
     # profiler's, say) takes effect
     elem = globals()[f"{kernel}_elements"](tab, *coeff)
     rows, cols, shape = element_dofs(tab.mesh, kernel)
     rows, cols, vals = np.broadcast_arrays(rows, cols, elem)
-    return finalize_assembly(rows.ravel(), cols.ravel(), vals.ravel(), shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=shape)
 
 
 def assemble_load(tab: Tabulation, space: FeSpace,

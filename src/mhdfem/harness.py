@@ -280,10 +280,12 @@ def _curl(v, x, y, z):
 
 
 def _vec_fn(entries, syms):
+    """Vector field of points (n, 3); symbols past x, y, z become trailing
+    numeric arguments."""
     fns = [sympy.lambdify(syms, e, modules="numpy") for e in entries]
 
-    def call(pts):
-        args = (pts[:, 0], pts[:, 1], pts[:, 2])
+    def call(pts, *numbers):
+        args = (pts[:, 0], pts[:, 1], pts[:, 2], *numbers)
         cols = [np.broadcast_to(np.asarray(fn(*args), dtype=float),
                                 (len(pts),)) for fn in fns]
         return np.stack(cols, axis=-1)
@@ -334,12 +336,14 @@ def _trig_case() -> ManufacturedCase:
         return np.stack([row(pts) for row in grad_rows], axis=1)
 
     flux = _vec_fn(list(b), syms)
+    # the data are compiled once, with the numbers as arguments
+    _, numbers, f, h = _trig_data_exprs()
+    f_fn = _vec_fn(list(f), syms + numbers)
+    h_fn = _vec_fn(list(h), syms + numbers)
 
     def data_for(mesh, r_e, r_m, s):
-        _, params, f, h = _trig_data_exprs()
-        subs = dict(zip(params, (r_e, r_m, s)))
-        return {"f": _vec_fn([e.subs(subs) for e in f], syms),
-                "h": _vec_fn([e.subs(subs) for e in h], syms)}
+        return {"f": lambda pts: f_fn(pts, r_e, r_m, s),
+                "h": lambda pts: h_fn(pts, r_e, r_m, s)}
 
     def initial_flux_for(mesh):
         rt = build_space(mesh, RT, essential_bc=True)

@@ -1,16 +1,18 @@
 """Sparse storage, deterministic assembly, and deterministic solves.
 
-Assembly produces triplet streams whose arrival order must not influence the
-result, so duplicates are summed in fully sorted order (row, column, value);
-the finalized matrix is bitwise independent of how contributions were
-interleaved.  Direct solves go through SuperLU with equilibration and one
-step of iterative refinement, which keeps row-wise residuals small enough
-that the structural invariants downstream (exact divergence constraints)
-survive the linear algebra.  A system that is a perturbation of a block
-operator whose two diagonal blocks are factored once (factor_blocks) is
-solved by GMRES preconditioned with the block lower-triangular operator
-(solve_preconditioned), to the same residual contract, with the direct
-solve as the fallback.
+A triplet stream whose arrival order is not fixed is finalized with its
+duplicates summed in fully sorted order (row, column, value), so the matrix
+is bitwise independent of how contributions were interleaved
+(finalize_assembly; the package's own element kernels arrive in canonical
+order and need no sort).  Direct solves go through SuperLU with
+equilibration and one step of iterative refinement, which keeps row-wise
+residuals small enough that the structural invariants downstream (exact
+divergence constraints) survive the linear algebra.  A system that is a
+perturbation of a block operator whose two diagonal blocks have exact
+solves (BlockFactors, each block's solve built by the caller, for
+instance from factor) is solved by GMRES preconditioned with the block
+lower-triangular operator (solve_preconditioned), to the same residual
+contract, with the direct solve as the fallback.
 """
 from __future__ import annotations
 
@@ -91,7 +93,8 @@ def _worst_pivot(a_csc) -> tuple[int, int]:
 
 
 def _factor(a_csc):
-    """SuperLU factors of a square matrix; SingularSystemError on breakdown."""
+    """SuperLU factors of a square matrix and the magnitudes of their
+    pivots; SingularSystemError on breakdown."""
     try:
         lu = splu(a_csc)
     except RuntimeError as exc:
@@ -113,7 +116,22 @@ def _factor(a_csc):
             f"pivot {d[step]:.3e} at roundoff of the largest {d.max():.3e}, "
             f"elimination step {step}, unknown {int(lu.perm_c[step])}",
             pivot_index=step, unknown_index=int(lu.perm_c[step]))
-    return lu
+    return lu, d
+
+
+def factor(a) -> tuple:
+    """(lu, summary) of a square sparse matrix: its SuperLU factors, and
+    their size n, fill lu_nnz = nnz(L + U) and smallest pivot |U_kk|.
+
+    A zero pivot, or one at roundoff of the largest, raises
+    SingularSystemError.
+    """
+    lu, pivots = _factor(sp.csc_matrix(a))
+    # L and U are materialized copies, so each is read once and dropped
+    fill = lu.L.nnz
+    fill += lu.U.nnz
+    return lu, {"n": int(a.shape[0]), "lu_nnz": int(fill),
+                "min_pivot": float(pivots.min())}
 
 
 def solve_direct(A, b) -> np.ndarray:
@@ -134,7 +152,7 @@ def solve_direct(A, b) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
 
-    lu = _factor(a_csr.tocsc())
+    lu, _ = _factor(a_csr.tocsc())
     x = lu.solve(b)
     fro = np.sqrt(np.dot(a_csr.data, a_csr.data))
     bnorm = np.linalg.norm(b)
@@ -174,31 +192,18 @@ _KRYLOV_CAP = 60
 
 @dataclass(frozen=True, eq=False)
 class BlockFactors:
-    """LU factors of the two diagonal blocks of a square operator.
+    """Exact solves with the two diagonal blocks of a square operator.
 
     first and second partition the unknowns, each in ascending order;
-    lu_first and lu_second factor the operator restricted to first x first
-    and second x second.
+    lu_first and lu_second solve (their solve(rhs) method) with the
+    operator restricted to first x first and second x second: SuperLU
+    factors, or any solve exact to factorization roundoff.
     """
 
     first: np.ndarray
     second: np.ndarray
     lu_first: object
     lu_second: object
-
-
-def factor_blocks(L, first) -> BlockFactors:
-    """Factor the two diagonal blocks of L split by the index set first.
-
-    A singular or numerically singular block raises SingularSystemError.
-    """
-    a = sp.csr_matrix(L)
-    mask = np.zeros(a.shape[0], dtype=bool)
-    mask[np.asarray(first, dtype=np.int64)] = True
-    one, two = np.flatnonzero(mask), np.flatnonzero(~mask)
-    return BlockFactors(first=one, second=two,
-                        lu_first=_factor(a[one][:, one].tocsc()),
-                        lu_second=_factor(a[two][:, two].tocsc()))
 
 
 def _gmres(a, b, precond, tol):
@@ -244,7 +249,8 @@ def solve_preconditioned(A, b, factors: BlockFactors | None):
     """Solve Ax = b by GMRES with a block lower-triangular preconditioner.
 
     With A split as [A_11 A_12; A_21 A_22] by factors.first/second, the
-    preconditioner is P = [S 0; A_21 K], S and K the factored blocks, so
+    preconditioner is P = [S 0; A_21 K], S and K the blocks that
+    factors.lu_first and lu_second solve with exactly, so
     P differs from A only where A_11 differs from S, A_22 from K, or A_12
     is nonzero.  After GMRES one correction x <- x + P^-1 (b - A x) always
     follows; it leaves a residual only in the rows where P and A differ,

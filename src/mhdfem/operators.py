@@ -5,8 +5,8 @@ DiscreteOps owns what both Picard schemes share on one mesh: the velocity,
 pressure, multiplier, edge and face spaces, every fixed matrix (summed
 from the assembly element kernels on its degree-4 tabulation), the
 factored free-edge mass, the basis tabulations at each quadrature rule,
-and the solvers' step plans and loads.  discrete_ops(mesh) hands every
-caller the one instance of the most recent mesh.
+and the solvers' step plans, block factors and loads.  discrete_ops(mesh)
+hands every caller the one instance of the most recent mesh.
 
 The weak curl maps a div-conforming (face-element) function into the
 curl-conforming (edge-element) space through the duality
@@ -24,12 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .assembly import (RULE_DEG4, RULE_DEG6, QuadratureRule, Tabulation,
                        kernel_matrix)
 from .derham import (DG0, NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
                      curl_incidence, div_incidence)
+from .linalg import factor
 from .mesh import Mesh
 
 # largest free face-DOF count the dense Poincare eigensolve accepts
@@ -56,8 +56,10 @@ class DiscreteOps:
       K_cd: (faces x edges) pairing matrix (curl w_e, w_f).
       div, curl: face-to-cell and edge-to-face incidences.
       mean_p: integral of each pressure basis function.
-      plans, loads: the solvers' step plans and loads, cached here so they
-        share the context's lifetime.
+      lu_c, lu_c_summary: factors of the edge mass over free edges (None
+        when every edge is constrained) and their linalg.factor summary.
+      plans, factors, loads: the solvers' step plans, block factors and
+        loads, cached here so they share the context's lifetime.
     """
 
     def __init__(self, mesh: Mesh):
@@ -79,9 +81,14 @@ class DiscreteOps:
         self.mean_p = np.zeros(self.pres.dof_count)
         np.add.at(self.mean_p, mesh.tets.ravel(),
                   np.repeat(mesh.volumes / 4.0, 4))
-        self._lu_c = _factor(self.M_c, self.space_c.free_index, "edge")
+        free_c = self.space_c.free_index
+        self.lu_c, self.lu_c_summary = (factor(self.M_c[free_c][:, free_c])
+                                        if free_c.size else (None, None))
         # formulation -> the solvers' step plan of the last (r_e, r_m, s)
         self.plans = {}
+        # block -> (key, lu, summary): the solvers' factor of that block for
+        # the parameters it depends on (key), the last key asked for
+        self.factors = {}
         # [params, loads] of the last parameter object the solvers saw
         self.loads = []
 
@@ -95,7 +102,7 @@ class DiscreteOps:
         """Edge-element x with (x, F) = (B, curl F) for all admissible F."""
         B = np.asarray(B, dtype=float)
         rhs = self.K_cd.T @ B
-        return _solve_free(self._lu_c, rhs, self.space_c)
+        return _solve_free(self.lu_c, rhs, self.space_c)
 
     # -- norms ------------------------------------------------------------
 
@@ -119,16 +126,6 @@ class DiscreteOps:
 def discrete_ops(mesh: Mesh) -> DiscreteOps:
     """The context of mesh, built once and shared until another mesh asks."""
     return DiscreteOps(mesh)
-
-
-def _factor(M, free: np.ndarray, what: str):
-    if free.size == 0:
-        return None
-    try:
-        return spla.splu(M[free][:, free].tocsc())
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"{what} mass matrix is singular; this indicates a bug") from exc
 
 
 def _solve_free(lu, rhs: np.ndarray, space: FeSpace) -> np.ndarray:

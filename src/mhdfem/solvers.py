@@ -13,12 +13,19 @@ transposed, coefficient), and the load feeding each row.  Only the
 convection and cross-coupling blocks, whose operators are element
 kernels, depend on the iterate.  Once per mesh and parameter set a step
 plan maps every entry of every block, fixed matrix or element array, to
-its place in one reduced CSR pattern, and factors the Stokes block over
-(u, p) and the Maxwell block over the other unknowns of the fixed part.
-A step computes the element arrays, scatters them onto the fixed values
-with one bincount, and solves by GMRES preconditioned with the factored
-blocks (linalg.solve_preconditioned), falling back to a direct
-factorization of the whole step when GMRES stalls.
+its place in one reduced CSR pattern, and builds exact solves with the
+two diagonal blocks of the fixed part: the Stokes block S over (u, p, mp)
+and the Maxwell block K over the other unknowns.  K is solved by its
+structure (_MaxwellSolve): the B-J sigma rows hold only the free-edge
+mass, whose factor the context already owns; the mean multiplier mr
+follows in closed form with r_0 pinned; and what is left, K_E, is the
+same matrix in both formulations.  S depends on r_e only and K_E on
+(r_m, s) only, so each factor is cached on the context under that key,
+and a mesh that runs both formulations factors each once.  A step
+computes the element arrays, scatters them onto the fixed values with
+one bincount, and solves by GMRES preconditioned with the block solves
+(linalg.solve_preconditioned), falling back to a direct factorization of
+the whole step when GMRES stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -43,7 +50,7 @@ from .derham import FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
 from .linalg import (BlockFactors, SingularSystemError,  # noqa: F401
-                     factor_blocks, solve_direct, solve_preconditioned)
+                     factor, solve_direct, solve_preconditioned)
 from .mesh import Mesh
 from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                         estimate_cross_bound, poincare_h01_box,
@@ -132,8 +139,12 @@ class PicardReport:
     the structure diagnostics of the new iterate, and linear_solve: the
     step's reduced system size (unknowns), its GMRES iterations
     (krylov_iterations), the achieved |b - Ax| / (|A|_F |x| + |b|)
-    (relative_residual), and whether the step fell back to a direct
-    factorization of the whole system (fallback).  Every entry is a
+    (relative_residual), whether the step fell back to a direct
+    factorization of the whole system (fallback), and factors: the size
+    n, fill lu_nnz = nnz(L + U) and smallest pivot min_pivot of each
+    block factor behind the preconditioner ("stokes", "maxwell", and for
+    the current-based step the free-edge mass, "edge_mass"), None when a
+    block is singular.  Every entry is a
     deterministic function of the inputs.  termination is "converged" or
     "max-iterations"; non-convergence is never raised.
     """
@@ -274,8 +285,10 @@ class _StepPlan:
     free rows and columns.  slots: the pattern position of each of those
     entries, then of each entry of every iterate block's element array;
     nnz, a dump slot, for entries in constrained rows or columns.  factors:
-    the factored Stokes and Maxwell blocks of the fixed matrix, None when
-    one is singular.  rhs: [params, reduced right-hand side].
+    the exact Stokes and Maxwell block solves of the fixed matrix, None
+    when a block is singular; summary: their factors' sizes, fill and
+    smallest pivots (see PicardReport).  rhs: [params, reduced right-hand
+    side].
     """
 
     key: tuple
@@ -284,7 +297,117 @@ class _StepPlan:
     fixed: np.ndarray
     slots: np.ndarray
     factors: BlockFactors | None
+    summary: dict | None
     rhs: list = field(default_factory=list)
+
+
+@dataclass(frozen=True, eq=False)
+class _MaxwellSolve:
+    """Exact solve with the Maxwell block K of a step's fixed matrix.
+
+    Ordered as (sigma, the rest), K is block lower-triangular: the sigma
+    rows hold only sigma_scale M_c over the free edges, whose factor lu_c
+    is the context's, so sigma is solved first and its columns leave the
+    other rows.  Summing the r rows gives (1^T vols) mr = 1^T rho_r,
+    because 1^T div B = 0 for B with zero normal trace; so mr has a closed
+    form, and the r rows minus one determine B.  lu factors K_E, K over
+    keep: every unknown but sigma, r_0 (pinned to zero) and mr.  Last, r
+    is shifted by a constant to meet the mr row vols^T r = rho_mr; since
+    div^T 1 = 0 on free faces, the shift leaves the B rows alone.  Every
+    row of K then holds to factorization roundoff.
+
+    Positions index K's unknowns: sigma and r are slices (sigma None in
+    the electric-field step), mr an index, keep ascending.  sigma_cols is
+    K[keep, sigma], mr_col K[keep, mr] and vols K[mr, r].
+    """
+
+    sigma: slice | None
+    sigma_scale: float
+    lu_c: object
+    r: slice
+    mr: int
+    keep: np.ndarray
+    sigma_cols: sp.csr_matrix | None
+    mr_col: np.ndarray
+    vols: np.ndarray
+    lu: object
+
+    def solve(self, rho: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rho)
+        rhs = rho[self.keep]
+        if self.sigma is not None:
+            x[self.sigma] = self.lu_c.solve(rho[self.sigma]) / self.sigma_scale
+            rhs -= self.sigma_cols @ x[self.sigma]
+        total = self.vols.sum()
+        mr = rho[self.r].sum() / total
+        rhs -= mr * self.mr_col
+        x[self.keep] = self.lu.solve(rhs)
+        x[self.r.start] = 0.0
+        x[self.r] += (rho[self.mr] - self.vols @ x[self.r]) / total
+        x[self.mr] = mr
+        return x
+
+
+def _block_lu(ops: DiscreteOps, block: str, key, matrix) -> tuple:
+    """(lu, summary) of one diagonal block, cached on the context under
+    the parameters it depends on; (None, None) when it is singular."""
+    entry = ops.factors.get(block)
+    if entry is not None and entry[0] == key:
+        return entry[1:]
+    # the previous factors go first, so the new ones can reuse their memory
+    ops.factors.pop(block, None)
+    del entry
+    try:
+        lu, summary = factor(matrix)
+    except SingularSystemError:
+        lu = summary = None
+    ops.factors[block] = (key, lu, summary)
+    return lu, summary
+
+
+def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
+                   unknowns: list, fixed: sp.csr_matrix) -> tuple:
+    """(BlockFactors, summary) of a step's fixed matrix, (None, None) when
+    the Stokes block or K_E is singular.
+
+    S over (u, p, mp) is keyed by r_e and K_E (see _MaxwellSolve) by
+    (r_m, s); their entries come from the block table, the same in both
+    formulations.
+    """
+    r_e, r_m, s = key
+    in_stokes = np.concatenate([np.full(free.size, name in _STOKES)
+                                for name, _, free in unknowns])
+    stokes, maxwell = np.flatnonzero(in_stokes), np.flatnonzero(~in_stokes)
+    # each Maxwell unknown's positions within K
+    at, off = {}, 0
+    for name, _, free in unknowns:
+        if name not in _STOKES:
+            at[name] = slice(off, off + free.size)
+            off += free.size
+    sigma, r, mr = at.get("sigma"), at["r"], at["mr"].start
+    keep = np.ones(maxwell.size, dtype=bool)
+    keep[[r.start, mr]] = False
+    if sigma is not None:
+        keep[sigma] = False
+    keep = np.flatnonzero(keep)
+    k = fixed[maxwell][:, maxwell]
+    lu_s, summary_s = _block_lu(ops, "stokes", r_e, fixed[stokes][:, stokes])
+    lu_e, summary_e = _block_lu(ops, "maxwell", (r_m, s), k[keep][:, keep])
+    if lu_s is None or lu_e is None:
+        return None, None
+    summary = {"stokes": summary_s, "maxwell": summary_e}
+    scale = 1.0
+    if sigma is not None:
+        scale = next(coef(*key) for row, col, _, _, coef in form.blocks
+                     if row == col == "sigma")
+        summary["edge_mass"] = ops.lu_c_summary
+    solve_k = _MaxwellSolve(
+        sigma=sigma, sigma_scale=scale, lu_c=ops.lu_c, r=r, mr=mr, keep=keep,
+        sigma_cols=k[keep][:, sigma] if sigma is not None else None,
+        mr_col=k[keep][:, [mr]].toarray().ravel(),
+        vols=k[[mr]][:, r].toarray().ravel(), lu=lu_e)
+    return BlockFactors(first=stokes, second=maxwell, lu_first=lu_s,
+                        lu_second=solve_k), summary
 
 
 def _fixed_matrix(pattern: sp.csr_matrix, fixed: np.ndarray,
@@ -308,6 +431,9 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     plan = ops.plans.get(formulation)
     if plan is not None and plan.key == key:
         return plan
+    # the old plan goes first, so its block factors can be freed
+    ops.plans.pop(formulation, None)
+    del plan
     form = _FORMULATIONS[formulation]
 
     # full DOF of each unknown -> reduced unknown, -1 where constrained
@@ -350,15 +476,11 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     # the map's temporaries are freed before the blocks are factored, so
     # the factorization reuses their memory and peak memory stays lower
     del keys, used, k
-    stokes = np.concatenate([to_reduced[u][free] for u, _, free in unknowns
-                             if u in _STOKES])
-    try:
-        factors = factor_blocks(_fixed_matrix(pattern, fixed, slots), stokes)
-    except SingularSystemError:
-        factors = None
+    factors, summary = _block_factors(ops, form, key, unknowns,
+                                      _fixed_matrix(pattern, fixed, slots))
     plan = ops.plans[formulation] = _StepPlan(
         key=key, unknowns=unknowns, pattern=pattern, fixed=fixed,
-        slots=slots, factors=factors)
+        slots=slots, factors=factors, summary=summary)
     return plan
 
 
@@ -412,22 +534,38 @@ _SINGULAR_STEP = {
           "mesh, or switch to the current-based formulation.",
     "BJ": "singular current-based step: this linearization is uniquely "
           "solvable for any positive parameters, so a singular system "
-          "indicates an implementation bug (or a mesh with too few "
-          "interior velocity nodes to carry the pressure space).",
+          "indicates an implementation bug.",
 }
+
+
+def _singular_step_message(ops: DiscreteOps, formulation: str) -> str:
+    """Why a step is singular: the mesh when it has too few interior
+    velocity DOFs to carry the zero-mean pressures (the Stokes block is
+    then singular in both formulations), else the formulation's cause."""
+    n_u, n_p = ops.vel.free_index.size, ops.pres.dof_count - 1
+    if n_u >= n_p:
+        return _SINGULAR_STEP[formulation]
+    mesh = ops.mesh
+    name = ("x".join(map(str, mesh.grid_shape)) + " box mesh"
+            if mesh.grid_shape else f"mesh of {mesh.tets.shape[0]} tets")
+    return (f"singular step: the {name} is too coarse, its {n_u} interior "
+            f"velocity DOFs cannot carry its {n_p} zero-mean pressure "
+            "DOFs; refine the mesh.")
 
 
 def _picard_step(prev: MhdState, params: MhdParams,
                  formulation: str) -> MhdState:
     """One step of formulation linearized around (prev.u, prev.B)."""
-    plan, a, b = _step_system(discrete_ops(prev.mesh), formulation, prev,
-                              params)
+    ops = discrete_ops(prev.mesh)
+    plan, a, b = _step_system(ops, formulation, prev, params)
     try:
         x, record = solve_preconditioned(a, b, plan.factors)
     except SingularSystemError as exc:
         raise SingularSystemError(
-            _SINGULAR_STEP[formulation], pivot_index=exc.pivot_index,
+            _singular_step_message(ops, formulation),
+            pivot_index=exc.pivot_index,
             unknown_index=exc.unknown_index) from exc
+    record["factors"] = plan.summary
     parts, off = {}, 0
     for name, dim, free in plan.unknowns:
         parts[name] = np.zeros(dim)

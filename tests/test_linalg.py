@@ -6,8 +6,9 @@ import scipy.sparse as sp
 
 from mhdfem.linalg import (
     AssemblyError,
+    BlockFactors,
     SingularSystemError,
-    factor_blocks,
+    factor,
     finalize_assembly,
     solve_direct,
     solve_preconditioned,
@@ -154,11 +155,19 @@ def perturbed_block_system(rng, n1=40, n2=30, eps=0.05):
     return sp.csr_matrix(a), lin, first
 
 
+def block_factors(lin, first):
+    """BlockFactors of lin's two diagonal blocks split by first."""
+    second = np.setdiff1d(np.arange(lin.shape[0]), first)
+    return BlockFactors(first=first, second=second,
+                        lu_first=factor(lin[first][:, first])[0],
+                        lu_second=factor(lin[second][:, second])[0])
+
+
 def test_preconditioned_solve_matches_direct():
     rng = np.random.default_rng(3)
     a, lin, first = perturbed_block_system(rng)
     b = rng.standard_normal(a.shape[0])
-    x, record = solve_preconditioned(a, b, factor_blocks(lin, first))
+    x, record = solve_preconditioned(a, b, block_factors(lin, first))
     ref = solve_direct(a, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert record["fallback"] is False
@@ -177,7 +186,7 @@ def test_preconditioned_solve_zero_rhs_is_exact_zero():
     rng = np.random.default_rng(4)
     a, lin, first = perturbed_block_system(rng)
     x, record = solve_preconditioned(a, np.zeros(a.shape[0]),
-                                     factor_blocks(lin, first))
+                                     block_factors(lin, first))
     assert not x.any()
     assert record["relative_residual"] == 0.0
     assert record["fallback"] is False
@@ -193,10 +202,21 @@ def test_preconditioned_solve_without_factors_is_direct():
     assert record["krylov_iterations"] == 0
 
 
-def test_factor_blocks_rejects_numerically_singular_block():
+def test_factor_rejects_numerically_singular_matrix():
     # exactly singular in real arithmetic; the factorization sees a pivot
     # at roundoff instead of an exact zero
     s = sp.csr_matrix(np.array([[0.1, 0.3], [0.3, 0.9]]))
     lin = sp.block_diag([s, sp.identity(2)], format="csr")
     with pytest.raises(SingularSystemError, match="roundoff"):
-        factor_blocks(lin, [0, 1])
+        factor(lin)
+
+
+def test_factor_summary_reports_size_fill_and_smallest_pivot():
+    a = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0],
+                                [0.0, 0.0, 0.5]]))
+    lu, summary = factor(a)
+    assert np.allclose(lu.solve(np.ones(3)), np.linalg.solve(a.toarray(),
+                                                             np.ones(3)))
+    assert summary["n"] == 3
+    assert summary["lu_nnz"] == lu.L.nnz + lu.U.nnz
+    assert summary["min_pivot"] == np.abs(lu.U.diagonal()).min()

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import mhdfem
 from mhdfem import linalg
@@ -447,8 +448,8 @@ def test_scattered_step_matches_assembled_blocks(formulation, n):
 def count_calls(monkeypatch, name):
     """Count calls of one mhdfem function through every module binding it."""
     calls = []
-    orig = getattr(mhdfem.linalg if name == "finalize_assembly"
-                   else mhdfem.assembly, name)
+    orig = getattr(mhdfem.linalg if name == "splu" else mhdfem.assembly,
+                   name)
 
     def counted(*args, **kwargs):
         calls.append(name)
@@ -467,11 +468,11 @@ def test_later_steps_assemble_nothing_and_load_nothing(params, formulation,
     mesh = build_box_mesh(2, 2, 2)
     first = STEPS[formulation][1](seeded_start(mesh, formulation), params)
     diagnostics(first, params)
-    finalized = count_calls(monkeypatch, "finalize_assembly")
+    assembled = count_calls(monkeypatch, "kernel_matrix")
     loaded = count_calls(monkeypatch, "assemble_load")
     second = STEPS[formulation][1](first, params)
     diagnostics(second, params)
-    assert finalized == [] and loaded == []
+    assert assembled == [] and loaded == []
     assert second.linear_solve["fallback"] is False
 
 
@@ -535,10 +536,12 @@ def test_stalled_krylov_falls_back_to_direct(params, formulation,
     ref, x = direct_step_fields(init, params, formulation)
     monkeypatch.setattr(linalg, "_KRYLOV_CAP", 0)
     state = STEPS[formulation][1](init, params)
+    summary = _step_plan(discrete_ops(mesh), formulation, params).summary
+    assert summary is not None
     assert state.linear_solve == {
         "unknowns": x.size, "krylov_iterations": 0,
         "relative_residual": state.linear_solve["relative_residual"],
-        "fallback": True}
+        "fallback": True, "factors": summary}
     assert state.linear_solve["relative_residual"] <= 1e-10
     for name, want in ref.items():
         if name not in ("mp", "mr"):
@@ -576,6 +579,88 @@ def test_block_factors_release_dropped_meshes(params):
     del mesh_a
     gc.collect()
     assert ref() is None
+
+
+def maxwell_block(plan):
+    """The unsplit Maxwell block of a plan's fixed matrix: every unknown
+    but u, p and mp."""
+    fixed = _fixed_matrix(plan.pattern, plan.fixed, plan.slots)
+    two = plan.factors.second
+    return fixed[two][:, two]
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_structured_maxwell_solve_matches_unsplit_factor(params,
+                                                         formulation):
+    ops = discrete_ops(build_box_mesh(3, 3, 3))
+    plan = _step_plan(ops, formulation, params)
+    k = maxwell_block(plan)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        rho = rng.standard_normal(k.shape[0])
+        want = splu(k.tocsc()).solve(rho)
+        got = plan.factors.lu_second.solve(rho)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # every row of K, the mean-multiplier row included, at roundoff
+        res = np.linalg.norm(k @ got - rho)
+        fro = np.sqrt(np.dot(k.data, k.data))
+        assert res <= 1e-15 * (fro * np.linalg.norm(got)
+                               + np.linalg.norm(rho))
+    summary = plan.summary
+    n_r = ops.mult.dof_count
+    # K_E drops sigma, r_0 and mr
+    assert summary["maxwell"]["n"] == (ops.space_c.free_index.size
+                                       + ops.space_d.free_index.size + n_r - 1)
+    assert summary["stokes"]["n"] == plan.factors.first.size
+    assert (summary.get("edge_mass") is not None) == (formulation == "BJ")
+    for entry in summary.values():
+        assert entry["lu_nnz"] >= entry["n"] and entry["min_pivot"] > 0.0
+
+
+def test_each_block_factored_once_per_dependency(params, monkeypatch):
+    mesh = build_box_mesh(3, 3, 3)
+    ops = discrete_ops(mesh)
+    calls = count_calls(monkeypatch, "splu")
+    bj = _step_plan(ops, "BJ", params)
+    # S and K_E; sigma solves with the context's edge-mass factor
+    assert len(calls) == 2
+    assert bj.factors.lu_second.lu_c is ops.lu_c
+    _, report = solve_nonlinear("BE", params, seeded_start(mesh, "BE"),
+                                max_iter=3)
+    assert report.n_iterations == 3
+    assert len(calls) == 2
+    be = _step_plan(ops, "BE", params)
+    assert be.factors.lu_first is bj.factors.lu_first
+    assert be.factors.lu_second.lu is bj.factors.lu_second.lu
+    # S depends on r_e only, K_E on (r_m, s) only
+    _step_plan(ops, "BJ", MhdParams(r_e=2.0 * params.r_e, r_m=params.r_m,
+                                    s=params.s, f=smooth_force))
+    assert len(calls) == 3
+    _step_plan(ops, "BE", MhdParams(r_e=2.0 * params.r_e, r_m=params.r_m,
+                                    s=2.0 * params.s, f=smooth_force))
+    assert len(calls) == 4
+
+
+def test_formulations_factor_the_same_maxwell_matrix(params, monkeypatch):
+    # the cached K_E must not depend on which formulation built it
+    ops = discrete_ops(build_box_mesh(3, 3, 3))
+    seen = []
+    orig = mhdfem.solvers.factor
+
+    def recorded(a):
+        seen.append(sp.csr_matrix(a))
+        return orig(a)
+
+    monkeypatch.setattr(mhdfem.solvers, "factor", recorded)
+    for formulation in ("BE", "BJ"):
+        ops.factors.clear()
+        ops.plans.clear()
+        _step_plan(ops, formulation, params)
+    assert len(seen) == 4
+    for one, two in ((seen[0], seen[2]), (seen[1], seen[3])):
+        assert np.array_equal(one.indptr, two.indptr)
+        assert np.array_equal(one.indices, two.indices)
+        assert one.data.tobytes() == two.data.tobytes()
 
 
 def test_step_plan_releases_dropped_meshes(params):
@@ -747,13 +832,30 @@ def test_discrete_curl_start_is_be_fixed_point(mesh2, in_space_case):
 
 
 def test_single_cube_steps_are_singular():
+    # one cube carries 3 interior velocity DOFs against 7 zero-mean
+    # pressures: the mesh, not the Reynolds number, makes both steps
+    # singular
     mesh = build_box_mesh(1, 1, 1)
     params = MhdParams(r_e=1.0, r_m=1.0, s=1.0,
                        f=lambda p: np.ones((len(p), 3)))
+    for step, zero in ((be_picard_step, zero_state_be),
+                       (bj_picard_step, zero_state_bj)):
+        with pytest.raises(SingularSystemError,
+                           match="1x1x1 box mesh is too coarse, its 3 "
+                                 "interior velocity DOFs cannot carry its 7"):
+            step(zero(mesh), params)
+
+
+def test_singular_step_on_fine_mesh_names_the_formulation(mesh2, params,
+                                                          monkeypatch):
+    def singular(*args):
+        raise SingularSystemError("forced")
+
+    monkeypatch.setattr(mhdfem.solvers, "solve_preconditioned", singular)
     with pytest.raises(SingularSystemError, match="regime violation"):
-        be_picard_step(zero_state_be(mesh), params)
+        be_picard_step(zero_state_be(mesh2), params)
     with pytest.raises(SingularSystemError, match="implementation bug"):
-        bj_picard_step(zero_state_bj(mesh), params)
+        bj_picard_step(zero_state_bj(mesh2), params)
 
 
 # ---------------------------------------------------------------------------
