@@ -121,16 +121,14 @@ def _factor(a_csc):
 
 def factor(a) -> tuple:
     """(lu, summary) of a square sparse matrix: its SuperLU factors, and
-    their size n, fill lu_nnz = nnz(L + U) and smallest pivot |U_kk|.
+    their size n, fill lu_nnz and smallest pivot |U_kk|.  lu_nnz counts the
+    entries SuperLU stores for L and U, its supernodal blocks in full.
 
     A zero pivot, or one at roundoff of the largest, raises
     SingularSystemError.
     """
     lu, pivots = _factor(sp.csc_matrix(a))
-    # L and U are materialized copies, so each is read once and dropped
-    fill = lu.L.nnz
-    fill += lu.U.nnz
-    return lu, {"n": int(a.shape[0]), "lu_nnz": int(fill),
+    return lu, {"n": int(a.shape[0]), "lu_nnz": int(lu.nnz),
                 "min_pivot": float(pivots.min())}
 
 

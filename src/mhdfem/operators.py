@@ -5,8 +5,8 @@ DiscreteOps owns what both Picard schemes share on one mesh: the velocity,
 pressure, multiplier, edge and face spaces, every fixed matrix (summed
 from the assembly element kernels on its degree-4 tabulation), the
 factored free-edge mass, the basis tabulations at each quadrature rule,
-and the solvers' step plans, block factors and loads.  discrete_ops(mesh)
-hands every caller the one instance of the most recent mesh.
+and the solvers' step plans and loads.  discrete_ops(mesh) hands every
+caller the one instance of the most recent mesh.
 
 The weak curl maps a div-conforming (face-element) function into the
 curl-conforming (edge-element) space through the duality
@@ -58,7 +58,7 @@ class DiscreteOps:
       mean_p: integral of each pressure basis function.
       lu_c, lu_c_summary: factors of the edge mass over free edges (None
         when every edge is constrained) and their linalg.factor summary.
-      plans, factors, loads: the solvers' step plans, block factors and
+      plans, loads: the solvers' step plans (block factors included) and
         loads, cached here so they share the context's lifetime.
     """
 
@@ -86,9 +86,6 @@ class DiscreteOps:
                                         if free_c.size else (None, None))
         # formulation -> the solvers' step plan of the last (r_e, r_m, s)
         self.plans = {}
-        # block -> (key, lu, summary): the solvers' factor of that block for
-        # the parameters it depends on (key), the last key asked for
-        self.factors = {}
         # [params, loads] of the last parameter object the solvers saw
         self.loads = []
 

@@ -19,9 +19,8 @@ and the Maxwell block K over the other unknowns.  K is solved by its
 structure (_MaxwellSolve): the B-J sigma rows hold only the free-edge
 mass, whose factor the context already owns; the mean multiplier mr
 follows in closed form with r_0 pinned; and what is left, K_E, is the
-same matrix in both formulations.  S depends on r_e only and K_E on
-(r_m, s) only, so each factor is cached on the context under that key,
-and a mesh that runs both formulations factors each once.  A step
+same matrix in both formulations.  The plan keeps the S and K_E factors
+for as long as its parameters hold.  A step
 computes the element arrays, scatters them onto the fixed values with
 one bincount, and solves by GMRES preconditioned with the block solves
 (linalg.solve_preconditioned), falling back to a direct factorization of
@@ -141,7 +140,7 @@ class PicardReport:
     (krylov_iterations), the achieved |b - Ax| / (|A|_F |x| + |b|)
     (relative_residual), whether the step fell back to a direct
     factorization of the whole system (fallback), and factors: the size
-    n, fill lu_nnz = nnz(L + U) and smallest pivot min_pivot of each
+    n, fill lu_nnz (linalg.factor) and smallest pivot min_pivot of each
     block factor behind the preconditioner ("stokes", "maxwell", and for
     the current-based step the free-edge mass, "edge_mass"), None when a
     block is singular.  Every entry is a
@@ -348,33 +347,11 @@ class _MaxwellSolve:
         return x
 
 
-def _block_lu(ops: DiscreteOps, block: str, key, matrix) -> tuple:
-    """(lu, summary) of one diagonal block, cached on the context under
-    the parameters it depends on; (None, None) when it is singular."""
-    entry = ops.factors.get(block)
-    if entry is not None and entry[0] == key:
-        return entry[1:]
-    # the previous factors go first, so the new ones can reuse their memory
-    ops.factors.pop(block, None)
-    del entry
-    try:
-        lu, summary = factor(matrix)
-    except SingularSystemError:
-        lu = summary = None
-    ops.factors[block] = (key, lu, summary)
-    return lu, summary
-
-
 def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
                    unknowns: list, fixed: sp.csr_matrix) -> tuple:
     """(BlockFactors, summary) of a step's fixed matrix, (None, None) when
-    the Stokes block or K_E is singular.
-
-    S over (u, p, mp) is keyed by r_e and K_E (see _MaxwellSolve) by
-    (r_m, s); their entries come from the block table, the same in both
-    formulations.
-    """
-    r_e, r_m, s = key
+    the Stokes block S over (u, p, mp) or K_E (see _MaxwellSolve) is
+    singular."""
     in_stokes = np.concatenate([np.full(free.size, name in _STOKES)
                                 for name, _, free in unknowns])
     stokes, maxwell = np.flatnonzero(in_stokes), np.flatnonzero(~in_stokes)
@@ -391,9 +368,10 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
         keep[sigma] = False
     keep = np.flatnonzero(keep)
     k = fixed[maxwell][:, maxwell]
-    lu_s, summary_s = _block_lu(ops, "stokes", r_e, fixed[stokes][:, stokes])
-    lu_e, summary_e = _block_lu(ops, "maxwell", (r_m, s), k[keep][:, keep])
-    if lu_s is None or lu_e is None:
+    try:
+        lu_s, summary_s = factor(fixed[stokes][:, stokes])
+        lu_e, summary_e = factor(k[keep][:, keep])
+    except SingularSystemError:
         return None, None
     summary = {"stokes": summary_s, "maxwell": summary_e}
     scale = 1.0

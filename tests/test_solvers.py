@@ -617,50 +617,13 @@ def test_structured_maxwell_solve_matches_unsplit_factor(params,
         assert entry["lu_nnz"] >= entry["n"] and entry["min_pivot"] > 0.0
 
 
-def test_each_block_factored_once_per_dependency(params, monkeypatch):
-    mesh = build_box_mesh(3, 3, 3)
-    ops = discrete_ops(mesh)
+def test_bj_plan_factors_two_blocks(params, monkeypatch):
+    ops = discrete_ops(build_box_mesh(3, 3, 3))
     calls = count_calls(monkeypatch, "splu")
-    bj = _step_plan(ops, "BJ", params)
+    plan = _step_plan(ops, "BJ", params)
     # S and K_E; sigma solves with the context's edge-mass factor
     assert len(calls) == 2
-    assert bj.factors.lu_second.lu_c is ops.lu_c
-    _, report = solve_nonlinear("BE", params, seeded_start(mesh, "BE"),
-                                max_iter=3)
-    assert report.n_iterations == 3
-    assert len(calls) == 2
-    be = _step_plan(ops, "BE", params)
-    assert be.factors.lu_first is bj.factors.lu_first
-    assert be.factors.lu_second.lu is bj.factors.lu_second.lu
-    # S depends on r_e only, K_E on (r_m, s) only
-    _step_plan(ops, "BJ", MhdParams(r_e=2.0 * params.r_e, r_m=params.r_m,
-                                    s=params.s, f=smooth_force))
-    assert len(calls) == 3
-    _step_plan(ops, "BE", MhdParams(r_e=2.0 * params.r_e, r_m=params.r_m,
-                                    s=2.0 * params.s, f=smooth_force))
-    assert len(calls) == 4
-
-
-def test_formulations_factor_the_same_maxwell_matrix(params, monkeypatch):
-    # the cached K_E must not depend on which formulation built it
-    ops = discrete_ops(build_box_mesh(3, 3, 3))
-    seen = []
-    orig = mhdfem.solvers.factor
-
-    def recorded(a):
-        seen.append(sp.csr_matrix(a))
-        return orig(a)
-
-    monkeypatch.setattr(mhdfem.solvers, "factor", recorded)
-    for formulation in ("BE", "BJ"):
-        ops.factors.clear()
-        ops.plans.clear()
-        _step_plan(ops, formulation, params)
-    assert len(seen) == 4
-    for one, two in ((seen[0], seen[2]), (seen[1], seen[3])):
-        assert np.array_equal(one.indptr, two.indptr)
-        assert np.array_equal(one.indices, two.indices)
-        assert one.data.tobytes() == two.data.tobytes()
+    assert plan.factors.lu_second.lu_c is ops.lu_c
 
 
 def test_step_plan_releases_dropped_meshes(params):
