@@ -319,8 +319,7 @@ def kernel_matrix(tab: Tabulation, kernel: str, *coeff) -> SparseMatrix:
     iterate kernel takes its coefficient vector as coeff.
 
     One COO-to-CSR conversion sums the duplicates; the triplets always
-    arrive in canonical element order, so the result is deterministic
-    without the sort of linalg.finalize_assembly.
+    arrive in canonical element order, so the result is deterministic.
     """
     # looked up when called, so a rebinding of the module's kernel (a
     # profiler's, say) takes effect

@@ -37,7 +37,6 @@ class SpaceKind:
 
 
 P1 = SpaceKind("P1")
-P2 = SpaceKind("P2")
 VELOCITY = SpaceKind("P2", components=3)
 NEDELEC = SpaceKind("NedelecEdge0")
 RT = SpaceKind("RaviartThomas0")
@@ -181,35 +180,18 @@ def tabulate_rt(mesh: Mesh, bary: np.ndarray):
     return vals, divs
 
 
-def scalar_dof_points(mesh: Mesh, tag: str) -> np.ndarray:
-    if tag == "P1":
-        return mesh.vertices
-    if tag == "P2":
-        mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-        return np.vstack([mesh.vertices, mid])
-    raise ValueError(f"no nodal points for {tag!r}")
-
-
 def interpolate(space: FeSpace, field) -> np.ndarray:
-    """Canonical interpolation: evaluate the space's DOF functionals.
+    """Canonical interpolation into the edge, face or cell space: evaluate
+    the space's DOF functionals.
 
-    Lagrange spaces use point values, edge elements tangential line moments,
-    face elements normal flux moments, DG0 cell averages.  field is a
-    callable taking points (n, 3) and returning (n,) or (n, 3).
+    Edge elements take tangential line moments, face elements normal flux
+    moments, DG0 cell averages.  field is a callable taking points (n, 3)
+    and returning (n, 3), or (n,) for DG0.
     """
     from .assembly import DOF_EDGE_RULE, DOF_TET_RULE, DOF_TRI_RULE
 
     mesh = space.mesh
     tag = space.kind.tag
-    if tag in ("P1", "P2"):
-        pts = scalar_dof_points(mesh, tag)
-        vals = np.asarray(field(pts), dtype=float)
-        if space.kind.components == 3:
-            if vals.shape != (space.n_scalar, 3):
-                raise ValueError("vector field must return (n, 3)")
-            return np.concatenate([vals[:, c] for c in range(3)])
-        return vals
-
     if tag == "NedelecEdge0":
         t, w = DOF_EDGE_RULE
         a = mesh.vertices[mesh.edges[:, 0]]
@@ -354,15 +336,6 @@ def div_incidence(mesh: Mesh) -> sp.csr_matrix:
     f = mesh.tet_faces.ravel()
     s = mesh.tet_face_sign.ravel().astype(float)
     return sp.csr_matrix((s, (t, f)), shape=(mesh.num_tets, mesh.num_faces))
-
-
-def grad_incidence(mesh: Mesh) -> sp.csr_matrix:
-    """Vertex→edge incidence: nodal values of a P1 function map to the
-    edge-element coefficients of its gradient, row e = (-1 tail, +1 head)."""
-    e = np.repeat(np.arange(mesh.num_edges), 2)
-    v = mesh.edges.ravel()
-    s = np.tile(np.array([-1.0, 1.0]), mesh.num_edges)
-    return sp.csr_matrix((s, (e, v)), shape=(mesh.num_edges, mesh.num_vertices))
 
 
 def check_commuting(mesh: Mesh, field: AnalyticField) -> dict:

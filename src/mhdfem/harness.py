@@ -498,12 +498,16 @@ def _problem(config: RunConfig, mesh):
                      **slots), case
 
 
-def _initial_state(mesh, formulation, case):
-    state = zero_state(mesh, formulation)
+def _solve(config: RunConfig, mesh, params, case, constants):
+    """solve_nonlinear from the zero state, with the case's interpolated
+    exact flux as the starting B when there is a case."""
+    state = zero_state(mesh, config.formulation)
     if case is not None:
         state.B = case.initial_flux(mesh)
         state.B_prev = state.B.copy()
-    return state
+    return solve_nonlinear(config.formulation, params, state,
+                           rtol=config.rtol, atol=config.atol,
+                           max_iter=config.max_iter, constants=constants)
 
 
 def _constants(mesh, seed) -> DiagnosticConstants:
@@ -548,11 +552,7 @@ def run_solve(config: RunConfig) -> dict:
     mesh = build_box_mesh(*config.mesh)
     params, case = _problem(config, mesh)
     constants = _constants(mesh, config.seed)
-    state, report = solve_nonlinear(
-        config.formulation, params, _initial_state(mesh, config.formulation,
-                                                   case),
-        rtol=config.rtol, atol=config.atol, max_iter=config.max_iter,
-        constants=constants)
+    state, report = _solve(config, mesh, params, case, constants)
     doc = {
         "config": config.document,
         "mesh": _mesh_info(mesh, config.mesh),
@@ -598,12 +598,12 @@ def _study_csv(rows, aborted) -> str:
 
 
 def run_study(config: RunConfig) -> dict:
-    """Refinement sweep of a manufactured case with observed log2 rates.
+    """Refinement sweep of a manufactured case with observed rates.
 
-    Levels are uniform subdivision counts of the unit box; consecutive
-    levels are expected to halve h, which is what the log2 error ratios
-    assume.  A non-converged Picard run aborts the sweep; rows computed so
-    far are still emitted, with the abort flagged in the CSV.
+    Levels are uniform subdivision counts of the unit box.  The rate
+    between consecutive levels is log(e0/e1) / log(h0/h1), so the levels
+    need not halve h.  A non-converged Picard run aborts the sweep; rows
+    computed so far are still emitted, with the abort flagged in the CSV.
     """
     if config.case is None:
         raise ConfigError("a refinement study needs a manufactured case")
@@ -618,11 +618,7 @@ def run_study(config: RunConfig) -> dict:
         # only the B-E driver reads the constants (its small-Re check)
         constants = (_constants(mesh, config.seed)
                      if config.formulation == "BE" else None)
-        state, report = solve_nonlinear(
-            config.formulation, params,
-            _initial_state(mesh, config.formulation, case),
-            rtol=config.rtol, atol=config.atol, max_iter=config.max_iter,
-            constants=constants)
+        state, report = _solve(config, mesh, params, case, constants)
         errs = exact_errors(mesh, case, state)
         rows.append({"level": level, "h": mesh.h,
                      "iterations": report.n_iterations,
@@ -637,7 +633,8 @@ def run_study(config: RunConfig) -> dict:
         for key in ("u_h1", "b_l2", "b_graph", "p_l2"):
             e0, e1 = prev[f"err_{key}"], row[f"err_{key}"]
             if e0 > 0.0 and e1 > 0.0:
-                row[f"rate_{key}"] = math.log2(e0 / e1)
+                row[f"rate_{key}"] = (math.log2(e0 / e1)
+                                      / math.log2(prev["h"] / row["h"]))
     text = _study_csv(rows, aborted)
     if config.csv_path is not None:
         _write_text(config.csv_path, text)
@@ -700,11 +697,7 @@ def run_diagnose(config: RunConfig) -> dict:
 
     params, case = _problem(config, mesh)
     try:
-        state, report = solve_nonlinear(
-            config.formulation, params,
-            _initial_state(mesh, config.formulation, case),
-            rtol=config.rtol, atol=config.atol, max_iter=config.max_iter,
-            constants=constants)
+        state, report = _solve(config, mesh, params, case, constants)
     except SingularSystemError as exc:
         # meshes too coarse for the velocity-pressure pair still get the
         # complex and constant sections; record why the solve is missing

@@ -1,13 +1,9 @@
-"""Sparse storage, deterministic assembly, and deterministic solves.
+"""Deterministic sparse solves.
 
-A triplet stream whose arrival order is not fixed is finalized with its
-duplicates summed in fully sorted order (row, column, value), so the matrix
-is bitwise independent of how contributions were interleaved
-(finalize_assembly; the package's own element kernels arrive in canonical
-order and need no sort).  Direct solves go through SuperLU with
-equilibration and one step of iterative refinement, which keeps row-wise
-residuals small enough that the structural invariants downstream (exact
-divergence constraints) survive the linear algebra.  A system that is a
+Direct solves go through SuperLU with equilibration and one step of
+iterative refinement, which keeps row-wise residuals small enough that
+the structural invariants downstream (exact divergence constraints)
+survive the linear algebra.  A system that is a
 perturbation of a block operator whose two diagonal blocks have exact
 solves (BlockFactors, each block's solve built by the caller, for
 instance from factor) is solved by GMRES preconditioned with the block
@@ -26,70 +22,14 @@ SparseMatrix = sp.csr_matrix
 
 
 class AssemblyError(Exception):
-    """Triplet stream inconsistent with the target shape."""
+    """Operands whose shapes do not fit the system or space."""
 
 
 class SingularSystemError(Exception):
-    """Factorization hit a zero or untrustworthy pivot.
-
-    pivot_index is the elimination step at which the factorization broke
-    down; unknown_index is the corresponding column of the original system
-    when the solver could map it back, else -1.
-    """
-
-    def __init__(self, message: str, pivot_index: int = -1, unknown_index: int = -1):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-        self.unknown_index = unknown_index
-
-
-def finalize_assembly(rows, cols, vals, shape) -> SparseMatrix:
-    """Sum duplicate triplets and return CSR, independent of arrival order.
-
-    Triplets are sorted by (row, col, value) before summation, so even the
-    floating-point rounding of duplicate accumulation cannot depend on the
-    order in which contributions were generated.
-    """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    vals = np.asarray(vals, dtype=np.float64).ravel()
-    if not (rows.size == cols.size == vals.size):
-        raise AssemblyError("triplet arrays must have equal length")
-    nr, nc = int(shape[0]), int(shape[1])
-    if rows.size == 0:
-        return sp.csr_matrix((nr, nc))
-    if rows.min() < 0 or rows.max() >= nr or cols.min() < 0 or cols.max() >= nc:
-        raise AssemblyError(f"triplet index outside shape {(nr, nc)}")
-
-    order = np.lexsort((vals, cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    first = np.ones(r.size, dtype=bool)
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(first)
-    data = np.add.reduceat(v, starts)
-    indices = c[starts]
-    indptr = np.zeros(nr + 1, dtype=np.int64)
-    np.add.at(indptr, r[starts] + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return sp.csr_matrix((data, indices, indptr), shape=(nr, nc))
+    """Factorization hit a zero or untrustworthy pivot."""
 
 
 _RESIDUAL_REL = 1e-10
-
-
-def _worst_pivot(a_csc) -> tuple[int, int]:
-    # regularized refactorization localizes the breakdown step; the shift must
-    # survive rounding against the matrix scale but stays far below any pivot
-    # a healthy system would produce
-    scale = np.abs(a_csc.data).max() if a_csc.nnz else 1.0
-    shifted = (a_csc + (1e-12 * scale) * sp.identity(a_csc.shape[0], format="csc")).tocsc()
-    try:
-        lu = splu(shifted)
-    except RuntimeError:
-        return -1, -1
-    d = np.abs(lu.U.diagonal())
-    step = int(np.argmin(d))
-    return step, int(lu.perm_c[step])
 
 
 def _factor(a_csc):
@@ -98,10 +38,7 @@ def _factor(a_csc):
     try:
         lu = splu(a_csc)
     except RuntimeError as exc:
-        step, unknown = _worst_pivot(a_csc)
-        raise SingularSystemError(
-            f"sparse LU failed ({exc}); breakdown at elimination step {step}, "
-            f"unknown {unknown}", pivot_index=step, unknown_index=unknown) from exc
+        raise SingularSystemError(f"sparse LU failed ({exc})") from exc
 
     # a zero pivot makes the triangular solves emit garbage (and BLAS
     # error chatter); a pivot at roundoff of the largest marks a
@@ -114,8 +51,7 @@ def _factor(a_csc):
         step = int(np.argmin(d))
         raise SingularSystemError(
             f"pivot {d[step]:.3e} at roundoff of the largest {d.max():.3e}, "
-            f"elimination step {step}, unknown {int(lu.perm_c[step])}",
-            pivot_index=step, unknown_index=int(lu.perm_c[step]))
+            f"elimination step {step}, unknown {int(lu.perm_c[step])}")
     return lu, d
 
 
@@ -150,7 +86,7 @@ def solve_direct(A, b) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
 
-    lu, _ = _factor(a_csr.tocsc())
+    lu, d = _factor(a_csr.tocsc())
     x = lu.solve(b)
     fro = np.sqrt(np.dot(a_csr.data, a_csr.data))
     bnorm = np.linalg.norm(b)
@@ -167,12 +103,10 @@ def solve_direct(A, b) -> np.ndarray:
     res = np.linalg.norm(b - a_csr @ x)
     if res <= _RESIDUAL_REL * (fro * np.linalg.norm(x) + bnorm):
         return x
-    d = np.abs(lu.U.diagonal())
     step = int(np.argmin(d))
     raise SingularSystemError(
         f"residual {res:.3e} exceeds tolerance after refinement; smallest pivot "
-        f"{d[step]:.3e} at elimination step {step}, unknown {int(lu.perm_c[step])}",
-        pivot_index=step, unknown_index=int(lu.perm_c[step]))
+        f"{d[step]:.3e} at elimination step {step}, unknown {int(lu.perm_c[step])}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,22 @@ every step system is square once the essential boundary conditions are
 eliminated symmetrically.
 
 Each step is written once, as a block table (_FORMULATIONS): the
-unknowns with their spaces, every block as (row, col, operator,
-transposed, coefficient), and the load feeding each row.  Only the
-convection and cross-coupling blocks, whose operators are element
-kernels, depend on the iterate.  Once per mesh and parameter set a step
-plan maps every entry of every block, fixed matrix or element array, to
-its place in one reduced CSR pattern, and builds exact solves with the
-two diagonal blocks of the fixed part: the Stokes block S over (u, p, mp)
-and the Maxwell block K over the other unknowns.  K is solved by its
-structure (_MaxwellSolve): the B-J sigma rows hold only the free-edge
-mass, whose factor the context already owns; the mean multiplier mr
-follows in closed form with r_0 pinned; and what is left, K_E, is the
-same matrix in both formulations.  The plan keeps the S and K_E factors
-for as long as its parameters hold.  A step
-computes the element arrays, scatters them onto the fixed values with
-one bincount, and solves by GMRES preconditioned with the block solves
-(linalg.solve_preconditioned), falling back to a direct factorization of
-the whole step when GMRES stalls.
+unknowns with their spaces and every block as (row, col, operator,
+transposed, coefficient).  Only the convection and cross-coupling
+blocks, whose operators are element kernels, depend on the iterate.
+Once per mesh and parameter set a step plan maps every entry of every
+block, fixed matrix or element array, to its place in one reduced CSR
+pattern, and builds exact solves with the two diagonal blocks of the
+fixed part: the Stokes block S over (u, p, mp) and the Maxwell block K
+over the other unknowns.  K is solved by its structure (_MaxwellSolve):
+the B-J sigma rows hold only the free-edge mass, whose factor the
+context already owns; the mean multiplier mr follows in closed form with
+r_0 pinned; and what is left, K_E, is the same matrix in both
+formulations.  The plan keeps the S and K_E factors for as long as its
+parameters hold.  A step computes the element arrays, scatters them onto
+the fixed values with one bincount, and solves by GMRES preconditioned
+with the block solves (linalg.solve_preconditioned), falling back to a
+direct factorization of the whole step when GMRES stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -120,12 +119,9 @@ def zero_state(mesh: Mesh, formulation: str) -> MhdState:
                     **fields)
 
 
+# perfbench's checks start their B-E solves from zero_state_be
 def zero_state_be(mesh: Mesh) -> MhdState:
     return zero_state(mesh, "BE")
-
-
-def zero_state_bj(mesh: Mesh) -> MhdState:
-    return zero_state(mesh, "BJ")
 
 
 @dataclass
@@ -152,7 +148,6 @@ class PicardReport:
     termination: str
     iterations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    condition_report: dict | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -221,13 +216,11 @@ class _Formulation:
     operator, transposed, coefficient(r_e, r_m, s)), the fixed blocks
     first.  The operator is a fixed matrix of the context, a vector being
     one column, or the name of an assembly element kernel, whose blocks
-    depend on the iterate.  loads: the load slot feeding each row; every
-    other row gets zero.
+    depend on the iterate.
     """
 
     unknowns: tuple
     blocks: tuple
-    loads: dict
 
 
 # shared by both formulations: the Stokes block over (u, p, mp), factored
@@ -243,6 +236,9 @@ _MULTIPLIER_BLOCKS = (("B", "r", "div", True, lambda re, rm, s: 1.0),
                       ("r", "mr", "volumes", False, lambda re, rm, s: 1.0),
                       ("mr", "r", "volumes", True, lambda re, rm, s: 1.0))
 _MULTIPLIERS = (("p", "pres"), ("r", "mult"), ("mp", None), ("mr", None))
+# the load slot feeding each row, in both formulations; every other row
+# gets zero
+_LOADS = {"u": "f", "B": "h"}
 _FORMULATIONS = {
     "BE": _Formulation(
         unknowns=(("u", "vel"), ("E", "space_c"), ("B", "space_d"))
@@ -255,8 +251,7 @@ _FORMULATIONS = {
             ("u", "u", "convection", False, lambda re, rm, s: 1.0),
             ("u", "u", "cross_cross", False, lambda re, rm, s: s),
             ("u", "E", "cross", True, lambda re, rm, s: s),
-            ("E", "u", "cross", False, lambda re, rm, s: s)),
-        loads={"u": "f", "B": "h"}),
+            ("E", "u", "cross", False, lambda re, rm, s: s))),
     "BJ": _Formulation(
         unknowns=(("u", "vel"), ("j", "space_c"), ("sigma", "space_c"),
                   ("B", "space_d")) + _MULTIPLIERS,
@@ -269,8 +264,7 @@ _FORMULATIONS = {
         ) + _MULTIPLIER_BLOCKS + (
             ("u", "u", "convection", False, lambda re, rm, s: 1.0),
             ("u", "j", "cross", True, lambda re, rm, s: s),
-            ("sigma", "u", "cross", False, lambda re, rm, s: -s / rm)),
-        loads={"u": "f", "B": "h"}),
+            ("sigma", "u", "cross", False, lambda re, rm, s: -s / rm))),
 }
 
 
@@ -286,8 +280,7 @@ class _StepPlan:
     nnz, a dump slot, for entries in constrained rows or columns.  factors:
     the exact Stokes and Maxwell block solves of the fixed matrix, None
     when a block is singular; summary: their factors' sizes, fill and
-    smallest pivots (see PicardReport).  rhs: [params, reduced right-hand
-    side].
+    smallest pivots (see PicardReport).
     """
 
     key: tuple
@@ -297,7 +290,6 @@ class _StepPlan:
     slots: np.ndarray
     factors: BlockFactors | None
     summary: dict | None
-    rhs: list = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,7 +435,13 @@ def _step_plan(ops: DiscreteOps, formulation: str,
             k = k[k >= 0]
         keys.append(k)
     keys = np.concatenate(keys)
-    used = np.unique(keys[keys >= 0])
+    # the distinct keys in order: a sort and a neighbour mask, much faster
+    # than np.unique's hash path on large key sets
+    used = keys[keys >= 0]
+    used.sort()
+    first = np.ones(used.size, dtype=bool)
+    first[1:] = used[1:] != used[:-1]
+    used = used[first]
     slots = np.searchsorted(used, keys)
     slots[keys < 0] = used.size
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -453,7 +451,7 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     fixed = np.concatenate(fixed)
     # the map's temporaries are freed before the blocks are factored, so
     # the factorization reuses their memory and peak memory stays lower
-    del keys, used, k
+    del keys, used, first, k
     factors, summary = _block_factors(ops, form, key, unknowns,
                                       _fixed_matrix(pattern, fixed, slots))
     plan = ops.plans[formulation] = _StepPlan(
@@ -497,11 +495,10 @@ def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
     data = np.bincount(plan.slots, weights, minlength=nnz + 1)[:nnz]
     a = sp.csr_matrix((data, plan.pattern.indices, plan.pattern.indptr),
                       shape=plan.pattern.shape)
-    if not plan.rhs or plan.rhs[0] is not params:
-        plan.rhs[:] = [params, np.concatenate([
-            loads[form.loads[name]][free] if name in form.loads
-            else np.zeros(free.size) for name, _, free in plan.unknowns])]
-    return plan, a, plan.rhs[1]
+    b = np.concatenate([loads[_LOADS[name]][free] if name in _LOADS
+                        else np.zeros(free.size)
+                        for name, _, free in plan.unknowns])
+    return plan, a, b
 
 
 _SINGULAR_STEP = {
@@ -540,9 +537,7 @@ def _picard_step(prev: MhdState, params: MhdParams,
         x, record = solve_preconditioned(a, b, plan.factors)
     except SingularSystemError as exc:
         raise SingularSystemError(
-            _singular_step_message(ops, formulation),
-            pivot_index=exc.pivot_index,
-            unknown_index=exc.unknown_index) from exc
+            _singular_step_message(ops, formulation)) from exc
     record["factors"] = plan.summary
     parts, off = {}, 0
     for name, dim, free in plan.unknowns:
@@ -720,7 +715,6 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
     step = be_picard_step if formulation == "BE" else bj_picard_step
 
     warns = []
-    condition_report = None
     if formulation == "BE" and mesh.box is not None:
         if constants is None:
             constants = DiagnosticConstants(c1=sobolev_embedding_constant(),
@@ -785,6 +779,5 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
             break
 
     report = PicardReport(formulation=formulation, termination=termination,
-                          iterations=records, warnings=warns,
-                          condition_report=condition_report)
+                          iterations=records, warnings=warns)
     return state, report

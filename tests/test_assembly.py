@@ -4,6 +4,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhdfem import derham as dh
 from mhdfem.assembly import (
@@ -17,7 +18,7 @@ from mhdfem.assembly import (
     kernel_matrix,
     _bary,
 )
-from mhdfem.linalg import AssemblyError, finalize_assembly
+from mhdfem.linalg import AssemblyError
 from mhdfem.mesh import build_box_mesh
 
 
@@ -81,8 +82,8 @@ def einsum_reference(kernel, coeff, trial, test):
             if trial is not vel:
                 rows, cols = cols, rows
     rows, cols, elem = np.broadcast_arrays(rows, cols, elem)
-    return finalize_assembly(rows.ravel(), cols.ravel(), elem.ravel(),
-                             (test.dof_count, trial.dof_count))
+    return sp.csr_matrix((elem.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(test.dof_count, trial.dof_count))
 
 
 def assert_matches_reference(kernel, coeff, trial, test):

@@ -15,7 +15,7 @@ from mhdfem.harness import (ConfigError, _dump_json, _study_csv,
                             run_diagnose, run_solve, run_study)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import DiscreteOps, estimate_cross_bound
-from mhdfem.solvers import zero_state_bj
+from mhdfem.solvers import zero_state
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_trig_zero_state_errors_are_exact_norms():
     # degree-6 quadrature on this mesh reproduces all three to 1e-14
     mesh = build_box_mesh(4, 4, 4)
     errs = exact_errors(mesh, manufactured_case("trig-1"),
-                        zero_state_bj(mesh))
+                        zero_state(mesh, "BJ"))
     assert errs["u_h1"] == pytest.approx(math.sqrt(3 + 19 * math.pi ** 2) / 4,
                                          rel=1e-12)
     assert errs["b_l2"] == pytest.approx(math.pi / math.sqrt(2), rel=1e-13)
@@ -237,7 +237,7 @@ def test_inspace_flux_is_representable_on_refinements():
 def test_inspace_exact_state_has_zero_errors():
     mesh = build_box_mesh(2, 2, 2)
     case = manufactured_case("inspace-1")
-    state = zero_state_bj(mesh)
+    state = zero_state(mesh, "BJ")
     state.B = case.initial_flux(mesh)
     errs = exact_errors(mesh, case, state)
     assert errs["u_h1"] == 0.0
@@ -319,6 +319,18 @@ def test_run_study_inspace_is_exact_at_every_level(tmp_path):
     lines = text.strip().splitlines()
     assert lines[0].startswith("level,h,iterations,converged,err_u_h1")
     assert len(lines) == 3
+
+
+def test_run_study_rates_use_the_h_ratio():
+    # levels 2 and 3 shrink h by 3/2, not 2: a bare log2 of the error
+    # ratio would understate the order by the factor log2(3/2)
+    out = run_study(load_config({"case": "trig-1", "levels": [2, 3]}))
+    coarse, fine = out["rows"]
+    assert coarse["h"] / fine["h"] == pytest.approx(1.5, rel=1e-14)
+    for key in ("u_h1", "b_l2", "b_graph", "p_l2"):
+        e0, e1 = coarse[f"err_{key}"], fine[f"err_{key}"]
+        assert fine[f"rate_{key}"] == pytest.approx(
+            math.log(e0 / e1) / math.log(1.5), rel=1e-12)
 
 
 def test_run_study_probes_constants_only_for_be(monkeypatch):

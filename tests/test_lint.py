@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mhdfem")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "mhdfem").glob("*.py"))
+# the benchmark drives the package through its public API, so what it
+# reads counts as reached
+BENCH_SOURCES = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(text):
@@ -36,10 +39,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def names_read(tree):
+    """Names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
 def unused_private_names(texts):
     """Module-level `_name`s (functions, classes, assignments) that no
     module of texts reads, as `module.name`; texts maps module name to
-    source.  A read is a loaded name, an attribute or an imported name."""
+    source."""
     defined, read = [], set()
     for module, text in texts.items():
         tree = ast.parse(text)
@@ -55,13 +71,7 @@ def unused_private_names(texts):
                 continue
             defined += [(module, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
+        read |= names_read(tree)
     return sorted(f"{module}.{name}" for module, name in defined
                   if name not in read)
 
@@ -76,3 +86,38 @@ def test_unused_private_name_is_caught():
 def test_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text()
                                  for p in SOURCES}) == []
+
+
+def unread_public_functions(texts, readers=(), kernels=()):
+    """Public module-level functions of texts that no module of texts or
+    readers (sources) reads, as `module.name`.  A `<k>_elements` function
+    counts as read when k is in kernels: the Picard step looks those up by
+    kernel name."""
+    defined, read = [], {f"{k}_elements" for k in kernels}
+    for module, text in texts.items():
+        tree = ast.parse(text)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")]
+        read |= names_read(tree)
+    for text in readers:
+        read |= names_read(ast.parse(text))
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_unread_public_function_is_caught():
+    texts = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
+                  "def dead():\n    pass\ndef k_elements():\n    pass\n"
+                  "def _private():\n    pass\n",
+             "b": "from .a import f\n"}
+    assert unread_public_functions(texts) == ["a.dead", "a.k_elements"]
+    assert unread_public_functions(texts, ["a.dead()\n"], ["k"]) == []
+
+
+def test_no_unread_public_functions():
+    from mhdfem.assembly import KERNEL_RULES
+
+    assert unread_public_functions(
+        {p.stem: p.read_text() for p in SOURCES},
+        [p.read_text() for p in BENCH_SOURCES], KERNEL_RULES) == []

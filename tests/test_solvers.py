@@ -24,7 +24,7 @@ from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                               poincare_h01_box)
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
-                            solve_nonlinear, zero_state_be, zero_state_bj,
+                            solve_nonlinear, zero_state,
                             _fixed_matrix, _loads, _slot_load, _step_plan,
                             _step_system)
 
@@ -72,7 +72,7 @@ def seed_flux(mesh):
 @pytest.fixture(scope="module")
 def seeded_bj(mesh2, params):
     """Two chained current-based steps from a magnetically seeded start."""
-    init = zero_state_bj(mesh2)
+    init = zero_state(mesh2, "BJ")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
     s1 = bj_picard_step(init, params)
@@ -82,7 +82,7 @@ def seeded_bj(mesh2, params):
 
 @pytest.fixture(scope="module")
 def seeded_be(mesh2, params):
-    init = zero_state_be(mesh2)
+    init = zero_state(mesh2, "BE")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
     s1 = be_picard_step(init, params)
@@ -92,7 +92,7 @@ def seeded_be(mesh2, params):
 
 @pytest.fixture(scope="module")
 def solved_bj(mesh2, params):
-    init = zero_state_bj(mesh2)
+    init = zero_state(mesh2, "BJ")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
     return solve_nonlinear("BJ", params, init)
@@ -100,7 +100,7 @@ def solved_bj(mesh2, params):
 
 @pytest.fixture(scope="module")
 def solved_be(mesh2, params):
-    init = zero_state_be(mesh2)
+    init = zero_state(mesh2, "BE")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
     return solve_nonlinear("BE", params, init)
@@ -205,8 +205,8 @@ def test_params_positivity():
 def test_zero_state_shapes(mesh2):
     nv, ne, nf, nt = (mesh2.num_vertices, mesh2.num_edges, mesh2.num_faces,
                       mesh2.num_tets)
-    be = zero_state_be(mesh2)
-    bj = zero_state_bj(mesh2)
+    be = zero_state(mesh2, "BE")
+    bj = zero_state(mesh2, "BJ")
     assert be.u.size == 3 * (nv + ne) and bj.u.size == 3 * (nv + ne)
     assert be.E.size == ne and bj.j.size == ne and bj.sigma.size == ne
     assert be.B.size == nf and be.B_prev.size == nf
@@ -331,12 +331,11 @@ def test_be_step_solves_every_equation(mesh2, ops2, params, seeded_be):
 # ---------------------------------------------------------------------------
 # block-preconditioned step solves
 
-STEPS = {"BE": (zero_state_be, be_picard_step),
-         "BJ": (zero_state_bj, bj_picard_step)}
+STEPS = {"BE": be_picard_step, "BJ": bj_picard_step}
 
 
 def seeded_start(mesh, formulation):
-    init = STEPS[formulation][0](mesh)
+    init = zero_state(mesh, formulation)
     init.B = seed_flux(mesh)
     init.B_prev = init.B.copy()
     return init
@@ -433,7 +432,7 @@ def test_scattered_step_matches_assembled_blocks(formulation, n):
     rng = np.random.default_rng(n)
     params = MhdParams(r_e=0.7, r_m=1.9, s=2.3, f=smooth_force,
                        h=rng.standard_normal(ops.space_d.dof_count))
-    prev = STEPS[formulation][0](mesh)
+    prev = zero_state(mesh, formulation)
     for _ in range(2):
         prev.u = rng.standard_normal(prev.u.size)
         prev.B = rng.standard_normal(prev.B.size)
@@ -466,11 +465,11 @@ def count_calls(monkeypatch, name):
 def test_later_steps_assemble_nothing_and_load_nothing(params, formulation,
                                                        monkeypatch):
     mesh = build_box_mesh(2, 2, 2)
-    first = STEPS[formulation][1](seeded_start(mesh, formulation), params)
+    first = STEPS[formulation](seeded_start(mesh, formulation), params)
     diagnostics(first, params)
     assembled = count_calls(monkeypatch, "kernel_matrix")
     loaded = count_calls(monkeypatch, "assemble_load")
-    second = STEPS[formulation][1](first, params)
+    second = STEPS[formulation](first, params)
     diagnostics(second, params)
     assert assembled == [] and loaded == []
     assert second.linear_solve["fallback"] is False
@@ -512,7 +511,7 @@ def test_preconditioned_steps_match_direct_solve(params, formulation):
     state = seeded_start(mesh, formulation)
     for _ in range(3):
         ref, x = direct_step_fields(state, params, formulation)
-        state = STEPS[formulation][1](state, params)
+        state = STEPS[formulation](state, params)
         record = state.linear_solve
         assert record["fallback"] is False
         assert record["unknowns"] == x.size
@@ -535,7 +534,7 @@ def test_stalled_krylov_falls_back_to_direct(params, formulation,
     init = seeded_start(mesh, formulation)
     ref, x = direct_step_fields(init, params, formulation)
     monkeypatch.setattr(linalg, "_KRYLOV_CAP", 0)
-    state = STEPS[formulation][1](init, params)
+    state = STEPS[formulation](init, params)
     summary = _step_plan(discrete_ops(mesh), formulation, params).summary
     assert summary is not None
     assert state.linear_solve == {
@@ -551,9 +550,9 @@ def test_stalled_krylov_falls_back_to_direct(params, formulation,
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
 def test_step_is_bitwise_deterministic(params, formulation):
     mesh = build_box_mesh(3, 3, 3)
-    prev = STEPS[formulation][1](seeded_start(mesh, formulation), params)
-    one = STEPS[formulation][1](prev, params)
-    two = STEPS[formulation][1](prev, params)
+    prev = STEPS[formulation](seeded_start(mesh, formulation), params)
+    one = STEPS[formulation](prev, params)
+    two = STEPS[formulation](prev, params)
     assert one.linear_solve == two.linear_solve
     for name in ("u", "B", "p", "r", "B_prev"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
@@ -571,10 +570,10 @@ def test_block_factors_cached_per_mesh_and_params(mesh2, params):
 
 def test_block_factors_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
-    solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
+    solve_nonlinear("BJ", params, zero_state(mesh_a, "BJ"), max_iter=1)
     ref = weakref.ref(_step_plan(discrete_ops(mesh_a), "BJ", params).factors)
     assert ref() is not None
-    solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
+    solve_nonlinear("BJ", params, zero_state(build_box_mesh(2, 2, 2), "BJ"),
                     max_iter=1)
     del mesh_a
     gc.collect()
@@ -628,11 +627,11 @@ def test_bj_plan_factors_two_blocks(params, monkeypatch):
 
 def test_step_plan_releases_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
-    solve_nonlinear("BE", params, zero_state_be(mesh_a), max_iter=2)
+    solve_nonlinear("BE", params, zero_state(mesh_a, "BE"), max_iter=2)
     ops = discrete_ops(mesh_a)
     refs = [weakref.ref(ops.plans["BE"]), weakref.ref(ops.tab(RULE_DEG6))]
     del ops
-    solve_nonlinear("BE", params, zero_state_be(build_box_mesh(2, 2, 2)),
+    solve_nonlinear("BE", params, zero_state(build_box_mesh(2, 2, 2), "BE"),
                     max_iter=1)
     del mesh_a
     gc.collect()
@@ -759,7 +758,7 @@ def in_space_case(mesh2, ops2):
 
 def test_discrete_curl_start_is_bj_fixed_point(mesh2, in_space_case):
     b_star, j0, params = in_space_case
-    init = zero_state_bj(mesh2)
+    init = zero_state(mesh2, "BJ")
     init.B = b_star.copy()
     init.B_prev = b_star.copy()
     state = bj_picard_step(init, params)
@@ -779,7 +778,7 @@ def test_discrete_curl_start_is_bj_fixed_point(mesh2, in_space_case):
 
 def test_discrete_curl_start_is_be_fixed_point(mesh2, in_space_case):
     b_star, j0, params = in_space_case
-    init = zero_state_be(mesh2)
+    init = zero_state(mesh2, "BE")
     init.B = b_star.copy()
     init.B_prev = b_star.copy()
     state = be_picard_step(init, params)
@@ -801,12 +800,11 @@ def test_single_cube_steps_are_singular():
     mesh = build_box_mesh(1, 1, 1)
     params = MhdParams(r_e=1.0, r_m=1.0, s=1.0,
                        f=lambda p: np.ones((len(p), 3)))
-    for step, zero in ((be_picard_step, zero_state_be),
-                       (bj_picard_step, zero_state_bj)):
+    for formulation, step in STEPS.items():
         with pytest.raises(SingularSystemError,
                            match="1x1x1 box mesh is too coarse, its 3 "
                                  "interior velocity DOFs cannot carry its 7"):
-            step(zero(mesh), params)
+            step(zero_state(mesh, formulation), params)
 
 
 def test_singular_step_on_fine_mesh_names_the_formulation(mesh2, params,
@@ -816,9 +814,9 @@ def test_singular_step_on_fine_mesh_names_the_formulation(mesh2, params,
 
     monkeypatch.setattr(mhdfem.solvers, "solve_preconditioned", singular)
     with pytest.raises(SingularSystemError, match="regime violation"):
-        be_picard_step(zero_state_be(mesh2), params)
+        be_picard_step(zero_state(mesh2, "BE"), params)
     with pytest.raises(SingularSystemError, match="implementation bug"):
-        bj_picard_step(zero_state_bj(mesh2), params)
+        bj_picard_step(zero_state(mesh2, "BJ"), params)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +825,11 @@ def test_singular_step_on_fine_mesh_names_the_formulation(mesh2, params,
 
 def test_zero_data_converges_immediately(mesh2):
     params0 = MhdParams(r_e=1.0, r_m=1.0, s=1.0)
-    for formulation, zero in (("BE", zero_state_be), ("BJ", zero_state_bj)):
+    for formulation in ("BE", "BJ"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state, report = solve_nonlinear(formulation, params0, zero(mesh2))
+            state, report = solve_nonlinear(formulation, params0,
+                                            zero_state(mesh2, formulation))
         assert report.termination == "converged"
         assert report.n_iterations == 1
         for name in ("u", "B", "p", "r"):
@@ -842,9 +841,9 @@ def test_zero_data_converges_immediately(mesh2):
 
 def test_fixed_forms_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
-    solve_nonlinear("BJ", params, zero_state_bj(mesh_a), max_iter=1)
+    solve_nonlinear("BJ", params, zero_state(mesh_a, "BJ"), max_iter=1)
     ops_ref = weakref.ref(discrete_ops(mesh_a))
-    solve_nonlinear("BJ", params, zero_state_bj(build_box_mesh(2, 2, 2)),
+    solve_nonlinear("BJ", params, zero_state(build_box_mesh(2, 2, 2), "BJ"),
                     max_iter=1)
     ref = weakref.ref(mesh_a)
     del mesh_a
@@ -878,7 +877,7 @@ def test_contraction_under_small_data(solved_bj, solved_be, mesh2, params):
 
 
 def test_max_iterations_is_reported_not_raised(mesh2, params):
-    init = zero_state_bj(mesh2)
+    init = zero_state(mesh2, "BJ")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
     state, report = solve_nonlinear("BJ", params, init, max_iter=1)
@@ -889,21 +888,20 @@ def test_max_iterations_is_reported_not_raised(mesh2, params):
 
 def test_solver_input_validation(mesh2, params):
     with pytest.raises(ValueError):
-        solve_nonlinear("XX", params, zero_state_bj(mesh2))
+        solve_nonlinear("XX", params, zero_state(mesh2, "BJ"))
     with pytest.raises(TypeError):
-        solve_nonlinear("BE", params, zero_state_bj(mesh2))
+        solve_nonlinear("BE", params, zero_state(mesh2, "BJ"))
     with pytest.raises(ValueError):
-        solve_nonlinear("BJ", params, zero_state_bj(mesh2), max_iter=0)
+        solve_nonlinear("BJ", params, zero_state(mesh2, "BJ"), max_iter=0)
 
 
 def test_high_reynolds_warns_but_proceeds(mesh2):
     params = MhdParams(r_e=1.0e6, r_m=1.0, s=1.0, f=smooth_force)
     with pytest.warns(RuntimeWarning, match="outside the guaranteed regime"):
-        _, report = solve_nonlinear("BE", params, zero_state_be(mesh2),
+        _, report = solve_nonlinear("BE", params, zero_state(mesh2, "BE"),
                                     max_iter=1)
     assert report.warnings
-    assert report.condition_report is not None
-    assert not report.condition_report["small_re"]["satisfied"]
+    assert "R_e = 1e+06 exceeds the bound" in report.warnings[0]
 
 
 # ---------------------------------------------------------------------------
