@@ -100,30 +100,21 @@ def _edge_rule():
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Tet rule plus the lower-dimensional rules used by DOF functionals;
-    hashed by identity, so a rule can key a table of tabulations."""
+    """Tet rule; hashed by identity, so a rule can key a table of
+    tabulations."""
 
     tet_points: np.ndarray    # (nq, 3) reference coordinates
     tet_weights: np.ndarray   # sum = 1/6
-    tri_points: np.ndarray    # (7, 3) barycentric
-    tri_weights: np.ndarray   # sum = 1/2
-    edge_points: np.ndarray   # (4,) on [0, 1]
-    edge_weights: np.ndarray  # sum = 1
 
 
-_TRI_P, _TRI_W = _tri5_rule()
-_EDGE_P, _EDGE_W = _edge_rule()
-_TET6_P, _TET6_W = _tet6_rule()
-
-RULE_DEG4 = QuadratureRule(_TET4[:, :3].copy(), _TET4[:, 3].copy(),
-                           _TRI_P, _TRI_W, _EDGE_P, _EDGE_W)
-RULE_DEG6 = QuadratureRule(_TET6_P, _TET6_W, _TRI_P, _TRI_W, _EDGE_P, _EDGE_W)
+RULE_DEG4 = QuadratureRule(_TET4[:, :3].copy(), _TET4[:, 3].copy())
+RULE_DEG6 = QuadratureRule(*_tet6_rule())
 
 # rules backing the canonical DOF functionals (interpolation)
 DOF_TET_RULE = (np.column_stack([1.0 - _TET4[:, :3].sum(axis=1), _TET4[:, :3]]),
                 _TET4[:, 3].copy())
-DOF_TRI_RULE = (_TRI_P, _TRI_W)
-DOF_EDGE_RULE = (_EDGE_P, _EDGE_W)
+DOF_TRI_RULE = _tri5_rule()
+DOF_EDGE_RULE = _edge_rule()
 
 
 def _bary(points: np.ndarray) -> np.ndarray:

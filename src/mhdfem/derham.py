@@ -8,7 +8,8 @@ pressure is P1.
 Orientation is fixed once and globally: edge tangents run from lower to
 higher vertex index, face normals follow the right-hand rule on the
 ascending-sorted vertex triple.  Element tabulation applies the matching
-sign per tet, so coefficients are single-valued global DOFs.
+sign per tet, so coefficients are single-valued global DOFs.  Point
+evaluation finds each point's tet through the box mesh's cube grid.
 """
 from __future__ import annotations
 
@@ -19,21 +20,11 @@ import scipy.sparse as sp
 
 from .mesh import _LOCAL_EDGES, _LOCAL_FACES, Mesh
 
-_TAGS = ("P1", "P2", "NedelecEdge0", "RaviartThomas0", "DG0")
-
-
+# the five constants below are the only instances
 @dataclass(frozen=True)
 class SpaceKind:
     tag: str
     components: int = 1
-
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown space tag {self.tag!r}")
-        if self.components not in (1, 3):
-            raise ValueError("components must be 1 or 3")
-        if self.components == 3 and self.tag != "P2":
-            raise ValueError("only the P2 velocity space is component-stacked")
 
 
 P1 = SpaceKind("P1")
@@ -223,20 +214,18 @@ def interpolate(space: FeSpace, field) -> np.ndarray:
 # point evaluation
 
 def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
-    """Containing tet and barycentric coordinates for each point."""
+    """Containing tet and barycentric coordinates for each point; only the
+    six tets of the point's cube in the box grid are tried."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    if mesh.grid_shape is not None:
-        nx, ny, nz = mesh.grid_shape
-        lo = mesh.box[:, 0]
-        ext = mesh.box[:, 1] - mesh.box[:, 0]
-        rel = (points - lo) / ext * np.array([nx, ny, nz])
-        idx = np.clip(np.floor(rel).astype(np.int64), 0,
-                      np.array([nx, ny, nz]) - 1)
-        cube = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
-        candidates = 6 * cube[:, None] + np.arange(6)[None, :]
-    else:
-        candidates = np.broadcast_to(np.arange(mesh.num_tets), (n, mesh.num_tets))
+    nx, ny, nz = mesh.grid_shape
+    lo = mesh.box[:, 0]
+    ext = mesh.box[:, 1] - mesh.box[:, 0]
+    rel = (points - lo) / ext * np.array([nx, ny, nz])
+    idx = np.clip(np.floor(rel).astype(np.int64), 0,
+                  np.array([nx, ny, nz]) - 1)
+    cube = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
+    candidates = 6 * cube[:, None] + np.arange(6)[None, :]
 
     tet_of = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 4))
@@ -263,8 +252,8 @@ def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
 def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
     """Evaluate the FE function with the given coefficients at points.
 
-    Returns (n,) for scalar spaces and (n, 3) for vector-valued ones.  For
-    box meshes location is O(1) per point through the cube grid.
+    Returns (n,) for scalar spaces and (n, 3) for vector-valued ones.
+    Location is O(1) per point through the box's cube grid.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dof_count,):

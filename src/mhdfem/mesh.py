@@ -4,7 +4,8 @@ Boxes are split cube-by-cube into six tetrahedra that all share the cube's
 main diagonal (Kuhn subdivision), so uniform refinements stay nested and
 faces match across neighbouring cubes.  Edges and faces are stored with
 ascending vertex indices; orientation signs relative to each tet are derived
-from that single global convention.
+from that single global convention.  build_box_mesh is the only source of
+meshes: there is no general tet-mesh input, and every mesh keeps its box.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 
 class MeshError(Exception):
-    """Invalid mesh input or broken topology."""
+    """Invalid box mesh arguments."""
 
 
 # local vertex pairs/triples of a tet; face k is opposite vertex k
@@ -46,8 +47,8 @@ class Mesh:
     volumes: np.ndarray          # (T,)
     grad_bary: np.ndarray        # (T, 4, 3) gradients of the barycentric functions
     h: float                     # max circumdiameter over tets
-    box: np.ndarray | None = None        # (3, 2) extents when built from a box
-    grid_shape: tuple[int, int, int] | None = None   # (nx, ny, nz) for box meshes
+    box: np.ndarray              # (3, 2) extents of the meshed box
+    grid_shape: tuple[int, int, int]   # (nx, ny, nz) cube counts
 
     def __post_init__(self):
         for name in ("vertices", "tets", "edges", "faces", "tet_edges",
@@ -73,11 +74,6 @@ class Mesh:
         return self.tets.shape[0]
 
 
-def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    x = vertices[tets]
-    return np.linalg.det(x[:, 1:] - x[:, :1]) / 6.0
-
-
 def _circumdiameters(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     # circumcenter c solves 2(x_i - x_0)·c = |x_i|^2 - |x_0|^2, i = 1..3
     x = vertices[tets]
@@ -87,42 +83,18 @@ def _circumdiameters(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return 2.0 * np.linalg.norm(c - x[:, 0], axis=1)
 
 
-def derive_topology(vertices: np.ndarray, tets: np.ndarray,
-                    box=None, grid_shape=None) -> Mesh:
-    """Build a Mesh from vertices and tets, deriving all topology.
+def _derive_topology(vertices: np.ndarray, tets: np.ndarray, box,
+                     grid_shape) -> Mesh:
+    """Build the Mesh of a box's Kuhn tets, deriving all topology.
 
     Edges and faces are deduplicated through sorted vertex keys.  Boundary
     faces are those incident to exactly one tet; boundary edges and vertices
-    are inherited downward from boundary faces.  Tets are reordered to
-    positive signed volume.
-
-    Raises MeshError for out-of-range indices, degenerate or duplicate tets,
-    and non-manifold face incidence.
+    are inherited downward from boundary faces.  build_box_mesh hands over
+    positively oriented tets, so no input is checked or reordered here.
     """
-    vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-    tets = np.array(tets, dtype=np.int64)
-    if vertices.ndim != 2 or vertices.shape[1] != 3:
-        raise MeshError(f"vertices must be (V, 3), got {vertices.shape}")
-    if tets.ndim != 2 or tets.shape[1] != 4:
-        raise MeshError(f"tets must be (T, 4), got {tets.shape}")
     nv = vertices.shape[0]
-    if tets.size and (tets.min() < 0 or tets.max() >= nv):
-        raise MeshError("tet vertex index out of range")
-    if np.any(np.sort(tets, axis=1)[:, :-1] == np.sort(tets, axis=1)[:, 1:]):
-        raise MeshError("tet with repeated vertex")
-    keyed = np.unique(np.sort(tets, axis=1), axis=0)
-    if keyed.shape[0] != tets.shape[0]:
-        raise MeshError("duplicate tets")
-
-    vol = _signed_volumes(vertices, tets)
-    longest = np.linalg.norm(
-        vertices[tets[:, _LOCAL_EDGES[:, 0]]] - vertices[tets[:, _LOCAL_EDGES[:, 1]]],
-        axis=2).max(axis=1)
-    if np.any(np.abs(vol) < 1e-12 * longest ** 3):
-        raise MeshError("degenerate (flat) tet")
-    flip = vol < 0.0
-    tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2].copy()
-    vol = np.abs(vol)
+    x = vertices[tets]
+    vol = np.linalg.det(x[:, 1:] - x[:, :1]) / 6.0
 
     edge_keys = np.sort(tets[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
     edges, tet_edges = np.unique(edge_keys, axis=0, return_inverse=True)
@@ -132,13 +104,8 @@ def derive_topology(vertices: np.ndarray, tets: np.ndarray,
     faces, tet_faces = np.unique(face_keys, axis=0, return_inverse=True)
     tet_faces = tet_faces.reshape(-1, 4)
 
-    face_count = np.bincount(tet_faces.ravel(), minlength=faces.shape[0])
-    if np.any(face_count > 2):
-        bad = int(np.argmax(face_count > 2))
-        raise MeshError(
-            f"non-manifold mesh: face {tuple(faces[bad])} incident to "
-            f"{int(face_count[bad])} tets")
-    boundary_face = face_count == 1
+    boundary_face = np.bincount(tet_faces.ravel(),
+                                minlength=faces.shape[0]) == 1
 
     # edges of face (a<b<c): (a,b), (b,c), (a,c) with signs (+1, +1, -1)
     fe_keys = np.stack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]], axis=1)
@@ -162,7 +129,6 @@ def derive_topology(vertices: np.ndarray, tets: np.ndarray,
     boundary_vertex[faces[boundary_face].ravel()] = True
 
     # gradients of barycentric coordinates: rows of the inverse edge matrix
-    x = vertices[tets]
     jac = np.swapaxes(x[:, 1:] - x[:, :1], 1, 2)          # columns x_i - x_0
     inv = np.linalg.inv(jac)
     grad = np.empty((tets.shape[0], 4, 3))
@@ -176,8 +142,7 @@ def derive_topology(vertices: np.ndarray, tets: np.ndarray,
         boundary_vertex=boundary_vertex, boundary_edge=boundary_edge,
         boundary_face=boundary_face, volumes=vol, grad_bary=grad,
         h=float(np.max(_circumdiameters(vertices, tets))),
-        box=None if box is None else np.asarray(box, dtype=float),
-        grid_shape=grid_shape,
+        box=box, grid_shape=grid_shape,
     )
 
 
@@ -231,8 +196,7 @@ def build_box_mesh(nx: int, ny: int, nz: int,
             chain[1], chain[2] = chain[2], chain[1]
         tets[:, pi, :] = np.column_stack(chain)
 
-    return derive_topology(vertices, tets.reshape(-1, 4),
-                           box=box, grid_shape=(nx, ny, nz))
+    return _derive_topology(vertices, tets.reshape(-1, 4), box, (nx, ny, nz))
 
 
 def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,

@@ -220,20 +220,12 @@ def poincare_h01_box(box) -> float:
 class DiagnosticConstants:
     """Constants entering the small-data convergence conditions.
 
-    c1 bounds |u|_{0,6} <= c1 |grad u|; c2 is the empirical cross-product
-    bound; poincare_div bounds |B| <= poincare_div |weak curl B| on
-    divergence-free fields and may be omitted where only the convergence
-    conditions are needed (its eigensolve is the expensive part).
+    c1 bounds |u|_{0,6} <= c1 |grad u|; c2 is the cross-product bound.
     """
 
     c1: float
     c2: float
-    poincare_div: float | None = None
 
     def __post_init__(self):
-        vals = [self.c1, self.c2]
-        if self.poincare_div is not None:
-            vals.append(self.poincare_div)
-        if min(vals) <= 0:
+        if min(self.c1, self.c2) <= 0:
             raise ValueError("diagnostic constants must be positive")
-

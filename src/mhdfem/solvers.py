@@ -30,12 +30,12 @@ candidate's divergence is piecewise constant, and the multiplier r tests
 it against all zero-mean piecewise constants; together these force the
 divergence of every accepted iterate to vanish identically, not just
 weakly.  diagnostics() re-measures that, the nullity of r, and the
-energy balance for any iterate.
+energy balance for any iterate.  check_small_data_conditions evaluates
+the paper's sufficient conditions; the loop itself checks none.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +51,7 @@ from .linalg import (BlockFactors, SingularSystemError,  # noqa: F401
                      factor, solve_direct, solve_preconditioned)
 from .mesh import Mesh
 from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
-                        estimate_cross_bound, poincare_h01_box,
-                        sobolev_embedding_constant)
+                        poincare_h01_box)
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,6 @@ class PicardReport:
     formulation: str
     termination: str
     iterations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:
@@ -520,12 +518,10 @@ def _singular_step_message(ops: DiscreteOps, formulation: str) -> str:
     n_u, n_p = ops.vel.free_index.size, ops.pres.dof_count - 1
     if n_u >= n_p:
         return _SINGULAR_STEP[formulation]
-    mesh = ops.mesh
-    name = ("x".join(map(str, mesh.grid_shape)) + " box mesh"
-            if mesh.grid_shape else f"mesh of {mesh.tets.shape[0]} tets")
-    return (f"singular step: the {name} is too coarse, its {n_u} interior "
-            f"velocity DOFs cannot carry its {n_p} zero-mean pressure "
-            "DOFs; refine the mesh.")
+    name = "x".join(map(str, ops.mesh.grid_shape))
+    return (f"singular step: the {name} box mesh is too coarse, its {n_u} "
+            f"interior velocity DOFs cannot carry its {n_p} zero-mean "
+            "pressure DOFs; refine the mesh.")
 
 
 def _picard_step(prev: MhdState, params: MhdParams,
@@ -581,8 +577,7 @@ def diagnostics(state, params: MhdParams) -> dict:
     (|R_e^-1 |grad u|^2 + S |j|^2 - <f, u>|, with j = E + u x B_prev for
     electric-field states), energy_scale (pre-cancellation magnitude of the
     identity, the denominator for a relative check), and energy_slack (gap
-    left in the a-priori energy bound, None when the mesh carries no box
-    geometry for the Poincare constant).  Current-based states add curl_j_sigma
+    left in the a-priori energy bound).  Current-based states add curl_j_sigma
     (|curl(j - sigma)|) and the relative defects elimination_j and
     elimination_sigma of the identities that would eliminate j and sigma.
     All structural values are exactly zero for the zero state with no
@@ -613,11 +608,9 @@ def diagnostics(state, params: MhdParams) -> dict:
     out["energy_scale"] = (abs(work) + grad2 / params.r_e + params.s * j2
                            + p_norm * float(np.linalg.norm(ops.bdiv
                                                            @ state.u)))
-    out["energy_slack"] = None
-    if mesh.box is not None:
-        dual = poincare_h01_box(mesh.box) * loads["f_l2"]
-        out["energy_slack"] = (0.5 * params.r_e * dual ** 2
-                               - 0.5 * grad2 / params.r_e - params.s * j2)
+    dual = poincare_h01_box(mesh.box) * loads["f_l2"]
+    out["energy_slack"] = (0.5 * params.r_e * dual ** 2
+                           - 0.5 * grad2 / params.r_e - params.s * j2)
 
     if state.formulation == "BJ":
         free = ops.space_c.free_index
@@ -658,9 +651,6 @@ def check_small_data_conditions(params: MhdParams,
     ands the two contraction flags; the small_re entry only concerns the
     electric-field formulation.
     """
-    if mesh.box is None:
-        raise ValueError("condition check needs a box mesh for the "
-                         "Poincare bound on |f|_(-1)")
     f_l2 = _loads(discrete_ops(mesh), params)["f_l2"]
     dual = poincare_h01_box(mesh.box) * f_l2
     c1, c2 = constants.c1, constants.c2
@@ -687,20 +677,15 @@ def check_small_data_conditions(params: MhdParams,
 
 def solve_nonlinear(formulation: str, params: MhdParams, initial,
                     rtol: float = 1e-9, atol: float = 1e-12,
-                    max_iter: int = 100,
-                    constants: DiagnosticConstants | None = None):
+                    max_iter: int = 100):
     """Picard-iterate one formulation to a fixed point.
 
     Stops once |u^n - u^(n-1)|_1 + |B^n - B^(n-1)|_d falls below
     rtol (|u^n|_1 + |B^n|_d) + atol, or after max_iter steps; returns
     (state, PicardReport) in both cases, with the termination reason in
-    the report rather than an exception.
-
-    For the electric-field formulation the convergence conditions are
-    evaluated up front (probing the cross-product constant on the mesh
-    unless constants are supplied) and a small-Reynolds violation is
-    attached as a warning; the solve proceeds, since the condition is
-    sufficient but not necessary.
+    the report rather than an exception.  The loop checks no regime
+    condition: runners that know the constants judge a B-E run with
+    check_small_data_conditions.
     """
     if formulation not in ("BE", "BJ"):
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -710,25 +695,8 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
         raise TypeError(f"initial state for {formulation} is a "
                         f"{initial.formulation} state")
 
-    mesh = initial.mesh
-    ops = discrete_ops(mesh)
+    ops = discrete_ops(initial.mesh)
     step = be_picard_step if formulation == "BE" else bj_picard_step
-
-    warns = []
-    if formulation == "BE" and mesh.box is not None:
-        if constants is None:
-            constants = DiagnosticConstants(c1=sobolev_embedding_constant(),
-                                            c2=estimate_cross_bound(mesh,
-                                                                    trials=20))
-        condition_report = check_small_data_conditions(params, constants, mesh)
-        if not condition_report["small_re"]["satisfied"]:
-            msg = ("electric-field step outside the guaranteed regime: "
-                   f"R_e = {params.r_e:.6g} exceeds the bound "
-                   f"{condition_report['small_re']['limit']:.6g}; proceeding, "
-                   "but the linearized systems may be singular")
-            warnings.warn(msg, RuntimeWarning)
-            warns.append(msg)
-
     state = initial
     records = []
     prev_energy = None
@@ -779,5 +747,5 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
             break
 
     report = PicardReport(formulation=formulation, termination=termination,
-                          iterations=records, warnings=warns)
+                          iterations=records)
     return state, report

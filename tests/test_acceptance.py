@@ -129,8 +129,7 @@ def test_picard_contracts_under_small_data():
     for formulation in FORMULATIONS:
         t0 = time.perf_counter()
         _, report = solve_nonlinear(formulation, params,
-                                    seeded_state(mesh, formulation),
-                                    constants=constants)
+                                    seeded_state(mesh, formulation))
         assert time.perf_counter() - t0 <= 60.0
         assert report.termination == "converged"
         ratios = report.ratios()

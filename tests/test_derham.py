@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mhdfem import derham as dh
-from mhdfem.mesh import build_box_mesh, derive_topology
+from mhdfem.mesh import build_box_mesh
 
 
 @pytest.fixture(scope="module")
@@ -184,27 +184,10 @@ def test_divergence_free_field_is_exactly_divergence_free(cube2):
     assert np.abs(cell_div).max() < 1e-12
 
 
-def test_point_eval_on_hand_built_mesh():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float)
-    m = derive_topology(verts, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
-    rt = dh.build_space(m, dh.RT, False)
-    c = np.array([0.5, 0.25, -1.0])
-    coeffs = dh.interpolate(rt, lambda x: np.broadcast_to(c, x.shape))
-    pts = np.array([[0.2, 0.2, 0.2], [0.6, 0.6, 0.6]])
-    assert np.abs(dh.point_eval(rt, coeffs, pts) - c).max() < 1e-13
-
-
 def test_point_outside_mesh_raises(cube2):
     space = dh.build_space(cube2, dh.P1, False)
     with pytest.raises(ValueError, match="outside"):
         dh.point_eval(space, np.zeros(space.dof_count), np.array([[2.0, 0.5, 0.5]]))
-
-
-def test_space_kind_validation():
-    with pytest.raises(ValueError):
-        dh.SpaceKind("P3")
-    with pytest.raises(ValueError):
-        dh.SpaceKind("RaviartThomas0", components=3)
 
 
 def test_interpolation_into_nodal_spaces_is_rejected(cube2):

@@ -90,6 +90,7 @@ def test_formulation_validation():
 
 @pytest.mark.parametrize("params", [
     {"r_e": -1.0}, {"r_m": 0.0}, {"s": math.inf}, {"r_e": "big"},
+    {"r_e": True}, {"s": "2"}, {"r_m": 10 ** 400},
 ])
 def test_params_validation(params):
     with pytest.raises(ConfigError):
@@ -116,10 +117,25 @@ def test_unknown_case_rejected():
     {"kind": "expression", "components": ["x", "y", "import os"]},
     {"kind": "mystery"},
     "f",
+    {"kind": "constant", "vector": ["1", True, 0]},
+    {"kind": "constant", "vector": [1, 0, math.nan]},
+    # sympify evaluates its input as Python; none of these may reach it
+    {"kind": "expression", "components": [
+        "x", "y", "__import__('pathlib').Path(SENTINEL).touch() or x"]},
+    {"kind": "expression", "components": ["x", "y", "x.diff(x)"]},
+    {"kind": "expression", "components": ["x", "y", "(lambda t: t)(x)"]},
+    {"kind": "expression", "components": ["x", "y", "[x, y][0]"]},
+    {"kind": "expression", "components": ["x", "y", "sin(x, evaluate=0)"]},
 ])
-def test_force_validation(force):
+def test_force_validation(force, tmp_path):
+    sentinel = tmp_path / "touched"
+    if isinstance(force, dict) and "components" in force:
+        force = {**force, "components": [
+            text.replace("SENTINEL", repr(str(sentinel)))
+            for text in force["components"]]}
     with pytest.raises(ConfigError):
         load_config({"force": force})
+    assert not sentinel.exists()
 
 
 def test_constant_force_compiles():
@@ -136,11 +152,17 @@ def test_expression_force_compiles():
     assert vals.shape == (2, 3)
     assert vals[0] == pytest.approx([1.0, 6.0, 0.0])
     assert vals[1, 0] == pytest.approx(math.sin(math.pi / 4))
+    # every function and operator of the expression grammar is accepted
+    cfg = load_config({"force": {"kind": "expression", "components": [
+        "-sin(x) + cos(y) * tan(z) / 2 - 1.5e-1",
+        "asin(x / 2) - acos(y / 2) ** 2 + +atan(z)",
+        "sinh(x) * cosh(y) - tanh(z) + exp(-x) + log(1 + y) + sqrt(z + pi)"]}})
+    assert np.all(np.isfinite(cfg.force(pts[1:])))
 
 
 @pytest.mark.parametrize("picard", [
     {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
-    {"rtol": -1e-9}, {"atol": 0.0},
+    {"rtol": -1e-9}, {"atol": 0.0}, {"rtol": True}, {"atol": "1e-12"},
 ])
 def test_picard_validation(picard):
     with pytest.raises(ConfigError):
@@ -294,6 +316,19 @@ def test_run_solve_writes_report_and_fields(tmp_path):
         assert marker in text
 
 
+def test_high_reynolds_warns_but_proceeds():
+    cfg = {"mesh": [2, 2, 2], "params": {"r_e": 1e6},
+           "force": {"kind": "constant", "vector": [1, 0, 0]},
+           "picard": {"max_iter": 1}}
+    with pytest.warns(RuntimeWarning, match="outside the guaranteed regime"):
+        doc = run_solve(load_config({**cfg, "formulation": "BE"}))
+    assert doc["picard"]["n_iterations"] == 1
+    assert "R_e = 1e+06 exceeds the bound" in doc["picard"]["warnings"][0]
+    # the current-based step is solvable for any data: no regime check
+    doc = run_solve(load_config({**cfg, "formulation": "BJ"}))
+    assert doc["picard"]["warnings"] == []
+
+
 def test_run_study_needs_case_and_levels():
     with pytest.raises(ConfigError, match="case"):
         run_study(load_config({"levels": [2, 4]}))
@@ -385,13 +420,6 @@ def test_study_csv_formatting():
     assert lines[1] == "2,0.5,3,1,1.5,0.25,0.25,0.125,,,,"
     assert lines[2] == "4,0.25,4,0,0.375,0.125,0.125,0.03125,2.0,1.0,1.0,2.0"
     assert lines[3].startswith("# study aborted")
-
-
-def test_dump_json_normalizes_numpy():
-    doc = {"b": np.arange(3), "a": np.float64(1.5), "c": (np.int64(2), None)}
-    assert _dump_json(doc) == ('{\n  "a": 1.5,\n  "b": [\n    0,\n    1,\n'
-                               '    2\n  ],\n  "c": [\n    2,\n    null\n'
-                               '  ]\n}\n')
 
 
 def test_run_diagnose_single_cube(tmp_path):

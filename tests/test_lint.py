@@ -121,3 +121,40 @@ def test_no_unread_public_functions():
     assert unread_public_functions(
         {p.stem: p.read_text() for p in SOURCES},
         [p.read_text() for p in BENCH_SOURCES], KERNEL_RULES) == []
+
+
+def unread_dataclass_fields(texts, readers=()):
+    """Annotated fields of the `@dataclass` classes of texts that no module
+    of texts or readers (sources) loads as an attribute, as
+    `module.Class.field`."""
+    defined, read = [], set()
+    for text in [*texts.values(), *readers]:
+        read |= {node.attr for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    for module, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(n, ast.Name) and n.id == "dataclass"
+                    for d in node.decorator_list for n in ast.walk(d)):
+                defined += [(module, node.name, item.target.id)
+                            for item in node.body
+                            if isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)]
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in defined
+                  if name not in read)
+
+
+def test_unread_dataclass_field_is_caught():
+    texts = {"a": "@dataclass(frozen=True)\nclass P:\n    x: int\n"
+                  "    dead: int = 0\n    stored: int = 0\n"
+                  "class Plain:\n    y: int\n",
+             "b": "def f(p):\n    p.stored = p.x\n"}
+    assert unread_dataclass_fields(texts) == ["a.P.dead", "a.P.stored"]
+    assert unread_dataclass_fields(texts, ["q.dead + q.stored\n"]) == []
+
+
+def test_no_unread_dataclass_fields():
+    assert unread_dataclass_fields(
+        {p.stem: p.read_text() for p in SOURCES},
+        [p.read_text() for p in BENCH_SOURCES]) == []

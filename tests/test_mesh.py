@@ -3,17 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mhdfem.mesh import Mesh, MeshError, build_box_mesh, derive_topology, write_vtk
+from mhdfem.mesh import MeshError, build_box_mesh, write_vtk
 
 # entity counts for the unit cube split into 6 tets, worked out by hand:
 # 8 corners, 12 cube edges + 6 face diagonals + 1 main diagonal = 19 edges,
 # 2 triangles per cube face + 6 interior = 18 faces.
 UNIT_CUBE_COUNTS = (8, 19, 18, 6)
-
-SINGLE_TET = (
-    np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    np.array([[0, 1, 2, 3]]),
-)
 
 
 def test_unit_cube_counts():
@@ -38,10 +33,16 @@ def test_unit_cube_geometry():
     ((2, 1, 1), ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))),
     ((2, 3, 1), ((0.0, 1.0), (-1.0, 1.0), (0.5, 0.75))),
     ((3, 3, 3), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))),
+    ((5, 2, 3), ((-1.0, 0.0), (0.0, 3.0), (2.0, 2.5))),
 ])
 def test_box_volume_and_euler(dims, box):
     m = build_box_mesh(*dims, box=box)
     ext = np.diff(np.asarray(box), axis=1).ravel()
+    # the Kuhn tets come out positively oriented; nothing reorders them
+    x = m.vertices[m.tets]
+    signed = np.linalg.det(x[:, 1:] - x[:, :1]) / 6.0
+    assert np.all(signed > 0.0)
+    assert np.array_equal(m.volumes, signed)
     assert m.volumes.sum() == pytest.approx(np.prod(ext), rel=1e-13)
     # a solid ball triangulation has Euler characteristic 1
     assert m.num_vertices - m.num_edges + m.num_faces - m.num_tets == 1
@@ -99,47 +100,6 @@ def test_tet_face_sign_is_outward():
             n = np.cross(x[b] - x[a], x[c] - x[a])
             outward = np.dot(n, x[[a, b, c]].mean(axis=0) - cen)
             assert np.sign(outward) == m.tet_face_sign[t, lf]
-
-
-def test_single_tet_topology():
-    m = derive_topology(*SINGLE_TET)
-    assert (m.num_vertices, m.num_edges, m.num_faces, m.num_tets) == (4, 6, 4, 1)
-    assert m.boundary_face.all() and m.boundary_edge.all() and m.boundary_vertex.all()
-    assert m.volumes[0] == pytest.approx(1.0 / 6.0)
-
-
-def test_two_tets_share_one_face():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float)
-    m = derive_topology(verts, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
-    assert m.num_faces == 7
-    assert (~m.boundary_face).sum() == 1
-    assert m.faces[~m.boundary_face].tolist() == [[1, 2, 3]]
-
-
-def test_negative_volume_is_reoriented():
-    verts, tets = SINGLE_TET
-    m = derive_topology(verts, tets[:, [0, 2, 1, 3]])
-    assert m.volumes[0] > 0
-
-
-@pytest.mark.parametrize("bad", [
-    lambda v, t: (v, np.array([[0, 1, 2, 9]])),       # index out of range
-    lambda v, t: (v, np.array([[0, 1, 2, 2]])),       # repeated vertex
-    lambda v, t: (v, np.vstack([t, t[:, [0, 2, 1, 3]]])),  # duplicate tet
-    lambda v, t: (np.vstack([v, [[1.0, 1.0, 0.0]]]),
-                  np.array([[0, 1, 2, 4]])),          # coplanar points
-])
-def test_derive_topology_rejects_bad_input(bad):
-    with pytest.raises(MeshError):
-        derive_topology(*bad(*SINGLE_TET))
-
-
-def test_nonmanifold_face_rejected():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
-                      [0, 0, 1], [0, 0, -1], [1, 1, 1]], float)
-    tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
-    with pytest.raises(MeshError, match="non-manifold"):
-        derive_topology(verts, tets)
 
 
 @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])

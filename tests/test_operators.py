@@ -308,4 +308,4 @@ def test_poincare_box_helper():
 
 def test_diagnostic_constants_validation():
     with pytest.raises(ValueError, match="positive"):
-        DiagnosticConstants(c1=0.0, c2=1.0, poincare_div=1.0)
+        DiagnosticConstants(c1=0.0, c2=1.0)

@@ -19,7 +19,7 @@ from mhdfem.derham import (RT, VELOCITY, build_space,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
 from mhdfem.linalg import SingularSystemError, solve_direct
-from mhdfem.mesh import build_box_mesh, derive_topology
+from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                               poincare_h01_box)
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
@@ -243,11 +243,9 @@ def test_callable_data_evaluated_once_per_params(mesh2, params):
     counting = MhdParams(r_e=params.r_e, r_m=params.r_m, s=params.s,
                          f=counted("f", smooth_force),
                          h=counted("h", seed_field))
-    constants = DiagnosticConstants(c1=1.0, c2=1.0)
     for formulation in ("BE", "BJ"):
         solve_nonlinear(formulation, counting,
-                        seeded_start(mesh2, formulation), max_iter=2,
-                        constants=constants)
+                        seeded_start(mesh2, formulation), max_iter=2)
     # the load vector, f_l2 and every step and diagnostic share one call
     assert calls == {"f": 1, "h": 1}
     assert _loads(discrete_ops(mesh2), counting)["f_l2"] > 0.0
@@ -895,15 +893,6 @@ def test_solver_input_validation(mesh2, params):
         solve_nonlinear("BJ", params, zero_state(mesh2, "BJ"), max_iter=0)
 
 
-def test_high_reynolds_warns_but_proceeds(mesh2):
-    params = MhdParams(r_e=1.0e6, r_m=1.0, s=1.0, f=smooth_force)
-    with pytest.warns(RuntimeWarning, match="outside the guaranteed regime"):
-        _, report = solve_nonlinear("BE", params, zero_state(mesh2, "BE"),
-                                    max_iter=1)
-    assert report.warnings
-    assert "R_e = 1e+06 exceeds the bound" in report.warnings[0]
-
-
 # ---------------------------------------------------------------------------
 # convergence conditions
 
@@ -963,11 +952,3 @@ def test_conditions_flag_violation(mesh2):
     assert not rep["condition1"]["satisfied"]
     assert not rep["small_re"]["satisfied"]
     assert not rep["contraction_satisfied"]
-
-
-def test_conditions_need_box_geometry(mesh2):
-    bare = derive_topology(mesh2.vertices, mesh2.tets)
-    consts = DiagnosticConstants(c1=0.5, c2=0.25)
-    with pytest.raises(ValueError, match="box"):
-        check_small_data_conditions(MhdParams(r_e=1.0, r_m=1.0, s=1.0),
-                                    consts, bare)
