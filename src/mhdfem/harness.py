@@ -7,6 +7,11 @@ solution over refinement levels and emits a CSV of errors and observed rates,
 and run_diagnose bundles the structural health checks (complex identities,
 commuting defects, estimated constants, per-iterate invariants).
 
+The manufactured cases are numpy closed forms (see ManufacturedCase), so a
+run needs numpy and scipy only; sympy is imported just to compile an
+"expression" force, and only once its components pass the arithmetic
+whitelist.
+
 All outputs are deterministic for a fixed config and seed: no timestamps, no
 environment probes, seeded randomness only.
 """
@@ -21,7 +26,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import sympy
 
 from .assembly import RULE_DEG6, QuadratureRule, Tabulation
 from .derham import (NEDELEC, P1, RT, AnalyticField, build_space,
@@ -136,13 +140,17 @@ def _compile_force(spec):
                 "expression force needs 3 component strings")
         unknown = set(spec) - {"kind", "components"}
         _expect(not unknown, f"unknown force keys {sorted(unknown)}")
-        x, y, z = sympy.symbols("x y z")
-        fns = []
+        # sympify evaluates its input as Python; only arithmetic reaches it
         for text in components:
-            # sympify evaluates its input as Python; only arithmetic reaches it
             _expect(_is_arithmetic(text),
                     f"force component {text!r} is not arithmetic in x, y, z, "
                     f"pi and {', '.join(sorted(_FORCE_FUNCTIONS))}")
+        # imported here, so that only an expression force pays for sympy
+        import sympy
+
+        x, y, z = sympy.symbols("x y z")
+        fns = []
+        for text in components:
             try:
                 expr = sympy.sympify(text, locals={"x": x, "y": y, "z": z,
                                                    "pi": sympy.pi})
@@ -294,6 +302,16 @@ class ManufacturedCase:
     solution of the general-data problem is (u*, B*, p*) with zero
     multiplier.  velocity/pressure may be None for identically zero fields.
     initial_flux(mesh) interpolates the exact flux: the Picard start.
+
+    trig-1 is written out in closed form.  With sx = sin(pi x),
+    cx = cos(pi x) and likewise for y and z, B* = curl (0, 0, sx sy)
+    = pi (sx cy, -cx sy, 0), p* = cx cy cz and
+    u* = (sx^2 sin(2 pi y) sz, -sin(2 pi x) sy^2 sz, 0) = (2 sx sy sz / pi) B*.
+    So u* is parallel to B*, u* x B* = 0 and curl B* = (0, 0, 2 pi^2 sx sy),
+    which leaves h = (s/r_m) curl(curl B*/r_m) = (2 pi^2 s / r_m^2) B*; f is
+    -Laplace(u*)/r_e + (u*.grad)u* + grad p* + s B* x (curl B*/r_m), written
+    out in _trig_data.  The test suite checks every closed form against a
+    symbolic derivation.
     """
 
     name: str
@@ -309,94 +327,69 @@ class ManufacturedCase:
         return self.data_for(mesh, r_e, r_m, s)
 
 
-def _curl(v, x, y, z):
-    return sympy.Matrix([v[2].diff(y) - v[1].diff(z),
-                         v[0].diff(z) - v[2].diff(x),
-                         v[1].diff(x) - v[0].diff(y)])
+def _sin_cos(pts):
+    """sin and cos of pi x, pi y, pi z, as rows (sx, sy, sz), (cx, cy, cz)."""
+    return np.sin(np.pi * pts).T, np.cos(np.pi * pts).T
 
 
-def _vec_fn(entries, syms):
-    """Vector field of points (n, 3); symbols past x, y, z become trailing
-    numeric arguments."""
-    fns = [sympy.lambdify(syms, e, modules="numpy") for e in entries]
-
-    def call(pts, *numbers):
-        args = (pts[:, 0], pts[:, 1], pts[:, 2], *numbers)
-        cols = [np.broadcast_to(np.asarray(fn(*args), dtype=float),
-                                (len(pts),)) for fn in fns]
-        return np.stack(cols, axis=-1)
-
-    return call
+def _trig_flux(pts):
+    (sx, sy, _), (cx, cy, _) = _sin_cos(pts)
+    return np.pi * np.stack([sx * cy, -cx * sy, np.zeros(len(pts))], axis=-1)
 
 
-@lru_cache(maxsize=None)
-def _trig_exprs():
-    x, y, z = sympy.symbols("x y z")
-    pi = sympy.pi
-    # velocity from squared sines: u = 0 on the whole boundary, div u = 0
-    u = sympy.Matrix([
-        sympy.sin(pi * x) ** 2 * sympy.sin(2 * pi * y) * sympy.sin(pi * z),
-        -sympy.sin(2 * pi * x) * sympy.sin(pi * y) ** 2 * sympy.sin(pi * z),
-        0])
-    # flux as the curl of a sinusoidal potential: div B = 0, B.n = 0
-    a = sympy.Matrix([0, 0, sympy.sin(pi * x) * sympy.sin(pi * y)])
-    b = _curl(a, x, y, z)
-    p = sympy.cos(pi * x) * sympy.cos(pi * y) * sympy.cos(pi * z)
-    return (x, y, z), u, b, p
+def _trig_velocity(pts):
+    weight = (2.0 / np.pi) * np.prod(np.sin(np.pi * pts), axis=1)
+    return weight[:, None] * _trig_flux(pts)
 
 
-@lru_cache(maxsize=None)
-def _trig_data_exprs():
-    (x, y, z), u, b, p = _trig_exprs()
-    re_, rm, s = sympy.symbols("Re Rm S", positive=True)
-    j = _curl(b, x, y, z) / rm
-    conv = sympy.Matrix([sum(u[k] * u[i].diff(c)
-                             for k, c in enumerate((x, y, z)))
-                         for i in range(3)])
-    lap = sympy.Matrix([sum(u[i].diff(c, 2) for c in (x, y, z))
-                        for i in range(3)])
-    grad_p = sympy.Matrix([p.diff(c) for c in (x, y, z)])
-    f = -lap / re_ + conv + grad_p + s * b.cross(j)
-    h = (s / rm) * _curl(j - u.cross(b), x, y, z)
-    return (x, y, z), (re_, rm, s), f, h
+def _trig_velocity_grad(pts):
+    (sx, sy, sz), (cx, cy, cz) = _sin_cos(pts)
+    s2x, s2y = 2.0 * sx * cx, 2.0 * sy * cy
+    c2x, c2y = 1.0 - 2.0 * sx ** 2, 1.0 - 2.0 * sy ** 2
+    zero = np.zeros(len(pts))
+    rows = [[s2x * s2y * sz, 2.0 * sx ** 2 * c2y * sz, sx ** 2 * s2y * cz],
+            [-2.0 * c2x * sy ** 2 * sz, -s2x * s2y * sz, -s2x * sy ** 2 * cz],
+            [zero, zero, zero]]
+    return np.pi * np.moveaxis(np.array(rows), -1, 0)
 
 
-@lru_cache(maxsize=None)
+def _trig_pressure(pts):
+    return np.prod(np.cos(np.pi * pts), axis=1)
+
+
+def _trig_data(mesh, r_e, r_m, s):
+    lorentz = 2.0 * np.pi ** 3 * s / r_m
+    viscous = np.pi ** 2 / r_e
+
+    def force(pts):
+        (sx, sy, sz), (cx, cy, cz) = _sin_cos(pts)
+        f1 = (np.pi * (4.0 * sx ** 3 * cx * sy ** 2 * sz ** 2 - sx * cy * cz)
+              - lorentz * sx * cx * sy ** 2
+              + viscous * (9.0 * sx ** 2 - 2.0) * 2.0 * sy * cy * sz)
+        f2 = (np.pi * (4.0 * sx ** 2 * sy ** 3 * cy * sz ** 2 - cx * sy * cz)
+              - lorentz * sx ** 2 * sy * cy
+              + viscous * (2.0 - 9.0 * sy ** 2) * 2.0 * sx * cx * sz)
+        return np.stack([f1, f2, -np.pi * cx * cy * sz], axis=-1)
+
+    def magnetic(pts):
+        return (2.0 * np.pi ** 2 * s / r_m ** 2) * _trig_flux(pts)
+
+    return {"f": force, "h": magnetic}
+
+
+def _trig_initial_flux(mesh):
+    rt = build_space(mesh, RT, essential_bc=True)
+    coeffs = interpolate(rt, _trig_flux)
+    coeffs[rt.boundary_dof] = 0.0
+    return coeffs
+
+
 def _trig_case() -> ManufacturedCase:
-    syms, u, b, p = _trig_exprs()
-    x, y, z = syms
-    grad_rows = [_vec_fn([u[i].diff(c) for c in (x, y, z)], syms)
-                 for i in range(3)]
-
-    def velocity_grad(pts):
-        return np.stack([row(pts) for row in grad_rows], axis=1)
-
-    flux = _vec_fn(list(b), syms)
-    # the data are compiled once, with the numbers as arguments
-    _, numbers, f, h = _trig_data_exprs()
-    f_fn = _vec_fn(list(f), syms + numbers)
-    h_fn = _vec_fn(list(h), syms + numbers)
-
-    def data_for(mesh, r_e, r_m, s):
-        return {"f": lambda pts: f_fn(pts, r_e, r_m, s),
-                "h": lambda pts: h_fn(pts, r_e, r_m, s)}
-
-    def initial_flux(mesh):
-        rt = build_space(mesh, RT, essential_bc=True)
-        coeffs = interpolate(rt, flux)
-        coeffs[rt.boundary_dof] = 0.0
-        return coeffs
-
-    p_fn = sympy.lambdify(syms, p, modules="numpy")
     return ManufacturedCase(
-        name="trig-1",
-        velocity=_vec_fn(list(u), syms),
-        velocity_grad=velocity_grad,
-        flux=flux,
-        pressure=lambda pts: np.asarray(
-            p_fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float),
-        data_for=data_for,
-        initial_flux=initial_flux)
+        name="trig-1", velocity=_trig_velocity,
+        velocity_grad=_trig_velocity_grad, flux=_trig_flux,
+        pressure=_trig_pressure, data_for=_trig_data,
+        initial_flux=_trig_initial_flux)
 
 
 @lru_cache(maxsize=None)
@@ -521,15 +514,15 @@ def _problem(config: RunConfig, mesh):
                      **slots), case
 
 
-def _solve(config: RunConfig, mesh, params, case, constants):
+def _solve(config: RunConfig, mesh, params, case, conditions):
     """(state, report, warnings) of solve_nonlinear from the zero state,
     B set to the case's interpolated exact flux if any.  A B-E run outside
-    the small-Reynolds regime, where its step is proved solvable, is warned
-    about; it proceeds, the condition being sufficient, not necessary."""
+    the small-Reynolds regime of conditions (check_small_data_conditions),
+    where its step is proved solvable, is warned about; it proceeds, the
+    condition being sufficient, not necessary."""
     warns = []
     if config.formulation == "BE":
-        small_re = check_small_data_conditions(params, constants,
-                                               mesh)["small_re"]
+        small_re = conditions["small_re"]
         if not small_re["satisfied"]:
             msg = ("electric-field step outside the guaranteed regime: "
                    f"R_e = {params.r_e:.6g} exceeds the bound "
@@ -588,12 +581,13 @@ def run_solve(config: RunConfig) -> dict:
     mesh = build_box_mesh(*config.mesh)
     params, case = _problem(config, mesh)
     constants = _constants(mesh, config.seed)
-    state, report, warns = _solve(config, mesh, params, case, constants)
+    conditions = check_small_data_conditions(params, constants, mesh)
+    state, report, warns = _solve(config, mesh, params, case, conditions)
     doc = {
         "config": config.document,
         "mesh": _mesh_info(mesh, config.mesh),
         "constants": {"c1": constants.c1, "c2": constants.c2},
-        "conditions": check_small_data_conditions(params, constants, mesh),
+        "conditions": conditions,
         "picard": _report_section(report, warns),
         "diagnostics": diagnostics(state, params),
     }
@@ -650,10 +644,11 @@ def run_study(config: RunConfig) -> dict:
     for level in config.levels:
         mesh = build_box_mesh(level, level, level)
         params, _ = _problem(config, mesh)
-        # only a B-E run reads the constants (its small-Re check)
-        constants = (_constants(mesh, config.seed)
-                     if config.formulation == "BE" else None)
-        state, report, _ = _solve(config, mesh, params, case, constants)
+        # only a B-E run reads the conditions (its small-Re check)
+        conditions = (check_small_data_conditions(
+            params, _constants(mesh, config.seed), mesh)
+            if config.formulation == "BE" else None)
+        state, report, _ = _solve(config, mesh, params, case, conditions)
         errs = exact_errors(mesh, case, state)
         rows.append({"level": level, "h": mesh.h,
                      "iterations": report.n_iterations,
@@ -731,8 +726,9 @@ def run_diagnose(config: RunConfig) -> dict:
     constants = _constants(mesh, config.seed)
 
     params, case = _problem(config, mesh)
+    conditions = check_small_data_conditions(params, constants, mesh)
     try:
-        state, report, _ = _solve(config, mesh, params, case, constants)
+        state, report, _ = _solve(config, mesh, params, case, conditions)
     except SingularSystemError as exc:
         # meshes too coarse for the velocity-pressure pair still get the
         # complex and constant sections; record why the solve is missing
@@ -740,7 +736,6 @@ def run_diagnose(config: RunConfig) -> dict:
                      "termination": "singular-step", "message": str(exc),
                      "iterations": [], "checks": {}}
     else:
-        conditions = check_small_data_conditions(params, constants, mesh)
         u_floor = 1e-10 * 2.0 * params.r_e * conditions["f_dual_bound"]
         gauss, mult, energy = _relative_worsts(report, mesh, u_floor)
 

@@ -240,6 +240,72 @@ def test_trig_zero_state_errors_are_exact_norms():
     assert errs["p_l2"] == pytest.approx(0.5 / math.sqrt(2), rel=1e-13)
 
 
+@pytest.mark.parametrize("r_e, r_m, s", [(1.0, 1.0, 1.0), (2.5, 0.7, 1.3)])
+def test_trig_closed_forms_match_symbolic_derivation(r_e, r_m, s):
+    import sympy
+
+    xyz = sympy.symbols("x y z")
+    x, y, z = xyz
+    pi, sin, cos = sympy.pi, sympy.sin, sympy.cos
+
+    def curl(v):
+        return sympy.Matrix([v[2].diff(y) - v[1].diff(z),
+                             v[0].diff(z) - v[2].diff(x),
+                             v[1].diff(x) - v[0].diff(y)])
+
+    u = sympy.Matrix([sin(pi * x) ** 2 * sin(2 * pi * y) * sin(pi * z),
+                      -sin(2 * pi * x) * sin(pi * y) ** 2 * sin(pi * z), 0])
+    b = curl(sympy.Matrix([0, 0, sin(pi * x) * sin(pi * y)]))
+    p = cos(pi * x) * cos(pi * y) * cos(pi * z)
+    j = curl(b) / r_m
+    f = (-u.applyfunc(lambda c: sum(c.diff(v, 2) for v in xyz)) / r_e
+         + u.jacobian(xyz) * u + sympy.Matrix([p.diff(v) for v in xyz])
+         + s * b.cross(j))
+    h = (s / r_m) * curl(j - u.cross(b))
+
+    pts = np.random.default_rng(11).random((200, 3))
+
+    def at(expr):
+        fn = sympy.lambdify(xyz, expr, modules="numpy")
+        return np.broadcast_to(np.asarray(
+            fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float), (len(pts),))
+
+    def exact(matrix):
+        # sympy iterates a matrix row by row: the order of got.reshape
+        return np.stack([at(entry) for entry in matrix], axis=-1)
+
+    case = manufactured_case("trig-1")
+    data = case.data(build_box_mesh(1, 1, 1), r_e, r_m, s)
+    for fn, expr in [(case.velocity, u),
+                     (case.velocity_grad, u.jacobian(xyz)),
+                     (case.flux, b),
+                     (case.pressure, sympy.Matrix([p])),
+                     (data["f"], f),
+                     (data["h"], h)]:
+        got, want = fn(pts).reshape(len(pts), -1), exact(expr)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_default_paths_do_not_load_sympy():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mhdfem.cli\n"
+        "from mhdfem.harness import load_config, run_diagnose, run_solve\n"
+        "run_solve(load_config({'mesh': [2, 2, 2], 'case': 'trig-1'}))\n"
+        "run_diagnose(load_config({'mesh': [2, 2, 2], "
+        "'case': 'inspace-1'}))\n"
+        "assert 'sympy' not in sys.modules, 'a default run loaded sympy'\n"
+        "cfg = load_config({'force': {'kind': 'expression', "
+        "'components': ['x * y', 'sin(pi * z)', '1']}})\n"
+        "vals = cfg.force(np.array([[0.5, 2.0, 0.5]]))\n"
+        "assert np.allclose(vals, [[1.0, 1.0, 1.0]]), vals\n"
+        "assert 'sympy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_inspace_flux_is_representable_on_refinements():
     case = manufactured_case("inspace-1")
     for n in (1, 2, 4):

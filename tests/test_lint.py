@@ -1,5 +1,6 @@
 """Static checks of the package sources that need no linter installed."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,41 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# what a module may import when it is imported: a heavier package (sympy)
+# is imported inside the one function that needs it
+IMPORT_TIME_PACKAGES = sys.stdlib_module_names | {"numpy", "scipy", "mhdfem"}
+
+
+def import_time_imports(text):
+    """Top-level packages a module imports outside function bodies, other
+    than IMPORT_TIME_PACKAGES; relative imports are the package itself."""
+    found, pending = set(), list(ast.parse(text).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                found.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return sorted(found - IMPORT_TIME_PACKAGES)
+
+
+def test_import_time_import_is_caught():
+    text = ("import os.path\nimport numpy as np\nfrom scipy import sparse\n"
+            "from . import mesh\nimport sympy\n"
+            "try:\n    from pandas import DataFrame\nexcept ImportError:\n"
+            "    pass\nclass C:\n    import yaml\n"
+            "def f():\n    import matplotlib\n")
+    assert import_time_imports(text) == ["pandas", "sympy", "yaml"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_time_imports_beyond_numpy_and_scipy(path):
+    assert import_time_imports(path.read_text()) == []
 
 
 def names_read(tree):
