@@ -83,6 +83,12 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+# an integer of at least least; bool subclasses int and is rejected
+def _is_int(value, least) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= least
+
+
 def _as_positive_float(value, label):
     _expect(_is_number(value) and value > 0,
             f"{label} must be a positive number, got {value!r}")
@@ -201,8 +207,7 @@ def load_config(source, seed_override=None) -> RunConfig:
 
     mesh = raw.get("mesh", [2, 2, 2])
     _expect(isinstance(mesh, list) and len(mesh) == 3
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                    for n in mesh),
+            and all(_is_int(n, 1) for n in mesh),
             "mesh must be three positive integer subdivision counts")
 
     formulation = raw.get("formulation", "BJ")
@@ -240,14 +245,12 @@ def load_config(source, seed_override=None) -> RunConfig:
     rtol = _as_positive_float(picard["rtol"], "picard.rtol")
     atol = _as_positive_float(picard["atol"], "picard.atol")
     max_iter = picard["max_iter"]
-    _expect(isinstance(max_iter, int) and not isinstance(max_iter, bool)
-            and max_iter >= 1, "picard.max_iter must be a positive integer")
+    _expect(_is_int(max_iter, 1), "picard.max_iter must be a positive integer")
 
     levels = raw.get("levels")
     if levels is not None:
         _expect(isinstance(levels, list) and len(levels) >= 2
-                and all(isinstance(n, int) and not isinstance(n, bool)
-                        and n >= 1 for n in levels),
+                and all(_is_int(n, 1) for n in levels),
                 "levels must list at least two positive integers")
         _expect(all(a < b for a, b in zip(levels, levels[1:])),
                 "levels must be strictly increasing")
@@ -262,10 +265,9 @@ def load_config(source, seed_override=None) -> RunConfig:
                 f"output.{key} must be a non-empty path")
 
     seed = raw.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-            "seed must be a non-negative integer")
+    _expect(_is_int(seed, 0), "seed must be a non-negative integer")
     if seed_override is not None:
-        _expect(isinstance(seed_override, int) and seed_override >= 0,
+        _expect(_is_int(seed_override, 0),
                 "seed must be a non-negative integer")
         seed = seed_override
 

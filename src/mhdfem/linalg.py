@@ -6,15 +6,18 @@ the structural invariants downstream (exact divergence constraints)
 survive the linear algebra.  A system that is a
 perturbation of a block operator whose two diagonal blocks have exact
 solves (BlockFactors, each block's solve built by the caller, for
-instance from factor) is solved by GMRES preconditioned with the block
+instance from the sparse factor and the dense factor_dense) is solved by
+GMRES, started from a caller's guess and preconditioned with the block
 lower-triangular operator (solve_preconditioned), to the same residual
 contract, with the direct solve as the fallback.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -32,6 +35,17 @@ class SingularSystemError(Exception):
 _RESIDUAL_REL = 1e-10
 
 
+def _singular(d: np.ndarray) -> bool:
+    """Whether pivot magnitudes d mark a singular matrix."""
+    # a zero pivot makes the triangular solves emit garbage (and BLAS
+    # error chatter); a pivot at roundoff of the largest marks a
+    # numerically singular matrix, whose solve could pass the residual
+    # check with one of many solutions.  Which of the two a singular matrix
+    # shows depends on the ordering, and so on the explicit zeros its
+    # pattern carries; reject both before solving
+    return bool(d.min() <= d.size * np.finfo(float).eps * d.max())
+
+
 def _factor(a_csc):
     """SuperLU factors of a square matrix and the magnitudes of their
     pivots; SingularSystemError on breakdown."""
@@ -40,14 +54,8 @@ def _factor(a_csc):
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU failed ({exc})") from exc
 
-    # a zero pivot makes the triangular solves emit garbage (and BLAS
-    # error chatter); a pivot at roundoff of the largest marks a
-    # numerically singular matrix, whose solve could pass the residual
-    # check with one of many solutions.  Which of the two a singular matrix
-    # shows depends on the ordering, and so on the explicit zeros its
-    # pattern carries; reject both before solving
     d = np.abs(lu.U.diagonal())
-    if d.min() <= d.size * np.finfo(float).eps * d.max():
+    if _singular(d):
         step = int(np.argmin(d))
         raise SingularSystemError(
             f"pivot {d[step]:.3e} at roundoff of the largest {d.max():.3e}, "
@@ -66,6 +74,27 @@ def factor(a) -> tuple:
     lu, pivots = _factor(sp.csc_matrix(a))
     return lu, {"n": int(a.shape[0]), "lu_nnz": int(lu.nnz),
                 "min_pivot": float(pivots.min())}
+
+
+def factor_dense(a: np.ndarray) -> tuple:
+    """(lu, summary) of a square dense matrix, overwritten: its LAPACK LU
+    factors (scipy.linalg.lu_factor, solved with scipy.linalg.lu_solve),
+    and their size n, stored entries lu_nnz = n^2 and smallest pivot.
+
+    Pivots are judged as in factor: a zero pivot, or one at roundoff of
+    the largest, raises SingularSystemError.
+    """
+    with warnings.catch_warnings():
+        # LAPACK's exact-zero warning; the pivot check below reports it
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    d = np.abs(np.diagonal(lu[0]))
+    if _singular(d):
+        raise SingularSystemError(
+            f"dense pivot {d.min():.3e} at roundoff of the largest "
+            f"{d.max():.3e}, elimination step {int(np.argmin(d))}")
+    return lu, {"n": int(d.size), "lu_nnz": int(d.size) ** 2,
+                "min_pivot": float(d.min())}
 
 
 def solve_direct(A, b) -> np.ndarray:
@@ -138,14 +167,15 @@ class BlockFactors:
     lu_second: object
 
 
-def _gmres(a, b, precond, tol):
-    """Right-preconditioned restarted GMRES from x = 0.
+def _gmres(a, b, precond, tol, x0):
+    """Right-preconditioned restarted GMRES from x = x0.
 
     Returns (x, iterations, converged); converged means the true residual
-    |b - a x| fell to tol within _KRYLOV_CAP iterations.
+    |b - a x| fell to tol within _KRYLOV_CAP iterations, none when x0
+    already meets it.
     """
-    x = np.zeros(b.size)
-    r = b.copy()
+    x = x0
+    r = b - a @ x
     its = 0
     while True:
         beta = np.linalg.norm(r)
@@ -177,8 +207,9 @@ def _gmres(a, b, precond, tol):
         r = b - a @ x
 
 
-def solve_preconditioned(A, b, factors: BlockFactors | None):
-    """Solve Ax = b by GMRES with a block lower-triangular preconditioner.
+def solve_preconditioned(A, b, factors: BlockFactors | None, x0=None):
+    """Solve Ax = b by GMRES with a block lower-triangular preconditioner,
+    started from x0 (zero when None).
 
     With A split as [A_11 A_12; A_21 A_22] by factors.first/second, the
     preconditioner is P = [S 0; A_21 K], S and K the blocks that
@@ -216,7 +247,9 @@ def solve_preconditioned(A, b, factors: BlockFactors | None):
             out[two] = factors.lu_second.solve(rho[two] - a21 @ y1)
             return out
 
-        x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm)
+        start = (np.zeros(b.size) if x0 is None
+                 else np.asarray(x0, dtype=np.float64).ravel())
+        x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm, start)
         if converged:
             x = x + precond(b - a @ x)
             rel = relative_residual(x)

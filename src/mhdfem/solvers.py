@@ -15,15 +15,19 @@ Once per mesh and parameter set a step plan maps every entry of every
 block, fixed matrix or element array, to its place in one reduced CSR
 pattern, and builds exact solves with the two diagonal blocks of the
 fixed part: the Stokes block S over (u, p, mp) and the Maxwell block K
-over the other unknowns.  K is solved by its structure (_MaxwellSolve):
-the B-J sigma rows hold only the free-edge mass, whose factor the
-context already owns; the mean multiplier mr follows in closed form with
-r_0 pinned; and what is left, K_E, is the same matrix in both
-formulations.  The plan keeps the S and K_E factors for as long as its
+over the other unknowns.  Both are solved by their structure.  S
+(_StokesSolve) goes through its pressure Schur complement: its velocity
+block is one scalar Laplacian block A_0 per component, factored once, and
+the Schur complement over (p, mp) is small and dense.  In K
+(_MaxwellSolve) the B-J sigma rows hold only the free-edge mass, whose
+factor the context already owns; the mean multiplier mr follows in
+closed form with r_0 pinned; and what is left, K_E, is the same matrix
+in both formulations.  The plan keeps these factors for as long as its
 parameters hold.  A step computes the element arrays, scatters them onto
-the fixed values with one bincount, and solves by GMRES preconditioned
-with the block solves (linalg.solve_preconditioned), falling back to a
-direct factorization of the whole step when GMRES stalls.
+the fixed values with one bincount, and solves by GMRES started from the
+previous iterate and preconditioned with the block solves
+(linalg.solve_preconditioned), falling back to a direct factorization of
+the whole step when GMRES stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_solve
 
 from . import assembly
 from .assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
@@ -48,7 +53,8 @@ from .derham import FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
 from .linalg import (BlockFactors, SingularSystemError,  # noqa: F401
-                     factor, solve_direct, solve_preconditioned)
+                     factor, factor_dense, solve_direct,
+                     solve_preconditioned)
 from .mesh import Mesh
 from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                         poincare_h01_box)
@@ -135,10 +141,13 @@ class PicardReport:
     (krylov_iterations), the achieved |b - Ax| / (|A|_F |x| + |b|)
     (relative_residual), whether the step fell back to a direct
     factorization of the whole system (fallback), and factors: the size
-    n, fill lu_nnz (linalg.factor) and smallest pivot min_pivot of each
-    block factor behind the preconditioner ("stokes", "maxwell", and for
-    the current-based step the free-edge mass, "edge_mass"), None when a
-    block is singular.  Every entry is a
+    n, stored entries lu_nnz (linalg.factor, linalg.factor_dense) and
+    smallest pivot min_pivot of each factor behind the preconditioner
+    ("laplacian", the scalar velocity block of the Stokes block;
+    "pressure_schur", its dense pressure Schur complement; "maxwell"; and
+    for the current-based step the free-edge mass, "edge_mass"), None
+    when a block is singular.  GMRES starts from the previous iterate, so
+    krylov_iterations falls as the iterates converge.  Every entry is a
     deterministic function of the inputs.  termination is "converged" or
     "max-iterations"; non-convergence is never raised.
     """
@@ -276,9 +285,10 @@ class _StepPlan:
     free rows and columns.  slots: the pattern position of each of those
     entries, then of each entry of every iterate block's element array;
     nnz, a dump slot, for entries in constrained rows or columns.  factors:
-    the exact Stokes and Maxwell block solves of the fixed matrix, None
-    when a block is singular; summary: their factors' sizes, fill and
-    smallest pivots (see PicardReport).
+    the exact Stokes and Maxwell block solves of the fixed matrix
+    (_StokesSolve, _MaxwellSolve), None when a block is singular;
+    summary: their factors' sizes, fill and smallest pivots (see
+    PicardReport).
     """
 
     key: tuple
@@ -288,6 +298,56 @@ class _StepPlan:
     slots: np.ndarray
     factors: BlockFactors | None
     summary: dict | None
+
+
+@dataclass(frozen=True, eq=False)
+class _StokesSolve:
+    """Exact solve with the Stokes block S of a step's fixed matrix.
+
+    Ordered as (u, then p and mp), S = [[I_3 (x) A_0, B^T], [B, D]]: the
+    laplacian kernel is one scalar block broadcast over the three velocity
+    components, so the velocity block repeats A_0, the scalar block over
+    the free P2 DOFs, and lu_a factors A_0 alone.  schur holds the dense
+    LU (linalg.factor_dense) of the pressure Schur complement
+    C = D - sum_c B_c A_0^-1 B_c^T over (p, mp).  A solve takes
+    w = A_0^-1 rho_u per component, then y_p = C^-1 (rho_p - B w), then
+    y_u = A_0^-1 (rho_u - B^T y_p); every row of S holds to factorization
+    roundoff.  b is S[(p, mp), u] and bt S[u, (p, mp)].
+    """
+
+    lu_a: object
+    schur: tuple
+    b: sp.csr_matrix
+    bt: sp.csr_matrix
+
+    def _velocity(self, rho_u: np.ndarray) -> np.ndarray:
+        # the three components as three right-hand sides of one solve
+        return self.lu_a.solve(rho_u.reshape(3, -1).T).T.ravel()
+
+    def solve(self, rho: np.ndarray) -> np.ndarray:
+        n_u = self.bt.shape[0]
+        y = np.empty_like(rho)
+        w = self._velocity(rho[:n_u])
+        y[n_u:] = lu_solve(self.schur, rho[n_u:] - self.b @ w)
+        y[:n_u] = self._velocity(rho[:n_u] - self.bt @ y[n_u:])
+        return y
+
+
+def _stokes_solve(s: sp.csr_matrix, n_u: int) -> tuple:
+    """(_StokesSolve, summary) of the Stokes block s, whose first n_u
+    unknowns are the velocity, three components of equal size; A_0 is
+    read from the first component's rows.  SingularSystemError when A_0 or
+    the Schur complement is singular."""
+    m = n_u // 3
+    lu_a, summary_a = factor(s[:m, :m])
+    b, bt = s[n_u:, :n_u], s[:n_u, n_u:]
+    c = s[n_u:, n_u:].toarray()
+    for comp in range(3):
+        at = slice(comp * m, (comp + 1) * m)
+        c -= b[:, at] @ lu_a.solve(bt[at].toarray())
+    schur, summary_c = factor_dense(c)
+    return (_StokesSolve(lu_a=lu_a, schur=schur, b=b, bt=bt),
+            {"laplacian": summary_a, "pressure_schur": summary_c})
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +400,8 @@ class _MaxwellSolve:
 def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
                    unknowns: list, fixed: sp.csr_matrix) -> tuple:
     """(BlockFactors, summary) of a step's fixed matrix, (None, None) when
-    the Stokes block S over (u, p, mp) or K_E (see _MaxwellSolve) is
-    singular."""
+    A_0 or the Schur complement of the Stokes block S over (u, p, mp) (see
+    _StokesSolve), or K_E (see _MaxwellSolve), is singular."""
     in_stokes = np.concatenate([np.full(free.size, name in _STOKES)
                                 for name, _, free in unknowns])
     stokes, maxwell = np.flatnonzero(in_stokes), np.flatnonzero(~in_stokes)
@@ -358,12 +418,12 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
         keep[sigma] = False
     keep = np.flatnonzero(keep)
     k = fixed[maxwell][:, maxwell]
+    n_u = next(free.size for name, _, free in unknowns if name == "u")
     try:
-        lu_s, summary_s = factor(fixed[stokes][:, stokes])
-        lu_e, summary_e = factor(k[keep][:, keep])
+        solve_s, summary = _stokes_solve(fixed[stokes][:, stokes], n_u)
+        lu_e, summary["maxwell"] = factor(k[keep][:, keep])
     except SingularSystemError:
         return None, None
-    summary = {"stokes": summary_s, "maxwell": summary_e}
     scale = 1.0
     if sigma is not None:
         scale = next(coef(*key) for row, col, _, _, coef in form.blocks
@@ -374,7 +434,7 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
         sigma_cols=k[keep][:, sigma] if sigma is not None else None,
         mr_col=k[keep][:, [mr]].toarray().ravel(),
         vols=k[[mr]][:, r].toarray().ravel(), lu=lu_e)
-    return BlockFactors(first=stokes, second=maxwell, lu_first=lu_s,
+    return BlockFactors(first=stokes, second=maxwell, lu_first=solve_s,
                         lu_second=solve_k), summary
 
 
@@ -529,8 +589,12 @@ def _picard_step(prev: MhdState, params: MhdParams,
     """One step of formulation linearized around (prev.u, prev.B)."""
     ops = discrete_ops(prev.mesh)
     plan, a, b = _step_system(ops, formulation, prev, params)
+    # GMRES starts from prev on the free DOFs, the mean multipliers at 0
+    x0 = np.concatenate([np.zeros(1) if name in ("mp", "mr")
+                         else getattr(prev, name)[free]
+                         for name, _, free in plan.unknowns])
     try:
-        x, record = solve_preconditioned(a, b, plan.factors)
+        x, record = solve_preconditioned(a, b, plan.factors, x0)
     except SingularSystemError as exc:
         raise SingularSystemError(
             _singular_step_message(ops, formulation)) from exc

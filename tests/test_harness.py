@@ -192,6 +192,9 @@ def test_seed_validation_and_override():
     assert cfg.document["seed"] == 9
     with pytest.raises(ConfigError, match="seed"):
         load_config({}, seed_override=-2)
+    # bool subclasses int; the override gets the same check as the key
+    with pytest.raises(ConfigError, match="seed"):
+        load_config({}, seed_override=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from mhdfem import linalg
@@ -10,6 +13,7 @@ from mhdfem.linalg import (
     BlockFactors,
     SingularSystemError,
     factor,
+    factor_dense,
     solve_direct,
     solve_preconditioned,
 )
@@ -166,6 +170,18 @@ def test_preconditioned_solve_without_factors_is_direct():
     assert record["krylov_iterations"] == 0
 
 
+def test_preconditioned_solve_started_at_the_solution_takes_no_step():
+    rng = np.random.default_rng(6)
+    a, lin, first = perturbed_block_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    ref = solve_direct(a, b)
+    x, record = solve_preconditioned(a, b, block_factors(lin, first), ref)
+    assert record["krylov_iterations"] == 0
+    assert record["fallback"] is False
+    assert record["relative_residual"] <= 1e-10
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_factor_rejects_numerically_singular_matrix():
     # exactly singular in real arithmetic; the factorization sees a pivot
     # at roundoff instead of an exact zero
@@ -186,3 +202,23 @@ def test_factor_summary_reports_size_fill_and_smallest_pivot():
     # diagonal once
     assert summary["lu_nnz"] == lu.nnz >= lu.L.nnz + lu.U.nnz - 3
     assert summary["min_pivot"] == np.abs(lu.U.diagonal()).min()
+
+
+@pytest.mark.parametrize("singular", [
+    [[1.0, 1.0], [1.0, 1.0]],                     # an exact zero pivot
+    [[0.1, 0.3], [0.3, 0.9]],                     # a pivot at roundoff
+])
+def test_factor_dense_rejects_singular_matrix_without_warning(singular):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="roundoff"):
+            factor_dense(np.array(singular))
+
+
+def test_factor_dense_summary_reports_size_fill_and_smallest_pivot():
+    a = np.array([[4.0, 1.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 0.5]])
+    lu, summary = factor_dense(a.copy())
+    assert np.allclose(scipy.linalg.lu_solve(lu, np.ones(3)),
+                       np.linalg.solve(a, np.ones(3)))
+    assert summary == {"n": 3, "lu_nnz": 9,
+                       "min_pivot": np.abs(np.diagonal(lu[0])).min()}

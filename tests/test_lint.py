@@ -1,5 +1,6 @@
 """Static checks of the package sources that need no linter installed."""
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -73,6 +74,19 @@ def test_import_time_import_is_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_import_time_imports_beyond_numpy_and_scipy(path):
     assert import_time_imports(path.read_text()) == []
+
+
+def test_required_dependencies_are_numpy_and_scipy():
+    # sympy is the optional extra "expression": only an expression force
+    # imports it
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group()
+             for dep in project["dependencies"]]
+    assert sorted(names) == ["numpy", "scipy"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in
+            project["optional-dependencies"]["expression"]] == ["sympy"]
 
 
 def names_read(tree):

@@ -18,7 +18,8 @@ from mhdfem.derham import (RT, VELOCITY, build_space,
                            curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
-from mhdfem.linalg import SingularSystemError, solve_direct
+from mhdfem.linalg import (SingularSystemError, solve_direct,
+                           solve_preconditioned)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                               poincare_h01_box)
@@ -526,6 +527,30 @@ def test_preconditioned_steps_match_direct_solve(params, formulation):
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_step_starts_krylov_from_previous_iterate(params, formulation,
+                                                  monkeypatch):
+    mesh = build_box_mesh(2, 2, 2)
+    prev = STEPS[formulation](seeded_start(mesh, formulation), params)
+    starts = []
+
+    def spy(a, b, factors, x0=None):
+        starts.append(x0)
+        return solve_preconditioned(a, b, factors, x0)
+
+    monkeypatch.setattr(mhdfem.solvers, "solve_preconditioned", spy)
+    STEPS[formulation](prev, params)
+    plan = _step_plan(discrete_ops(mesh), formulation, params)
+    off = 0
+    for name, _, free in plan.unknowns:
+        # prev on the free DOFs, the mean multipliers at 0
+        want = (np.zeros(1) if name in ("mp", "mr")
+                else getattr(prev, name)[free])
+        assert np.array_equal(starts[0][off:off + free.size], want), name
+        off += free.size
+    assert off == starts[0].size
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
 def test_stalled_krylov_falls_back_to_direct(params, formulation,
                                              monkeypatch):
     mesh = build_box_mesh(3, 3, 3)
@@ -578,12 +603,12 @@ def test_block_factors_release_dropped_meshes(params):
     assert ref() is None
 
 
-def maxwell_block(plan):
-    """The unsplit Maxwell block of a plan's fixed matrix: every unknown
-    but u, p and mp."""
+def fixed_block(plan, positions):
+    """The unsplit diagonal block of a plan's fixed matrix over positions:
+    factors.first for the Stokes block over (u, p, mp), factors.second for
+    the Maxwell block over the rest."""
     fixed = _fixed_matrix(plan.pattern, plan.fixed, plan.slots)
-    two = plan.factors.second
-    return fixed[two][:, two]
+    return fixed[positions][:, positions]
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -591,7 +616,7 @@ def test_structured_maxwell_solve_matches_unsplit_factor(params,
                                                          formulation):
     ops = discrete_ops(build_box_mesh(3, 3, 3))
     plan = _step_plan(ops, formulation, params)
-    k = maxwell_block(plan)
+    k = fixed_block(plan, plan.factors.second)
     rng = np.random.default_rng(7)
     for _ in range(3):
         rho = rng.standard_normal(k.shape[0])
@@ -608,18 +633,62 @@ def test_structured_maxwell_solve_matches_unsplit_factor(params,
     # K_E drops sigma, r_0 and mr
     assert summary["maxwell"]["n"] == (ops.space_c.free_index.size
                                        + ops.space_d.free_index.size + n_r - 1)
-    assert summary["stokes"]["n"] == plan.factors.first.size
+    # S splits into A_0 once per velocity component and the dense (p, mp)
+    # Schur complement
+    n_pm = ops.pres.dof_count + 1
+    assert summary["laplacian"]["n"] == ops.vel.free_index.size // 3
+    assert (summary["pressure_schur"]["n"], summary["pressure_schur"]["lu_nnz"]) \
+        == (n_pm, n_pm ** 2)
+    assert 3 * summary["laplacian"]["n"] + n_pm == plan.factors.first.size
     assert (summary.get("edge_mass") is not None) == (formulation == "BJ")
     for entry in summary.values():
         assert entry["lu_nnz"] >= entry["n"] and entry["min_pivot"] > 0.0
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r_e", [0.05, 1.0, 7.0])
+def test_stokes_schur_solve_matches_unsplit_factor(formulation, n, r_e):
+    ops = discrete_ops(build_box_mesh(n, n, n))
+    plan = _step_plan(ops, formulation,
+                      MhdParams(r_e=r_e, r_m=1.0, s=1.0, f=smooth_force))
+    s = fixed_block(plan, plan.factors.first)
+    fro = np.sqrt(np.dot(s.data, s.data))
+    lu = splu(s.tocsc())
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        rho = rng.standard_normal(s.shape[0])
+        got = plan.factors.lu_first.solve(rho)
+        want = lu.solve(rho)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # every row of S, the pressure and mean rows included, at roundoff
+        assert np.linalg.norm(s @ got - rho) \
+            <= 1e-15 * (fro * np.linalg.norm(got) + np.linalg.norm(rho))
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_stokes_velocity_block_repeats_the_scalar_laplacian(params,
+                                                            formulation):
+    # the structure the Schur solve relies on: S_uu = I_3 (x) A_0
+    ops = discrete_ops(build_box_mesh(3, 3, 3))
+    plan = _step_plan(ops, formulation, params)
+    s = fixed_block(plan, plan.factors.first)
+    n_u = ops.vel.free_index.size
+    m = n_u // 3
+    assert 3 * m == n_u
+    a_uu = s[:n_u, :n_u].toarray()
+    assert np.array_equal(a_uu, np.kron(np.eye(3), a_uu[:m, :m]))
+    assert np.count_nonzero(a_uu[:m, :m]) > m
 
 
 def test_bj_plan_factors_two_blocks(params, monkeypatch):
     ops = discrete_ops(build_box_mesh(3, 3, 3))
     calls = count_calls(monkeypatch, "splu")
     plan = _step_plan(ops, "BJ", params)
-    # S and K_E; sigma solves with the context's edge-mass factor
+    # A_0 and K_E; the Schur complement is dense, and sigma solves with
+    # the context's edge-mass factor
     assert len(calls) == 2
+    assert plan.factors.lu_first.lu_a.shape[0] == ops.vel.free_index.size // 3
     assert plan.factors.lu_second.lu_c is ops.lu_c
 
 
