@@ -7,10 +7,9 @@ solution over refinement levels and emits a CSV of errors and observed rates,
 and run_diagnose bundles the structural health checks (complex identities,
 commuting defects, estimated constants, per-iterate invariants).
 
-The manufactured cases are numpy closed forms (see ManufacturedCase), so a
-run needs numpy and scipy only; sympy is imported just to compile an
-"expression" force, and only once its components pass the arithmetic
-whitelist.
+The manufactured cases are numpy closed forms (see ManufacturedCase) and an
+"expression" force is evaluated through a whitelist of numpy operations (see
+_FORCE_GRAMMAR), so a run needs numpy and scipy only.
 
 All outputs are deterministic for a fixed config and seed: no timestamps, no
 environment probes, seeded randomness only.
@@ -95,35 +94,58 @@ def _as_positive_float(value, label):
     return float(value)
 
 
-_FORCE_FUNCTIONS = {"sin", "cos", "tan", "asin", "acos", "atan", "sinh",
-                    "cosh", "tanh", "exp", "log", "sqrt"}
-_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
-               ast.Pow, ast.UAdd, ast.USub, ast.Load)
+# the expression-force grammar: each operator node and function name maps
+# to the numpy ufunc that evaluates it, x, y, z to a point column, pi to pi
+_FORCE_GRAMMAR = {
+    "x": 0, "y": 1, "z": 2, "pi": np.float64(np.pi),
+    ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+    ast.Div: np.divide, ast.Pow: np.power, ast.UAdd: np.positive,
+    ast.USub: np.negative, "asin": np.arcsin, "acos": np.arccos,
+    "atan": np.arctan, **{name: getattr(np, name) for name in (
+        "sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")}}
 
 
-def _is_arithmetic(text) -> bool:
-    """Whether text is an expression of numbers, x, y, z, pi, + - * / **,
-    unary + - and keyword-free calls of _FORCE_FUNCTIONS by bare name."""
+@np.errstate(all="ignore")
+def _force_values(text, pts):
+    """Force component text evaluated as written at each row of pts, in
+    float64.  A node outside _FORCE_GRAMMAR, or a value that is not finite,
+    raises ConfigError; with no points, only the grammar is checked."""
     try:
-        tree = ast.parse(text, mode="eval")
-    except (SyntaxError, RecursionError):
-        return False
-    callees = set()
-    # iterative: long sums fit the stack; breadth first: call before callee
-    for node in ast.walk(tree.body):
-        if isinstance(node, ast.Call):
-            ok = (isinstance(node.func, ast.Name) and not node.keywords
-                  and node.func.id in _FORCE_FUNCTIONS)
-            callees.add(id(node.func))
+        pending = [ast.parse(text, mode="eval").body]
+    except (SyntaxError, ValueError, RecursionError):
+        pending = [None]
+    values = []
+    # post order on an explicit stack, so that long sums fit: a node gives
+    # way to its ufunc and its operands, the first operand on top
+    while pending:
+        node, entry, operands = pending.pop(), None, []
+        if isinstance(node, np.ufunc):
+            values[-node.nin:] = [node(*values[-node.nin:])]
+            continue
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            entry = _FORCE_GRAMMAR.get(type(node.op))
+            operands = ([node.left, node.right] if isinstance(node, ast.BinOp)
+                        else [node.operand])
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            entry = _FORCE_GRAMMAR.get(node.func.id)
+            operands = node.args + node.keywords
         elif isinstance(node, ast.Name):
-            ok = node.id in ("x", "y", "z", "pi") or id(node) in callees
-        elif isinstance(node, ast.Constant):
-            ok = type(node.value) in (int, float)
+            entry = _FORCE_GRAMMAR.get(node.id)
+        elif isinstance(node, ast.Constant) and _is_number(node.value):
+            entry = np.float64(node.value)
+        if entry is None or getattr(entry, "nin", 0) != len(operands):
+            names = (k for k in _FORCE_GRAMMAR if isinstance(k, str))
+            raise ConfigError(
+                f"force component {text!r} is not arithmetic in "
+                f"{', '.join(names)} with one argument per function")
+        if operands:
+            pending += [entry, *reversed(operands)]
         else:
-            ok = isinstance(node, _ARITHMETIC)
-        if not ok:
-            return False
-    return True
+            values.append(pts[:, entry] if isinstance(entry, int) else entry)
+    values = np.broadcast_to(values.pop(), (len(pts),))
+    _expect(np.isfinite(values).all(), f"force component {text!r} is not "
+            f"finite at every quadrature point")
+    return values
 
 
 def _compile_force(spec):
@@ -146,35 +168,12 @@ def _compile_force(spec):
                 "expression force needs 3 component strings")
         unknown = set(spec) - {"kind", "components"}
         _expect(not unknown, f"unknown force keys {sorted(unknown)}")
-        # sympify evaluates its input as Python; only arithmetic reaches it
+        # copied, and checked now, so that a bad component fails the load
+        components = tuple(components)
         for text in components:
-            _expect(_is_arithmetic(text),
-                    f"force component {text!r} is not arithmetic in x, y, z, "
-                    f"pi and {', '.join(sorted(_FORCE_FUNCTIONS))}")
-        # imported here, so that only an expression force pays for sympy
-        import sympy
-
-        x, y, z = sympy.symbols("x y z")
-        fns = []
-        for text in components:
-            try:
-                expr = sympy.sympify(text, locals={"x": x, "y": y, "z": z,
-                                                   "pi": sympy.pi})
-            except (sympy.SympifyError, SyntaxError, TypeError) as exc:
-                raise ConfigError(
-                    f"cannot parse force component {text!r}: {exc}") from None
-            extra = expr.free_symbols - {x, y, z}
-            _expect(not extra,
-                    f"force component {text!r} uses unknown symbols {extra}")
-            fns.append(sympy.lambdify((x, y, z), expr, modules="numpy"))
-
-        def force(pts):
-            cols = [np.broadcast_to(
-                np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float),
-                (len(pts),)) for fn in fns]
-            return np.stack(cols, axis=-1)
-
-        return force
+            _force_values(text, np.empty((0, 3)))
+        return lambda pts: np.stack(
+            [_force_values(text, pts) for text in components], axis=-1)
     raise ConfigError(f"force kind must be 'constant' or 'expression', "
                       f"got {kind!r}")
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -119,13 +120,24 @@ def test_unknown_case_rejected():
     "f",
     {"kind": "constant", "vector": ["1", True, 0]},
     {"kind": "constant", "vector": [1, 0, math.nan]},
-    # sympify evaluates its input as Python; none of these may reach it
+    # no component text is ever run as Python; none of these may run
     {"kind": "expression", "components": [
         "x", "y", "__import__('pathlib').Path(SENTINEL).touch() or x"]},
     {"kind": "expression", "components": ["x", "y", "x.diff(x)"]},
     {"kind": "expression", "components": ["x", "y", "(lambda t: t)(x)"]},
     {"kind": "expression", "components": ["x", "y", "[x, y][0]"]},
     {"kind": "expression", "components": ["x", "y", "sin(x, evaluate=0)"]},
+    # a function takes one argument: no log base, no second sqrt argument
+    {"kind": "expression", "components": ["x", "y", "log(x, 2)"]},
+    {"kind": "expression", "components": ["x", "y", "sqrt(x, 2)"]},
+    # a literal must fit a float64
+    {"kind": "expression", "components": ["x", "y", "1" + "0" * 400]},
+    {"kind": "expression", "components": ["x", "y", "True"]},
+    {"kind": "expression", "components": ["x", "y", "+".join(["x"] * 20000)]},
+    # a function is only called and a variable never is
+    {"kind": "expression", "components": ["x", "y", "sin + x"]},
+    {"kind": "expression", "components": ["x", "y", "x(y)"]},
+    {"kind": "expression", "components": ["x", "y", "sin(evaluate=x)"]},
 ])
 def test_force_validation(force, tmp_path):
     sentinel = tmp_path / "touched"
@@ -158,6 +170,25 @@ def test_expression_force_compiles():
         "asin(x / 2) - acos(y / 2) ** 2 + +atan(z)",
         "sinh(x) * cosh(y) - tanh(z) + exp(-x) + log(1 + y) + sqrt(z + pi)"]}})
     assert np.all(np.isfinite(cfg.force(pts[1:])))
+
+
+def test_expression_force_is_evaluated_as_written():
+    pts = np.random.default_rng(3).random((50, 3))
+    cfg = load_config({"force": {"kind": "expression", "components": [
+        "2**0.5*x", "x/3", "asin(y) + sqrt(z)"]}})
+    vals = cfg.force(pts)
+    # constant powers are correctly rounded, not truncated to 14 digits
+    assert np.array_equal(vals[:, 0], math.sqrt(2) * pts[:, 0])
+    assert np.array_equal(vals[:, 1], pts[:, 0] / 3)
+    assert np.array_equal(vals[:, 2],
+                          np.arcsin(pts[:, 1]) + np.sqrt(pts[:, 2]))
+
+
+def test_long_expression_force_compiles():
+    cfg = load_config({"force": {"kind": "expression", "components": [
+        "+".join(["x"] * 2000), "-" * 2000 + "y", "0"]}})
+    vals = cfg.force(np.array([[0.5, 0.25, 1.0]]))
+    assert np.array_equal(vals, [[1000.0, 0.25, 0.0]])
 
 
 @pytest.mark.parametrize("picard", [
@@ -245,7 +276,8 @@ def test_trig_zero_state_errors_are_exact_norms():
 
 @pytest.mark.parametrize("r_e, r_m, s", [(1.0, 1.0, 1.0), (2.5, 0.7, 1.3)])
 def test_trig_closed_forms_match_symbolic_derivation(r_e, r_m, s):
-    import sympy
+    # sympy is a reference for this test only; the package never imports it
+    sympy = pytest.importorskip("sympy")
 
     xyz = sympy.symbols("x y z")
     x, y, z = xyz
@@ -289,21 +321,17 @@ def test_trig_closed_forms_match_symbolic_derivation(r_e, r_m, s):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_default_paths_do_not_load_sympy():
+def test_runs_need_no_sympy():
     script = (
         "import sys\n"
-        "import numpy as np\n"
+        "sys.modules['sympy'] = None\n"
         "import mhdfem.cli\n"
         "from mhdfem.harness import load_config, run_diagnose, run_solve\n"
         "run_solve(load_config({'mesh': [2, 2, 2], 'case': 'trig-1'}))\n"
         "run_diagnose(load_config({'mesh': [2, 2, 2], "
         "'case': 'inspace-1'}))\n"
-        "assert 'sympy' not in sys.modules, 'a default run loaded sympy'\n"
-        "cfg = load_config({'force': {'kind': 'expression', "
-        "'components': ['x * y', 'sin(pi * z)', '1']}})\n"
-        "vals = cfg.force(np.array([[0.5, 2.0, 0.5]]))\n"
-        "assert np.allclose(vals, [[1.0, 1.0, 1.0]]), vals\n"
-        "assert 'sympy' in sys.modules\n")
+        f"doc = run_solve(load_config({{'force': {ROT_FORCE!r}}}))\n"
+        "assert doc['picard']['termination'] == 'converged', doc\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -595,6 +623,20 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert not report.exists()
     assert main(["solve", str(tmp_path / "absent.json")]) == 2
     assert main(["solve", path, "--seed", "-3"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "9**9**8", "9**9**7", "x/0", "0**-1", "1/(x-x)", "sqrt(-1-x)",
+    "log(x, 2)", "sqrt(x, 2)"])
+def test_cli_rejects_faulty_force_quickly(text, tmp_path, capsys):
+    # non-finite values end the run as a config error, not in the solver
+    path = write_config(tmp_path, {"mesh": [2, 2, 2], "force": {
+        "kind": "expression", "components": ["0", text, "0"]}})
+    start = time.perf_counter()
+    assert main(["solve", path]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(text) in err
 
 
 def test_cli_solver_failure_exits_1(tmp_path, capsys):
