@@ -105,6 +105,14 @@ _FORCE_GRAMMAR = {
         "sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")}}
 
 
+def _quoted(text: str, limit: int = 60) -> str:
+    """repr of a component's text for an error message; a text longer than
+    limit is cut to its first limit characters and its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 @np.errstate(all="ignore")
 def _force_values(text, pts):
     """Force component text evaluated as written at each row of pts, in
@@ -136,15 +144,15 @@ def _force_values(text, pts):
         if entry is None or getattr(entry, "nin", 0) != len(operands):
             names = (k for k in _FORCE_GRAMMAR if isinstance(k, str))
             raise ConfigError(
-                f"force component {text!r} is not arithmetic in "
+                f"force component {_quoted(text)} is not arithmetic in "
                 f"{', '.join(names)} with one argument per function")
         if operands:
             pending += [entry, *reversed(operands)]
         else:
             values.append(pts[:, entry] if isinstance(entry, int) else entry)
     values = np.broadcast_to(values.pop(), (len(pts),))
-    _expect(np.isfinite(values).all(), f"force component {text!r} is not "
-            f"finite at every quadrature point")
+    _expect(np.isfinite(values).all(), f"force component {_quoted(text)} is "
+            f"not finite at every quadrature point")
     return values
 
 

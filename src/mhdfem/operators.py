@@ -8,6 +8,14 @@ factored free-edge mass, the basis tabulations at each quadrature rule,
 and the solvers' step plans and loads.  discrete_ops(mesh) hands every
 caller the one instance of the most recent mesh.
 
+Two spanning trees, built once per mesh, serve the solvers' Maxwell
+solve.  The free edges outside a spanning tree of the interior vertices
+(the boundary merged into one ground node), the cotree, carry a vector
+potential: the curl over them, G_ct, maps onto the divergence-free
+free-face fields one to one.  A spanning tree of the cells, joined by the
+free faces, makes D_T, the divergence over its faces and the non-root
+cells, square and nonsingular.
+
 The weak curl maps a div-conforming (face-element) function into the
 curl-conforming (edge-element) space through the duality
 (weak_curl B, F) = (B, curl F).  It acts on full-length coefficient
@@ -24,6 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .assembly import (RULE_DEG4, RULE_DEG6, QuadratureRule, Tabulation,
                        kernel_matrix)
@@ -58,6 +68,13 @@ class DiscreteOps:
       mean_p: integral of each pressure basis function.
       lu_c, lu_c_summary: factors of the edge mass over free edges (None
         when every edge is constrained) and their linalg.factor summary.
+      cotree: the free edges outside the edge tree, as positions among
+        the free edges, ascending.
+      g_ct: curl over (free faces x cotree edges).
+      tree_faces: the dual-tree faces, as positions among the free faces,
+        ascending.
+      lu_t: factors of D_T = div over (cells 1.., tree_faces); cell 0 is
+        the dual tree's root.
       plans, loads: the solvers' step plans (block factors included) and
         loads, cached here so they share the context's lifetime.
     """
@@ -84,6 +101,15 @@ class DiscreteOps:
         free_c = self.space_c.free_index
         self.lu_c, self.lu_c_summary = (factor(self.M_c[free_c][:, free_c])
                                         if free_c.size else (None, None))
+        free_d = self.space_d.free_index
+        self.cotree = _cotree_edges(mesh, free_c)
+        self.g_ct = self.curl[free_d][:, free_c[self.cotree]].tocsr()
+        # the cell graph: every free face joins its two cells
+        div_free = self.div[:, free_d]
+        cells = div_free.tocsc().indices.reshape(-1, 2)
+        self.tree_faces = _spanning_tree(cells[:, 0], cells[:, 1],
+                                         mesh.num_tets)
+        self.lu_t, _ = factor(div_free[1:][:, self.tree_faces])
         # formulation -> the solvers' step plan of the last (r_e, r_m, s)
         self.plans = {}
         # [params, loads] of the last parameter object the solvers saw
@@ -123,6 +149,31 @@ class DiscreteOps:
 def discrete_ops(mesh: Mesh) -> DiscreteOps:
     """The context of mesh, built once and shared until another mesh asks."""
     return DiscreteOps(mesh)
+
+
+def _spanning_tree(a: np.ndarray, b: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Ascending positions k of the graph edges (a[k], b[k]) that form the
+    minimum spanning tree when edge k weighs k + 1.  Self-loops are
+    dropped, and of parallel edges only the first can be chosen: a sparse
+    matrix would sum their weights."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    k = np.flatnonzero(lo != hi)
+    _, first = np.unique(lo[k] * n_nodes + hi[k], return_index=True)
+    k = k[first]
+    graph = sp.csr_matrix(((k + 1).astype(float), (lo[k], hi[k])),
+                          shape=(n_nodes, n_nodes))
+    return np.sort(minimum_spanning_tree(graph).data.astype(np.int64) - 1)
+
+
+def _cotree_edges(mesh: Mesh, free_c: np.ndarray) -> np.ndarray:
+    """Positions among free_c of the free edges outside the spanning tree
+    of the interior vertices, every boundary vertex merged into node 0."""
+    inner = ~mesh.boundary_vertex
+    node = np.zeros(mesh.num_vertices, dtype=np.int64)
+    node[inner] = np.arange(1, 1 + np.count_nonzero(inner))
+    ends = node[mesh.edges[free_c]]
+    tree = _spanning_tree(ends[:, 0], ends[:, 1], node.max() + 1)
+    return np.setdiff1d(np.arange(free_c.size), tree, assume_unique=True)
 
 
 def _solve_free(lu, rhs: np.ndarray, space: FeSpace) -> np.ndarray:

@@ -20,14 +20,19 @@ over the other unknowns.  Both are solved by their structure.  S
 block is one scalar Laplacian block A_0 per component, factored once, and
 the Schur complement over (p, mp) is small and dense.  In K
 (_MaxwellSolve) the B-J sigma rows hold only the free-edge mass, whose
-factor the context already owns; the mean multiplier mr follows in
-closed form with r_0 pinned; and what is left, K_E, is the same matrix
-in both formulations.  The plan keeps these factors for as long as its
-parameters hold.  A step computes the element arrays, scatters them onto
-the fixed values with one bincount, and solves by GMRES started from the
-previous iterate and preconditioned with the block solves
-(linalg.solve_preconditioned), falling back to a direct factorization of
-the whole step when GMRES stalls.
+factor the context already owns, and the mean multiplier mr follows in
+closed form.  B is written as B_c + curl A: B_c on the dual-tree faces
+carries the divergence the r rows ask for, and the vector potential A
+lives on the cotree edges (both trees are the context's), so Gauss's law
+holds by construction.  What is left is the (E, A) system, built from
+K's blocks the same way in both formulations and half the size of K;
+r follows from the B rows on the tree faces.  The plan keeps the A_0, C
+and (E, A) factors for as long as its parameters hold.  A step computes
+the element arrays, scatters them onto the fixed values with one
+bincount, and solves by GMRES started from the previous iterate and
+preconditioned with the block solves (linalg.solve_preconditioned),
+falling back to a direct factorization of the whole step when GMRES
+stalls.
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -144,12 +149,13 @@ class PicardReport:
     n, stored entries lu_nnz (linalg.factor, linalg.factor_dense) and
     smallest pivot min_pivot of each factor behind the preconditioner
     ("laplacian", the scalar velocity block of the Stokes block;
-    "pressure_schur", its dense pressure Schur complement; "maxwell"; and
-    for the current-based step the free-edge mass, "edge_mass"), None
-    when a block is singular.  GMRES starts from the previous iterate, so
-    krylov_iterations falls as the iterates converge.  Every entry is a
-    deterministic function of the inputs.  termination is "converged" or
-    "max-iterations"; non-convergence is never raised.
+    "pressure_schur", its dense pressure Schur complement; "maxwell", the
+    (E, A) system of the Maxwell block, over the free and the cotree
+    edges; and for the current-based step the free-edge mass,
+    "edge_mass"), None when a block is singular.  GMRES starts from the
+    previous iterate, so krylov_iterations falls as the iterates converge.
+    Every entry is a deterministic function of the inputs.  termination is
+    "converged" or "max-iterations"; non-convergence is never raised.
     """
 
     formulation: str
@@ -354,45 +360,75 @@ def _stokes_solve(s: sp.csr_matrix, n_u: int) -> tuple:
 class _MaxwellSolve:
     """Exact solve with the Maxwell block K of a step's fixed matrix.
 
-    Ordered as (sigma, the rest), K is block lower-triangular: the sigma
-    rows hold only sigma_scale M_c over the free edges, whose factor lu_c
-    is the context's, so sigma is solved first and its columns leave the
-    other rows.  Summing the r rows gives (1^T vols) mr = 1^T rho_r,
-    because 1^T div B = 0 for B with zero normal trace; so mr has a closed
-    form, and the r rows minus one determine B.  lu factors K_E, K over
-    keep: every unknown but sigma, r_0 (pinned to zero) and mr.  Last, r
-    is shifted by a constant to meet the mr row vols^T r = rho_mr; since
-    div^T 1 = 0 on free faces, the shift leaves the B rows alone.  Every
-    row of K then holds to factorization roundoff.
+    K's unknowns are the edge field e (E, or j in the current-based step),
+    sigma (current-based only), B, r and mr, and its rows read
+        e:     K_ee e + K_eB B                  = rho_e
+        sigma: sigma_scale M_c sigma            = rho_sigma
+        B:     K_Be e + K_Bsigma sigma + D^T r  = rho_B
+        r:     D B + vols mr                    = rho_r
+        mr:    vols^T r                         = rho_mr
+    with D the divergence over the free faces.  sigma is solved first,
+    with the context's edge-mass factor lu_c, and leaves the B rows.
+    Summing the r rows gives (1^T vols) mr = 1^T rho_r, because 1^T D = 0,
+    so mr has a closed form.  Then, with the context's trees (see
+    DiscreteOps):
+      1. B_c on the dual-tree faces solves D B_c = rho_r - mr vols (D_T);
+      2. B = B_c + G_ct A satisfies the r rows for every A, since
+         D G_ct = 0; the e rows, and the B rows projected by G_ct^T, which
+         annihilates D^T r, give the (E, A) system (e is j in the
+         current-based step) [[K_ee, K_eB G_ct], [G_ct^T K_Be, 0]] over
+         (e, A), factored by lu;
+      3. B = B_c + G_ct A;
+      4. r, with r_0 = 0, from the B rows on the tree faces (D_T^T); the
+         other B rows then hold too: their residual w - D^T r has
+         G_ct^T w = 0, and G_ct spans the kernel of D;
+      5. r is shifted by a constant to meet the mr row; D^T 1 = 0, so the
+         B rows do not move.
+    Every row of K then holds to factorization roundoff.
 
-    Positions index K's unknowns: sigma and r are slices (sigma None in
-    the electric-field step), mr an index, keep ascending.  sigma_cols is
-    K[keep, sigma], mr_col K[keep, mr] and vols K[mr, r].
+    Positions index K's unknowns: edge, sigma (None in the electric-field
+    step), b and r are slices, mr an index.  sigma_cols is K[b, sigma],
+    k_eb K[edge, b], k_be K[b, edge] and vols K[mr, r].
     """
 
+    edge: slice
     sigma: slice | None
-    sigma_scale: float
-    lu_c: object
+    b: slice
     r: slice
     mr: int
-    keep: np.ndarray
+    sigma_scale: float
+    lu_c: object
     sigma_cols: sp.csr_matrix | None
-    mr_col: np.ndarray
+    k_eb: sp.csr_matrix
+    k_be: sp.csr_matrix
     vols: np.ndarray
+    g_ct: sp.csr_matrix
+    tree_faces: np.ndarray
+    lu_t: object
     lu: object
 
     def solve(self, rho: np.ndarray) -> np.ndarray:
         x = np.empty_like(rho)
-        rhs = rho[self.keep]
+        rho_b = rho[self.b]
         if self.sigma is not None:
             x[self.sigma] = self.lu_c.solve(rho[self.sigma]) / self.sigma_scale
-            rhs -= self.sigma_cols @ x[self.sigma]
+            rho_b = rho_b - self.sigma_cols @ x[self.sigma]
         total = self.vols.sum()
         mr = rho[self.r].sum() / total
-        rhs -= mr * self.mr_col
-        x[self.keep] = self.lu.solve(rhs)
-        x[self.r.start] = 0.0
-        x[self.r] += (rho[self.mr] - self.vols @ x[self.r]) / total
+        # steps 1 to 3: B_c, then (E, A), then B
+        b = np.zeros(rho_b.size)
+        rho_r = rho[self.r] - mr * self.vols
+        b[self.tree_faces] = self.lu_t.solve(rho_r[1:])
+        n_e = self.k_eb.shape[0]
+        ea = self.lu.solve(np.concatenate([rho[self.edge] - self.k_eb @ b,
+                                           self.g_ct.T @ rho_b]))
+        x[self.edge] = ea[:n_e]
+        x[self.b] = b + self.g_ct @ ea[n_e:]
+        # steps 4 and 5: r from the tree-face rows, then the mr shift
+        w = rho_b - self.k_be @ x[self.edge]
+        r = np.zeros(rho_r.size)
+        r[1:] = self.lu_t.solve(w[self.tree_faces], trans="T")
+        x[self.r] = r + (rho[self.mr] - self.vols @ r) / total
         x[self.mr] = mr
         return x
 
@@ -401,7 +437,8 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
                    unknowns: list, fixed: sp.csr_matrix) -> tuple:
     """(BlockFactors, summary) of a step's fixed matrix, (None, None) when
     A_0 or the Schur complement of the Stokes block S over (u, p, mp) (see
-    _StokesSolve), or K_E (see _MaxwellSolve), is singular."""
+    _StokesSolve), or the (E, A) system of the Maxwell block K (see
+    _MaxwellSolve), is singular."""
     in_stokes = np.concatenate([np.full(free.size, name in _STOKES)
                                 for name, _, free in unknowns])
     stokes, maxwell = np.flatnonzero(in_stokes), np.flatnonzero(~in_stokes)
@@ -411,17 +448,15 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
         if name not in _STOKES:
             at[name] = slice(off, off + free.size)
             off += free.size
-    sigma, r, mr = at.get("sigma"), at["r"], at["mr"].start
-    keep = np.ones(maxwell.size, dtype=bool)
-    keep[[r.start, mr]] = False
-    if sigma is not None:
-        keep[sigma] = False
-    keep = np.flatnonzero(keep)
+    edge, sigma = at.get("E", at.get("j")), at.get("sigma")
+    b, r = at["B"], at["r"]
     k = fixed[maxwell][:, maxwell]
+    k_eb, k_be = k[edge][:, b], k[b][:, edge]
     n_u = next(free.size for name, _, free in unknowns if name == "u")
     try:
         solve_s, summary = _stokes_solve(fixed[stokes][:, stokes], n_u)
-        lu_e, summary["maxwell"] = factor(k[keep][:, keep])
+        lu, summary["maxwell"] = factor(sp.bmat(
+            [[k[edge][:, edge], k_eb @ ops.g_ct], [ops.g_ct.T @ k_be, None]]))
     except SingularSystemError:
         return None, None
     scale = 1.0
@@ -430,10 +465,11 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
                      if row == col == "sigma")
         summary["edge_mass"] = ops.lu_c_summary
     solve_k = _MaxwellSolve(
-        sigma=sigma, sigma_scale=scale, lu_c=ops.lu_c, r=r, mr=mr, keep=keep,
-        sigma_cols=k[keep][:, sigma] if sigma is not None else None,
-        mr_col=k[keep][:, [mr]].toarray().ravel(),
-        vols=k[[mr]][:, r].toarray().ravel(), lu=lu_e)
+        edge=edge, sigma=sigma, b=b, r=r, mr=at["mr"].start,
+        sigma_scale=scale, lu_c=ops.lu_c,
+        sigma_cols=k[b][:, sigma] if sigma is not None else None,
+        k_eb=k_eb, k_be=k_be, vols=k[at["mr"]][:, r].toarray().ravel(),
+        g_ct=ops.g_ct, tree_faces=ops.tree_faces, lu_t=ops.lu_t, lu=lu)
     return BlockFactors(first=stokes, second=maxwell, lu_first=solve_s,
                         lu_second=solve_k), summary
 

@@ -11,9 +11,10 @@ import pytest
 
 from mhdfem.cli import main
 from mhdfem.derham import RT, build_space, interpolate, point_eval
-from mhdfem.harness import (ConfigError, _dump_json, _study_csv,
-                            exact_errors, load_config, manufactured_case,
-                            run_diagnose, run_solve, run_study)
+from mhdfem.harness import (ConfigError, _dump_json, _force_values,
+                            _study_csv, exact_errors, load_config,
+                            manufactured_case, run_diagnose, run_solve,
+                            run_study)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import DiscreteOps, estimate_cross_bound
 from mhdfem.solvers import zero_state
@@ -148,6 +149,27 @@ def test_force_validation(force, tmp_path):
     with pytest.raises(ConfigError):
         load_config({"force": force})
     assert not sentinel.exists()
+
+
+def test_force_errors_quote_long_components_by_prefix():
+    # short components are quoted whole
+    with pytest.raises(ConfigError, match="^force component 'w' is not "
+                       "arithmetic in "):
+        load_config({"force": {"kind": "expression",
+                               "components": ["x", "y", "w"]}})
+    with pytest.raises(ConfigError, match="^force component 'x/0' is not "
+                       "finite at every quadrature point$"):
+        _force_values("x/0", np.zeros((1, 3)))
+    # a long one by its first characters and its length
+    long_sum = "+".join(["x"] * 20000)
+    with pytest.raises(ConfigError) as grammar:
+        load_config({"force": {"kind": "expression",
+                               "components": ["x", "y", long_sum]}})
+    with pytest.raises(ConfigError) as finite:
+        _force_values(long_sum[:3999] + "/0", np.zeros((1, 3)))
+    for exc, size in ((grammar, 39999), (finite, 4001)):
+        assert len(str(exc.value)) < 300
+        assert f"{'x+' * 30!r}... ({size} characters)" in str(exc.value)
 
 
 def test_constant_force_compiles():

@@ -611,28 +611,41 @@ def fixed_block(plan, positions):
     return fixed[positions][:, positions]
 
 
-@pytest.mark.parametrize("formulation", ["BE", "BJ"])
-def test_structured_maxwell_solve_matches_unsplit_factor(params,
-                                                         formulation):
-    ops = discrete_ops(build_box_mesh(3, 3, 3))
-    plan = _step_plan(ops, formulation, params)
+@pytest.mark.parametrize("formulation, n, s, r_m", [
+    # the 3^3 case at s = r_m = 1 keeps the formulation alone as its id
+    pytest.param(form, n, s, r_m, id=form if (n, s) == (3, 1.0)
+                 else f"{form}-{n}-{s}-{r_m}")
+    for form in ("BE", "BJ") for n in (2, 3)
+    for s, r_m in ((1.0, 1.0), (0.3, 4.0))])
+def test_structured_maxwell_solve_matches_unsplit_factor(formulation, n, s,
+                                                         r_m):
+    ops = discrete_ops(build_box_mesh(n, n, n))
+    plan = _step_plan(ops, formulation,
+                      MhdParams(r_e=0.7, r_m=r_m, s=s, f=smooth_force))
     k = fixed_block(plan, plan.factors.second)
+    solve = plan.factors.lu_second
+    div = ops.div[:, ops.space_d.free_index]
+    lu = splu(k.tocsc())
     rng = np.random.default_rng(7)
     for _ in range(3):
         rho = rng.standard_normal(k.shape[0])
-        want = splu(k.tocsc()).solve(rho)
-        got = plan.factors.lu_second.solve(rho)
+        want = lu.solve(rho)
+        got = solve.solve(rho)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # every row of K, the mean-multiplier row included, at roundoff
         res = np.linalg.norm(k @ got - rho)
         fro = np.sqrt(np.dot(k.data, k.data))
         assert res <= 1e-15 * (fro * np.linalg.norm(got)
                                + np.linalg.norm(rho))
+        # Gauss's law from the tree solve: D B = rho_r - mr vols
+        b, rho_r = got[solve.b], rho[solve.r]
+        gauss = div @ b + got[solve.mr] * solve.vols - rho_r
+        assert np.abs(gauss).max() <= 1e-14 * (np.abs(rho_r).max()
+                                               + np.abs(b).max())
     summary = plan.summary
-    n_r = ops.mult.dof_count
-    # K_E drops sigma, r_0 and mr
+    # the (E, A) system: the edge field on the free edges, A on the cotree
     assert summary["maxwell"]["n"] == (ops.space_c.free_index.size
-                                       + ops.space_d.free_index.size + n_r - 1)
+                                       + ops.cotree.size)
     # S splits into A_0 once per velocity component and the dense (p, mp)
     # Schur complement
     n_pm = ops.pres.dof_count + 1
@@ -643,6 +656,29 @@ def test_structured_maxwell_solve_matches_unsplit_factor(params,
     assert (summary.get("edge_mass") is not None) == (formulation == "BJ")
     for entry in summary.values():
         assert entry["lu_nnz"] >= entry["n"] and entry["min_pivot"] > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trees_split_edges_and_faces(n):
+    mesh = build_box_mesh(n, n, n)
+    ops = DiscreteOps(mesh)
+    free_c, free_d = ops.space_c.free_index, ops.space_d.free_index
+    # the edge tree spans the interior vertices plus the ground node
+    assert ops.cotree.size == free_c.size - np.count_nonzero(
+        ~mesh.boundary_vertex)
+    assert ops.tree_faces.size == mesh.num_tets - 1
+    g_ct = ops.g_ct.toarray()
+    assert g_ct.shape == (free_d.size, ops.cotree.size)
+    assert np.linalg.matrix_rank(g_ct) == ops.cotree.size
+    # every cotree curl is divergence-free, exactly
+    assert not np.any(ops.div[:, free_d].toarray() @ g_ct)
+    # D_T, over the non-root cells and the tree faces, is nonsingular
+    d_t = ops.div[1:][:, free_d[ops.tree_faces]].toarray()
+    assert np.linalg.matrix_rank(d_t) == mesh.num_tets - 1
+    # deterministic: a second build of the same grid picks the same trees
+    again = DiscreteOps(build_box_mesh(n, n, n))
+    assert np.array_equal(again.cotree, ops.cotree)
+    assert np.array_equal(again.tree_faces, ops.tree_faces)
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -685,11 +721,12 @@ def test_bj_plan_factors_two_blocks(params, monkeypatch):
     ops = discrete_ops(build_box_mesh(3, 3, 3))
     calls = count_calls(monkeypatch, "splu")
     plan = _step_plan(ops, "BJ", params)
-    # A_0 and K_E; the Schur complement is dense, and sigma solves with
-    # the context's edge-mass factor
+    # A_0 and the (E, A) system; the Schur complement is dense, sigma
+    # solves with the context's edge-mass factor and the trees with its D_T
     assert len(calls) == 2
     assert plan.factors.lu_first.lu_a.shape[0] == ops.vel.free_index.size // 3
     assert plan.factors.lu_second.lu_c is ops.lu_c
+    assert plan.factors.lu_second.lu_t is ops.lu_t
 
 
 def test_step_plan_releases_dropped_meshes(params):
