@@ -105,12 +105,12 @@ _FORCE_GRAMMAR = {
         "sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")}}
 
 
-def _quoted(text: str, limit: int = 60) -> str:
+def _quoted(text: str) -> str:
     """repr of a component's text for an error message; a text longer than
-    limit is cut to its first limit characters and its length."""
-    if len(text) <= limit:
+    60 characters is cut to its first 60 and its length."""
+    if len(text) <= 60:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:60]!r}... ({len(text)} characters)"
 
 
 @np.errstate(all="ignore")
