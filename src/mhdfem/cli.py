@@ -1,7 +1,7 @@
 """Command-line front end over the run harness.
 
-Exit codes: 0 success, 1 solver failure (singular system, aborted study,
-capability limit), 2 configuration error.
+Exit codes: 0 success, 1 solver failure (singular system, stalled linear
+solve, aborted study, capability limit), 2 configuration error.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from .harness import (ConfigError, _dump_json, load_config, run_diagnose,
                       run_solve, run_study)
 from .linalg import SingularSystemError
 from .operators import CapabilityError
+from .solvers import stall_message
 
 
 def _flush_all_stdio():
@@ -68,12 +69,18 @@ def main(argv=None) -> int:
         if args.command == "solve":
             with _stdout_reserved():
                 doc = run_solve(config)
+            picard = doc["picard"]
             if config.report_path is None:
                 sys.stdout.write(_dump_json(doc))
             else:
                 print(f"report written to {config.report_path} "
-                      f"({doc['picard']['termination']} after "
-                      f"{doc['picard']['n_iterations']} iterations)")
+                      f"({picard['termination']} after "
+                      f"{picard['n_iterations']} iterations)")
+            if picard["termination"] == "linear-stall":
+                print("solver error: " + stall_message(
+                    picard["formulation"], picard["n_iterations"] + 1),
+                    file=sys.stderr)
+                return 1
         elif args.command == "study":
             with _stdout_reserved():
                 result = run_study(config)
@@ -83,8 +90,8 @@ def main(argv=None) -> int:
                 print(f"study written to {config.csv_path} "
                       f"({len(result['rows'])} levels)")
             if result["aborted"] is not None:
-                print(f"study aborted: Picard did not converge at level "
-                      f"{result['aborted']}", file=sys.stderr)
+                print(f"study aborted: Picard hit {result['termination']} "
+                      f"at level {result['aborted']}", file=sys.stderr)
                 return 1
         else:
             with _stdout_reserved():
@@ -92,7 +99,8 @@ def main(argv=None) -> int:
             if config.report_path is None:
                 sys.stdout.write(_dump_json(doc))
             else:
-                print(f"diagnostics written to {config.report_path}")
+                print(f"diagnostics written to {config.report_path} "
+                      f"({doc['structure']['termination']})")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,13 +39,11 @@ class FeSpace:
     """A finite element space bound to a mesh.
 
     boundary_dof marks DOFs eliminated by the essential boundary condition
-    (empty mask when the space was built without one).  n_scalar is the DOF
-    count of one component; dof_count = components * n_scalar.
+    (empty mask when the space was built without one).
     """
 
     kind: SpaceKind
     mesh: Mesh
-    n_scalar: int
     dof_count: int
     boundary_dof: np.ndarray
 
@@ -77,8 +75,8 @@ def _scalar_boundary_mask(mesh: Mesh, tag: str) -> np.ndarray:
 def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool) -> FeSpace:
     """Enumerate DOFs in entity-index order and attach the BC mask.
 
-    Vector (velocity) DOF layout is component-major: coefficient
-    c*n_scalar + i is component c at scalar node i.
+    Vector (velocity) DOF layout is component-major: with n scalar nodes,
+    coefficient c*n + i is component c at scalar node i.
     """
     counts = {
         "P1": mesh.num_vertices,
@@ -92,9 +90,8 @@ def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool) -> FeSpace:
         mask = np.tile(_scalar_boundary_mask(mesh, kind.tag), kind.components)
     else:
         mask = np.zeros(kind.components * n_scalar, dtype=bool)
-    return FeSpace(kind=kind, mesh=mesh, n_scalar=n_scalar,
-                   dof_count=kind.components * n_scalar,
-                   boundary_dof=mask)
+    return FeSpace(kind=kind, mesh=mesh,
+                   dof_count=kind.components * n_scalar, boundary_dof=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +247,10 @@ def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
 
 
 def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
-    """Evaluate the FE function with the given coefficients at points.
-
-    Returns (n,) for scalar spaces and (n, 3) for vector-valued ones.
-    Location is O(1) per point through the box's cube grid.
-    """
+    """Evaluate the edge- or face-element function with the given
+    coefficients at points, (n, 3); other spaces are evaluated at
+    quadrature points (assembly.Tabulation).  Location is O(1) per point
+    through the box's cube grid."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dof_count,):
         raise ValueError(f"expected {space.dof_count} coefficients")
@@ -262,23 +258,6 @@ def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
     tag = space.kind.tag
     tet_of, bary = _locate(mesh, points)
     n = tet_of.size
-
-    if tag == "P1":
-        return np.einsum("ni,ni->n", bary, coeffs[mesh.tets[tet_of]])
-    if tag == "P2":
-        vals = p2_values(bary)
-        gdofs = np.concatenate([mesh.tets[tet_of],
-                                mesh.num_vertices + mesh.tet_edges[tet_of]], axis=1)
-        if space.kind.components == 3:
-            out = np.empty((n, 3))
-            for c in range(3):
-                out[:, c] = np.einsum("ni,ni->n", vals,
-                                      coeffs[c * space.n_scalar + gdofs])
-            return out
-        return np.einsum("ni,ni->n", vals, coeffs[gdofs])
-    if tag == "DG0":
-        return coeffs[tet_of]
-
     g = mesh.grad_bary[tet_of]
     if tag == "NedelecEdge0":
         s = _edge_signs(mesh)[tet_of]

@@ -560,7 +560,8 @@ def _report_section(report, warns):
             "termination": report.termination,
             "n_iterations": report.n_iterations,
             "warnings": warns,
-            "iterations": [dict(rec) for rec in report.iterations]}
+            "iterations": [dict(rec) for rec in report.iterations],
+            "stalled_solve": report.stalled_solve}
 
 
 # the tet centroid as a one-point rule, for cellwise field output
@@ -614,7 +615,7 @@ _STUDY_COLUMNS = ("level", "h", "iterations", "converged",
                   "rate_u_h1", "rate_b_l2", "rate_b_graph", "rate_p_l2")
 
 
-def _study_csv(rows, aborted) -> str:
+def _study_csv(rows, aborted, termination) -> str:
     lines = [",".join(_STUDY_COLUMNS)]
     for row in rows:
         cells = []
@@ -630,7 +631,7 @@ def _study_csv(rows, aborted) -> str:
                 cells.append(repr(float(val)))
         lines.append(",".join(cells))
     if aborted is not None:
-        lines.append(f"# study aborted: Picard hit max-iterations at "
+        lines.append(f"# study aborted: Picard hit {termination} at "
                      f"level {aborted}")
     return "\n".join(lines) + "\n"
 
@@ -641,7 +642,8 @@ def run_study(config: RunConfig) -> dict:
     Levels are uniform subdivision counts of the unit box.  The rate
     between consecutive levels is log(e0/e1) / log(h0/h1), so the levels
     need not halve h.  A non-converged Picard run aborts the sweep; rows
-    computed so far are still emitted, with the abort flagged in the CSV.
+    computed so far are still emitted, the abort and its termination
+    flagged in the CSV.
     """
     if config.case is None:
         raise ConfigError("a refinement study needs a manufactured case")
@@ -649,7 +651,7 @@ def run_study(config: RunConfig) -> dict:
         raise ConfigError("a refinement study needs refinement levels")
     case = manufactured_case(config.case)
     rows = []
-    aborted = None
+    aborted, termination = None, "converged"
     for level in config.levels:
         mesh = build_box_mesh(level, level, level)
         params, _ = _problem(config, mesh)
@@ -666,7 +668,7 @@ def run_study(config: RunConfig) -> dict:
                      "err_b_graph": errs["b_graph"],
                      "err_p_l2": errs["p_l2"]})
         if report.termination != "converged":
-            aborted = level
+            aborted, termination = level, report.termination
             break
     for prev, row in zip(rows, rows[1:]):
         for key in ("u_h1", "b_l2", "b_graph", "p_l2"):
@@ -674,10 +676,11 @@ def run_study(config: RunConfig) -> dict:
             if e0 > 0.0 and e1 > 0.0:
                 row[f"rate_{key}"] = (math.log2(e0 / e1)
                                       / math.log2(prev["h"] / row["h"]))
-    text = _study_csv(rows, aborted)
+    text = _study_csv(rows, aborted, termination)
     if config.csv_path is not None:
         _write_text(config.csv_path, text)
-    return {"rows": rows, "aborted": aborted, "csv": text}
+    return {"rows": rows, "aborted": aborted, "termination": termination,
+            "csv": text}
 
 
 def _poly_probe():

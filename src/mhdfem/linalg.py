@@ -9,7 +9,8 @@ solves (BlockFactors, each block's solve built by the caller, for
 instance from the sparse factor and the dense factor_dense) is solved by
 GMRES, started from a caller's guess and preconditioned with the block
 lower-triangular operator (solve_preconditioned), to the same residual
-contract, with the direct solve as the fallback.
+contract.  Such a solve never factors the whole system: when GMRES
+stalls or the contract fails it raises LinearStallError.
 """
 from __future__ import annotations
 
@@ -30,6 +31,14 @@ class AssemblyError(Exception):
 
 class SingularSystemError(Exception):
     """Factorization hit a zero or untrustworthy pivot."""
+
+
+class LinearStallError(Exception):
+    """GMRES missed the residual contract; record is the solve's record."""
+
+    def __init__(self, message: str, record: dict):
+        super().__init__(message)
+        self.record = record
 
 
 _RESIDUAL_REL = 1e-10
@@ -54,6 +63,8 @@ def _factor(a_csc):
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU failed ({exc})") from exc
 
+    # SuperLU exposes only L, U, nnz, perm_c, perm_r, shape and solve, so
+    # the pivots are read off a copy of U; the check below needs them
     d = np.abs(lu.U.diagonal())
     if _singular(d):
         step = int(np.argmin(d))
@@ -146,8 +157,8 @@ def solve_direct(A, b) -> np.ndarray:
 # equals the matrix to factorization roundoff
 _KRYLOV_REL = 1e-13
 _KRYLOV_RESTART = 30
-# iterations after which GMRES counts as stalled and the solve falls back
-# to a fresh factorization of the whole system
+# iterations after which GMRES counts as stalled; the solve then raises
+# LinearStallError, it never factors the whole system
 _KRYLOV_CAP = 60
 
 
@@ -207,7 +218,7 @@ def _gmres(a, b, precond, tol, x0):
         r = b - a @ x
 
 
-def solve_preconditioned(A, b, factors: BlockFactors | None, x0=None):
+def solve_preconditioned(A, b, factors: BlockFactors, x0=None):
     """Solve Ax = b by GMRES with a block lower-triangular preconditioner,
     started from x0 (zero when None).
 
@@ -218,44 +229,39 @@ def solve_preconditioned(A, b, factors: BlockFactors | None, x0=None):
     is nonzero.  After GMRES one correction x <- x + P^-1 (b - A x) always
     follows; it leaves a residual only in the rows where P and A differ,
     every other row holds to factorization roundoff.  The solve then
-    verifies solve_direct's residual contract.  When GMRES stalls, the
-    contract fails, or factors is None, the system goes to solve_direct,
-    whose SingularSystemError propagates.
+    verifies solve_direct's residual contract.
 
-    Returns (x, record); record holds unknowns, krylov_iterations,
-    relative_residual (|b - Ax| / (|A|_F |x| + |b|)) and fallback.
+    Returns (x, record); record holds unknowns, krylov_iterations and
+    relative_residual (|b - Ax| / (|A|_F |x| + |b|)).  When GMRES stalls
+    (_KRYLOV_CAP iterations) or the contract fails, a NaN residual
+    included, LinearStallError carries the record of the last iterate.
     """
     a = sp.csr_matrix(A)
     b = np.asarray(b, dtype=np.float64).ravel()
     fro = np.sqrt(np.dot(a.data, a.data))
     bnorm = np.linalg.norm(b)
+    one, two = factors.first, factors.second
+    a21 = a[two][:, one]
 
-    def relative_residual(x):
-        scale = fro * np.linalg.norm(x) + bnorm
-        res = np.linalg.norm(b - a @ x)
-        return float(res / scale) if scale > 0.0 else float(res)
+    def precond(rho):
+        out = np.empty_like(rho)
+        y1 = factors.lu_first.solve(rho[one])
+        out[one] = y1
+        out[two] = factors.lu_second.solve(rho[two] - a21 @ y1)
+        return out
 
-    its, rel = 0, None
-    if factors is not None:
-        one, two = factors.first, factors.second
-        a21 = a[two][:, one]
-
-        def precond(rho):
-            out = np.empty_like(rho)
-            y1 = factors.lu_first.solve(rho[one])
-            out[one] = y1
-            out[two] = factors.lu_second.solve(rho[two] - a21 @ y1)
-            return out
-
-        start = (np.zeros(b.size) if x0 is None
-                 else np.asarray(x0, dtype=np.float64).ravel())
-        x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm, start)
-        if converged:
-            x = x + precond(b - a @ x)
-            rel = relative_residual(x)
-    fallback = rel is None or rel > _RESIDUAL_REL
-    if fallback:
-        x = solve_direct(a, b)
-        rel = relative_residual(x)
-    return x, {"unknowns": int(b.size), "krylov_iterations": its,
-               "relative_residual": rel, "fallback": fallback}
+    start = (np.zeros(b.size) if x0 is None
+             else np.asarray(x0, dtype=np.float64).ravel())
+    x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm, start)
+    x = x + precond(b - a @ x)
+    scale = fro * np.linalg.norm(x) + bnorm
+    res = np.linalg.norm(b - a @ x)
+    rel = float(res / scale) if scale > 0.0 else float(res)
+    record = {"unknowns": int(b.size), "krylov_iterations": its,
+              "relative_residual": rel}
+    if not converged or not rel <= _RESIDUAL_REL:
+        raise LinearStallError(
+            f"preconditioned solve stalled: relative residual {rel:.3e} "
+            f"after {its} GMRES iterations, contract {_RESIDUAL_REL:.0e}",
+            record)
+    return x, record

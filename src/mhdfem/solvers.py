@@ -7,32 +7,21 @@ constraints on p and r are enforced by explicit scalar multipliers, so
 every step system is square once the essential boundary conditions are
 eliminated symmetrically.
 
-Each step is written once, as a block table (_FORMULATIONS): the
-unknowns with their spaces and every block as (row, col, operator,
-transposed, coefficient).  Only the convection and cross-coupling
-blocks, whose operators are element kernels, depend on the iterate.
-Once per mesh and parameter set a step plan maps every entry of every
-block, fixed matrix or element array, to its place in one reduced CSR
-pattern, and builds exact solves with the two diagonal blocks of the
-fixed part: the Stokes block S over (u, p, mp) and the Maxwell block K
-over the other unknowns.  Both are solved by their structure.  S
-(_StokesSolve) goes through its pressure Schur complement: its velocity
-block is one scalar Laplacian block A_0 per component, factored once, and
-the Schur complement over (p, mp) is small and dense.  In K
-(_MaxwellSolve) the B-J sigma rows hold only the free-edge mass, whose
-factor the context already owns, and the mean multiplier mr follows in
-closed form.  B is written as B_c + curl A: B_c on the dual-tree faces
-carries the divergence the r rows ask for, and the vector potential A
-lives on the cotree edges (both trees are the context's), so Gauss's law
-holds by construction.  What is left is the (E, A) system, built from
-K's blocks the same way in both formulations and half the size of K;
-r follows from the B rows on the tree faces.  The plan keeps the A_0, C
-and (E, A) factors for as long as its parameters hold.  A step computes
-the element arrays, scatters them onto the fixed values with one
-bincount, and solves by GMRES started from the previous iterate and
-preconditioned with the block solves (linalg.solve_preconditioned),
-falling back to a direct factorization of the whole step when GMRES
-stalls.
+Each step is written once, as a block table (_FORMULATIONS); only the
+convection and cross-coupling blocks, element kernels, depend on the
+iterate.  Once per mesh and parameter set a step plan (_step_plan) maps
+every entry of every block to its place in one reduced CSR pattern and
+factors the two diagonal blocks of the fixed part by their structure:
+the Stokes block S over (u, p, mp) through its pressure Schur complement
+(_StokesSolve), the Maxwell block K over the other unknowns through a
+tree-cotree vector potential, so that Gauss's law holds by construction
+(_MaxwellSolve).  A step scatters the element arrays onto the fixed
+values with one bincount and solves by GMRES, started from the previous
+iterate and preconditioned with the block solves
+(linalg.solve_preconditioned).  That is the only solve: nothing factors
+the whole step.  A singular block raises SingularSystemError when the
+plan is built; a step whose GMRES stalls ends the run with termination
+"linear-stall".
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -57,9 +46,9 @@ from .assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
 from .derham import FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
-from .linalg import (BlockFactors, SingularSystemError,  # noqa: F401
-                     factor, factor_dense, solve_direct,
-                     solve_preconditioned)
+from .linalg import (BlockFactors, LinearStallError,  # noqa: F401
+                     SingularSystemError, factor, factor_dense,
+                     solve_direct, solve_preconditioned)
 from .mesh import Mesh
 from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                         poincare_h01_box)
@@ -144,53 +133,53 @@ class PicardReport:
     the structure diagnostics of the new iterate, and linear_solve: the
     step's reduced system size (unknowns), its GMRES iterations
     (krylov_iterations), the achieved |b - Ax| / (|A|_F |x| + |b|)
-    (relative_residual), whether the step fell back to a direct
-    factorization of the whole system (fallback), and factors: the size
-    n, stored entries lu_nnz (linalg.factor, linalg.factor_dense) and
-    smallest pivot min_pivot of each factor behind the preconditioner
-    ("laplacian", the scalar velocity block of the Stokes block;
-    "pressure_schur", its dense pressure Schur complement; "maxwell", the
-    (E, A) system of the Maxwell block, over the free and the cotree
-    edges; and for the current-based step the free-edge mass,
-    "edge_mass"), None when a block is singular.  GMRES starts from the
-    previous iterate, so krylov_iterations falls as the iterates converge.
-    Every entry is a deterministic function of the inputs.  termination is
-    "converged" or "max-iterations"; non-convergence is never raised.
+    (relative_residual), and factors: the size n, stored entries lu_nnz
+    (linalg.factor, linalg.factor_dense) and smallest pivot min_pivot of
+    each factor behind the preconditioner ("laplacian", the scalar
+    velocity block of the Stokes block; "pressure_schur", its dense
+    pressure Schur complement; "maxwell", the (E, A) system of the Maxwell
+    block, over the free and the cotree edges; and for the current-based
+    step the free-edge mass, "edge_mass").  GMRES starts from the previous
+    iterate, so krylov_iterations falls as the iterates converge.  Every
+    entry is a deterministic function of the inputs.  termination is
+    "converged", "max-iterations" or "linear-stall": the next step's linear
+    solve stalled (linalg.LinearStallError), and stalled_solve, None
+    otherwise, is its record.  Non-convergence is never raised.
     """
 
     formulation: str
     termination: str
     iterations: list = field(default_factory=list)
+    stalled_solve: dict | None = None
 
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
-
-    def ratios(self) -> list:
-        return [rec["ratio"] for rec in self.iterations
-                if rec["ratio"] is not None]
 
 
 # ---------------------------------------------------------------------------
 # loads and norms on the mesh's context
 
 
-def _slot_load(tab: Tabulation, space: FeSpace, data, mass) -> tuple:
-    """(load vector, squared L2 norm) of one data slot; a callable is
-    evaluated once, at tab's points, and both come from those values."""
+def _slot_load(tab: Tabulation, space: FeSpace, data, mass,
+               slot: str) -> tuple:
+    """(load vector, squared L2 norm) of data slot slot, both from one call
+    of a callable at tab's points; ValueError when data is not finite."""
     if data is None:
         return np.zeros(space.dof_count), 0.0
+    vals = np.asarray(data(tab.points.reshape(-1, 3)) if callable(data)
+                      else data, dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"data slot {slot} is not finite")
     if callable(data):
-        at = np.asarray(data(tab.points.reshape(-1, 3)), dtype=float)
-        at = at.reshape(*tab.wq.shape, -1)
+        at = vals.reshape(*tab.wq.shape, -1)
         return assemble_load(tab, space, at), _quad_l2sq(tab, at)
-    vec = np.asarray(data, dtype=float)
-    if vec.shape != (space.dof_count,):
+    if vals.shape != (space.dof_count,):
         raise ValueError(
-            f"data for the {space.kind.tag} slot must be callable or a "
-            f"coefficient vector of length {space.dof_count}")
-    load = mass @ vec
-    return load, float(vec @ load)
+            f"data slot {slot} must be callable or a coefficient vector of "
+            f"length {space.dof_count}")
+    load = mass @ vals
+    return load, float(vals @ load)
 
 
 def _loads(ops: DiscreteOps, params: MhdParams) -> dict:
@@ -198,8 +187,8 @@ def _loads(ops: DiscreteOps, params: MhdParams) -> dict:
     (f_l2), computed once per parameter object and mesh."""
     if not ops.loads or ops.loads[0] is not params:
         tab = ops.tab(RULE_DEG6)
-        f, f_l2sq = _slot_load(tab, ops.vel, params.f, ops.vel_mass)
-        h, _ = _slot_load(tab, ops.space_d, params.h, ops.M_d)
+        f, f_l2sq = _slot_load(tab, ops.vel, params.f, ops.vel_mass, "f")
+        h, _ = _slot_load(tab, ops.space_d, params.h, ops.M_d, "h")
         ops.loads[:] = [params, {"f": f, "h": h, "f_l2": math.sqrt(f_l2sq)}]
     return ops.loads[1]
 
@@ -292,9 +281,8 @@ class _StepPlan:
     entries, then of each entry of every iterate block's element array;
     nnz, a dump slot, for entries in constrained rows or columns.  factors:
     the exact Stokes and Maxwell block solves of the fixed matrix
-    (_StokesSolve, _MaxwellSolve), None when a block is singular;
-    summary: their factors' sizes, fill and smallest pivots (see
-    PicardReport).
+    (_StokesSolve, _MaxwellSolve); summary: their factors' sizes, fill and
+    smallest pivots (see PicardReport).
     """
 
     key: tuple
@@ -302,8 +290,8 @@ class _StepPlan:
     pattern: sp.csr_matrix
     fixed: np.ndarray
     slots: np.ndarray
-    factors: BlockFactors | None
-    summary: dict | None
+    factors: BlockFactors
+    summary: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,9 +423,9 @@ class _MaxwellSolve:
 
 def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
                    unknowns: list, fixed: sp.csr_matrix) -> tuple:
-    """(BlockFactors, summary) of a step's fixed matrix, (None, None) when
-    A_0 or the Schur complement of the Stokes block S over (u, p, mp) (see
-    _StokesSolve), or the (E, A) system of the Maxwell block K (see
+    """(BlockFactors, summary) of a step's fixed matrix.  SingularSystemError
+    when A_0 or the Schur complement of the Stokes block S over (u, p, mp)
+    (see _StokesSolve), or the (E, A) system of the Maxwell block K (see
     _MaxwellSolve), is singular."""
     in_stokes = np.concatenate([np.full(free.size, name in _STOKES)
                                 for name, _, free in unknowns])
@@ -453,12 +441,9 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
     k = fixed[maxwell][:, maxwell]
     k_eb, k_be = k[edge][:, b], k[b][:, edge]
     n_u = next(free.size for name, _, free in unknowns if name == "u")
-    try:
-        solve_s, summary = _stokes_solve(fixed[stokes][:, stokes], n_u)
-        lu, summary["maxwell"] = factor(sp.bmat(
-            [[k[edge][:, edge], k_eb @ ops.g_ct], [ops.g_ct.T @ k_be, None]]))
-    except SingularSystemError:
-        return None, None
+    solve_s, summary = _stokes_solve(fixed[stokes][:, stokes], n_u)
+    lu, summary["maxwell"] = factor(sp.bmat(
+        [[k[edge][:, edge], k_eb @ ops.g_ct], [ops.g_ct.T @ k_be, None]]))
     scale = 1.0
     if sigma is not None:
         scale = next(coef(*key) for row, col, _, _, coef in form.blocks
@@ -595,16 +580,25 @@ def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
     return plan, a, b
 
 
+_SMALL_RE = ("the stringent small-Reynolds condition "
+             "R_e <= 2 / (sqrt(5) C2 |f|_(-1))")
 _SINGULAR_STEP = {
     "BE": "B-E regime violation: the linearized electric-field step is "
-          "singular.  It is only guaranteed uniquely solvable under the "
-          "stringent small-Reynolds condition "
-          "R_e <= 2 / (sqrt(5) C2 |f|_(-1)); rescale the data, refine the "
-          "mesh, or switch to the current-based formulation.",
+          "singular.  It is only guaranteed uniquely solvable under "
+          f"{_SMALL_RE}; rescale the data, refine the mesh, or switch to the "
+          "current-based formulation.",
     "BJ": "singular current-based step: this linearization is uniquely "
           "solvable for any positive parameters, so a singular system "
           "indicates an implementation bug.",
 }
+
+
+def stall_message(formulation: str, step: int) -> str:
+    """Why a run ended with "linear-stall" at Picard step step."""
+    why = ("" if formulation == "BJ" else "; the electric-field step is "
+           f"only guaranteed uniquely solvable under {_SMALL_RE}")
+    return (f"linear-stall: the linear solve of Picard step {step} stalled, "
+            f"and Picard only contracts under small data{why}.")
 
 
 def _singular_step_message(ops: DiscreteOps, formulation: str) -> str:
@@ -624,16 +618,20 @@ def _picard_step(prev: MhdState, params: MhdParams,
                  formulation: str) -> MhdState:
     """One step of formulation linearized around (prev.u, prev.B)."""
     ops = discrete_ops(prev.mesh)
-    plan, a, b = _step_system(ops, formulation, prev, params)
+    try:
+        plan, a, b = _step_system(ops, formulation, prev, params)
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            _singular_step_message(ops, formulation)) from exc
     # GMRES starts from prev on the free DOFs, the mean multipliers at 0
     x0 = np.concatenate([np.zeros(1) if name in ("mp", "mr")
                          else getattr(prev, name)[free]
                          for name, _, free in plan.unknowns])
     try:
         x, record = solve_preconditioned(a, b, plan.factors, x0)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            _singular_step_message(ops, formulation)) from exc
+    except LinearStallError as exc:
+        exc.record["factors"] = plan.summary
+        raise
     record["factors"] = plan.summary
     parts, off = {}, 0
     for name, dim, free in plan.unknowns:
@@ -781,11 +779,12 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
     """Picard-iterate one formulation to a fixed point.
 
     Stops once |u^n - u^(n-1)|_1 + |B^n - B^(n-1)|_d falls below
-    rtol (|u^n|_1 + |B^n|_d) + atol, or after max_iter steps; returns
-    (state, PicardReport) in both cases, with the termination reason in
-    the report rather than an exception.  The loop checks no regime
-    condition: runners that know the constants judge a B-E run with
-    check_small_data_conditions.
+    rtol (|u^n|_1 + |B^n|_d) + atol, after max_iter steps, or when a
+    step's linear solve stalls, whose state is then the last iterate
+    (initial at the first step); returns (state, PicardReport) in every
+    case, with the termination reason in the report rather than an
+    exception.  The loop checks no regime condition: runners that know the
+    constants judge a B-E run with check_small_data_conditions.
     """
     if formulation not in ("BE", "BJ"):
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -800,13 +799,17 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
     state = initial
     records = []
     prev_energy = None
-    termination = "max-iterations"
+    termination, stalled = "max-iterations", None
     # the B-E current is an L2 function, differenced at the degree-6 points;
     # each iterate's values are carried to the next step
     tab = ops.tab(RULE_DEG6)
     cur = current_at(tab, state) if formulation == "BE" else None
     for n in range(1, max_iter + 1):
-        new = step(state, params)
+        try:
+            new = step(state, params)
+        except LinearStallError as exc:
+            termination, stalled = "linear-stall", exc.record
+            break
         du = new.u - state.u
         grad2 = float(du @ (ops.lap @ du))
         inc_u = math.sqrt(float(du @ (ops.vel_mass @ du)) + grad2)
@@ -847,5 +850,5 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
             break
 
     report = PicardReport(formulation=formulation, termination=termination,
-                          iterations=records)
+                          iterations=records, stalled_solve=stalled)
     return state, report

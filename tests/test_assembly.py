@@ -53,7 +53,7 @@ def einsum_reference(kernel, coeff, trial, test):
     lam = _bary(rule.tet_points)
     wq = (6.0 * m.volumes)[:, None] * rule.tet_weights[None, :]
     vals = dh.p2_values(lam)
-    ns = vel.n_scalar
+    ns = vel.dof_count // 3
     gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
     vd = gd[:, None, :] + ns * np.arange(3)[None, :, None]   # (T, c, i)
     if kernel == "convection":
@@ -189,7 +189,7 @@ def test_convection_against_dense_oracle():
     vals = dh.p2_values(lam)
     grads = dh.tabulate_p2_gradients(m, lam)
     gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
-    ns = vel.n_scalar
+    ns = vel.dof_count // 3
     ref = np.zeros_like(a)
     for t in range(m.num_tets):
         wq = 6.0 * m.volumes[t] * RULE_DEG6.tet_weights
@@ -226,7 +226,7 @@ def test_cross_coupling_antisymmetry_oracle():
     ned_vals, _ = dh.tabulate_nedelec(m, lam)
     rt_vals, _ = dh.tabulate_rt(m, lam)
     gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
-    ns = vel.n_scalar
+    ns = vel.dof_count // 3
     ref = np.zeros_like(x_ev)
     eye = np.eye(3)
     for t in range(m.num_tets):
@@ -271,7 +271,7 @@ def test_load_partition_of_unity(spaces, cube2):
     c = np.array([1.0, 2.0, -0.5])
     tab = Tabulation(cube2, RULE_DEG6)
     load = assemble_load(tab, vel, np.broadcast_to(c, tab.points.shape))
-    ns = vel.n_scalar
+    ns = vel.dof_count // 3
     vol = cube2.volumes.sum()
     for comp in range(3):
         assert abs(load[comp * ns:(comp + 1) * ns].sum() - c[comp] * vol) < 1e-12

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mhdfem import derham as dh
+from mhdfem.assembly import QuadratureRule, Tabulation
 from mhdfem.mesh import build_box_mesh
 
 
@@ -125,7 +126,7 @@ def test_gradient_of_linear_reproduced(cube2):
     assert np.abs(dh.point_eval(space, coeffs, pts) - grad).max() < 1e-13
 
 
-@pytest.mark.parametrize("kind", [dh.NEDELEC, dh.RT, dh.DG0],
+@pytest.mark.parametrize("kind", [dh.NEDELEC, dh.RT],
                          ids=lambda kind: kind.tag)
 def test_interpolation_idempotent(cube2, kind):
     space = dh.build_space(cube2, kind, False)
@@ -133,6 +134,16 @@ def test_interpolation_idempotent(cube2, kind):
     coeffs = rng.standard_normal(space.dof_count)
     back = dh.interpolate(space, lambda x: dh.point_eval(space, coeffs, x))
     assert np.abs(back - coeffs).max() < 1e-13
+
+
+def test_cell_interpolation_of_affine_field_is_centroid_value(cube2):
+    # the DG0 DOF is the cell average, which an affine field takes at the
+    # centroid
+    grad, shift = np.array([0.7, -1.3, 2.1]), 0.4
+    dg = dh.build_space(cube2, dh.DG0, False)
+    got = dh.interpolate(dg, lambda x: x @ grad + shift)
+    centroids = cube2.vertices[cube2.tets].mean(axis=1)
+    assert np.abs(got - (centroids @ grad + shift)).max() < 1e-13
 
 
 def test_commuting_curl_square(cube2):
@@ -185,9 +196,17 @@ def test_divergence_free_field_is_exactly_divergence_free(cube2):
 
 
 def test_point_outside_mesh_raises(cube2):
-    space = dh.build_space(cube2, dh.P1, False)
+    space = dh.build_space(cube2, dh.RT, False)
     with pytest.raises(ValueError, match="outside"):
         dh.point_eval(space, np.zeros(space.dof_count), np.array([[2.0, 0.5, 0.5]]))
+
+
+def test_point_eval_rejects_nodal_and_cell_spaces(cube2):
+    for kind in (dh.P1, dh.VELOCITY, dh.DG0):
+        space = dh.build_space(cube2, kind, False)
+        with pytest.raises(ValueError, match="cannot evaluate"):
+            dh.point_eval(space, np.zeros(space.dof_count),
+                          np.array([[0.5, 0.5, 0.5]]))
 
 
 def test_interpolation_into_nodal_spaces_is_rejected(cube2):
@@ -199,12 +218,15 @@ def test_interpolation_into_nodal_spaces_is_rejected(cube2):
 
 def test_velocity_dof_layout_is_component_major(cube2):
     vel = dh.build_space(cube2, dh.VELOCITY, False)
-    ns = vel.n_scalar
-    # the P2 node of edge 0 is its midpoint, scalar DOF num_vertices
-    node = cube2.num_vertices
-    mid = cube2.vertices[cube2.edges[0]].mean(axis=0, keepdims=True)
+    ns = vel.dof_count // 3
+    # one point, the midpoint of each tet's local edge (0, 1), where the
+    # P2 function of that edge is 1 and every other one 0; its scalar DOF
+    # is num_vertices + the edge's index
+    tab = Tabulation(cube2, QuadratureRule(np.array([[0.5, 0.0, 0.0]]),
+                                           np.array([1.0 / 6.0])))
+    node = cube2.num_vertices + cube2.tet_edges[0, 0]
     for c in range(3):
         coeffs = np.zeros(vel.dof_count)
         coeffs[c * ns + node] = 1.0
-        assert np.abs(dh.point_eval(vel, coeffs, mid)
+        assert np.abs(tab.velocity_at(coeffs)[0, 0]
                       - np.eye(3)[c]).max() < 1e-14

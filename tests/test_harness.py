@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -534,11 +535,41 @@ def test_study_csv_formatting():
              "err_u_h1": 0.375, "err_b_l2": 0.125, "err_b_graph": 0.125,
              "err_p_l2": 0.03125, "rate_u_h1": 2.0, "rate_b_l2": 1.0,
              "rate_b_graph": 1.0, "rate_p_l2": 2.0}]
-    text = _study_csv(rows, aborted=4)
+    text = _study_csv(rows, aborted=4, termination="linear-stall")
     lines = text.splitlines()
     assert lines[1] == "2,0.5,3,1,1.5,0.25,0.25,0.125,,,,"
     assert lines[2] == "4,0.25,4,0,0.375,0.125,0.125,0.03125,2.0,1.0,1.0,2.0"
-    assert lines[3].startswith("# study aborted")
+    assert lines[3] == "# study aborted: Picard hit linear-stall at level 4"
+
+
+@pytest.mark.parametrize("formulation", ["BJ", "BE"])
+def test_high_reynolds_run_ends_as_linear_stall(formulation):
+    # 4^3 trig-1 at r_e = 100 lies outside the small-data regime: GMRES
+    # hits its cap on the second step, and the run ends there with the
+    # first iterate instead of factoring the whole step
+    cfg = {"mesh": [4, 4, 4], "case": "trig-1", "formulation": formulation,
+           "params": {"r_e": 100.0}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        doc = run_solve(load_config(cfg))
+    picard = doc["picard"]
+    assert picard["termination"] == "linear-stall"
+    assert picard["n_iterations"] == 1
+    stalled = picard["stalled_solve"]
+    assert stalled["krylov_iterations"] == 60
+    assert stalled["unknowns"] == picard["iterations"][0]["linear_solve"][
+        "unknowns"]
+    assert set(stalled["factors"]) >= {"laplacian", "pressure_schur",
+                                       "maxwell"}
+    # the returned state is the first iterate, an exact step solution
+    assert doc["diagnostics"]["b_l2"] == picard["iterations"][0]["b_l2"]
+    assert doc["diagnostics"]["div_b_max"] <= 1e-12 * doc["diagnostics"][
+        "b_l2"] / doc["mesh"]["h"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        diag = run_diagnose(load_config(cfg))
+    assert diag["structure"]["termination"] == "linear-stall"
+    assert len(diag["structure"]["iterations"]) == 1
 
 
 def test_run_diagnose_single_cube(tmp_path):
@@ -667,6 +698,22 @@ def test_cli_solver_failure_exits_1(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_cli_solve_linear_stall_exits_1_with_pure_json(tmp_path, capsys):
+    path = write_config(tmp_path, {"mesh": [4, 4, 4], "case": "trig-1",
+                                   "formulation": "BE",
+                                   "params": {"r_e": 100.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["picard"]["termination"] == "linear-stall"
+    assert captured.err.startswith("solver error: linear-stall: the linear "
+                                   "solve of Picard step 2 stalled")
+    # no whole-step factor says why, so the message gives the B-E regime
+    assert "small-Reynolds condition" in captured.err
+
+
 def test_cli_study_abort_exits_1(tmp_path, capsys):
     csv_path = tmp_path / "study.csv"
     path = write_config(tmp_path, {"case": "trig-1", "levels": [2, 4],
@@ -674,7 +721,7 @@ def test_cli_study_abort_exits_1(tmp_path, capsys):
                                    "output": {"csv": str(csv_path)}})
     assert main(["study", path]) == 1
     err = capsys.readouterr().err
-    assert "aborted" in err
+    assert "aborted" in err and "max-iterations" in err
     assert "# study aborted" in csv_path.read_text()
 
 
@@ -695,8 +742,10 @@ def test_cli_diagnose(tmp_path, capsys):
 
 
 def test_cli_stdout_is_pure_json_despite_native_chatter(tmp_path):
-    # the factorization library prints singularity notes to the C stdout
-    # stream; they must land on stderr, not inside the emitted document
+    # the singular 1^3 step, run in a fresh process, must still emit one
+    # clean document: the factorization library can print notes to the C
+    # stdout stream (a whole-step LU of this mesh once did), and
+    # _stdout_reserved sends any such chatter to stderr instead
     path = write_config(tmp_path, {"mesh": [1, 1, 1]})
     proc = subprocess.run(
         [sys.executable, "-m", "mhdfem.cli", "diagnose", path],

@@ -11,6 +11,7 @@ from mhdfem import linalg
 from mhdfem.linalg import (
     AssemblyError,
     BlockFactors,
+    LinearStallError,
     SingularSystemError,
     factor,
     factor_dense,
@@ -138,7 +139,6 @@ def test_preconditioned_solve_matches_direct():
     x, record = solve_preconditioned(a, b, block_factors(lin, first))
     ref = solve_direct(a, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert record["fallback"] is False
     assert record["unknowns"] == a.shape[0]
     assert 0 < record["krylov_iterations"] < 30
     fro = np.sqrt(np.dot(a.data, a.data))
@@ -157,17 +157,44 @@ def test_preconditioned_solve_zero_rhs_is_exact_zero():
                                      block_factors(lin, first))
     assert not x.any()
     assert record["relative_residual"] == 0.0
-    assert record["fallback"] is False
 
 
-def test_preconditioned_solve_without_factors_is_direct():
+def test_stalled_preconditioned_solve_raises_with_its_record(monkeypatch):
     rng = np.random.default_rng(5)
-    a, _, _ = perturbed_block_system(rng)
+    a, lin, first = perturbed_block_system(rng)
     b = rng.standard_normal(a.shape[0])
-    x, record = solve_preconditioned(a, b, None)
-    assert np.array_equal(x, solve_direct(a, b))
-    assert record["fallback"] is True
+    monkeypatch.setattr(linalg, "_KRYLOV_CAP", 0)
+    with pytest.raises(LinearStallError, match="stalled") as info:
+        solve_preconditioned(a, b, block_factors(lin, first))
+    record = info.value.record
+    assert set(record) == {"unknowns", "krylov_iterations",
+                           "relative_residual"}
+    assert record["unknowns"] == a.shape[0]
     assert record["krylov_iterations"] == 0
+    assert record["relative_residual"] > 0.0
+
+
+def test_nan_residual_fails_the_contract():
+    # GMRES starts at the solution and takes no step; a block solve that
+    # returns NaN then poisons the closing correction
+    class NanSolve:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return np.full_like(self.lu.solve(rhs), np.nan)
+
+    rng = np.random.default_rng(8)
+    a, lin, first = perturbed_block_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    good = block_factors(lin, first)
+    factors = BlockFactors(first=good.first, second=good.second,
+                           lu_first=NanSolve(good.lu_first),
+                           lu_second=good.lu_second)
+    with pytest.raises(LinearStallError) as info:
+        solve_preconditioned(a, b, factors, solve_direct(a, b))
+    assert info.value.record["krylov_iterations"] == 0
+    assert np.isnan(info.value.record["relative_residual"])
 
 
 def test_preconditioned_solve_started_at_the_solution_takes_no_step():
@@ -177,7 +204,6 @@ def test_preconditioned_solve_started_at_the_solution_takes_no_step():
     ref = solve_direct(a, b)
     x, record = solve_preconditioned(a, b, block_factors(lin, first), ref)
     assert record["krylov_iterations"] == 0
-    assert record["fallback"] is False
     assert record["relative_residual"] <= 1e-10
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 

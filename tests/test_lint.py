@@ -31,6 +31,28 @@ def unused_imports(text):
     return sorted(imported - used)
 
 
+def calls_of(text, name):
+    """Line numbers where a module calls name, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_call_is_caught():
+    text = ("from .linalg import solve_direct  # noqa: F401\n"
+            "x = solve_direct(a, b)\ny = linalg.solve_direct(a, b)\n"
+            "z = solve_direct\n")
+    assert calls_of(text, "solve_direct") == [2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_production_path_factors_the_whole_step(path):
+    # a Picard step solves through its block factors only; solve_direct
+    # stays as the tests' reference solve
+    assert calls_of(path.read_text(), "solve_direct") == []
+
+
 def test_unused_import_is_caught():
     assert unused_imports("import json\nimport os\nos.getcwd()\n") == ["json"]
     assert unused_imports("from m import (a,  # noqa: F401\n    b)\n") == []

@@ -8,8 +8,7 @@ import scipy.linalg
 
 from mhdfem.assembly import RULE_DEG4, RULE_DEG6, Tabulation, kernel_matrix
 from mhdfem.derham import (NEDELEC, RT, VELOCITY, build_space, curl_incidence,
-                           div_incidence, point_eval, tabulate_nedelec,
-                           tabulate_rt)
+                           div_incidence, tabulate_nedelec, tabulate_rt)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (CapabilityError, DiagnosticConstants,
                               DiscreteOps, estimate_cross_bound,
@@ -109,8 +108,7 @@ def test_cross_coupling_load_matches_quadrature(mesh2, ops2):
     ned_vals, _ = tabulate_nedelec(mesh2, lam)
     rt_vals, _ = tabulate_rt(mesh2, lam)
     b_at = np.einsum("tqfk,tf->tqk", rt_vals, B[mesh2.tet_faces])
-    pts = np.einsum("qi,tik->tqk", lam, mesh2.vertices[mesh2.tets])
-    u_at = point_eval(vel, u, pts.reshape(-1, 3)).reshape(b_at.shape)
+    u_at = Tabulation(mesh2, RULE_DEG6).velocity_at(u)
     cross_at = np.cross(u_at, b_at)
     load = np.zeros(ops2.space_c.dof_count)
     np.add.at(load, mesh2.tet_edges.ravel(),
@@ -264,13 +262,12 @@ def test_cross_gram_form_equals_quadrature_of_cross(mesh2):
                            RULE_DEG6.tet_points])
     wq = (6.0 * mesh2.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]
     rt_vals, _ = tabulate_rt(mesh2, lam)
-    pts = np.einsum("qi,tik->tqk", lam, mesh2.vertices[mesh2.tets])
     tab = Tabulation(mesh2, RULE_DEG6)
     for _ in range(3):
         u = random_free(vel, rng)
         B = random_free(rt, rng)
         C = kernel_matrix(tab, "cross_cross", B)
-        u_at = point_eval(vel, u, pts.reshape(-1, 3)).reshape(pts.shape)
+        u_at = tab.velocity_at(u)
         b_at = np.einsum("tqfk,tf->tqk", rt_vals, B[mesh2.tet_faces])
         cross = np.cross(u_at, b_at)
         quad = np.sum(wq * np.einsum("tqk,tqk->tq", cross, cross))
