@@ -140,8 +140,9 @@ class Tabulation:
     lam (nq, 4) barycentric coordinates of the points, which are also the
     P1 values; wq (T, nq) physical weights, p2 (nq, 10) P2 values, vel_dofs
     (T, 3, 10) the velocity DOF of each (tet, component, local P2
-    function); points (T, nq, 3), p2_grads (T, nq, 10, 3), ned (T, nq, 6,
-    3) and rt (T, nq, 4, 3) are tabulated on first use.
+    function); points (T, nq, 3), p2_grads (T, nq, 10, 3), and ned (T, 6,
+    3 nq) and rt (T, 4, 3 nq), one row per function over (point,
+    component), are tabulated on first use.
     """
 
     def __init__(self, mesh, rule: QuadratureRule):
@@ -163,11 +164,13 @@ class Tabulation:
 
     @cached_property
     def ned(self) -> np.ndarray:
-        return tabulate_nedelec(self.mesh, self.lam)[0]
+        vals = tabulate_nedelec(self.mesh, self.lam)[0]
+        return vals.transpose(0, 2, 1, 3).reshape(len(vals), 6, -1)
 
     @cached_property
     def rt(self) -> np.ndarray:
-        return tabulate_rt(self.mesh, self.lam)[0]
+        vals = tabulate_rt(self.mesh, self.lam)[0]
+        return vals.transpose(0, 2, 1, 3).reshape(len(vals), 4, -1)
 
     def _local(self, coeff, dofs, size, what) -> np.ndarray:
         coeff = np.asarray(coeff, dtype=float)
@@ -177,67 +180,83 @@ class Tabulation:
 
     # FE functions at the points, (T, nq, 3)
     def velocity_at(self, u) -> np.ndarray:
-        m = self.mesh
-        u = self._local(u, self.vel_dofs, 3 * (m.num_vertices + m.num_edges),
-                        "velocity")
-        return np.matmul(self.p2, u.transpose(0, 2, 1))
+        n = 3 * (self.mesh.num_vertices + self.mesh.num_edges)
+        u = self._local(u, self.vel_dofs, n, "velocity").reshape(-1, 10)
+        at = np.matmul(u, self.p2.T).reshape(len(self.wq), 3, -1)
+        return at.transpose(0, 2, 1)
 
     def edge_at(self, e) -> np.ndarray:
         e = self._local(e, self.mesh.tet_edges, self.mesh.num_edges,
                         "edge-element")
-        return np.einsum("tqek,te->tqk", self.ned, e)
+        return np.matmul(e[:, None], self.ned).reshape(*self.wq.shape, 3)
 
     def face_at(self, b) -> np.ndarray:
         b = self._local(b, self.mesh.tet_faces, self.mesh.num_faces,
                         "face-element")
-        return np.einsum("tqfk,tf->tqk", self.rt, b)
+        return np.matmul(b[:, None], self.rt).reshape(*self.wq.shape, 3)
+
+    def moments(self, basis, field_at) -> np.ndarray:
+        """(field, w_i) on each tet for each function of ned or rt, (T, n)."""
+        weighted = self.wq[..., None] * field_at
+        return np.matmul(basis, weighted.reshape(len(basis), -1, 1))[..., 0]
 
     def edge_load(self, field_at) -> np.ndarray:
         """(field, w_e) for every edge function, field given at the points."""
-        at = np.matmul(self.ned, field_at[..., None])[..., 0]
-        elem = np.matmul(self.wq[:, None, :], at)[:, 0]
-        return np.bincount(self.mesh.tet_edges.ravel(), elem.ravel(),
+        return np.bincount(self.mesh.tet_edges.ravel(),
+                           self.moments(self.ned, field_at).ravel(),
                            minlength=self.mesh.num_edges)
 
 
 # ---------------------------------------------------------------------------
-# element kernels of the fixed forms: einsum contractions on the degree-4
-# tabulation, each exact for its constant-coefficient integrand
+# element kernels of the fixed forms on the degree-4 tabulation, each exact
+# for its constant-coefficient integrand: batched matrix products over the
+# points.  divergence and face_mass keep einsum's plain sums: BLAS's fused
+# multiply-adds round other exactly cancelling entries to zero, and those
+# zeros fix the patterns of the step matrix and of the Maxwell factor.
+
+
+def _gram(rows: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """(T, n, n) weighted Gram matrix of rows (T, n, 3 nq)."""
+    w = np.repeat(wq, 3, axis=1)[:, None]
+    return np.matmul(rows * w, rows.transpose(0, 2, 1))
 
 
 def velocity_mass_elements(tab: Tabulation) -> np.ndarray:
     """(phi_j, phi_i), (T, 1, 10, 10): one scalar block, repeated on the
     three velocity components."""
-    return np.einsum("tq,qi,qj->tij", tab.wq, tab.p2, tab.p2)[:, None]
+    pp = (tab.p2[:, :, None] * tab.p2[:, None, :]).reshape(-1, 100)
+    return np.matmul(tab.wq, pp).reshape(-1, 1, 10, 10)
 
 
 def laplacian_elements(tab: Tabulation) -> np.ndarray:
     """(grad phi_j, grad phi_i), (T, 1, 10, 10), repeated likewise."""
-    return np.einsum("tq,tqik,tqjk->tij", tab.wq, tab.p2_grads,
-                     tab.p2_grads)[:, None]
+    grads = tab.p2_grads.transpose(0, 2, 1, 3)
+    return _gram(grads.reshape(len(grads), 10, -1), tab.wq)[:, None]
 
 
 def divergence_elements(tab: Tabulation) -> np.ndarray:
     """(d_c phi_j, psi_i) of velocity component c against the P1 hat psi_i,
     (T, 3, 4, 10)."""
-    return np.stack([np.einsum("tq,qi,tqj->tij", tab.wq, tab.lam,
-                               tab.p2_grads[:, :, :, c]) for c in range(3)],
-                    axis=1)
+    div = np.einsum("tiq,tqj->tij", tab.lam.T * tab.wq[:, None, :],
+                    tab.p2_grads.reshape(len(tab.wq), -1, 30))
+    return div.reshape(-1, 4, 10, 3).transpose(0, 3, 1, 2)
 
 
 def pressure_mass_elements(tab: Tabulation) -> np.ndarray:
     """(psi_j, psi_i) of the P1 hats, (T, 4, 4)."""
-    return np.einsum("tq,qi,qj->tij", tab.wq, tab.lam, tab.lam)
+    ll = (tab.lam[:, :, None] * tab.lam[:, None, :]).reshape(-1, 16)
+    return np.matmul(tab.wq, ll).reshape(-1, 4, 4)
 
 
 def edge_mass_elements(tab: Tabulation) -> np.ndarray:
     """(w_j, w_i) of the edge functions, (T, 6, 6)."""
-    return np.einsum("tq,tqik,tqjk->tij", tab.wq, tab.ned, tab.ned)
+    return _gram(tab.ned, tab.wq)
 
 
 def face_mass_elements(tab: Tabulation) -> np.ndarray:
     """(w_j, w_i) of the face functions, (T, 4, 4)."""
-    return np.einsum("tq,tqik,tqjk->tij", tab.wq, tab.rt, tab.rt)
+    rt = tab.rt.reshape(*tab.rt.shape[:2], -1, 3)
+    return np.einsum("tq,tiqk,tjqk->tij", tab.wq, rt, rt)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +275,23 @@ def convection_elements(tab: Tabulation, w) -> np.ndarray:
 
 def cross_elements(tab: Tabulation, g) -> np.ndarray:
     """((phi_(c,i) x G), w_j) = (e_c, (G x w_j) phi_i), (T, 3, 10, 6)."""
-    t, q = tab.wq.shape
-    gxw = np.cross(tab.face_at(g)[:, :, None, :], tab.ned)
-    out = np.matmul(tab.p2.T * tab.wq[:, None, :], gxw.reshape(t, q, 18))
-    return out.reshape(t, 10, 6, 3).transpose(0, 3, 1, 2)
+    gq = tab.face_at(g)[:, None]                          # (T, 1, nq, 3)
+    ned = tab.ned.reshape(len(gq), 6, -1, 3)              # (T, 6, nq, 3)
+    gxw = np.stack([gq[..., a] * ned[..., b] - gq[..., b] * ned[..., a]
+                    for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
+    return np.matmul((tab.p2.T * tab.wq[:, None, :])[:, None],
+                     gxw.transpose(0, 1, 3, 2))
 
 
 def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
     """((phi_(d,j) x G), (phi_(c,i) x G)), (T, 3, 3, 10, 10) over c, d, i, j."""
     t, q = tab.wq.shape
-    basis_cross = np.cross(np.eye(3)[None, None], tab.face_at(g)[:, :, None])
-    cc = np.matmul(basis_cross, basis_cross.transpose(0, 1, 3, 2))
+    # w (e_c x G).(e_d x G) = w (|G|^2 delta_cd - G_c G_d), (T, 3, 3, nq)
+    gt = tab.face_at(g).transpose(0, 2, 1)
+    wcc = -(gt[:, :, None] * (tab.wq[:, None] * gt)[:, None])
+    g2 = (gt * gt).sum(axis=1, keepdims=True)
+    wcc.reshape(t, 9, q)[:, ::4] += tab.wq[:, None] * g2
     pp = (tab.p2[:, :, None] * tab.p2[:, None, :]).reshape(q, 100)
-    wcc = (tab.wq[:, :, None] * cc.reshape(t, q, 9)).transpose(0, 2, 1)
     return np.matmul(wcc.reshape(t * 9, q), pp).reshape(t, 3, 3, 10, 10)
 
 
@@ -326,10 +349,10 @@ def assemble_load(tab: Tabulation, space: FeSpace,
     """Load vector (field, phi_i) of the velocity or face-element space,
     the field given at tab's points, (T, nq, 3)."""
     if space.kind.components == 3:
-        elem = np.einsum("tq,tqc,qi->tci", tab.wq, field_at, tab.p2)
+        elem = np.matmul(field_at.transpose(0, 2, 1) * tab.wq[:, None], tab.p2)
         dofs = tab.vel_dofs
     elif space.kind.tag == "RaviartThomas0":
-        elem = np.einsum("tq,tqk,tqik->ti", tab.wq, field_at, tab.rt)
+        elem = tab.moments(tab.rt, field_at)
         dofs = tab.mesh.tet_faces
     else:
         raise AssemblyError(f"cannot build a load vector for "

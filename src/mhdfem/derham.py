@@ -132,22 +132,22 @@ def tabulate_p2_gradients(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
 
 
 def tabulate_nedelec(mesh: Mesh, bary: np.ndarray):
-    """Edge-element values (T, nq, 6, 3) and constant curls (T, 6, 3)."""
+    """Edge values (T, nq, 6, 3), stored function-major, curls (T, 6, 3)."""
     lam = np.asarray(bary, dtype=float)
     g = mesh.grad_bary
     s = _edge_signs(mesh)
-    vals = np.empty((mesh.num_tets, lam.shape[0], 6, 3))
+    vals = np.empty((mesh.num_tets, 6, lam.shape[0], 3))
     curls = np.empty((mesh.num_tets, 6, 3))
     for k, (i, j) in enumerate(_LOCAL_EDGES):
         w = (lam[None, :, i, None] * g[:, None, j]
              - lam[None, :, j, None] * g[:, None, i])
-        vals[:, :, k] = s[:, k, None, None] * w
+        vals[:, k] = s[:, k, None, None] * w
         curls[:, k] = s[:, k, None] * 2.0 * np.cross(g[:, i], g[:, j])
-    return vals, curls
+    return vals.transpose(0, 2, 1, 3), curls
 
 
 def tabulate_rt(mesh: Mesh, bary: np.ndarray):
-    """Face-element values (T, nq, 4, 3) and constant divergences (T, 4)."""
+    """Face values (T, nq, 4, 3), stored function-major, and div (T, 4)."""
     lam = np.asarray(bary, dtype=float)
     g = mesh.grad_bary
     loc = _sorted_face_locals(mesh)                       # (T, 4, 3)
@@ -155,17 +155,16 @@ def tabulate_rt(mesh: Mesh, bary: np.ndarray):
     ga = g[t_idx, loc[:, :, 0]]                           # (T, 4, 3)
     gb = g[t_idx, loc[:, :, 1]]
     gc = g[t_idx, loc[:, :, 2]]
-    la = lam[:, loc[:, :, 0]].transpose(1, 0, 2)          # (T, nq, 4)
-    lb = lam[:, loc[:, :, 1]].transpose(1, 0, 2)
-    lc = lam[:, loc[:, :, 2]].transpose(1, 0, 2)
+    la, lb, lc = (lam[:, loc[:, :, m]].transpose(1, 2, 0)[..., None]
+                  for m in range(3))                      # (T, 4, nq, 1)
     cross_bc = np.cross(gb, gc)
     cross_ca = np.cross(gc, ga)
     cross_ab = np.cross(ga, gb)
-    vals = 2.0 * (la[:, :, :, None] * cross_bc[:, None, :, :]
-                  + lb[:, :, :, None] * cross_ca[:, None, :, :]
-                  + lc[:, :, :, None] * cross_ab[:, None, :, :])
+    vals = np.ascontiguousarray(2.0 * (la * cross_bc[:, :, None]
+                                       + lb * cross_ca[:, :, None]
+                                       + lc * cross_ab[:, :, None]))
     divs = 6.0 * np.einsum("tfk,tfk->tf", ga, cross_bc)
-    return vals, divs
+    return vals.transpose(0, 2, 1, 3), divs
 
 
 def interpolate(space: FeSpace, field) -> np.ndarray:

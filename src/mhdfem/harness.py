@@ -467,7 +467,7 @@ def exact_errors(mesh, case: ManufacturedCase, state) -> dict:
     wq, flat = tab.wq, tab.points.reshape(-1, 3)
 
     u_h = tab.velocity_at(state.u)
-    gu_h = np.einsum("tqik,tci->tqck", tab.p2_grads, state.u[tab.vel_dofs])
+    gu_h = np.matmul(state.u[tab.vel_dofs][:, None], tab.p2_grads)
     if case.velocity is not None:
         u_h = u_h - case.velocity(flat).reshape(u_h.shape)
         gu_h = gu_h - case.velocity_grad(flat).reshape(gu_h.shape)

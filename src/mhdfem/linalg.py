@@ -183,7 +183,7 @@ def _gmres(a, b, precond, tol, x0):
 
     Returns (x, iterations, converged); converged means the true residual
     |b - a x| fell to tol within _KRYLOV_CAP iterations, none when x0
-    already meets it.
+    already meets it.  A non-finite residual or Hessenberg entry stops it.
     """
     x = x0
     r = b - a @ x
@@ -192,7 +192,7 @@ def _gmres(a, b, precond, tol, x0):
         beta = np.linalg.norm(r)
         if beta <= tol:
             return x, its, True
-        if its >= _KRYLOV_CAP:
+        if its >= _KRYLOV_CAP or not np.isfinite(beta):
             return x, its, False
         m = min(_KRYLOV_RESTART, _KRYLOV_CAP - its)
         v = np.zeros((m + 1, b.size))
@@ -209,6 +209,8 @@ def _gmres(a, b, precond, tol, x0):
                 w -= h[i, k] * v[i]
             h[k + 1, k] = np.linalg.norm(w)
             its += 1
+            if not np.isfinite(h[:k + 2, k]).all():
+                return x, its, False
             c = np.linalg.lstsq(h[:k + 2, :k + 1], e1[:k + 2], rcond=None)[0]
             if (h[k + 1, k] == 0.0 or np.linalg.norm(
                     h[:k + 2, :k + 1] @ c - e1[:k + 2]) <= tol):
@@ -233,8 +235,8 @@ def solve_preconditioned(A, b, factors: BlockFactors, x0=None):
 
     Returns (x, record); record holds unknowns, krylov_iterations and
     relative_residual (|b - Ax| / (|A|_F |x| + |b|)).  When GMRES stalls
-    (_KRYLOV_CAP iterations) or the contract fails, a NaN residual
-    included, LinearStallError carries the record of the last iterate.
+    (_KRYLOV_CAP iterations or a non-finite residual) or the contract fails,
+    a NaN residual included, LinearStallError carries the last record.
     """
     a = sp.csr_matrix(A)
     b = np.asarray(b, dtype=np.float64).ravel()

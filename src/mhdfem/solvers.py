@@ -10,14 +10,14 @@ eliminated symmetrically.
 Each step is written once, as a block table (_FORMULATIONS); only the
 convection and cross-coupling blocks, element kernels, depend on the
 iterate.  Once per mesh and parameter set a step plan (_step_plan) maps
-every entry of every block to its place in one reduced CSR pattern and
-factors the two diagonal blocks of the fixed part by their structure:
+every block entry in a free row and column to its place in one reduced
+CSR pattern and factors the two diagonal blocks of the fixed part:
 the Stokes block S over (u, p, mp) through its pressure Schur complement
 (_StokesSolve), the Maxwell block K over the other unknowns through a
 tree-cotree vector potential, so that Gauss's law holds by construction
-(_MaxwellSolve).  A step scatters the element arrays onto the fixed
-values with one bincount and solves by GMRES, started from the previous
-iterate and preconditioned with the block solves
+(_MaxwellSolve).  A step scatters those entries of the element arrays
+onto the fixed values with one bincount and solves by GMRES from the
+previous iterate, preconditioned with the block solves
 (linalg.solve_preconditioned).  That is the only solve: nothing factors
 the whole step.  A singular block raises SingularSystemError when the
 plan is built; a step whose GMRES stalls ends the run with termination
@@ -276,19 +276,21 @@ class _StepPlan:
 
     unknowns: (name, full length, free indices) in system order.  pattern:
     the reduced step matrix's CSR pattern (zero values), the union of every
-    block's entries.  fixed: the values of the fixed blocks' entries in
-    free rows and columns.  slots: the pattern position of each of those
-    entries, then of each entry of every iterate block's element array;
-    nnz, a dump slot, for entries in constrained rows or columns.  factors:
-    the exact Stokes and Maxwell block solves of the fixed matrix
-    (_StokesSolve, _MaxwellSolve); summary: their factors' sizes, fill and
-    smallest pivots (see PicardReport).
+    block's entries in free rows and columns.  fixed: the values of the
+    fixed blocks' entries there.  takes: (kernel, coefficient, the flat
+    positions of the entries there in its element array) of each iterate
+    block, in block order.  slots: the pattern position of each fixed
+    value, then of each taken element entry.  factors: the exact Stokes
+    and Maxwell block solves of the fixed matrix (_StokesSolve,
+    _MaxwellSolve); summary: their factors' sizes, fill and smallest
+    pivots (see PicardReport).
     """
 
     key: tuple
     unknowns: list
     pattern: sp.csr_matrix
     fixed: np.ndarray
+    takes: tuple
     slots: np.ndarray
     factors: BlockFactors
     summary: dict
@@ -322,7 +324,9 @@ class _StokesSolve:
         n_u = self.bt.shape[0]
         y = np.empty_like(rho)
         w = self._velocity(rho[:n_u])
-        y[n_u:] = lu_solve(self.schur, rho[n_u:] - self.b @ w)
+        # factor_dense checked the factors; GMRES stops on a non-finite rho
+        y[n_u:] = lu_solve(self.schur, rho[n_u:] - self.b @ w,
+                           check_finite=False)
         y[:n_u] = self._velocity(rho[:n_u] - self.bt @ y[n_u:])
         return y
 
@@ -495,9 +499,9 @@ def _step_plan(ops: DiscreteOps, formulation: str,
         to_reduced[name] = np.full(dim, -1, dtype=np.int64)
         to_reduced[name][free] = n + np.arange(free.size)
         n += free.size
-    # reduced row * n + col of every entry, -1 where constrained: the fixed
-    # blocks' entries in free rows and columns, then each element array
-    keys, fixed = [], []
+    # reduced row * n + col of every entry in free rows and columns: the
+    # fixed blocks' entries, then those of each element array
+    keys, fixed, takes = [], [], []
     for rname, cname, op, transposed, coef in form.blocks:
         if op in KERNEL_RULES:
             r, c, _ = element_dofs(ops.mesh, op)
@@ -508,21 +512,22 @@ def _step_plan(ops: DiscreteOps, formulation: str,
         if transposed:
             r, c = c, r
         r, c = np.broadcast_arrays(to_reduced[rname][r], to_reduced[cname][c])
-        k = np.where((r >= 0) & (c >= 0), r * n + c, -1).ravel()
-        if op not in KERNEL_RULES:
-            fixed.append(coef(*key) * coo.data[k >= 0])
-            k = k[k >= 0]
-        keys.append(k)
+        free = ((r >= 0) & (c >= 0)).ravel()
+        if op in KERNEL_RULES:
+            takes.append((op, coef(*key), np.flatnonzero(free)))
+        else:
+            fixed.append(coef(*key) * coo.data[free])
+        keys.append((r * n + c).ravel()[free])
     keys = np.concatenate(keys)
-    # the distinct keys in order: a sort and a neighbour mask, much faster
-    # than np.unique's hash path on large key sets
-    used = keys[keys >= 0]
-    used.sort()
-    first = np.ones(used.size, dtype=bool)
-    first[1:] = used[1:] != used[:-1]
-    used = used[first]
-    slots = np.searchsorted(used, keys)
-    slots[keys < 0] = used.size
+    # the distinct keys in order and each key's rank among them, from one
+    # argsort: faster than np.unique's hash path or a searchsorted
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    slots = np.empty(keys.size, dtype=np.int64)
+    slots[order] = np.cumsum(first) - 1
+    used = keys[first]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(used // n, minlength=n), out=indptr[1:])
     pattern = sp.csr_matrix((np.zeros(used.size), used % n, indptr),
@@ -530,12 +535,12 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     fixed = np.concatenate(fixed)
     # the map's temporaries are freed before the blocks are factored, so
     # the factorization reuses their memory and peak memory stays lower
-    del keys, used, first, k
+    del keys, order, used, first, r, c, free
     factors, summary = _block_factors(ops, form, key, unknowns,
                                       _fixed_matrix(pattern, fixed, slots))
     plan = ops.plans[formulation] = _StepPlan(
         key=key, unknowns=unknowns, pattern=pattern, fixed=fixed,
-        slots=slots, factors=factors, summary=summary)
+        takes=tuple(takes), slots=slots, factors=factors, summary=summary)
     return plan
 
 
@@ -543,35 +548,30 @@ def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
                  params: MhdParams) -> tuple:
     """(plan, reduced matrix, reduced right-hand side) of one Picard step.
 
-    The element arrays of the iterate blocks are scattered with one
-    bincount onto the fixed values; it sums in a fixed order, so the
-    matrix is a deterministic function of (prev, params).
+    The element entries the plan takes from the iterate blocks are
+    scattered with one bincount onto the fixed values; it sums in a fixed
+    order, so the matrix is a deterministic function of (prev, params).
     """
     # loads first: their temporaries then fit in memory the factorization
     # of a new plan reuses
     loads = _loads(ops, params)
     plan = _step_plan(ops, formulation, params)
-    form = _FORMULATIONS[formulation]
-    # weights in slots order: the fixed values, then each block's elements
+    # weights in slots order: the fixed values, then each block's entries
     weights = np.empty(plan.slots.size)
     off = plan.fixed.size
     weights[:off] = plan.fixed
     elems = {}
-    for _, _, kernel, _, coef in form.blocks:
-        if kernel not in KERNEL_RULES:
-            continue
+    for kernel, coef, take in plan.takes:
         if kernel not in elems:
             # looked up when called, so a rebinding of the module's kernel
             # (a profiler's, say) takes effect
             func = getattr(assembly, f"{kernel}_elements")
             elems[kernel] = func(ops.tab(KERNEL_RULES[kernel]), prev.u
                                  if kernel == "convection" else prev.B)
-        elem = elems[kernel]
-        np.multiply(coef(*plan.key), elem,
-                    out=weights[off:off + elem.size].reshape(elem.shape))
-        off += elem.size
-    nnz = plan.pattern.nnz
-    data = np.bincount(plan.slots, weights, minlength=nnz + 1)[:nnz]
+        np.multiply(elems[kernel].ravel()[take], coef,
+                    out=weights[off:off + take.size])
+        off += take.size
+    data = np.bincount(plan.slots, weights, minlength=plan.pattern.nnz)
     a = sp.csr_matrix((data, plan.pattern.indices, plan.pattern.indptr),
                       shape=plan.pattern.shape)
     b = np.concatenate([loads[_LOADS[name]][free] if name in _LOADS
@@ -667,8 +667,9 @@ def current_at(tab: Tabulation, state) -> np.ndarray:
                                            tab.face_at(state.B_prev))
 
 
-def diagnostics(state, params: MhdParams) -> dict:
-    """Measure the preserved structures of one iterate.
+def diagnostics(state, params: MhdParams, current=None) -> dict:
+    """Measure the preserved structures of one iterate; current, if given,
+    is an electric-field state's current_at at the degree-6 points.
 
     Keys: div_b_max (largest elementwise |div B|), b_l2, multiplier_norm
     (L2 norm of r), energy_work (the discrete <f, u>), energy_residual
@@ -696,7 +697,8 @@ def diagnostics(state, params: MhdParams) -> dict:
         j2 = float(state.j @ (ops.M_c @ state.j))
     else:
         tab = ops.tab(RULE_DEG6)
-        j2 = _quad_l2sq(tab, current_at(tab, state))
+        j2 = _quad_l2sq(tab, current_at(tab, state) if current is None
+                        else current)
     out["energy_work"] = work
     out["energy_residual"] = abs(grad2 / params.r_e + params.s * j2 - work)
     # magnitude of the terms the identity cancels; the roundoff floor for
@@ -784,7 +786,8 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
     (initial at the first step); returns (state, PicardReport) in every
     case, with the termination reason in the report rather than an
     exception.  The loop checks no regime condition: runners that know the
-    constants judge a B-E run with check_small_data_conditions.
+    constants judge a B-E run with check_small_data_conditions.  An
+    initial field that is not finite raises ValueError naming it.
     """
     if formulation not in ("BE", "BJ"):
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -793,6 +796,9 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
     if initial.formulation != formulation:
         raise TypeError(f"initial state for {formulation} is a "
                         f"{initial.formulation} state")
+    for name, value in vars(initial).items():
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise ValueError(f"initial state field {name} is not finite")
 
     ops = discrete_ops(initial.mesh)
     step = be_picard_step if formulation == "BE" else bj_picard_step
@@ -824,7 +830,7 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial,
         ratio = None
         if n >= 2 and prev_energy is not None and prev_energy > 0.0:
             ratio = energy / prev_energy
-        diag = diagnostics(new, params)
+        diag = diagnostics(new, params, cur)
         u_h1 = _h1_velocity(ops, new.u)
         b_d = ops.norm_d(new.B)
         records.append({

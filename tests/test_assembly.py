@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mhdfem import assembly
 from mhdfem import derham as dh
 from mhdfem.assembly import (
     DOF_EDGE_RULE,
@@ -94,6 +95,72 @@ def assert_matches_reference(kernel, coeff, trial, test):
     assert np.abs((got - want).toarray()).max() \
         <= 1e-14 * np.abs(want.toarray()).max()
     return got
+
+
+def tabulated(mesh, rule):
+    """(lam, wq, P2 values, P2 gradients, edge values, face values) of one
+    rule, tabulated by derham alone, the vector bases point-major."""
+    lam = _bary(rule.tet_points)
+    wq = (6.0 * mesh.volumes)[:, None] * rule.tet_weights[None, :]
+    return (lam, wq, dh.p2_values(lam), dh.tabulate_p2_gradients(mesh, lam),
+            np.ascontiguousarray(dh.tabulate_nedelec(mesh, lam)[0]),
+            np.ascontiguousarray(dh.tabulate_rt(mesh, lam)[0]))
+
+
+# each fixed kernel's element array, term by term
+FIXED_REFERENCES = {
+    "velocity_mass": lambda lam, wq, p2, g, ned, rt: np.einsum(
+        "tq,qi,qj->tij", wq, p2, p2)[:, None],
+    "laplacian": lambda lam, wq, p2, g, ned, rt: np.einsum(
+        "tq,tqik,tqjk->tij", wq, g, g)[:, None],
+    "divergence": lambda lam, wq, p2, g, ned, rt: np.einsum(
+        "tq,qi,tqjc->tcij", wq, lam, g),
+    "pressure_mass": lambda lam, wq, p2, g, ned, rt: np.einsum(
+        "tq,qi,qj->tij", wq, lam, lam),
+    "edge_mass": lambda lam, wq, p2, g, ned, rt: np.einsum(
+        "tq,tqik,tqjk->tij", wq, ned, ned),
+    "face_mass": lambda lam, wq, p2, g, ned, rt: np.einsum(
+        "tq,tqik,tqjk->tij", wq, rt, rt),
+}
+RULES = pytest.mark.parametrize("rule", [RULE_DEG4, RULE_DEG6],
+                                ids=["deg4", "deg6"])
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@RULES
+@pytest.mark.parametrize("kernel", sorted(FIXED_REFERENCES))
+def test_fixed_kernel_matches_einsum_reference(kernel, rule):
+    mesh = build_box_mesh(2, 3, 2, box=((0.0, 1.0), (0.0, 0.7), (0.0, 2.0)))
+    got = getattr(assembly, f"{kernel}_elements")(Tabulation(mesh, rule))
+    assert_close(got, FIXED_REFERENCES[kernel](*tabulated(mesh, rule)))
+
+
+@RULES
+def test_vector_bases_evaluate_like_einsum_reference(rule):
+    mesh = build_box_mesh(2, 3, 2, box=((0.0, 1.0), (0.0, 0.7), (0.0, 2.0)))
+    tab = Tabulation(mesh, rule)
+    _, wq, _, _, ned, rt = tabulated(mesh, rule)
+    rng = np.random.default_rng(11)
+    e = rng.standard_normal(mesh.num_edges)
+    b = rng.standard_normal(mesh.num_faces)
+    field = rng.standard_normal((*wq.shape, 3))
+    assert_close(tab.edge_at(e),
+                 np.einsum("tqek,te->tqk", ned, e[mesh.tet_edges]))
+    assert_close(tab.face_at(b),
+                 np.einsum("tqfk,tf->tqk", rt, b[mesh.tet_faces]))
+    moments = np.einsum("tq,tqk,tqek->te", wq, field, ned)
+    assert_close(tab.edge_load(field),
+                 np.bincount(mesh.tet_edges.ravel(), moments.ravel(),
+                             minlength=mesh.num_edges))
+    # the rows are a view of derham's function-major values, not a copy
+    for basis, vals in ((tab.ned, ned), (tab.rt, rt)):
+        assert basis.base is not None and basis.base.nbytes == basis.nbytes
+        rows = basis.reshape(len(vals), -1, vals.shape[1], 3)
+        assert np.array_equal(rows.transpose(0, 2, 1, 3), vals)
 
 
 @pytest.mark.parametrize("rule,deg", [(RULE_DEG4, 4), (RULE_DEG6, 6)])

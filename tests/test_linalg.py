@@ -197,6 +197,42 @@ def test_nan_residual_fails_the_contract():
     assert np.isnan(info.value.record["relative_residual"])
 
 
+def test_nan_right_hand_side_stalls_instead_of_raising():
+    # GMRES stops on the NaN residual before its least-squares solve sees
+    # it; the closing correction carries the NaN into the record
+    rng = np.random.default_rng(9)
+    a, lin, first = perturbed_block_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    b[3] = np.nan
+    with pytest.raises(LinearStallError) as info:
+        solve_preconditioned(a, b, block_factors(lin, first))
+    assert info.value.record["krylov_iterations"] == 0
+    assert np.isnan(info.value.record["relative_residual"])
+
+
+def test_non_finite_hessenberg_entry_ends_gmres():
+    # an operator that overflows mid-Arnoldi: the solve stops there,
+    # not converged, with the iterations taken so far
+    rng = np.random.default_rng(10)
+    a, _, _ = perturbed_block_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    calls = []
+
+    class Overflowing:
+        def __matmul__(self, v):
+            calls.append(1)
+            out = a @ v
+            return out if len(calls) < 3 else np.full_like(out, np.inf)
+
+    x0 = np.zeros(b.size)
+    with np.errstate(invalid="ignore"):
+        x, its, converged = linalg._gmres(Overflowing(), b, lambda r: r,
+                                          1e-13, x0)
+    assert not converged
+    assert its == 2
+    assert np.array_equal(x, x0)
+
+
 def test_preconditioned_solve_started_at_the_solution_takes_no_step():
     rng = np.random.default_rng(6)
     a, lin, first = perturbed_block_system(rng)

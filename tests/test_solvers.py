@@ -13,13 +13,13 @@ from scipy.sparse.linalg import splu
 import mhdfem
 from mhdfem import linalg
 from mhdfem.assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
-                             assemble_load, kernel_matrix)
+                             assemble_load, element_dofs, kernel_matrix)
 from mhdfem.derham import (RT, VELOCITY, build_space,
                            curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
-from mhdfem.linalg import (SingularSystemError, solve_direct,
-                           solve_preconditioned)
+from mhdfem.linalg import (LinearStallError, SingularSystemError,
+                           solve_direct, solve_preconditioned)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
                               poincare_h01_box)
@@ -247,6 +247,33 @@ def test_non_finite_data_names_its_slot():
         bj_picard_step(zero_state(mesh, "BJ"), inf_h)
 
 
+@pytest.mark.parametrize("formulation, name, value", [
+    ("BE", "u", np.nan), ("BE", "B", np.inf),
+    ("BJ", "u", np.nan), ("BJ", "B", np.inf)])
+def test_non_finite_initial_state_names_its_field(formulation, name, value):
+    # rejected before a step, whose block solves would choke on it
+    mesh = build_box_mesh(3, 3, 3)
+    params = MhdParams(r_e=1.0, r_m=1.0, s=1.0, f=smooth_force)
+    state = zero_state(mesh, formulation)
+    getattr(state, name)[1] = value
+    with pytest.raises(ValueError,
+                       match=f"initial state field {name} is not finite"):
+        solve_nonlinear(formulation, params, state)
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_nan_right_hand_side_stalls_the_step_solve(params, formulation):
+    # the NaN passes the Schur solve unchecked, and GMRES stops on it
+    mesh = build_box_mesh(3, 3, 3)
+    plan, a, b = _step_system(discrete_ops(mesh), formulation,
+                              seeded_start(mesh, formulation), params)
+    b[0] = np.nan
+    with pytest.raises(LinearStallError) as info:
+        solve_preconditioned(a, b, plan.factors)
+    assert info.value.record["krylov_iterations"] == 0
+    assert np.isnan(info.value.record["relative_residual"])
+
+
 def test_callable_data_evaluated_once_per_params(mesh2, params):
     calls = {"f": 0, "h": 0}
 
@@ -458,6 +485,35 @@ def test_scattered_step_matches_assembled_blocks(formulation, n):
         assert np.array_equal(b, want_b)
 
 
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+def test_plan_slots_cover_free_entries_only(formulation):
+    ops = discrete_ops(build_box_mesh(3, 3, 3))
+    plan = _step_plan(ops, formulation,
+                      MhdParams(r_e=0.7, r_m=1.9, s=2.3, f=smooth_force))
+    # no dump slot: every slot is a pattern entry, and every entry is hit
+    assert plan.slots.min() == 0 and plan.slots.max() == plan.pattern.nnz - 1
+    assert np.unique(plan.slots).size == plan.pattern.nnz
+    # one slot per block entry in a free row and a free column
+    free = {name: np.isin(np.arange(dim), idx)
+            for name, dim, idx in plan.unknowns}
+    form = mhdfem.solvers._FORMULATIONS[formulation]
+    counts = []
+    for rname, cname, op, transposed, _ in form.blocks:
+        if op in KERNEL_RULES:
+            rows, cols, _ = element_dofs(ops.mesh, op)
+        else:
+            mat = ops.mesh.volumes if op == "volumes" else getattr(ops, op)
+            coo = sp.coo_matrix(mat[:, None] if mat.ndim == 1 else mat)
+            rows, cols = coo.row, coo.col
+        if transposed:
+            rows, cols = cols, rows
+        counts.append(np.count_nonzero(free[rname][rows] & free[cname][cols]))
+    n_iterate = sum(op in KERNEL_RULES for _, _, op, _, _ in form.blocks)
+    assert [take.size for _, _, take in plan.takes] == counts[-n_iterate:]
+    assert plan.fixed.size == sum(counts[:-n_iterate])
+    assert plan.slots.size == sum(counts)
+
+
 def count_calls(monkeypatch, name):
     """Count calls of one mhdfem function through every module binding it."""
     calls = []
@@ -514,8 +570,9 @@ def test_be_current_evaluated_once_per_iterate(mesh2, params, monkeypatch):
 
     monkeypatch.setattr(mhdfem.solvers, "current_at", counted)
     _, report = solve_nonlinear("BE", params, seeded_start(mesh2, "BE"))
-    # the start once, then every iterate in the loop and in diagnostics
-    assert len(calls) == 1 + 2 * report.n_iterations
+    # the start once, then every iterate once: diagnostics is passed the
+    # loop's current
+    assert len(calls) == 1 + report.n_iterations
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
