@@ -9,7 +9,7 @@ Orientation is fixed once and globally: edge tangents run from lower to
 higher vertex index, face normals follow the right-hand rule on the
 ascending-sorted vertex triple.  Element tabulation applies the matching
 sign per tet, so coefficients are single-valued global DOFs.  Point
-evaluation finds each point's tet through the box mesh's cube grid.
+evaluation finds each point's tet through the unit cube's grid of cubes.
 """
 from __future__ import annotations
 
@@ -211,15 +211,12 @@ def interpolate(space: FeSpace, field) -> np.ndarray:
 
 def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
     """Containing tet and barycentric coordinates for each point; only the
-    six tets of the point's cube in the box grid are tried."""
+    six tets of the point's cube in the unit cube's grid are tried, in
+    Kuhn permutation order, and the first that holds the point wins."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    nx, ny, nz = mesh.grid_shape
-    lo = mesh.box[:, 0]
-    ext = mesh.box[:, 1] - mesh.box[:, 0]
-    rel = (points - lo) / ext * np.array([nx, ny, nz])
-    idx = np.clip(np.floor(rel).astype(np.int64), 0,
-                  np.array([nx, ny, nz]) - 1)
+    nx, ny, nz = dims = np.array(mesh.grid_shape)
+    idx = np.clip(np.floor(points * dims).astype(np.int64), 0, dims - 1)
     cube = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
     candidates = 6 * cube[:, None] + np.arange(6)[None, :]
 
@@ -249,7 +246,7 @@ def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
     """Evaluate the edge- or face-element function with the given
     coefficients at points, (n, 3); other spaces are evaluated at
     quadrature points (assembly.Tabulation).  Location is O(1) per point
-    through the box's cube grid."""
+    through the unit cube's grid (see _locate)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dof_count,):
         raise ValueError(f"expected {space.dof_count} coefficients")

@@ -21,7 +21,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -387,74 +386,70 @@ def _trig_data(mesh, r_e, r_m, s):
 
 
 def _trig_initial_flux(mesh):
-    rt = build_space(mesh, RT, essential_bc=True)
+    rt = discrete_ops(mesh).space_d
     coeffs = interpolate(rt, _trig_flux)
     coeffs[rt.boundary_dof] = 0.0
     return coeffs
 
 
-def _trig_case() -> ManufacturedCase:
-    return ManufacturedCase(
-        name="trig-1", velocity=_trig_velocity,
-        velocity_grad=_trig_velocity_grad, flux=_trig_flux,
-        pressure=_trig_pressure, data_for=_trig_data,
-        initial_flux=_trig_initial_flux)
+def _kuhn_axes(pts):
+    """Unit vectors e_a, e_b of each point's largest and smallest
+    coordinate.  Ties go to the Kuhn tet derham._locate picks, the first
+    permutation: a is the first largest axis, b the last smallest."""
+    a, b = np.argmax(pts, axis=1), 2 - np.argmin(pts[:, ::-1], axis=1)
+    return np.eye(3)[a], np.eye(3)[b]
 
 
-@lru_cache(maxsize=None)
-def _unit_diagonal_curl():
-    """Whitney function of the unit cube's one interior edge, and its curl."""
-    mesh1 = build_box_mesh(1, 1, 1)
-    ned1 = build_space(mesh1, NEDELEC, essential_bc=True)
-    rt1 = build_space(mesh1, RT, essential_bc=False)
-    pot = np.zeros(ned1.dof_count)
-    pot[ned1.free_index] = 1.0
-    return mesh1, ned1, rt1, pot, curl_incidence(mesh1) @ pot
+def _inspace_potential(pts):
+    """Whitney function of the unit cube's main diagonal: on the Kuhn tet
+    where x_a is the largest coordinate and x_b the smallest,
+    (1 - x_a) e_b + x_b e_a."""
+    e_a, e_b = _kuhn_axes(pts)
+    return ((1.0 - pts.max(axis=1))[:, None] * e_b
+            + pts.min(axis=1)[:, None] * e_a)
 
 
-@lru_cache(maxsize=None)
-def _inspace_case() -> ManufacturedCase:
-    # box meshes are nested under refinement, so this piecewise-constant
-    # curl field lies in the face space of every level exactly
-    _, ned1, rt1, pot, flux1 = _unit_diagonal_curl()
-
-    def flux(pts):
-        return point_eval(rt1, flux1, pts)
-
-    def potential(pts):
-        return point_eval(ned1, pot, pts)
-
-    def initial_flux(mesh):
-        ned = build_space(mesh, NEDELEC, essential_bc=True)
-        coeffs = interpolate(ned, potential)
-        coeffs[ned.boundary_dof] = 0.0
-        return curl_incidence(mesh) @ coeffs
-
-    def data_for(mesh, r_e, r_m, s):
-        ops = discrete_ops(mesh)
-        b_star = initial_flux(mesh)
-        j0 = ops.weak_curl(b_star) / r_m
-        ned, rt = ops.space_c, ops.space_d
-
-        def force(pts):
-            return s * np.cross(point_eval(rt, b_star, pts),
-                                point_eval(ned, j0, pts))
-
-        return {"f": force, "h": (s / r_m) * (ops.curl @ j0)}
-
-    return ManufacturedCase(name="inspace-1", velocity=None,
-                            velocity_grad=None, flux=flux, pressure=None,
-                            data_for=data_for, initial_flux=initial_flux)
+def _inspace_flux(pts):
+    """Curl of _inspace_potential, 2 e_b x e_a: piecewise constant, so
+    every Kuhn refinement represents it exactly."""
+    e_a, e_b = _kuhn_axes(pts)
+    return 2.0 * np.cross(e_b, e_a)
 
 
-MANUFACTURED = {"trig-1": _trig_case, "inspace-1": _inspace_case}
+def _inspace_initial_flux(mesh):
+    ops = discrete_ops(mesh)
+    coeffs = interpolate(ops.space_c, _inspace_potential)
+    coeffs[ops.space_c.boundary_dof] = 0.0
+    return ops.curl @ coeffs
+
+
+def _inspace_data(mesh, r_e, r_m, s):
+    ops = discrete_ops(mesh)
+    j0 = ops.weak_curl(_inspace_initial_flux(mesh)) / r_m
+
+    def force(pts):
+        return s * np.cross(_inspace_flux(pts),
+                            point_eval(ops.space_c, j0, pts))
+
+    return {"f": force, "h": (s / r_m) * (ops.curl @ j0)}
+
+
+MANUFACTURED = {case.name: case for case in (
+    ManufacturedCase(name="trig-1", velocity=_trig_velocity,
+                     velocity_grad=_trig_velocity_grad, flux=_trig_flux,
+                     pressure=_trig_pressure, data_for=_trig_data,
+                     initial_flux=_trig_initial_flux),
+    ManufacturedCase(name="inspace-1", velocity=None, velocity_grad=None,
+                     flux=_inspace_flux, pressure=None,
+                     data_for=_inspace_data,
+                     initial_flux=_inspace_initial_flux))}
 
 
 def manufactured_case(name: str) -> ManufacturedCase:
     if name not in MANUFACTURED:
         raise ConfigError(f"unknown case {name!r}; available: "
                           f"{sorted(MANUFACTURED)}")
-    return MANUFACTURED[name]()
+    return MANUFACTURED[name]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +492,9 @@ def exact_errors(mesh, case: ManufacturedCase, state) -> dict:
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report as strict JSON, each non-finite number written as null."""
+    plain = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path, text):
@@ -639,7 +636,7 @@ def _study_csv(rows, aborted, termination) -> str:
 def run_study(config: RunConfig) -> dict:
     """Refinement sweep of a manufactured case with observed rates.
 
-    Levels are uniform subdivision counts of the unit box.  The rate
+    Levels are uniform subdivision counts of the unit cube.  The rate
     between consecutive levels is log(e0/e1) / log(h0/h1), so the levels
     need not halve h.  A non-converged Picard run aborts the sweep; rows
     computed so far are still emitted, the abort and its termination

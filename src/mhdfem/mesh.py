@@ -1,11 +1,12 @@
-"""Tetrahedral meshes of axis-aligned boxes with oriented topology.
+"""Tetrahedral meshes of the unit cube with oriented topology.
 
-Boxes are split cube-by-cube into six tetrahedra that all share the cube's
-main diagonal (Kuhn subdivision), so uniform refinements stay nested and
-faces match across neighbouring cubes.  Edges and faces are stored with
-ascending vertex indices; orientation signs relative to each tet are derived
-from that single global convention.  build_box_mesh is the only source of
-meshes: there is no general tet-mesh input, and every mesh keeps its box.
+The unit cube [0, 1]^3 is split into a grid of cubes, each into six
+tetrahedra that all share the cube's main diagonal (Kuhn subdivision), so
+uniform refinements stay nested and faces match across neighbouring cubes.
+Edges and faces are stored with ascending vertex indices; orientation signs
+relative to each tet are derived from that single global convention.
+build_box_mesh is the only source of meshes: there is no general tet-mesh
+input and no other domain.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 
 class MeshError(Exception):
-    """Invalid box mesh arguments."""
+    """Invalid subdivision counts."""
 
 
 # local vertex pairs/triples of a tet; face k is opposite vertex k
@@ -47,7 +48,6 @@ class Mesh:
     volumes: np.ndarray          # (T,)
     grad_bary: np.ndarray        # (T, 4, 3) gradients of the barycentric functions
     h: float                     # max circumdiameter over tets
-    box: np.ndarray              # (3, 2) extents of the meshed box
     grid_shape: tuple[int, int, int]   # (nx, ny, nz) cube counts
 
     def __post_init__(self):
@@ -83,9 +83,9 @@ def _circumdiameters(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return 2.0 * np.linalg.norm(c - x[:, 0], axis=1)
 
 
-def _derive_topology(vertices: np.ndarray, tets: np.ndarray, box,
+def _derive_topology(vertices: np.ndarray, tets: np.ndarray,
                      grid_shape) -> Mesh:
-    """Build the Mesh of a box's Kuhn tets, deriving all topology.
+    """Build the Mesh of the unit cube's Kuhn tets, deriving all topology.
 
     Edges and faces are deduplicated through sorted vertex keys.  Boundary
     faces are those incident to exactly one tet; boundary edges and vertices
@@ -142,7 +142,7 @@ def _derive_topology(vertices: np.ndarray, tets: np.ndarray, box,
         boundary_vertex=boundary_vertex, boundary_edge=boundary_edge,
         boundary_face=boundary_face, volumes=vol, grad_bary=grad,
         h=float(np.max(_circumdiameters(vertices, tets))),
-        box=box, grid_shape=grid_shape,
+        grid_shape=grid_shape,
     )
 
 
@@ -155,9 +155,8 @@ def _perm_parity(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def build_box_mesh(nx: int, ny: int, nz: int,
-                   box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))) -> Mesh:
-    """Mesh an axis-aligned box with nx*ny*nz cubes, 6 Kuhn tets each.
+def build_box_mesh(nx: int, ny: int, nz: int) -> Mesh:
+    """Mesh the unit cube with nx*ny*nz cubes, 6 Kuhn tets each.
 
     All tets of a cube share its main diagonal, and every cube uses the same
     diagonal direction, so faces match across cubes and uniform refinements
@@ -167,12 +166,8 @@ def build_box_mesh(nx: int, ny: int, nz: int,
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise MeshError(f"{name} must be a positive integer, got {n!r}")
-    box = np.asarray(box, dtype=float)
-    if box.shape != (3, 2) or np.any(box[:, 1] - box[:, 0] <= 0.0):
-        raise MeshError("box must have three strictly positive extents")
 
-    dims = np.array([nx, ny, nz])
-    axes = [np.linspace(box[k, 0], box[k, 1], dims[k] + 1) for k in range(3)]
+    axes = [np.linspace(0.0, 1.0, n + 1) for n in (nx, ny, nz)]
     gz, gy, gx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
@@ -196,7 +191,7 @@ def build_box_mesh(nx: int, ny: int, nz: int,
             chain[1], chain[2] = chain[2], chain[1]
         tets[:, pi, :] = np.column_stack(chain)
 
-    return _derive_topology(vertices, tets.reshape(-1, 4), box, (nx, ny, nz))
+    return _derive_topology(vertices, tets.reshape(-1, 4), (nx, ny, nz))
 
 
 def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,

@@ -5,8 +5,9 @@ DiscreteOps owns what both Picard schemes share on one mesh: the velocity,
 pressure, multiplier, edge and face spaces, every fixed matrix (summed
 from the assembly element kernels on its degree-4 tabulation), the
 factored free-edge mass, the basis tabulations at each quadrature rule,
-and the solvers' step plans and loads.  discrete_ops(mesh) hands every
-caller the one instance of the most recent mesh.
+and the solvers' step plan and loads.  discrete_ops(mesh) hands every
+caller the one instance of the most recent mesh.  Each cube's main
+diagonal is an interior edge, so no free DOF set of a mesh is empty.
 
 Two spanning trees, built once per mesh, serve the solvers' Maxwell
 solve.  The free edges outside a spanning tree of the interior vertices
@@ -37,13 +38,17 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .assembly import (RULE_DEG4, RULE_DEG6, QuadratureRule, Tabulation,
                        kernel_matrix)
-from .derham import (DG0, NEDELEC, P1, RT, VELOCITY, FeSpace, build_space,
+from .derham import (DG0, NEDELEC, P1, RT, VELOCITY, build_space,
                      curl_incidence, div_incidence)
 from .linalg import factor
 from .mesh import Mesh
 
 # largest free face-DOF count the dense Poincare eigensolve accepts
 POINCARE_DOF_LIMIT = 2000
+
+# C in |v| <= C |grad v| for H1_0 functions on the unit cube, from the
+# first Dirichlet eigenvalue 3 pi^2
+POINCARE_H01 = 1.0 / (math.pi * math.sqrt(3.0))
 
 
 class CapabilityError(Exception):
@@ -66,8 +71,8 @@ class DiscreteOps:
       K_cd: (faces x edges) pairing matrix (curl w_e, w_f).
       div, curl: face-to-cell and edge-to-face incidences.
       mean_p: integral of each pressure basis function.
-      lu_c, lu_c_summary: factors of the edge mass over free edges (None
-        when every edge is constrained) and their linalg.factor summary.
+      lu_c, lu_c_summary: factors of the edge mass over free edges and
+        their linalg.factor summary.
       cotree: the free edges outside the edge tree, as positions among
         the free edges, ascending.
       g_ct: curl over (free faces x cotree edges).
@@ -75,8 +80,9 @@ class DiscreteOps:
         ascending.
       lu_t: factors of D_T = div over (cells 1.., tree_faces); cell 0 is
         the dual tree's root.
-      plans, loads: the solvers' step plans (block factors included) and
-        loads, cached here so they share the context's lifetime.
+      plan, loads: the solvers' step plan of the last (formulation, r_e,
+        r_m, s), block factors included, and loads, cached here so they
+        share the context's lifetime.
     """
 
     def __init__(self, mesh: Mesh):
@@ -99,8 +105,7 @@ class DiscreteOps:
         np.add.at(self.mean_p, mesh.tets.ravel(),
                   np.repeat(mesh.volumes / 4.0, 4))
         free_c = self.space_c.free_index
-        self.lu_c, self.lu_c_summary = (factor(self.M_c[free_c][:, free_c])
-                                        if free_c.size else (None, None))
+        self.lu_c, self.lu_c_summary = factor(self.M_c[free_c][:, free_c])
         free_d = self.space_d.free_index
         self.cotree = _cotree_edges(mesh, free_c)
         self.g_ct = self.curl[free_d][:, free_c[self.cotree]].tocsr()
@@ -110,8 +115,7 @@ class DiscreteOps:
         self.tree_faces = _spanning_tree(cells[:, 0], cells[:, 1],
                                          mesh.num_tets)
         self.lu_t, _ = factor(div_free[1:][:, self.tree_faces])
-        # formulation -> the solvers' step plan of the last (r_e, r_m, s)
-        self.plans = {}
+        self.plan = None
         # [params, loads] of the last parameter object the solvers saw
         self.loads = []
 
@@ -123,9 +127,10 @@ class DiscreteOps:
 
     def weak_curl(self, B) -> np.ndarray:
         """Edge-element x with (x, F) = (B, curl F) for all admissible F."""
-        B = np.asarray(B, dtype=float)
-        rhs = self.K_cd.T @ B
-        return _solve_free(self.lu_c, rhs, self.space_c)
+        free = self.space_c.free_index
+        out = np.zeros(self.space_c.dof_count)
+        out[free] = self.lu_c.solve((self.K_cd.T @ np.asarray(B, float))[free])
+        return out
 
     # -- norms ------------------------------------------------------------
 
@@ -176,14 +181,6 @@ def _cotree_edges(mesh: Mesh, free_c: np.ndarray) -> np.ndarray:
     return np.setdiff1d(np.arange(free_c.size), tree, assume_unique=True)
 
 
-def _solve_free(lu, rhs: np.ndarray, space: FeSpace) -> np.ndarray:
-    out = np.zeros(space.dof_count)
-    free = space.free_index
-    if free.size:
-        out[free] = lu.solve(rhs[free])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # constant estimators
 
@@ -194,7 +191,7 @@ def estimate_poincare_constant(mesh: Mesh) -> float:
     Those fields are the curls of constrained edge fields, so the constant
     is 1 / sqrt(mu) for the smallest nonzero eigenvalue mu of the discrete
     Maxwell problem (curl w, curl v) = mu (w, v) over free edges, solved
-    densely.  On a box its kernel is exactly the gradients of the
+    densely.  On the cube its kernel is exactly the gradients of the
     interior-vertex hats, so mu comes after one zero per interior vertex.
     """
     n_free_d = int(np.count_nonzero(~mesh.boundary_face))
@@ -205,8 +202,6 @@ def estimate_poincare_constant(mesh: Mesh) -> float:
     ops = discrete_ops(mesh)
     free_c = ops.space_c.free_index
     n_grad = int(np.count_nonzero(~mesh.boundary_vertex))
-    if free_c.size <= n_grad:
-        raise CapabilityError("mesh carries no divergence-free fields")
     stiff = (ops.curl.T @ ops.K_cd)[free_c][:, free_c].toarray()
     mass = ops.M_c[free_c][:, free_c].toarray()
     eigs = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
@@ -227,8 +222,6 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
     ops = discrete_ops(mesh)
     free_e = ops.space_c.free_index
     free_u = ops.vel.free_index
-    if free_e.size == 0 or free_u.size == 0:
-        raise CapabilityError("mesh has no interior DOFs to probe")
     tab = ops.tab(RULE_DEG6)
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -255,16 +248,6 @@ def sobolev_embedding_constant() -> float:
     domain by extension with zero."""
     return (math.gamma(3.0) / math.gamma(1.5)) ** (1.0 / 3.0) \
         / math.sqrt(3.0 * math.pi)
-
-
-def poincare_h01_box(box) -> float:
-    """Constant in |v| <= C |grad v| for H1_0 functions on an axis-aligned
-    box, from the first Dirichlet eigenvalue."""
-    box = np.asarray(box, dtype=float)
-    lengths = box[:, 1] - box[:, 0]
-    if box.shape != (3, 2) or np.any(lengths <= 0):
-        raise ValueError("box must be three intervals of positive length")
-    return 1.0 / (math.pi * math.sqrt(np.sum(1.0 / lengths ** 2)))
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,8 @@ from .linalg import (BlockFactors, LinearStallError,  # noqa: F401
                      SingularSystemError, factor, factor_dense,
                      solve_direct, solve_preconditioned)
 from .mesh import Mesh
-from .operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
-                        poincare_h01_box)
+from .operators import (POINCARE_H01, DiagnosticConstants, DiscreteOps,
+                        discrete_ops)
 
 
 @dataclass(frozen=True)
@@ -164,20 +164,23 @@ class PicardReport:
 def _slot_load(tab: Tabulation, space: FeSpace, data, mass,
                slot: str) -> tuple:
     """(load vector, squared L2 norm) of data slot slot, both from one call
-    of a callable at tab's points; ValueError when data is not finite."""
+    of a callable at tab's points; ValueError when data is not finite or
+    not shaped as one 3-vector per point or one value per DOF."""
     if data is None:
         return np.zeros(space.dof_count), 0.0
-    vals = np.asarray(data(tab.points.reshape(-1, 3)) if callable(data)
-                      else data, dtype=float)
+    pts = tab.points.reshape(-1, 3)
+    vals = np.asarray(data(pts) if callable(data) else data, dtype=float)
+    want = pts.shape if callable(data) else (space.dof_count,)
+    if vals.shape != want:
+        raise ValueError(
+            f"data slot {slot} must be callable with one 3-vector per point "
+            f"or a coefficient vector of length {space.dof_count}; got shape "
+            f"{vals.shape}, not {want}")
     if not np.isfinite(vals).all():
         raise ValueError(f"data slot {slot} is not finite")
     if callable(data):
-        at = vals.reshape(*tab.wq.shape, -1)
+        at = vals.reshape(*tab.wq.shape, 3)
         return assemble_load(tab, space, at), _quad_l2sq(tab, at)
-    if vals.shape != (space.dof_count,):
-        raise ValueError(
-            f"data slot {slot} must be callable or a coefficient vector of "
-            f"length {space.dof_count}")
     load = mass @ vals
     return load, float(vals @ load)
 
@@ -272,7 +275,7 @@ _FORMULATIONS = {
 
 @dataclass(frozen=True, eq=False)
 class _StepPlan:
-    """What every Picard step of one (formulation, r_e, r_m, s) reuses.
+    """What every Picard step of one key (formulation, r_e, r_m, s) reuses.
 
     unknowns: (name, full length, free indices) in system order.  pattern:
     the reduced step matrix's CSR pattern (zero values), the union of every
@@ -425,7 +428,7 @@ class _MaxwellSolve:
         return x
 
 
-def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
+def _block_factors(ops: DiscreteOps, form: _Formulation, numbers: tuple,
                    unknowns: list, fixed: sp.csr_matrix) -> tuple:
     """(BlockFactors, summary) of a step's fixed matrix.  SingularSystemError
     when A_0 or the Schur complement of the Stokes block S over (u, p, mp)
@@ -450,7 +453,7 @@ def _block_factors(ops: DiscreteOps, form: _Formulation, key: tuple,
         [[k[edge][:, edge], k_eb @ ops.g_ct], [ops.g_ct.T @ k_be, None]]))
     scale = 1.0
     if sigma is not None:
-        scale = next(coef(*key) for row, col, _, _, coef in form.blocks
+        scale = next(coef(*numbers) for row, col, _, _, coef in form.blocks
                      if row == col == "sigma")
         summary["edge_mass"] = ops.lu_c_summary
     solve_k = _MaxwellSolve(
@@ -479,14 +482,13 @@ def _fixed_matrix(pattern: sp.csr_matrix, fixed: np.ndarray,
 
 def _step_plan(ops: DiscreteOps, formulation: str,
                params: MhdParams) -> _StepPlan:
-    """The step plan, cached on the mesh's context, one per formulation."""
-    key = (params.r_e, params.r_m, params.s)
-    plan = ops.plans.get(formulation)
-    if plan is not None and plan.key == key:
-        return plan
+    """The step plan, cached on the mesh's context for the last key."""
+    numbers = (params.r_e, params.r_m, params.s)
+    key = (formulation, *numbers)
+    if ops.plan is not None and ops.plan.key == key:
+        return ops.plan
     # the old plan goes first, so its block factors can be freed
-    ops.plans.pop(formulation, None)
-    del plan
+    ops.plan = None
     form = _FORMULATIONS[formulation]
 
     # full DOF of each unknown -> reduced unknown, -1 where constrained
@@ -514,9 +516,9 @@ def _step_plan(ops: DiscreteOps, formulation: str,
         r, c = np.broadcast_arrays(to_reduced[rname][r], to_reduced[cname][c])
         free = ((r >= 0) & (c >= 0)).ravel()
         if op in KERNEL_RULES:
-            takes.append((op, coef(*key), np.flatnonzero(free)))
+            takes.append((op, coef(*numbers), np.flatnonzero(free)))
         else:
-            fixed.append(coef(*key) * coo.data[free])
+            fixed.append(coef(*numbers) * coo.data[free])
         keys.append((r * n + c).ravel()[free])
     keys = np.concatenate(keys)
     # the distinct keys in order and each key's rank among them, from one
@@ -536,12 +538,12 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     # the map's temporaries are freed before the blocks are factored, so
     # the factorization reuses their memory and peak memory stays lower
     del keys, order, used, first, r, c, free
-    factors, summary = _block_factors(ops, form, key, unknowns,
+    factors, summary = _block_factors(ops, form, numbers, unknowns,
                                       _fixed_matrix(pattern, fixed, slots))
-    plan = ops.plans[formulation] = _StepPlan(
+    ops.plan = _StepPlan(
         key=key, unknowns=unknowns, pattern=pattern, fixed=fixed,
         takes=tuple(takes), slots=slots, factors=factors, summary=summary)
-    return plan
+    return ops.plan
 
 
 def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
@@ -708,7 +710,7 @@ def diagnostics(state, params: MhdParams, current=None) -> dict:
     out["energy_scale"] = (abs(work) + grad2 / params.r_e + params.s * j2
                            + p_norm * float(np.linalg.norm(ops.bdiv
                                                            @ state.u)))
-    dual = poincare_h01_box(mesh.box) * loads["f_l2"]
+    dual = POINCARE_H01 * loads["f_l2"]
     out["energy_slack"] = (0.5 * params.r_e * dual ** 2
                            - 0.5 * grad2 / params.r_e - params.s * j2)
 
@@ -746,13 +748,13 @@ def check_small_data_conditions(params: MhdParams,
     """Evaluate the sufficient conditions for Picard contraction, plus the
     small-Reynolds solvability condition of the electric-field step.
 
-    |f|_(-1) is upper-bounded by C_P |f| with the box Poincare constant,
-    so every "satisfied" flag is conservative.  contraction_satisfied
-    ands the two contraction flags; the small_re entry only concerns the
-    electric-field formulation.
+    |f|_(-1) is upper-bounded by C_P |f| with the unit cube's Poincare
+    constant POINCARE_H01, so every "satisfied" flag is conservative.
+    contraction_satisfied ands the two contraction flags; the small_re
+    entry only concerns the electric-field formulation.
     """
     f_l2 = _loads(discrete_ops(mesh), params)["f_l2"]
-    dual = poincare_h01_box(mesh.box) * f_l2
+    dual = POINCARE_H01 * f_l2
     c1, c2 = constants.c1, constants.c2
     re, rm = params.r_e, params.r_m
     lhs1 = (c1 ** 2 * re ** 2 * dual

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from mhdfem.cli import main
-from mhdfem.derham import RT, build_space, interpolate, point_eval
+from mhdfem.derham import (NEDELEC, RT, build_space, curl_incidence,
+                           interpolate, point_eval)
 from mhdfem.harness import (ConfigError, _dump_json, _force_values,
-                            _study_csv, exact_errors, load_config,
+                            _inspace_potential, _study_csv, exact_errors,
+                            load_config,
                             manufactured_case, run_diagnose, run_solve,
                             run_study)
 from mhdfem.mesh import build_box_mesh
@@ -376,6 +378,53 @@ def test_inspace_flux_is_representable_on_refinements():
         assert np.abs(direct - coeffs).max() < 1e-12
 
 
+def diagonal_reference():
+    """inspace-1 as a discrete field: on the 1^3 mesh, the one free edge,
+    the cube's main diagonal, at coefficient 1, and its curl, each
+    evaluated by point_eval."""
+    mesh = build_box_mesh(1, 1, 1)
+    ned = build_space(mesh, NEDELEC, essential_bc=True)
+    rt = build_space(mesh, RT, essential_bc=False)
+    pot = np.zeros(ned.dof_count)
+    pot[ned.free_index] = 1.0
+    flux = curl_incidence(mesh) @ pot
+    return (lambda pts: point_eval(ned, pot, pts),
+            lambda pts: point_eval(rt, flux, pts))
+
+
+def kuhn_face_points(rng):
+    """Random points, then points on the faces x=y, y=z and x=z between
+    Kuhn tets and on their common edge x=y=z, where the largest or the
+    smallest coordinate ties."""
+    pts = [rng.random((500, 3))]
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        on_face = rng.random((200, 3))
+        on_face[:, j] = on_face[:, i]
+        pts.append(on_face)
+    pts.append(np.repeat(rng.random((50, 1)), 3, axis=1))
+    return np.concatenate(pts)
+
+
+def test_inspace_closed_form_matches_discrete_field():
+    potential, flux = diagonal_reference()
+    pts = kuhn_face_points(np.random.default_rng(7))
+    case = manufactured_case("inspace-1")
+    assert np.abs(_inspace_potential(pts) - potential(pts)).max() <= 1e-15
+    assert np.abs(case.flux(pts) - flux(pts)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_inspace_initial_flux_matches_discrete_field(n):
+    potential, _ = diagonal_reference()
+    mesh = build_box_mesh(n, n, n)
+    ned = build_space(mesh, NEDELEC, essential_bc=True)
+    coeffs = interpolate(ned, potential)
+    coeffs[ned.boundary_dof] = 0.0
+    want = curl_incidence(mesh) @ coeffs
+    got = manufactured_case("inspace-1").initial_flux(mesh)
+    assert np.abs(got - want).max() <= 1e-15
+
+
 def test_inspace_exact_state_has_zero_errors():
     mesh = build_box_mesh(2, 2, 2)
     case = manufactured_case("inspace-1")
@@ -665,6 +714,27 @@ def test_cli_solve_stdout_json(tmp_path, capsys):
     assert main(["solve", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["picard"]["n_iterations"] == 1
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def test_cli_solve_stdout_is_strict_json(tmp_path, capsys):
+    # zero force: the small-Reynolds limit is infinite and prints as null
+    path = write_config(tmp_path, {})
+    assert main(["solve", path]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert doc["conditions"]["small_re"]["limit"] is None
+
+
+def test_dump_json_writes_non_finite_numbers_as_null():
+    doc = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": ({"c": 2},)}
+    text = _dump_json(doc)
+    assert json.loads(text, parse_constant=reject_constant) \
+        == {"a": [None, None, None, 1.5], "b": [{"c": 2}]}
+    # the caller's document keeps its numbers
+    assert doc["a"][0] == math.inf and math.isnan(doc["a"][2])
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

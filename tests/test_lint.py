@@ -227,3 +227,36 @@ def test_no_unread_dataclass_fields():
     assert unread_dataclass_fields(
         {p.stem: p.read_text() for p in SOURCES},
         [p.read_text() for p in BENCH_SOURCES]) == []
+
+
+def cache_decorators(text):
+    """Names of the functions a module decorates with functools.lru_cache
+    or functools.cache, bare, called or through the module."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) \
+                        in ("lru_cache", "cache"):
+                    found.append(node.name)
+    return found
+
+
+def test_cache_decorator_is_caught():
+    text = ("import functools\nfrom functools import cache, lru_cache\n"
+            "@lru_cache\ndef a():\n    pass\n"
+            "@lru_cache(maxsize=1)\ndef b():\n    pass\n"
+            "@functools.lru_cache(maxsize=None)\ndef c():\n    pass\n"
+            "@cache\ndef d():\n    pass\n"
+            "@functools.cache\ndef e():\n    pass\n"
+            "class K:\n    @property\n    def f(self):\n        pass\n")
+    assert cache_decorators(text) == ["a", "b", "c", "d", "e"]
+
+
+def test_only_the_mesh_context_is_cached():
+    # one per-mesh context holds what a mesh's runs share; a scattered
+    # module cache would keep meshes and their factors alive besides it
+    assert [f"{p.stem}.{name}" for p in SOURCES
+            for name in cache_decorators(p.read_text())] \
+        == ["operators.discrete_ops"]

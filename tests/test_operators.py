@@ -10,10 +10,11 @@ from mhdfem.assembly import RULE_DEG4, RULE_DEG6, Tabulation, kernel_matrix
 from mhdfem.derham import (NEDELEC, RT, VELOCITY, build_space, curl_incidence,
                            div_incidence, tabulate_nedelec, tabulate_rt)
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import (CapabilityError, DiagnosticConstants,
-                              DiscreteOps, estimate_cross_bound,
-                              discrete_ops, estimate_poincare_constant,
-                              poincare_h01_box, sobolev_embedding_constant)
+from mhdfem.operators import (POINCARE_H01, CapabilityError,
+                              DiagnosticConstants, DiscreteOps,
+                              estimate_cross_bound, discrete_ops,
+                              estimate_poincare_constant,
+                              sobolev_embedding_constant)
 
 # regression value for the coarsest box; the dense eigensolve is the oracle
 POINCARE_SINGLE_CUBE = 0.2236067977499790
@@ -293,14 +294,17 @@ def test_sobolev_ratio_below_analytic_bound(ops2):
         assert 0 < l6 / math.sqrt(u @ (ops2.lap @ u)) < bound
 
 
-def test_poincare_box_helper():
-    assert np.isclose(poincare_h01_box(((0, 1), (0, 1), (0, 1))),
-                      1.0 / (math.pi * math.sqrt(3.0)), rtol=1e-14)
-    # one long side relaxes the constant toward the 2-d limit
-    slab = poincare_h01_box(((0, 1), (0, 1), (0, 100)))
-    assert slab > poincare_h01_box(((0, 1), (0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="positive length"):
-        poincare_h01_box(((0, 1), (1, 1), (0, 1)))
+def test_poincare_h01_bounds_conforming_rayleigh_quotients(ops2):
+    # conforming P2 eigenvalues bound the first Dirichlet eigenvalue
+    # 3 pi^2 from above, so no velocity beats the constant, and the
+    # smallest quotient comes close to it
+    free = ops2.vel.free_index
+    lap = ops2.lap[free][:, free].toarray()
+    mass = ops2.vel_mass[free][:, free].toarray()
+    smallest = scipy.linalg.eigh(lap, mass, eigvals_only=True)[0]
+    assert POINCARE_H01 == 1.0 / (math.pi * math.sqrt(3.0))
+    assert 1.0 / math.sqrt(smallest) <= POINCARE_H01
+    assert 1.0 / math.sqrt(smallest) >= 0.9 * POINCARE_H01
 
 
 def test_diagnostic_constants_validation():

@@ -21,8 +21,7 @@ from mhdfem.derham import (RT, VELOCITY, build_space,
 from mhdfem.linalg import (LinearStallError, SingularSystemError,
                            solve_direct, solve_preconditioned)
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import (DiagnosticConstants, DiscreteOps, discrete_ops,
-                              poincare_h01_box)
+from mhdfem.operators import DiagnosticConstants, DiscreteOps, discrete_ops
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state,
@@ -245,6 +244,20 @@ def test_non_finite_data_names_its_slot():
     inf_h = MhdParams(r_e=1.0, r_m=1.0, s=1.0, h=h)
     with pytest.raises(ValueError, match="data slot h is not finite"):
         bj_picard_step(zero_state(mesh, "BJ"), inf_h)
+
+
+@pytest.mark.parametrize("slot", ["f", "h"])
+@pytest.mark.parametrize("shape", [lambda n: (3, n), lambda n: (n,)],
+                         ids=["3xn", "n"])
+def test_data_slot_callable_of_wrong_shape_names_its_slot(slot, shape):
+    # a (3, n) array would reshape into a scrambled field, an (n,) one
+    # would fail deep inside the load assembly
+    mesh = build_box_mesh(2, 2, 2)
+    params = MhdParams(r_e=1.0, r_m=1.0, s=1.0,
+                       **{slot: lambda p: np.ones(shape(len(p)))})
+    with pytest.raises(ValueError, match=rf"data slot {slot} must be "
+                       rf"callable.*got shape \(.*\), not \(\d+, 3\)"):
+        bj_picard_step(zero_state(mesh, "BJ"), params)
 
 
 @pytest.mark.parametrize("formulation, name, value", [
@@ -805,7 +818,7 @@ def test_step_plan_releases_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
     solve_nonlinear("BE", params, zero_state(mesh_a, "BE"), max_iter=2)
     ops = discrete_ops(mesh_a)
-    refs = [weakref.ref(ops.plans["BE"]), weakref.ref(ops.tab(RULE_DEG6))]
+    refs = [weakref.ref(ops.plan), weakref.ref(ops.tab(RULE_DEG6))]
     del ops
     solve_nonlinear("BE", params, zero_state(build_box_mesh(2, 2, 2), "BE"),
                     max_iter=1)
@@ -1081,9 +1094,10 @@ def test_conditions_zero_data(mesh2):
 
 
 def test_conditions_hand_arithmetic(mesh2):
-    # unit force in x: |f| = 1 exactly, so the dual bound is the box
-    # Poincare constant; with c1 = 1/2, c2 = 1/4, R_e = 2, R_m = 3/2 the
-    # condition polynomials collapse to d + 8.75 d^2 and 20.25 d^2
+    # unit force in x: |f| = 1 exactly, so the dual bound is the unit
+    # cube's Poincare constant d = 1 / (pi sqrt 3); with c1 = 1/2,
+    # c2 = 1/4, R_e = 2, R_m = 3/2 the condition polynomials collapse to
+    # d + 8.75 d^2 and 20.25 d^2
     def unit_x(pts):
         out = np.zeros((len(pts), 3))
         out[:, 0] = 1.0
@@ -1092,7 +1106,7 @@ def test_conditions_hand_arithmetic(mesh2):
     consts = DiagnosticConstants(c1=0.5, c2=0.25)
     params = MhdParams(r_e=2.0, r_m=1.5, s=1.0, f=unit_x)
     rep = check_small_data_conditions(params, consts, mesh2)
-    d = poincare_h01_box(mesh2.box)
+    d = 1.0 / (math.pi * math.sqrt(3.0))
     assert abs(rep["f_l2"] - 1.0) <= 1e-12
     assert abs(rep["f_dual_bound"] - d) <= 1e-12 * d
     assert abs(rep["condition1"]["lhs"] - (d + 8.75 * d ** 2)) \
