@@ -200,12 +200,6 @@ class Tabulation:
         weighted = self.wq[..., None] * field_at
         return np.matmul(basis, weighted.reshape(len(basis), -1, 1))[..., 0]
 
-    def edge_load(self, field_at) -> np.ndarray:
-        """(field, w_e) for every edge function, field given at the points."""
-        return np.bincount(self.mesh.tet_edges.ravel(),
-                           self.moments(self.ned, field_at).ravel(),
-                           minlength=self.mesh.num_edges)
-
 
 # ---------------------------------------------------------------------------
 # element kernels of the fixed forms on the degree-4 tabulation, each exact
@@ -346,11 +340,14 @@ def kernel_matrix(tab: Tabulation, kernel: str, *coeff) -> SparseMatrix:
 
 def assemble_load(tab: Tabulation, space: FeSpace,
                   field_at: np.ndarray) -> np.ndarray:
-    """Load vector (field, phi_i) of the velocity or face-element space,
-    the field given at tab's points, (T, nq, 3)."""
+    """Load vector (field, phi_i) of the velocity, edge- or face-element
+    space, the field given at tab's points, (T, nq, 3)."""
     if space.kind.components == 3:
         elem = np.matmul(field_at.transpose(0, 2, 1) * tab.wq[:, None], tab.p2)
         dofs = tab.vel_dofs
+    elif space.kind.tag == "NedelecEdge0":
+        elem = tab.moments(tab.ned, field_at)
+        dofs = tab.mesh.tet_edges
     elif space.kind.tag == "RaviartThomas0":
         elem = tab.moments(tab.rt, field_at)
         dofs = tab.mesh.tet_faces

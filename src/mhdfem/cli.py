@@ -1,49 +1,16 @@
 """Command-line front end over the run harness.
 
 Exit codes: 0 success, 1 solver failure (singular system, stalled linear
-solve, aborted study, capability limit), 2 configuration error.
+solve, aborted study), 2 configuration error.
 """
 
 import argparse
-import contextlib
-import ctypes
-import os
 import sys
 
 from .harness import (ConfigError, _dump_json, load_config, run_diagnose,
                       run_solve, run_study)
 from .linalg import SingularSystemError
-from .operators import CapabilityError
 from .solvers import stall_message
-
-
-def _flush_all_stdio():
-    sys.stdout.flush()
-    try:
-        ctypes.CDLL(None).fflush(None)
-    except (OSError, AttributeError):
-        pass
-
-
-@contextlib.contextmanager
-def _stdout_reserved():
-    """Park file descriptor 1 on stderr while computing.
-
-    The factorization library reports singular systems by printing to the
-    C stdout stream, which would corrupt the JSON/CSV the commands emit
-    there; rerouted, the chatter stays visible on stderr.  The C side is
-    flushed before each descriptor swap, since its buffer drains to
-    whatever fd 1 points at come flush time.
-    """
-    _flush_all_stdio()
-    saved = os.dup(1)
-    try:
-        os.dup2(2, 1)
-        yield
-    finally:
-        _flush_all_stdio()
-        os.dup2(saved, 1)
-        os.close(saved)
 
 
 def _build_parser():
@@ -67,8 +34,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed)
         if args.command == "solve":
-            with _stdout_reserved():
-                doc = run_solve(config)
+            doc = run_solve(config)
             picard = doc["picard"]
             if config.report_path is None:
                 sys.stdout.write(_dump_json(doc))
@@ -82,8 +48,7 @@ def main(argv=None) -> int:
                     file=sys.stderr)
                 return 1
         elif args.command == "study":
-            with _stdout_reserved():
-                result = run_study(config)
+            result = run_study(config)
             if config.csv_path is None:
                 sys.stdout.write(result["csv"])
             else:
@@ -94,8 +59,7 @@ def main(argv=None) -> int:
                       f"at level {result['aborted']}", file=sys.stderr)
                 return 1
         else:
-            with _stdout_reserved():
-                doc = run_diagnose(config)
+            doc = run_diagnose(config)
             if config.report_path is None:
                 sys.stdout.write(_dump_json(doc))
             else:
@@ -104,7 +68,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, CapabilityError) as exc:
+    except SingularSystemError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -302,37 +302,25 @@ def div_incidence(mesh: Mesh) -> sp.csr_matrix:
     return sp.csr_matrix((s, (t, f)), shape=(mesh.num_tets, mesh.num_faces))
 
 
-def check_commuting(mesh: Mesh, field: AnalyticField) -> dict:
+def check_commuting(mesh: Mesh, value, curl, div) -> dict:
     """Defect norms of the two commuting squares for an analytic field.
 
-    Returns discrete-L2 norms of curl(interp_edge F) - interp_face(curl F)
-    and div(interp_face C) - cellavg(div C); entries are None when field
-    carries no matching derivative.
+    value, curl and div are callables of points (n, 3), returning the
+    field, its curl and its divergence.  Returns the discrete-L2 norms of
+    curl(interp_edge value) - interp_face(curl) and
+    div(interp_face value) - cellavg(div).
     """
     from .operators import discrete_ops
 
-    out = {"curl_defect": None, "div_defect": None}
     rt = build_space(mesh, RT, essential_bc=False)
-    if field.curl is not None:
-        ned = build_space(mesh, NEDELEC, essential_bc=False)
-        defect = curl_incidence(mesh) @ interpolate(ned, field.value) \
-            - interpolate(rt, field.curl)
-        m_d = discrete_ops(mesh).M_d
-        out["curl_defect"] = float(np.sqrt(abs(defect @ (m_d @ defect))))
+    ned = build_space(mesh, NEDELEC, essential_bc=False)
+    defect = curl_incidence(mesh) @ interpolate(ned, value) \
+        - interpolate(rt, curl)
+    m_d = discrete_ops(mesh).M_d
+    curl_defect = float(np.sqrt(abs(defect @ (m_d @ defect))))
 
-    if field.div is not None:
-        dg = build_space(mesh, DG0, essential_bc=False)
-        cell_div = (div_incidence(mesh) @ interpolate(rt, field.value)) \
-            / mesh.volumes
-        defect = cell_div - interpolate(dg, field.div)
-        out["div_defect"] = float(np.sqrt(np.sum(mesh.volumes * defect ** 2)))
-    return out
-
-
-@dataclass(frozen=True)
-class AnalyticField:
-    """Analytic field bundle for interpolation checks."""
-
-    value: object
-    curl: object = None
-    div: object = None
+    dg = build_space(mesh, DG0, essential_bc=False)
+    cell_div = (div_incidence(mesh) @ interpolate(rt, value)) / mesh.volumes
+    defect = cell_div - interpolate(dg, div)
+    return {"curl_defect": curl_defect,
+            "div_defect": float(np.sqrt(np.sum(mesh.volumes * defect ** 2)))}

@@ -26,15 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import RULE_DEG6, QuadratureRule, Tabulation
-from .derham import (NEDELEC, P1, RT, AnalyticField, build_space,
-                     check_commuting, curl_incidence, div_incidence,
-                     interpolate, point_eval)
+from .derham import (NEDELEC, P1, RT, build_space, check_commuting,
+                     curl_incidence, div_incidence, interpolate, point_eval)
 from .linalg import SingularSystemError
 from .mesh import build_box_mesh, write_vtk
-from .operators import (POINCARE_DOF_LIMIT, DiagnosticConstants,
-                        discrete_ops, estimate_cross_bound,
-                        estimate_poincare_constant,
-                        sobolev_embedding_constant)
+from .operators import discrete_ops, estimate_poincare_constant
 from .solvers import (MhdParams, check_small_data_conditions, current_at,
                       diagnostics, solve_nonlinear, zero_state)
 
@@ -546,12 +542,6 @@ def _solve(config: RunConfig, mesh, params, case, conditions):
     return state, report, warns
 
 
-def _constants(mesh, seed) -> DiagnosticConstants:
-    return DiagnosticConstants(c1=sobolev_embedding_constant(),
-                               c2=estimate_cross_bound(mesh, trials=20,
-                                                       seed=seed))
-
-
 def _report_section(report, warns):
     return {"formulation": report.formulation,
             "termination": report.termination,
@@ -587,13 +577,12 @@ def run_solve(config: RunConfig) -> dict:
     """One nonlinear solve; returns the report and writes configured files."""
     mesh = build_box_mesh(*config.mesh)
     params, case = _problem(config, mesh)
-    constants = _constants(mesh, config.seed)
-    conditions = check_small_data_conditions(params, constants, mesh)
+    conditions = check_small_data_conditions(params, mesh, config.seed)
     state, report, warns = _solve(config, mesh, params, case, conditions)
     doc = {
         "config": config.document,
         "mesh": _mesh_info(mesh, config.mesh),
-        "constants": {"c1": constants.c1, "c2": constants.c2},
+        "constants": {"c1": conditions["c1"], "c2": conditions["c2"]},
         "conditions": conditions,
         "picard": _report_section(report, warns),
         "diagnostics": diagnostics(state, params),
@@ -653,9 +642,8 @@ def run_study(config: RunConfig) -> dict:
         mesh = build_box_mesh(level, level, level)
         params, _ = _problem(config, mesh)
         # only a B-E run reads the conditions (its small-Re check)
-        conditions = (check_small_data_conditions(
-            params, _constants(mesh, config.seed), mesh)
-            if config.formulation == "BE" else None)
+        conditions = (check_small_data_conditions(params, mesh, config.seed)
+                      if config.formulation == "BE" else None)
         state, report, _ = _solve(config, mesh, params, case, conditions)
         errs = exact_errors(mesh, case, state)
         rows.append({"level": level, "h": mesh.h,
@@ -681,6 +669,7 @@ def run_study(config: RunConfig) -> dict:
 
 
 def _poly_probe():
+    """A quadratic field and its curl and divergence, for check_commuting."""
     def value(x):
         return np.column_stack([x[:, 0] ** 2 + x[:, 1],
                                 x[:, 1] * x[:, 2],
@@ -693,7 +682,7 @@ def _poly_probe():
     def div(x):
         return 2.0 * x[:, 0] - x[:, 2]
 
-    return AnalyticField(value=value, curl=curl, div=div)
+    return value, curl, div
 
 
 def _relative_worsts(report, mesh, u_floor):
@@ -730,12 +719,9 @@ def run_diagnose(config: RunConfig) -> dict:
     }
     dim_sum = dims["h1"] - dims["hcurl"] + dims["hdiv"] - dims["l2_mean_free"]
 
-    poincare = (estimate_poincare_constant(mesh)
-                if dims["hdiv"] <= POINCARE_DOF_LIMIT else None)
-    constants = _constants(mesh, config.seed)
-
+    poincare = estimate_poincare_constant(mesh)
     params, case = _problem(config, mesh)
-    conditions = check_small_data_conditions(params, constants, mesh)
+    conditions = check_small_data_conditions(params, mesh, config.seed)
     try:
         state, report, _ = _solve(config, mesh, params, case, conditions)
     except SingularSystemError as exc:
@@ -783,8 +769,8 @@ def run_diagnose(config: RunConfig) -> dict:
             "dimensions": dims,
             "dimension_sum": dim_sum,
         },
-        "commuting": check_commuting(mesh, _poly_probe()),
-        "constants": {"c1": constants.c1, "c2": constants.c2,
+        "commuting": check_commuting(mesh, *_poly_probe()),
+        "constants": {"c1": conditions["c1"], "c2": conditions["c2"],
                       "poincare_div": poincare},
         "structure": structure,
     }

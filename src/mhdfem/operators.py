@@ -28,7 +28,6 @@ bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,9 +49,10 @@ POINCARE_DOF_LIMIT = 2000
 # first Dirichlet eigenvalue 3 pi^2
 POINCARE_H01 = 1.0 / (math.pi * math.sqrt(3.0))
 
-
-class CapabilityError(Exception):
-    """A diagnostic was asked to run beyond its intended problem size."""
+# c1 in |v|_(0,6) <= c1 |grad v|: the sharp constant of the 3-d embedding
+# of H1_0 into L6, valid on any domain by extension with zero
+SOBOLEV_L6 = (math.gamma(3.0) / math.gamma(1.5)) ** (1.0 / 3.0) \
+    / math.sqrt(3.0 * math.pi)
 
 
 class DiscreteOps:
@@ -184,9 +184,10 @@ def _cotree_edges(mesh: Mesh, free_c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # constant estimators
 
-def estimate_poincare_constant(mesh: Mesh) -> float:
+def estimate_poincare_constant(mesh: Mesh) -> float | None:
     """Largest |B| / |weak curl B| over constrained divergence-free
-    face-element fields.
+    face-element fields; None on a mesh with more than POINCARE_DOF_LIMIT
+    free face DOFs.
 
     Those fields are the curls of constrained edge fields, so the constant
     is 1 / sqrt(mu) for the smallest nonzero eigenvalue mu of the discrete
@@ -194,11 +195,8 @@ def estimate_poincare_constant(mesh: Mesh) -> float:
     densely.  On the cube its kernel is exactly the gradients of the
     interior-vertex hats, so mu comes after one zero per interior vertex.
     """
-    n_free_d = int(np.count_nonzero(~mesh.boundary_face))
-    if n_free_d > POINCARE_DOF_LIMIT:
-        raise CapabilityError(
-            f"dense eigensolve handles at most {POINCARE_DOF_LIMIT} free "
-            f"face DOFs, got {n_free_d}; use a smaller mesh")
+    if np.count_nonzero(~mesh.boundary_face) > POINCARE_DOF_LIMIT:
+        return None
     ops = discrete_ops(mesh)
     free_c = ops.space_c.free_index
     n_grad = int(np.count_nonzero(~mesh.boundary_vertex))
@@ -241,25 +239,3 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
         best = max(best, num / den)
         done += 1
     return best
-
-
-def sobolev_embedding_constant() -> float:
-    """Sharp constant of the 3-d embedding of H1_0 into L6, valid on any
-    domain by extension with zero."""
-    return (math.gamma(3.0) / math.gamma(1.5)) ** (1.0 / 3.0) \
-        / math.sqrt(3.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class DiagnosticConstants:
-    """Constants entering the small-data convergence conditions.
-
-    c1 bounds |u|_{0,6} <= c1 |grad u|; c2 is the cross-product bound.
-    """
-
-    c1: float
-    c2: float
-
-    def __post_init__(self):
-        if min(self.c1, self.c2) <= 0:
-            raise ValueError("diagnostic constants must be positive")

@@ -10,14 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from mhdfem.derham import (NEDELEC, P1, RT, AnalyticField, build_space,
-                           check_commuting, curl_incidence, div_incidence,
-                           interpolate)
+from mhdfem.derham import (NEDELEC, P1, RT, build_space, check_commuting,
+                           curl_incidence, div_incidence, interpolate)
 from mhdfem.harness import load_config, run_study
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import (DiagnosticConstants, estimate_cross_bound,
-                              estimate_poincare_constant,
-                              sobolev_embedding_constant)
+from mhdfem.operators import estimate_poincare_constant
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state)
@@ -119,11 +116,8 @@ def test_elimination_identities_at_every_iterate():
 
 def test_picard_contracts_under_small_data():
     mesh = build_box_mesh(4, 4, 4)
-    constants = DiagnosticConstants(
-        c1=sobolev_embedding_constant(),
-        c2=estimate_cross_bound(mesh, trials=20, seed=0))
     params = MhdParams(r_e=1.0, r_m=1.0, s=1.0, f=rotational_force)
-    conditions = check_small_data_conditions(params, constants, mesh)
+    conditions = check_small_data_conditions(params, mesh, seed=0)
     assert conditions["condition1"]["satisfied"]
     assert conditions["condition2"]["satisfied"]
     for formulation in FORMULATIONS:
@@ -138,13 +132,12 @@ def test_picard_contracts_under_small_data():
 
 
 def test_complex_is_exact_and_commutes():
-    probe = AnalyticField(
-        value=lambda x: np.column_stack([x[:, 0] ** 2 + x[:, 1],
-                                         x[:, 1] * x[:, 2],
-                                         x[:, 0] - x[:, 2] ** 2]),
-        curl=lambda x: np.column_stack([-x[:, 1], -np.ones(len(x)),
+    probe = (lambda x: np.column_stack([x[:, 0] ** 2 + x[:, 1],
+                                        x[:, 1] * x[:, 2],
+                                        x[:, 0] - x[:, 2] ** 2]),
+             lambda x: np.column_stack([-x[:, 1], -np.ones(len(x)),
                                         -np.ones(len(x))]),
-        div=lambda x: 2.0 * x[:, 0] - x[:, 2])
+             lambda x: 2.0 * x[:, 0] - x[:, 2])
     for n in (1, 2, 3):
         mesh = build_box_mesh(n, n, n)
         product = div_incidence(mesh) @ curl_incidence(mesh)
@@ -154,7 +147,7 @@ def test_complex_is_exact_and_commutes():
                 build_space(mesh, RT, essential_bc=True).n_free,
                 mesh.num_tets - 1]
         assert dims[0] - dims[1] + dims[2] - dims[3] == 0, (n, dims)
-        defects = check_commuting(mesh, probe)
+        defects = check_commuting(mesh, *probe)
         assert defects["curl_defect"] <= 1e-12
         assert defects["div_defect"] <= 1e-12
 

@@ -544,12 +544,26 @@ def test_run_study_probes_constants_only_for_be(monkeypatch):
         calls.append(seed)
         return estimate_cross_bound(mesh, trials=trials, seed=seed)
 
-    monkeypatch.setattr("mhdfem.harness.estimate_cross_bound", counted)
+    monkeypatch.setattr("mhdfem.solvers.estimate_cross_bound", counted)
     cfg = {"case": "inspace-1", "levels": [2, 3], "seed": 5}
     run_study(load_config({**cfg, "formulation": "BJ"}))
     assert calls == []
     run_study(load_config({**cfg, "formulation": "BE"}))
     assert calls == [5, 5]
+
+
+def test_faulty_force_fails_before_the_constant_probe(monkeypatch):
+    # the conditions evaluate the loads before they probe c2, so a force
+    # that is not finite ends the run before the probe starts
+    def probe(mesh, trials, seed):
+        raise AssertionError("the cross-bound probe ran")
+
+    monkeypatch.setattr("mhdfem.solvers.estimate_cross_bound", probe)
+    cfg = load_config({"mesh": [2, 2, 2], "force": {
+        "kind": "expression", "components": ["0", "x/0", "0"]}})
+    for runner in (run_solve, run_diagnose):
+        with pytest.raises(ConfigError, match="'x/0' is not finite"):
+            runner(cfg)
 
 
 def test_run_diagnose_builds_discrete_ops_once(monkeypatch):
@@ -811,15 +825,27 @@ def test_cli_diagnose(tmp_path, capsys):
     assert doc["complex"]["dimension_sum"] == 0
 
 
-def test_cli_stdout_is_pure_json_despite_native_chatter(tmp_path):
-    # the singular 1^3 step, run in a fresh process, must still emit one
-    # clean document: the factorization library can print notes to the C
-    # stdout stream (a whole-step LU of this mesh once did), and
-    # _stdout_reserved sends any such chatter to stderr instead
-    path = write_config(tmp_path, {"mesh": [1, 1, 1]})
+@pytest.mark.parametrize("command, formulation", [
+    pytest.param("solve", "BJ", id="solve-BJ"),
+    pytest.param("solve", "BE", id="solve-BE"),
+    pytest.param("diagnose", "BJ", id="diagnose")])
+def test_cli_stdout_is_pure_json_despite_native_chatter(command, formulation,
+                                                        tmp_path):
+    # the singular 1^3 step, run in a fresh process: a library that prints
+    # to the C stdout stream (a whole-step LU of this mesh once did) would
+    # corrupt what the CLI writes there, and nothing reroutes it, so this
+    # test is what catches such chatter
+    path = write_config(tmp_path, {"mesh": [1, 1, 1],
+                                   "formulation": formulation})
     proc = subprocess.run(
-        [sys.executable, "-m", "mhdfem.cli", "diagnose", path],
+        [sys.executable, "-m", "mhdfem.cli", command, path],
         capture_output=True, text=True)
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["structure"]["termination"] == "singular-step"
+    if command == "solve":
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("solver error: singular step: the "
+                                      "1x1x1 box mesh is too coarse")
+    else:
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["structure"]["termination"] == "singular-step"

@@ -158,15 +158,15 @@ def test_no_unused_private_names():
 
 
 def unread_public_functions(texts, readers=(), kernels=()):
-    """Public module-level functions of texts that no module of texts or
-    readers (sources) reads, as `module.name`.  A `<k>_elements` function
-    counts as read when k is in kernels: the Picard step looks those up by
-    kernel name."""
+    """Public module-level functions and classes of texts that no module of
+    texts or readers (sources) reads, as `module.name`.  A `<k>_elements`
+    function counts as read when k is in kernels: the Picard step looks
+    those up by kernel name."""
     defined, read = [], {f"{k}_elements" for k in kernels}
     for module, text in texts.items():
         tree = ast.parse(text)
         defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, ast.FunctionDef)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")]
         read |= names_read(tree)
     for text in readers:
@@ -178,10 +178,13 @@ def unread_public_functions(texts, readers=(), kernels=()):
 def test_unread_public_function_is_caught():
     texts = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
                   "def dead():\n    pass\ndef k_elements():\n    pass\n"
-                  "def _private():\n    pass\n",
+                  "def _private():\n    pass\n"
+                  "class Dead(Exception):\n    pass\n",
              "b": "from .a import f\n"}
-    assert unread_public_functions(texts) == ["a.dead", "a.k_elements"]
-    assert unread_public_functions(texts, ["a.dead()\n"], ["k"]) == []
+    assert unread_public_functions(texts) \
+        == ["a.Dead", "a.dead", "a.k_elements"]
+    assert unread_public_functions(
+        texts, ["a.dead()\nraise Dead\n"], ["k"]) == []
 
 
 def test_no_unread_public_functions():
