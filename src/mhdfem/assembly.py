@@ -342,16 +342,15 @@ def assemble_load(tab: Tabulation, space: FeSpace,
                   field_at: np.ndarray) -> np.ndarray:
     """Load vector (field, phi_i) of the velocity, edge- or face-element
     space, the field given at tab's points, (T, nq, 3)."""
-    if space.kind.components == 3:
+    if space.tag == "P2":
         elem = np.matmul(field_at.transpose(0, 2, 1) * tab.wq[:, None], tab.p2)
         dofs = tab.vel_dofs
-    elif space.kind.tag == "NedelecEdge0":
+    elif space.tag == "NedelecEdge0":
         elem = tab.moments(tab.ned, field_at)
         dofs = tab.mesh.tet_edges
-    elif space.kind.tag == "RaviartThomas0":
+    elif space.tag == "RaviartThomas0":
         elem = tab.moments(tab.rt, field_at)
         dofs = tab.mesh.tet_faces
     else:
-        raise AssemblyError(f"cannot build a load vector for "
-                            f"{space.kind.tag!r}")
+        raise AssemblyError(f"cannot build a load vector for {space.tag!r}")
     return np.bincount(dofs.ravel(), elem.ravel(), minlength=space.dof_count)

@@ -1,9 +1,12 @@
-"""Lowest-order de Rham spaces, Taylor-Hood pair, and canonical interpolation.
+"""Lowest-order de Rham elements and the Taylor-Hood pair: the space
+record, shape functions, interpolation, point evaluation and incidences.
 
 The four sequence spaces are P1 (vertices), lowest-order edge elements
 (edges), lowest-order face elements (faces), and piecewise constants (tets).
-Velocity is three stacked P2 scalar components, component-major, and
-pressure is P1.
+Velocity is three stacked P2 scalar components, component-major (with n
+scalar nodes, coefficient c*n + i is component c at node i), and pressure
+is P1.  DOFs follow entity-index order.  Only operators.DiscreteOps, the
+per-mesh context, builds a mesh's spaces.
 
 Orientation is fixed once and globally: edge tangents run from lower to
 higher vertex index, face normals follow the right-hand rule on the
@@ -20,78 +23,29 @@ import scipy.sparse as sp
 
 from .mesh import _LOCAL_EDGES, _LOCAL_FACES, Mesh
 
-# the five constants below are the only instances
-@dataclass(frozen=True)
-class SpaceKind:
-    tag: str
-    components: int = 1
-
-
-P1 = SpaceKind("P1")
-VELOCITY = SpaceKind("P2", components=3)
-NEDELEC = SpaceKind("NedelecEdge0")
-RT = SpaceKind("RaviartThomas0")
-DG0 = SpaceKind("DG0")
-
-
 @dataclass(frozen=True, eq=False)
 class FeSpace:
     """A finite element space bound to a mesh.
 
-    boundary_dof marks DOFs eliminated by the essential boundary condition
-    (empty mask when the space was built without one).
+    tag names the element: "P1", "P2" (the velocity, three components),
+    "NedelecEdge0", "RaviartThomas0" or "DG0".  boundary_dof marks, per
+    DOF, those the essential boundary condition eliminates.
     """
 
-    kind: SpaceKind
+    tag: str
     mesh: Mesh
-    dof_count: int
     boundary_dof: np.ndarray
 
     def __post_init__(self):
         self.boundary_dof.setflags(write=False)
 
     @property
-    def n_free(self) -> int:
-        return self.dof_count - int(self.boundary_dof.sum())
+    def dof_count(self) -> int:
+        return self.boundary_dof.size
 
     @property
     def free_index(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary_dof)
-
-
-def _scalar_boundary_mask(mesh: Mesh, tag: str) -> np.ndarray:
-    if tag == "P1":
-        return mesh.boundary_vertex.copy()
-    if tag == "P2":
-        return np.concatenate([mesh.boundary_vertex, mesh.boundary_edge])
-    if tag == "NedelecEdge0":
-        return mesh.boundary_edge.copy()
-    if tag == "RaviartThomas0":
-        return mesh.boundary_face.copy()
-    # piecewise constants carry no boundary DOFs
-    return np.zeros(mesh.num_tets, dtype=bool)
-
-
-def build_space(mesh: Mesh, kind: SpaceKind, essential_bc: bool) -> FeSpace:
-    """Enumerate DOFs in entity-index order and attach the BC mask.
-
-    Vector (velocity) DOF layout is component-major: with n scalar nodes,
-    coefficient c*n + i is component c at scalar node i.
-    """
-    counts = {
-        "P1": mesh.num_vertices,
-        "P2": mesh.num_vertices + mesh.num_edges,
-        "NedelecEdge0": mesh.num_edges,
-        "RaviartThomas0": mesh.num_faces,
-        "DG0": mesh.num_tets,
-    }
-    n_scalar = counts[kind.tag]
-    if essential_bc:
-        mask = np.tile(_scalar_boundary_mask(mesh, kind.tag), kind.components)
-    else:
-        mask = np.zeros(kind.components * n_scalar, dtype=bool)
-    return FeSpace(kind=kind, mesh=mesh,
-                   dof_count=kind.components * n_scalar, boundary_dof=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +132,7 @@ def interpolate(space: FeSpace, field) -> np.ndarray:
     from .assembly import DOF_EDGE_RULE, DOF_TET_RULE, DOF_TRI_RULE
 
     mesh = space.mesh
-    tag = space.kind.tag
+    tag = space.tag
     if tag == "NedelecEdge0":
         t, w = DOF_EDGE_RULE
         a = mesh.vertices[mesh.edges[:, 0]]
@@ -251,7 +205,7 @@ def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
     if coeffs.shape != (space.dof_count,):
         raise ValueError(f"expected {space.dof_count} coefficients")
     mesh = space.mesh
-    tag = space.kind.tag
+    tag = space.tag
     tet_of, bary = _locate(mesh, points)
     n = tet_of.size
     g = mesh.grad_bary[tet_of]
@@ -302,25 +256,22 @@ def div_incidence(mesh: Mesh) -> sp.csr_matrix:
     return sp.csr_matrix((s, (t, f)), shape=(mesh.num_tets, mesh.num_faces))
 
 
-def check_commuting(mesh: Mesh, value, curl, div) -> dict:
-    """Defect norms of the two commuting squares for an analytic field.
+def check_commuting(ops, value, curl, div) -> dict:
+    """Defect norms of the two commuting squares for an analytic field, on
+    the spaces and incidences of ops, a mesh's operators.DiscreteOps.
 
     value, curl and div are callables of points (n, 3), returning the
     field, its curl and its divergence.  Returns the discrete-L2 norms of
     curl(interp_edge value) - interp_face(curl) and
-    div(interp_face value) - cellavg(div).
+    div(interp_face value) - cellavg(div).  Interpolation reads no
+    boundary mask, so the constrained spaces serve.
     """
-    from .operators import discrete_ops
+    mesh = ops.mesh
+    defect = ops.curl @ interpolate(ops.space_c, value) \
+        - interpolate(ops.space_d, curl)
+    curl_defect = float(np.sqrt(abs(defect @ (ops.M_d @ defect))))
 
-    rt = build_space(mesh, RT, essential_bc=False)
-    ned = build_space(mesh, NEDELEC, essential_bc=False)
-    defect = curl_incidence(mesh) @ interpolate(ned, value) \
-        - interpolate(rt, curl)
-    m_d = discrete_ops(mesh).M_d
-    curl_defect = float(np.sqrt(abs(defect @ (m_d @ defect))))
-
-    dg = build_space(mesh, DG0, essential_bc=False)
-    cell_div = (div_incidence(mesh) @ interpolate(rt, value)) / mesh.volumes
-    defect = cell_div - interpolate(dg, div)
+    cell_div = (ops.div @ interpolate(ops.space_d, value)) / mesh.volumes
+    defect = cell_div - interpolate(ops.mult, div)
     return {"curl_defect": curl_defect,
             "div_defect": float(np.sqrt(np.sum(mesh.volumes * defect ** 2)))}

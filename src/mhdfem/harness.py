@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import RULE_DEG6, QuadratureRule, Tabulation
-from .derham import (NEDELEC, P1, RT, build_space, check_commuting,
-                     curl_incidence, div_incidence, interpolate, point_eval)
+from .assembly import RULE_DEG6, QuadratureRule
+from .derham import check_commuting, interpolate, point_eval
 from .linalg import SingularSystemError
 from .mesh import build_box_mesh, write_vtk
 from .operators import discrete_ops, estimate_poincare_constant
@@ -556,7 +555,7 @@ _CENTROID = QuadratureRule(np.full((1, 3), 0.25), np.array([1.0 / 6.0]))
 
 
 def _cell_fields(mesh, state):
-    tab = Tabulation(mesh, _CENTROID)
+    tab = discrete_ops(mesh).tab(_CENTROID)
     return tab.face_at(state.B)[:, 0], current_at(tab, state)[:, 0]
 
 
@@ -710,11 +709,12 @@ def _relative_worsts(report, mesh, u_floor):
 def run_diagnose(config: RunConfig) -> dict:
     """Structural checks: complex identities, constants, solve invariants."""
     mesh = build_box_mesh(*config.mesh)
-    product = div_incidence(mesh) @ curl_incidence(mesh)
+    ops = discrete_ops(mesh)
+    product = ops.div @ ops.curl
     dims = {
-        "h1": build_space(mesh, P1, essential_bc=True).n_free,
-        "hcurl": build_space(mesh, NEDELEC, essential_bc=True).n_free,
-        "hdiv": build_space(mesh, RT, essential_bc=True).n_free,
+        "h1": int(np.count_nonzero(~mesh.boundary_vertex)),
+        "hcurl": ops.space_c.free_index.size,
+        "hdiv": ops.space_d.free_index.size,
         "l2_mean_free": mesh.num_tets - 1,
     }
     dim_sum = dims["h1"] - dims["hcurl"] + dims["hdiv"] - dims["l2_mean_free"]
@@ -769,7 +769,7 @@ def run_diagnose(config: RunConfig) -> dict:
             "dimensions": dims,
             "dimension_sum": dim_sum,
         },
-        "commuting": check_commuting(mesh, *_poly_probe()),
+        "commuting": check_commuting(ops, *_poly_probe()),
         "constants": {"c1": conditions["c1"], "c2": conditions["c2"],
                       "poincare_div": poincare},
         "structure": structure,

@@ -220,9 +220,9 @@ def _gmres(a, b, precond, tol, x0):
         r = b - a @ x
 
 
-def solve_preconditioned(A, b, factors: BlockFactors, x0=None):
+def solve_preconditioned(A, b, factors: BlockFactors, x0):
     """Solve Ax = b by GMRES with a block lower-triangular preconditioner,
-    started from x0 (zero when None).
+    started from x0.
 
     With A split as [A_11 A_12; A_21 A_22] by factors.first/second, the
     preconditioner is P = [S 0; A_21 K], S and K the blocks that
@@ -252,9 +252,8 @@ def solve_preconditioned(A, b, factors: BlockFactors, x0=None):
         out[two] = factors.lu_second.solve(rho[two] - a21 @ y1)
         return out
 
-    start = (np.zeros(b.size) if x0 is None
-             else np.asarray(x0, dtype=np.float64).ravel())
-    x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm, start)
+    x, its, converged = _gmres(a, b, precond, _KRYLOV_REL * bnorm,
+                               np.asarray(x0, dtype=np.float64).ravel())
     x = x + precond(b - a @ x)
     scale = fro * np.linalg.norm(x) + bnorm
     res = np.linalg.norm(b - a @ x)

@@ -194,9 +194,8 @@ def build_box_mesh(nx: int, ny: int, nz: int) -> Mesh:
     return _derive_topology(vertices, tets.reshape(-1, 4), (nx, ny, nz))
 
 
-def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,
-              title="mhdfem fields") -> None:
-    """Dump the mesh (and optional fields) as a legacy-ASCII VTK file.
+def write_vtk(mesh: Mesh, path, point_data, cell_data) -> None:
+    """Dump the mesh and its fields as a legacy-ASCII VTK file.
 
     point_data / cell_data map names to arrays of shape (N,) for scalars or
     (N, 3) for vectors, N being the vertex / tet count.
@@ -209,7 +208,7 @@ def write_vtk(mesh: Mesh, path, point_data=None, cell_data=None,
 
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "mhdfem fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(v)} double",

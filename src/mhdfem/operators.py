@@ -1,13 +1,14 @@
 """The per-mesh discrete de Rham context, the weak curl, and the
 constant estimators.
 
-DiscreteOps owns what both Picard schemes share on one mesh: the velocity,
-pressure, multiplier, edge and face spaces, every fixed matrix (summed
-from the assembly element kernels on its degree-4 tabulation), the
-factored free-edge mass, the basis tabulations at each quadrature rule,
-and the solvers' step plan and loads.  discrete_ops(mesh) hands every
-caller the one instance of the most recent mesh.  Each cube's main
-diagonal is an interior edge, so no free DOF set of a mesh is empty.
+DiscreteOps owns what both Picard schemes and the diagnostics share on one
+mesh: the velocity, pressure, multiplier, edge and face spaces (no other
+code builds a space), the incidences, every fixed matrix (summed from the
+assembly element kernels on its degree-4 tabulation), the factored
+free-edge mass, the basis tabulations at each quadrature rule, and the
+solvers' step plan and loads.  discrete_ops(mesh) hands every caller the
+one instance of the most recent mesh.  Each cube's main diagonal is an
+interior edge, so no free DOF set of a mesh is empty.
 
 Two spanning trees, built once per mesh, serve the solvers' Maxwell
 solve.  The free edges outside a spanning tree of the interior vertices
@@ -37,8 +38,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .assembly import (RULE_DEG4, RULE_DEG6, QuadratureRule, Tabulation,
                        kernel_matrix)
-from .derham import (DG0, NEDELEC, P1, RT, VELOCITY, build_space,
-                     curl_incidence, div_incidence)
+from .derham import FeSpace, curl_incidence, div_incidence
 from .linalg import factor
 from .mesh import Mesh
 
@@ -87,11 +87,12 @@ class DiscreteOps:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.vel = build_space(mesh, VELOCITY, essential_bc=True)
-        self.pres = build_space(mesh, P1, essential_bc=False)
-        self.mult = build_space(mesh, DG0, essential_bc=False)
-        self.space_c = build_space(mesh, NEDELEC, essential_bc=True)
-        self.space_d = build_space(mesh, RT, essential_bc=True)
+        self.vel = FeSpace("P2", mesh, np.tile(np.concatenate(
+            [mesh.boundary_vertex, mesh.boundary_edge]), 3))
+        self.pres = FeSpace("P1", mesh, np.zeros(mesh.num_vertices, bool))
+        self.mult = FeSpace("DG0", mesh, np.zeros(mesh.num_tets, bool))
+        self.space_c = FeSpace("NedelecEdge0", mesh, mesh.boundary_edge)
+        self.space_d = FeSpace("RaviartThomas0", mesh, mesh.boundary_face)
         self._tabs = {}
         tab = self.tab(RULE_DEG4)
         (self.vel_mass, self.lap, self.bdiv, self.pres_mass, self.M_c,

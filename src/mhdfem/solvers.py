@@ -743,6 +743,14 @@ def diagnostics(state, params: MhdParams, current=None) -> dict:
 # convergence conditions and the outer loop
 
 
+def _or_inf(value_of) -> float:
+    """value_of(), or inf where one of its float powers overflows."""
+    try:
+        return value_of()
+    except OverflowError:
+        return math.inf
+
+
 def check_small_data_conditions(params: MhdParams, mesh: Mesh,
                                 seed: int) -> dict:
     """Evaluate the sufficient conditions for Picard contraction, plus the
@@ -753,17 +761,18 @@ def check_small_data_conditions(params: MhdParams, mesh: Mesh,
     c2 is the cross-product bound sampled by estimate_cross_bound (20
     trials from seed), a lower estimate of the supremum.  |f|_(-1) is
     upper-bounded by C_P |f| with the unit cube's Poincare constant
-    POINCARE_H01.  contraction_satisfied ands the two contraction flags;
-    the small_re entry only concerns the electric-field formulation.
+    POINCARE_H01.  A condition whose lhs overflows reads inf, unsatisfied.
+    contraction_satisfied ands the two contraction flags; the small_re
+    entry only concerns the electric-field formulation.
     """
     f_l2 = _loads(discrete_ops(mesh), params)["f_l2"]
     dual = POINCARE_H01 * f_l2
     c1, c2 = SOBOLEV_L6, estimate_cross_bound(mesh, trials=20, seed=seed)
     re, rm = params.r_e, params.r_m
-    lhs1 = (c1 ** 2 * re ** 2 * dual
-            + 2.0 * c1 ** 4 * re ** 4 * dual ** 2
-            + 8.0 * c2 ** 2 * re ** 2 * rm ** 3 * dual ** 2)
-    lhs2 = 16.0 * rm ** 4 * c2 ** 2 * re ** 2 * dual ** 2
+    lhs1 = _or_inf(lambda: c1 ** 2 * re ** 2 * dual
+                   + 2.0 * c1 ** 4 * re ** 4 * dual ** 2
+                   + 8.0 * c2 ** 2 * re ** 2 * rm ** 3 * dual ** 2)
+    lhs2 = _or_inf(lambda: 16.0 * rm ** 4 * c2 ** 2 * re ** 2 * dual ** 2)
     re_limit = math.inf if dual == 0.0 else 2.0 / (math.sqrt(5.0) * c2 * dual)
     report = {
         "f_l2": f_l2,
@@ -780,9 +789,8 @@ def check_small_data_conditions(params: MhdParams, mesh: Mesh,
     return report
 
 
-def solve_nonlinear(formulation: str, params: MhdParams, initial,
-                    rtol: float = 1e-9, atol: float = 1e-12,
-                    max_iter: int = 100):
+def solve_nonlinear(formulation: str, params: MhdParams, initial, *,
+                    rtol: float, atol: float, max_iter: int):
     """Picard-iterate one formulation to a fixed point.
 
     Stops once |u^n - u^(n-1)|_1 + |B^n - B^(n-1)|_d falls below

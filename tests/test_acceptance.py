@@ -10,11 +10,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from mhdfem.derham import (NEDELEC, P1, RT, build_space, check_commuting,
-                           curl_incidence, div_incidence, interpolate)
+from mhdfem.derham import (check_commuting, curl_incidence, div_incidence,
+                           interpolate)
+from mhdfem.harness import _PICARD_DEFAULTS as PICARD
 from mhdfem.harness import load_config, run_study
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import estimate_poincare_constant
+from mhdfem.operators import discrete_ops, estimate_poincare_constant
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state)
@@ -43,7 +44,7 @@ def seed_flux_field(pts):
 
 
 def seeded_state(mesh, formulation):
-    rt = build_space(mesh, RT, essential_bc=True)
+    rt = discrete_ops(mesh).space_d
     b0 = interpolate(rt, seed_flux_field)
     b0[rt.boundary_dof] = 0.0
     state = zero_state(mesh, formulation)
@@ -60,7 +61,7 @@ def structure_run(n: int, formulation: str):
     params = MhdParams(r_e=1.0, r_m=1.0, s=1.0, f=rotational_force)
     t0 = time.perf_counter()
     state, report = solve_nonlinear(formulation, params,
-                                    seeded_state(mesh, formulation))
+                                    seeded_state(mesh, formulation), **PICARD)
     elapsed = time.perf_counter() - t0
 
     step = be_picard_step if formulation == "BE" else bj_picard_step
@@ -123,7 +124,7 @@ def test_picard_contracts_under_small_data():
     for formulation in FORMULATIONS:
         t0 = time.perf_counter()
         _, report = solve_nonlinear(formulation, params,
-                                    seeded_state(mesh, formulation))
+                                    seeded_state(mesh, formulation), **PICARD)
         assert time.perf_counter() - t0 <= 60.0
         assert report.termination == "converged"
         ratios = [rec["ratio"] for rec in report.iterations[1:]]
@@ -142,12 +143,12 @@ def test_complex_is_exact_and_commutes():
         mesh = build_box_mesh(n, n, n)
         product = div_incidence(mesh) @ curl_incidence(mesh)
         assert product.nnz == 0 or np.abs(product.data).max() == 0.0
-        dims = [build_space(mesh, P1, essential_bc=True).n_free,
-                build_space(mesh, NEDELEC, essential_bc=True).n_free,
-                build_space(mesh, RT, essential_bc=True).n_free,
+        ops = discrete_ops(mesh)
+        dims = [np.count_nonzero(~mesh.boundary_vertex),
+                ops.space_c.free_index.size, ops.space_d.free_index.size,
                 mesh.num_tets - 1]
         assert dims[0] - dims[1] + dims[2] - dims[3] == 0, (n, dims)
-        defects = check_commuting(mesh, *probe)
+        defects = check_commuting(ops, *probe)
         assert defects["curl_defect"] <= 1e-12
         assert defects["div_defect"] <= 1e-12
 
@@ -175,7 +176,8 @@ def test_zero_force_gives_zero_state_in_one_iteration():
     params = MhdParams(r_e=1.0, r_m=1.0, s=1.0)
     for formulation in ("BJ", "BE"):
         state, report = solve_nonlinear(formulation, params,
-                                        zero_state(mesh, formulation))
+                                        zero_state(mesh, formulation),
+                                        **PICARD)
         assert report.termination == "converged"
         assert report.n_iterations == 1
         fields = [state.u, state.B, state.p, state.r]

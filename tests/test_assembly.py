@@ -21,6 +21,7 @@ from mhdfem.assembly import (
 )
 from mhdfem.linalg import AssemblyError
 from mhdfem.mesh import build_box_mesh
+from mhdfem.operators import discrete_ops
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +31,9 @@ def cube2():
 
 @pytest.fixture(scope="module")
 def spaces(cube2):
-    return {
-        "vel": dh.build_space(cube2, dh.VELOCITY, True),
-        "p1": dh.build_space(cube2, dh.P1, False),
-        "ned": dh.build_space(cube2, dh.NEDELEC, True),
-        "rt": dh.build_space(cube2, dh.RT, True),
-    }
+    ops = discrete_ops(cube2)
+    return {"vel": ops.vel, "p1": ops.pres, "ned": ops.space_c,
+            "rt": ops.space_d}
 
 
 def form_matrix(kernel, mesh, *coeff):
@@ -49,7 +47,7 @@ def einsum_reference(kernel, coeff, trial, test):
     with einsum contractions over the quadrature points, rows over test
     DOFs."""
     m = trial.mesh
-    vel = trial if trial.kind.components == 3 else test
+    vel = trial if trial.tag == "P2" else test
     rule = RULE_DEG4 if trial is not test else RULE_DEG6
     lam = _bary(rule.tet_points)
     wq = (6.0 * m.volumes)[:, None] * rule.tet_weights[None, :]
@@ -89,7 +87,7 @@ def einsum_reference(kernel, coeff, trial, test):
 
 def assert_matches_reference(kernel, coeff, trial, test):
     got = form_matrix(kernel, trial.mesh, coeff)
-    if trial.kind.components == 1:
+    if trial.tag != "P2":
         got = got.T
     want = einsum_reference(kernel, coeff, trial, test)
     assert np.abs((got - want).toarray()).max() \
@@ -153,8 +151,7 @@ def test_vector_bases_evaluate_like_einsum_reference(rule):
     assert_close(tab.face_at(b),
                  np.einsum("tqfk,tf->tqk", rt, b[mesh.tet_faces]))
     moments = np.einsum("tq,tqk,tqek->te", wq, field, ned)
-    ned_space = dh.build_space(mesh, dh.NEDELEC, True)
-    assert_close(assemble_load(tab, ned_space, field),
+    assert_close(assemble_load(tab, discrete_ops(mesh).space_c, field),
                  np.bincount(mesh.tet_edges.ravel(), moments.ravel(),
                              minlength=mesh.num_edges))
     # the rows are a view of derham's function-major values, not a copy
@@ -248,7 +245,7 @@ def test_convection_is_skew(spaces):
 def test_convection_against_dense_oracle():
     # independent evaluation of 1/2[(w.grad u, v) - (w.grad v, u)] on one cube
     m = build_box_mesh(1, 1, 1)
-    vel = dh.build_space(m, dh.VELOCITY, False)
+    vel = discrete_ops(m).vel
     rng = np.random.default_rng(9)
     w = rng.standard_normal(vel.dof_count)
     a = form_matrix("convection", m, w).toarray()
@@ -283,8 +280,8 @@ def test_cross_coupling_transpose_pair(spaces):
 def test_cross_coupling_antisymmetry_oracle():
     # (u x G, F) pairing is the negative of the (F x G, u) pairing entrywise
     m = build_box_mesh(1, 1, 1)
-    vel = dh.build_space(m, dh.VELOCITY, False)
-    rt = dh.build_space(m, dh.RT, False)
+    ops = discrete_ops(m)
+    vel, rt = ops.vel, ops.space_d
     rng = np.random.default_rng(8)
     g = rng.standard_normal(rt.dof_count)
     x_ev = form_matrix("cross", m, g).T.toarray()

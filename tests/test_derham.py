@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from mhdfem import derham as dh
 from mhdfem.assembly import QuadratureRule, Tabulation
 from mhdfem.mesh import build_box_mesh
+from mhdfem.operators import discrete_ops
 
 
 @pytest.fixture(scope="module")
@@ -14,32 +15,42 @@ def cube2():
     return build_box_mesh(2, 2, 2)
 
 
+def space_of(mesh, tag):
+    """The space of mesh's context whose element is tag."""
+    ops = discrete_ops(mesh)
+    return next(space for space in (ops.vel, ops.pres, ops.mult,
+                                    ops.space_c, ops.space_d)
+                if space.tag == tag)
+
+
 def test_space_dimensions_match_entities(cube2):
     m = cube2
-    assert dh.build_space(m, dh.P1, False).dof_count == m.num_vertices
-    assert dh.build_space(m, dh.NEDELEC, False).dof_count == m.num_edges
-    assert dh.build_space(m, dh.RT, False).dof_count == m.num_faces
-    assert dh.build_space(m, dh.DG0, False).dof_count == m.num_tets
-    vel = dh.build_space(m, dh.VELOCITY, False)
-    assert vel.dof_count == 3 * (m.num_vertices + m.num_edges)
+    assert space_of(m, "P1").dof_count == m.num_vertices
+    assert space_of(m, "NedelecEdge0").dof_count == m.num_edges
+    assert space_of(m, "RaviartThomas0").dof_count == m.num_faces
+    assert space_of(m, "DG0").dof_count == m.num_tets
+    assert space_of(m, "P2").dof_count == 3 * (m.num_vertices + m.num_edges)
+    # pressure and multiplier carry no essential condition
+    assert not space_of(m, "P1").boundary_dof.any()
+    assert not space_of(m, "DG0").boundary_dof.any()
 
 
 def test_unit_cube_free_dof_counts():
     m = build_box_mesh(1, 1, 1)
-    assert dh.build_space(m, dh.RT, True).n_free == 6
-    assert dh.build_space(m, dh.NEDELEC, True).n_free == 1
+    assert space_of(m, "RaviartThomas0").free_index.size == 6
+    assert space_of(m, "NedelecEdge0").free_index.size == 1
     # one interior P2 node (the diagonal midpoint), three components
-    assert dh.build_space(m, dh.VELOCITY, True).n_free == 3
-    assert dh.build_space(m, dh.P1, True).n_free == 0
+    assert space_of(m, "P2").free_index.size == 3
+    assert m.boundary_vertex.all()
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
 def test_sequence_exactness_dimension_sum(dims):
     m = build_box_mesh(*dims)
-    n_grad = dh.build_space(m, dh.P1, True).n_free
-    n_curl = dh.build_space(m, dh.NEDELEC, True).n_free
-    n_div = dh.build_space(m, dh.RT, True).n_free
-    n_l2 = dh.build_space(m, dh.DG0, False).dof_count - 1  # zero-mean constraint
+    n_grad = int(np.count_nonzero(~m.boundary_vertex))
+    n_curl = space_of(m, "NedelecEdge0").free_index.size
+    n_div = space_of(m, "RaviartThomas0").free_index.size
+    n_l2 = space_of(m, "DG0").dof_count - 1  # zero-mean constraint
     assert n_grad - n_curl + n_div - n_l2 == 0
 
 
@@ -103,8 +114,7 @@ def test_gradient_incidence_matches_edge_interpolation(cube2):
         return np.column_stack(
             [2.0 * p[:, 0] * p[:, 1], p[:, 0] ** 2, 3.0 * p[:, 2] ** 2])
 
-    ned = dh.build_space(cube2, dh.NEDELEC, False)
-    direct = dh.interpolate(ned, grad)
+    direct = dh.interpolate(space_of(cube2, "NedelecEdge0"), grad)
     chained = gradient_incidence(cube2) @ phi(cube2.vertices)
     assert np.abs(direct - chained).max() < 1e-13
 
@@ -112,24 +122,23 @@ def test_gradient_incidence_matches_edge_interpolation(cube2):
 def test_constant_fields_reproduced(cube2):
     c = np.array([0.3, -1.2, 0.7])
     pts = np.random.default_rng(0).random((25, 3))
-    for kind in (dh.RT, dh.NEDELEC):
-        space = dh.build_space(cube2, kind, False)
+    for tag in ("RaviartThomas0", "NedelecEdge0"):
+        space = space_of(cube2, tag)
         coeffs = dh.interpolate(space, lambda x: np.broadcast_to(c, x.shape))
         assert np.abs(dh.point_eval(space, coeffs, pts) - c).max() < 1e-13
 
 
 def test_gradient_of_linear_reproduced(cube2):
     grad = np.array([1.0, -2.0, 0.5])
-    space = dh.build_space(cube2, dh.NEDELEC, False)
+    space = space_of(cube2, "NedelecEdge0")
     coeffs = dh.interpolate(space, lambda x: np.broadcast_to(grad, x.shape))
     pts = np.random.default_rng(1).random((25, 3))
     assert np.abs(dh.point_eval(space, coeffs, pts) - grad).max() < 1e-13
 
 
-@pytest.mark.parametrize("kind", [dh.NEDELEC, dh.RT],
-                         ids=lambda kind: kind.tag)
-def test_interpolation_idempotent(cube2, kind):
-    space = dh.build_space(cube2, kind, False)
+@pytest.mark.parametrize("tag", ["NedelecEdge0", "RaviartThomas0"])
+def test_interpolation_idempotent(cube2, tag):
+    space = space_of(cube2, tag)
     rng = np.random.default_rng(42)
     coeffs = rng.standard_normal(space.dof_count)
     back = dh.interpolate(space, lambda x: dh.point_eval(space, coeffs, x))
@@ -140,8 +149,7 @@ def test_cell_interpolation_of_affine_field_is_centroid_value(cube2):
     # the DG0 DOF is the cell average, which an affine field takes at the
     # centroid
     grad, shift = np.array([0.7, -1.3, 2.1]), 0.4
-    dg = dh.build_space(cube2, dh.DG0, False)
-    got = dh.interpolate(dg, lambda x: x @ grad + shift)
+    got = dh.interpolate(space_of(cube2, "DG0"), lambda x: x @ grad + shift)
     centroids = cube2.vertices[cube2.tets].mean(axis=1)
     assert np.abs(got - (centroids @ grad + shift)).max() < 1e-13
 
@@ -158,7 +166,7 @@ def test_commuting_curl_square(cube2):
     def div(x):
         return 2.0 * x[:, 0] - x[:, 2]
 
-    out = dh.check_commuting(cube2, value, curl, div)
+    out = dh.check_commuting(discrete_ops(cube2), value, curl, div)
     assert out["curl_defect"] < 1e-12
     assert out["div_defect"] < 1e-12
 
@@ -171,7 +179,8 @@ def test_commuting_div_square(cube2):
     def curl(x):
         return -x[:, [1, 2, 0]]
 
-    out = dh.check_commuting(cube2, value, curl, lambda x: x.sum(axis=1))
+    out = dh.check_commuting(discrete_ops(cube2), value, curl,
+                             lambda x: x.sum(axis=1))
     assert out["div_defect"] < 1e-12
     assert out["curl_defect"] < 1e-12
 
@@ -183,12 +192,11 @@ def test_gradient_field_has_zero_discrete_curl(cube2):
                                 x[:, 0] * x[:, 1]])
 
     # div F = 0 as well: x y z is harmonic
-    out = dh.check_commuting(cube2, value, np.zeros_like,
+    out = dh.check_commuting(discrete_ops(cube2), value, np.zeros_like,
                              lambda x: np.zeros(len(x)))
     assert out["curl_defect"] < 1e-12
     assert out["div_defect"] < 1e-12
-    ned = dh.build_space(cube2, dh.NEDELEC, False)
-    coeffs = dh.interpolate(ned, value)
+    coeffs = dh.interpolate(space_of(cube2, "NedelecEdge0"), value)
     assert np.abs(dh.curl_incidence(cube2) @ coeffs).max() < 1e-13
 
 
@@ -197,35 +205,34 @@ def test_divergence_free_field_is_exactly_divergence_free(cube2):
     def value(x):
         return np.column_stack([x[:, 1] ** 2, x[:, 2] ** 2, x[:, 0] ** 2])
 
-    rt = dh.build_space(cube2, dh.RT, False)
-    coeffs = dh.interpolate(rt, value)
+    coeffs = dh.interpolate(space_of(cube2, "RaviartThomas0"), value)
     cell_div = dh.div_incidence(cube2) @ coeffs / cube2.volumes
     assert np.abs(cell_div).max() < 1e-12
 
 
 def test_point_outside_mesh_raises(cube2):
-    space = dh.build_space(cube2, dh.RT, False)
+    space = space_of(cube2, "RaviartThomas0")
     with pytest.raises(ValueError, match="outside"):
         dh.point_eval(space, np.zeros(space.dof_count), np.array([[2.0, 0.5, 0.5]]))
 
 
 def test_point_eval_rejects_nodal_and_cell_spaces(cube2):
-    for kind in (dh.P1, dh.VELOCITY, dh.DG0):
-        space = dh.build_space(cube2, kind, False)
+    for tag in ("P1", "P2", "DG0"):
+        space = space_of(cube2, tag)
         with pytest.raises(ValueError, match="cannot evaluate"):
             dh.point_eval(space, np.zeros(space.dof_count),
                           np.array([[0.5, 0.5, 0.5]]))
 
 
 def test_interpolation_into_nodal_spaces_is_rejected(cube2):
-    for kind in (dh.P1, dh.VELOCITY):
-        space = dh.build_space(cube2, kind, False)
+    for tag in ("P1", "P2"):
+        space = space_of(cube2, tag)
         with pytest.raises(ValueError, match="cannot interpolate"):
             dh.interpolate(space, lambda x: x)
 
 
 def test_velocity_dof_layout_is_component_major(cube2):
-    vel = dh.build_space(cube2, dh.VELOCITY, False)
+    vel = space_of(cube2, "P2")
     ns = vel.dof_count // 3
     # one point, the midpoint of each tet's local edge (0, 1), where the
     # P2 function of that edge is 1 and every other one 0; its scalar DOF

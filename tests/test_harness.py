@@ -10,16 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
+from mhdfem import derham, harness, operators
 from mhdfem.cli import main
-from mhdfem.derham import (NEDELEC, RT, build_space, curl_incidence,
-                           interpolate, point_eval)
+from mhdfem.derham import FeSpace, curl_incidence, interpolate, point_eval
 from mhdfem.harness import (ConfigError, _dump_json, _force_values,
                             _inspace_potential, _study_csv, exact_errors,
                             load_config,
                             manufactured_case, run_diagnose, run_solve,
                             run_study)
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import DiscreteOps, estimate_cross_bound
+from mhdfem.operators import DiscreteOps, discrete_ops, estimate_cross_bound
 from mhdfem.solvers import zero_state
 
 
@@ -366,7 +366,7 @@ def test_inspace_flux_is_representable_on_refinements():
     case = manufactured_case("inspace-1")
     for n in (1, 2, 4):
         mesh = build_box_mesh(n, n, n)
-        rt = build_space(mesh, RT, essential_bc=True)
+        rt = discrete_ops(mesh).space_d
         coeffs = case.initial_flux(mesh)
         rng = np.random.default_rng(n)
         pts = rng.random((300, 3))
@@ -383,8 +383,8 @@ def diagonal_reference():
     the cube's main diagonal, at coefficient 1, and its curl, each
     evaluated by point_eval."""
     mesh = build_box_mesh(1, 1, 1)
-    ned = build_space(mesh, NEDELEC, essential_bc=True)
-    rt = build_space(mesh, RT, essential_bc=False)
+    ops = discrete_ops(mesh)
+    ned, rt = ops.space_c, ops.space_d
     pot = np.zeros(ned.dof_count)
     pot[ned.free_index] = 1.0
     flux = curl_incidence(mesh) @ pot
@@ -417,7 +417,7 @@ def test_inspace_closed_form_matches_discrete_field():
 def test_inspace_initial_flux_matches_discrete_field(n):
     potential, _ = diagonal_reference()
     mesh = build_box_mesh(n, n, n)
-    ned = build_space(mesh, NEDELEC, essential_bc=True)
+    ned = discrete_ops(mesh).space_c
     coeffs = interpolate(ned, potential)
     coeffs[ned.boundary_dof] = 0.0
     want = curl_incidence(mesh) @ coeffs
@@ -577,6 +577,32 @@ def test_run_diagnose_builds_discrete_ops_once(monkeypatch):
     monkeypatch.setattr(DiscreteOps, "__init__", counted)
     run_diagnose(load_config({"mesh": [2, 2, 2], "case": "inspace-1"}))
     assert len(builds) == 1
+
+
+def test_run_diagnose_builds_each_space_and_incidence_once(monkeypatch):
+    # the complex and commuting checks read the context's spaces and
+    # incidences instead of building their own
+    spaces, incidences = [], []
+    orig = FeSpace.__post_init__
+
+    def counted_space(self):
+        spaces.append(self.tag)
+        orig(self)
+
+    monkeypatch.setattr(FeSpace, "__post_init__", counted_space)
+    for name in ("curl_incidence", "div_incidence"):
+        def counted(mesh, name=name, build=getattr(derham, name)):
+            incidences.append(name)
+            return build(mesh)
+
+        for module in (derham, operators, harness):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    run_diagnose(load_config({"mesh": [4, 4, 4], "formulation": "BJ",
+                              "case": "inspace-1"}))
+    assert sorted(spaces) == ["DG0", "NedelecEdge0", "P1", "P2",
+                              "RaviartThomas0"]
+    assert sorted(incidences) == ["curl_incidence", "div_incidence"]
 
 
 def test_run_study_aborts_on_nonconvergence():
@@ -780,6 +806,24 @@ def test_cli_solver_failure_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, {"mesh": [1, 1, 1]})
     assert main(["solve", path]) == 1
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formulation", ["BE", "BJ"])
+@pytest.mark.parametrize("params", [{"r_e": 1e78}, {"r_m": 1e78},
+                                    {"r_e": 1e300}],
+                         ids=["r_e=1e78", "r_m=1e78", "r_e=1e300"])
+def test_cli_huge_parameters_end_as_solver_errors(formulation, params,
+                                                  tmp_path, capsys):
+    # a float power in the small-data conditions overflows; the condition
+    # reads inf, and the run ends in the step's named failure
+    path = write_config(tmp_path, {"mesh": [2, 2, 2], "case": "trig-1",
+                                   "formulation": formulation,
+                                   "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("solver error: ") == 1 and "Traceback" not in err
 
 
 def test_cli_solve_linear_stall_exits_1_with_pure_json(tmp_path, capsys):

@@ -136,7 +136,8 @@ def test_preconditioned_solve_matches_direct():
     rng = np.random.default_rng(3)
     a, lin, first = perturbed_block_system(rng)
     b = rng.standard_normal(a.shape[0])
-    x, record = solve_preconditioned(a, b, block_factors(lin, first))
+    x, record = solve_preconditioned(a, b, block_factors(lin, first),
+                                     np.zeros(b.size))
     ref = solve_direct(a, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert record["unknowns"] == a.shape[0]
@@ -153,8 +154,9 @@ def test_preconditioned_solve_matches_direct():
 def test_preconditioned_solve_zero_rhs_is_exact_zero():
     rng = np.random.default_rng(4)
     a, lin, first = perturbed_block_system(rng)
-    x, record = solve_preconditioned(a, np.zeros(a.shape[0]),
-                                     block_factors(lin, first))
+    zero = np.zeros(a.shape[0])
+    x, record = solve_preconditioned(a, zero, block_factors(lin, first),
+                                     zero)
     assert not x.any()
     assert record["relative_residual"] == 0.0
 
@@ -165,7 +167,8 @@ def test_stalled_preconditioned_solve_raises_with_its_record(monkeypatch):
     b = rng.standard_normal(a.shape[0])
     monkeypatch.setattr(linalg, "_KRYLOV_CAP", 0)
     with pytest.raises(LinearStallError, match="stalled") as info:
-        solve_preconditioned(a, b, block_factors(lin, first))
+        solve_preconditioned(a, b, block_factors(lin, first),
+                             np.zeros(b.size))
     record = info.value.record
     assert set(record) == {"unknowns", "krylov_iterations",
                            "relative_residual"}
@@ -205,7 +208,8 @@ def test_nan_right_hand_side_stalls_instead_of_raising():
     b = rng.standard_normal(a.shape[0])
     b[3] = np.nan
     with pytest.raises(LinearStallError) as info:
-        solve_preconditioned(a, b, block_factors(lin, first))
+        solve_preconditioned(a, b, block_factors(lin, first),
+                             np.zeros(b.size))
     assert info.value.record["krylov_iterations"] == 0
     assert np.isnan(info.value.record["relative_residual"])
 

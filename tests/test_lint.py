@@ -263,3 +263,24 @@ def test_only_the_mesh_context_is_cached():
     assert [f"{p.stem}.{name}" for p in SOURCES
             for name in cache_decorators(p.read_text())] \
         == ["operators.discrete_ops"]
+
+
+def stray_space_builds(texts):
+    """`module:line` of every FeSpace construction outside operators, as
+    texts maps module name to source: the per-mesh context,
+    operators.DiscreteOps, builds every space a run uses."""
+    return [f"{module}:{line}" for module, text in texts.items()
+            if module != "operators" for line in calls_of(text, "FeSpace")]
+
+
+def test_stray_space_build_is_caught():
+    texts = {"operators": "self.vel = FeSpace('P2', mesh, mask)\n",
+             "derham": "def build(mesh, tag):\n"
+                       "    return FeSpace(tag, mesh, mask)\n",
+             "harness": "rt = derham.FeSpace('RaviartThomas0', m, mask)\n"}
+    assert stray_space_builds(texts) == ["derham:2", "harness:1"]
+
+
+def test_only_the_mesh_context_builds_spaces():
+    assert stray_space_builds({p.stem: p.read_text()
+                               for p in SOURCES}) == []

@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 from mhdfem.assembly import RULE_DEG4, RULE_DEG6, Tabulation, kernel_matrix
-from mhdfem.derham import (NEDELEC, RT, VELOCITY, build_space, curl_incidence,
-                           div_incidence, tabulate_nedelec, tabulate_rt)
+from mhdfem.derham import (curl_incidence, div_incidence, tabulate_nedelec,
+                           tabulate_rt)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (POINCARE_DOF_LIMIT, POINCARE_H01, SOBOLEV_L6,
                               DiscreteOps, estimate_cross_bound, discrete_ops,
@@ -96,8 +96,7 @@ def test_weak_curl_adjointness(ops2):
 
 def test_cross_coupling_load_matches_quadrature(mesh2, ops2):
     rng = np.random.default_rng(13)
-    vel = build_space(mesh2, VELOCITY, essential_bc=True)
-    u = random_free(vel, rng)
+    u = random_free(ops2.vel, rng)
     B = random_free(ops2.space_d, rng)
 
     # independent quadrature of (u x B, w_e) from the tabulated bases
@@ -255,10 +254,9 @@ def test_cross_bound_matches_assembled_gram(n, seed):
     assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-def test_cross_gram_form_equals_quadrature_of_cross(mesh2):
+def test_cross_gram_form_equals_quadrature_of_cross(mesh2, ops2):
     rng = np.random.default_rng(11)
-    vel = build_space(mesh2, VELOCITY, essential_bc=True)
-    rt = build_space(mesh2, RT, essential_bc=True)
+    vel, rt = ops2.vel, ops2.space_d
     lam = np.column_stack([1.0 - RULE_DEG6.tet_points.sum(axis=1),
                            RULE_DEG6.tet_points])
     wq = (6.0 * mesh2.volumes)[:, None] * RULE_DEG6.tet_weights[None, :]

@@ -14,10 +14,10 @@ import mhdfem
 from mhdfem import linalg
 from mhdfem.assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
                              assemble_load, element_dofs, kernel_matrix)
-from mhdfem.derham import (RT, VELOCITY, build_space,
-                           curl_incidence, div_incidence, interpolate,
+from mhdfem.derham import (curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
+from mhdfem.harness import _PICARD_DEFAULTS as PICARD
 from mhdfem.linalg import (LinearStallError, SingularSystemError,
                            solve_direct, solve_preconditioned)
 from mhdfem.mesh import build_box_mesh
@@ -64,7 +64,7 @@ def params():
 
 
 def seed_flux(mesh):
-    rt = build_space(mesh, RT, essential_bc=True)
+    rt = discrete_ops(mesh).space_d
     b0 = interpolate(rt, seed_field)
     b0[rt.boundary_dof] = 0.0
     return b0
@@ -96,7 +96,7 @@ def solved_bj(mesh2, params):
     init = zero_state(mesh2, "BJ")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
-    return solve_nonlinear("BJ", params, init)
+    return solve_nonlinear("BJ", params, init, **PICARD)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ def solved_be(mesh2, params):
     init = zero_state(mesh2, "BE")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
-    return solve_nonlinear("BE", params, init)
+    return solve_nonlinear("BE", params, init, **PICARD)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_non_finite_initial_state_names_its_field(formulation, name, value):
     getattr(state, name)[1] = value
     with pytest.raises(ValueError,
                        match=f"initial state field {name} is not finite"):
-        solve_nonlinear(formulation, params, state)
+        solve_nonlinear(formulation, params, state, **PICARD)
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -283,7 +283,7 @@ def test_nan_right_hand_side_stalls_the_step_solve(params, formulation):
                               seeded_start(mesh, formulation), params)
     b[0] = np.nan
     with pytest.raises(LinearStallError) as info:
-        solve_preconditioned(a, b, plan.factors)
+        solve_preconditioned(a, b, plan.factors, np.zeros(b.size))
     assert info.value.record["krylov_iterations"] == 0
     assert np.isnan(info.value.record["relative_residual"])
 
@@ -302,7 +302,8 @@ def test_callable_data_evaluated_once_per_params(mesh2, params):
                          h=counted("h", seed_field))
     for formulation in ("BE", "BJ"):
         solve_nonlinear(formulation, counting,
-                        seeded_start(mesh2, formulation), max_iter=2)
+                        seeded_start(mesh2, formulation),
+                        **dict(PICARD, max_iter=2))
     # the load vector, f_l2 and every step and diagnostic share one call
     assert calls == {"f": 1, "h": 1}
     assert _loads(discrete_ops(mesh2), counting)["f_l2"] > 0.0
@@ -314,7 +315,7 @@ def test_callable_data_evaluated_once_per_params(mesh2, params):
 
 def test_bj_step_solves_every_equation(mesh2, ops2, params, seeded_bj):
     _, s1, s2 = seeded_bj
-    vel = build_space(mesh2, VELOCITY, essential_bc=True)
+    vel = ops2.vel
     lap, bdiv = ops2.lap, ops2.bdiv
     conv = iterate_matrix("convection", s1.u, mesh2)
     cross = iterate_matrix("cross", s1.B, mesh2)
@@ -353,7 +354,7 @@ def test_bj_step_solves_every_equation(mesh2, ops2, params, seeded_bj):
 
 def test_be_step_solves_every_equation(mesh2, ops2, params, seeded_be):
     _, s1, s2 = seeded_be
-    vel = build_space(mesh2, VELOCITY, essential_bc=True)
+    vel = ops2.vel
     lap, bdiv = ops2.lap, ops2.bdiv
     conv = iterate_matrix("convection", s1.u, mesh2)
     cross = iterate_matrix("cross", s1.B, mesh2)
@@ -591,7 +592,8 @@ def test_be_current_evaluated_once_per_iterate(mesh2, params, monkeypatch):
         return orig(tab, state)
 
     monkeypatch.setattr(mhdfem.solvers, "current_at", counted)
-    _, report = solve_nonlinear("BE", params, seeded_start(mesh2, "BE"))
+    _, report = solve_nonlinear("BE", params, seeded_start(mesh2, "BE"),
+                                **PICARD)
     # the start once, then every iterate once: diagnostics is passed the
     # loop's current
     assert len(calls) == 1 + report.n_iterations
@@ -625,7 +627,7 @@ def test_step_starts_krylov_from_previous_iterate(params, formulation,
     prev = STEPS[formulation](seeded_start(mesh, formulation), params)
     starts = []
 
-    def spy(a, b, factors, x0=None):
+    def spy(a, b, factors, x0):
         starts.append(x0)
         return solve_preconditioned(a, b, factors, x0)
 
@@ -649,7 +651,7 @@ def test_stalled_krylov_ends_the_run_as_linear_stall(params, formulation,
     init = seeded_start(mesh, formulation)
     monkeypatch.setattr(linalg, "_KRYLOV_CAP", 0)
     calls = count_calls(monkeypatch, "splu")
-    state, report = solve_nonlinear(formulation, params, init)
+    state, report = solve_nonlinear(formulation, params, init, **PICARD)
     # the plan's A_0 and (E, A) factors; nothing factors the whole step
     assert len(calls) == 2
     assert state is init
@@ -687,11 +689,12 @@ def test_block_factors_cached_per_mesh_and_params(mesh2, params):
 
 def test_block_factors_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
-    solve_nonlinear("BJ", params, zero_state(mesh_a, "BJ"), max_iter=1)
+    solve_nonlinear("BJ", params, zero_state(mesh_a, "BJ"),
+                    **dict(PICARD, max_iter=1))
     ref = weakref.ref(_step_plan(discrete_ops(mesh_a), "BJ", params).factors)
     assert ref() is not None
     solve_nonlinear("BJ", params, zero_state(build_box_mesh(2, 2, 2), "BJ"),
-                    max_iter=1)
+                    **dict(PICARD, max_iter=1))
     del mesh_a
     gc.collect()
     assert ref() is None
@@ -825,12 +828,13 @@ def test_bj_plan_factors_two_blocks(params, monkeypatch):
 
 def test_step_plan_releases_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
-    solve_nonlinear("BE", params, zero_state(mesh_a, "BE"), max_iter=2)
+    solve_nonlinear("BE", params, zero_state(mesh_a, "BE"),
+                    **dict(PICARD, max_iter=2))
     ops = discrete_ops(mesh_a)
     refs = [weakref.ref(ops.plan), weakref.ref(ops.tab(RULE_DEG6))]
     del ops
     solve_nonlinear("BE", params, zero_state(build_box_mesh(2, 2, 2), "BE"),
-                    max_iter=1)
+                    **dict(PICARD, max_iter=1))
     del mesh_a
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
@@ -935,7 +939,7 @@ def in_space_case(mesh2, ops2):
     G = curl_incidence(mesh2)
     rng = np.random.default_rng(42)
     e = np.zeros(ned.dof_count)
-    e[ned.free_index] = rng.standard_normal(ned.n_free)
+    e[ned.free_index] = rng.standard_normal(ned.free_index.size)
     b_star = G @ e
     re, rm, s = 1.0, 1.25, 2.0
     j0 = ops2.weak_curl(b_star) / rm
@@ -962,7 +966,7 @@ def test_discrete_curl_start_is_bj_fixed_point(mesh2, in_space_case):
     assert np.abs(state.p).max() <= 1e-8
     assert np.abs(state.r).max() <= 1e-10
 
-    final, report = solve_nonlinear("BJ", params, init)
+    final, report = solve_nonlinear("BJ", params, init, **PICARD)
     assert report.termination == "converged"
     assert report.n_iterations == 1
     assert np.abs(final.B - b_star).max() <= 1e-12 * scale
@@ -1023,7 +1027,8 @@ def test_zero_data_converges_immediately(mesh2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state, report = solve_nonlinear(formulation, params0,
-                                            zero_state(mesh2, formulation))
+                                            zero_state(mesh2, formulation),
+                                            **PICARD)
         assert report.termination == "converged"
         assert report.n_iterations == 1
         for name in ("u", "B", "p", "r"):
@@ -1035,10 +1040,11 @@ def test_zero_data_converges_immediately(mesh2):
 
 def test_fixed_forms_release_dropped_meshes(params):
     mesh_a = build_box_mesh(2, 2, 2)
-    solve_nonlinear("BJ", params, zero_state(mesh_a, "BJ"), max_iter=1)
+    solve_nonlinear("BJ", params, zero_state(mesh_a, "BJ"),
+                    **dict(PICARD, max_iter=1))
     ops_ref = weakref.ref(discrete_ops(mesh_a))
     solve_nonlinear("BJ", params, zero_state(build_box_mesh(2, 2, 2), "BJ"),
-                    max_iter=1)
+                    **dict(PICARD, max_iter=1))
     ref = weakref.ref(mesh_a)
     del mesh_a
     gc.collect()
@@ -1072,7 +1078,8 @@ def test_max_iterations_is_reported_not_raised(mesh2, params):
     init = zero_state(mesh2, "BJ")
     init.B = seed_flux(mesh2)
     init.B_prev = init.B.copy()
-    state, report = solve_nonlinear("BJ", params, init, max_iter=1)
+    state, report = solve_nonlinear("BJ", params, init,
+                                    **dict(PICARD, max_iter=1))
     assert report.termination == "max-iterations"
     assert report.n_iterations == 1
     assert state.formulation == "BJ"
@@ -1080,11 +1087,15 @@ def test_max_iterations_is_reported_not_raised(mesh2, params):
 
 def test_solver_input_validation(mesh2, params):
     with pytest.raises(ValueError):
-        solve_nonlinear("XX", params, zero_state(mesh2, "BJ"))
+        solve_nonlinear("XX", params, zero_state(mesh2, "BJ"), **PICARD)
     with pytest.raises(TypeError):
-        solve_nonlinear("BE", params, zero_state(mesh2, "BJ"))
+        solve_nonlinear("BE", params, zero_state(mesh2, "BJ"), **PICARD)
     with pytest.raises(ValueError):
-        solve_nonlinear("BJ", params, zero_state(mesh2, "BJ"), max_iter=0)
+        solve_nonlinear("BJ", params, zero_state(mesh2, "BJ"),
+                        **dict(PICARD, max_iter=0))
+    # the Picard settings have one owner, the harness; none is defaulted
+    with pytest.raises(TypeError, match="rtol"):
+        solve_nonlinear("BJ", params, zero_state(mesh2, "BJ"))
 
 
 # ---------------------------------------------------------------------------
@@ -1155,4 +1166,19 @@ def test_conditions_flag_violation(mesh2, round_constants):
     rep = check_small_data_conditions(params, mesh2, seed=0)
     assert not rep["condition1"]["satisfied"]
     assert not rep["small_re"]["satisfied"]
+    assert not rep["contraction_satisfied"]
+
+
+@pytest.mark.parametrize("r_e, r_m, infinite", [
+    (1e78, 1.0, {"condition1"}), (1.0, 1e78, {"condition2"}),
+    (1e300, 1.0, {"condition1", "condition2"})])
+def test_overflowing_condition_reads_inf_and_unsatisfied(
+        mesh2, round_constants, r_e, r_m, infinite):
+    # a float power that overflows raises in Python; the lhs reads inf
+    params = MhdParams(r_e=r_e, r_m=r_m, s=1.0,
+                       f=lambda p: np.ones((len(p), 3)))
+    rep = check_small_data_conditions(params, mesh2, seed=0)
+    for key in ("condition1", "condition2"):
+        assert (rep[key]["lhs"] == math.inf) == (key in infinite)
+        assert not rep[key]["satisfied"]
     assert not rep["contraction_satisfied"]
