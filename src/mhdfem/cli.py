@@ -1,11 +1,13 @@
 """Command-line front end over the run harness.
 
 Exit codes: 0 success, 1 solver failure (singular system, stalled linear
-solve, aborted study), 2 configuration error.
+solve, aborted study), 2 configuration error, an output path that cannot
+be written included.  Each warning goes to stderr as one line.
 """
 
 import argparse
 import sys
+import warnings
 
 from .harness import (ConfigError, _dump_json, load_config, run_diagnose,
                       run_solve, run_study)
@@ -31,6 +33,13 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed)
         if args.command == "solve":

@@ -11,8 +11,10 @@ per-mesh context, builds a mesh's spaces.
 Orientation is fixed once and globally: edge tangents run from lower to
 higher vertex index, face normals follow the right-hand rule on the
 ascending-sorted vertex triple.  Element tabulation applies the matching
-sign per tet, so coefficients are single-valued global DOFs.  Point
-evaluation finds each point's tet through the unit cube's grid of cubes.
+sign per tet, so coefficients are single-valued global DOFs.  Each edge
+and face basis is written once, as a function of per-tet barycentric
+gradients and barycentric points; tabulation and point evaluation (at
+the tets mesh.locate finds) both call it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import _LOCAL_EDGES, _LOCAL_FACES, Mesh
+from .mesh import _LOCAL_EDGES, _LOCAL_FACES, Mesh, locate
 
 @dataclass(frozen=True, eq=False)
 class FeSpace:
@@ -67,10 +69,8 @@ def _edge_signs(mesh: Mesh) -> np.ndarray:
 
 def _sorted_face_locals(mesh: Mesh) -> np.ndarray:
     # local vertex positions of each tet face, ordered by global vertex id
-    tf = mesh.tets[:, _LOCAL_FACES]
-    order = np.argsort(tf, axis=2)
-    return np.take_along_axis(
-        np.broadcast_to(_LOCAL_FACES, tf.shape), order, axis=2)
+    order = np.argsort(mesh.tets[:, _LOCAL_FACES], axis=2)
+    return _LOCAL_FACES[np.arange(4)[:, None], order]
 
 
 def tabulate_p2_gradients(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
@@ -85,39 +85,49 @@ def tabulate_p2_gradients(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nedelec_values(g, s, lam):
+    """Signed Whitney edge functions s_k (lam_i grad lam_j - lam_j grad
+    lam_i), (T, 6, nq, 3) function-major, from the barycentric gradients g
+    (T, 4, 3), edge signs s (T, 6) and barycentric points (1 or T, nq, 4)."""
+    vals = np.empty((g.shape[0], 6, lam.shape[1], 3))
+    for k, (i, j) in enumerate(_LOCAL_EDGES):
+        w = lam[:, :, i, None] * g[:, None, j] - lam[:, :, j, None] * g[:, None, i]
+        vals[:, k] = s[:, k, None, None] * w
+    return vals
+
+
+def _rt_values(g, loc, lam):
+    """Face functions 2 (la gb x gc + lb gc x ga + lc ga x gb) of each
+    face's sorted local vertices a, b, c (loc, (T, 4, 3)), (T, 4, nq, 3)
+    function-major; g and lam as in _nedelec_values."""
+    t_idx = np.arange(g.shape[0])[:, None]
+    ga, gb, gc = (g[t_idx, loc[:, :, m]] for m in range(3))    # (T, 4, 3)
+    lam = np.broadcast_to(lam, (g.shape[0],) + lam.shape[1:])
+    la, lb, lc = (lam[t_idx, :, loc[:, :, m]][..., None]
+                  for m in range(3))                            # (T, 4, nq, 1)
+    return np.ascontiguousarray(2.0 * (la * np.cross(gb, gc)[:, :, None]
+                                       + lb * np.cross(gc, ga)[:, :, None]
+                                       + lc * np.cross(ga, gb)[:, :, None]))
+
+
 def tabulate_nedelec(mesh: Mesh, bary: np.ndarray):
     """Edge values (T, nq, 6, 3), stored function-major, curls (T, 6, 3)."""
-    lam = np.asarray(bary, dtype=float)
     g = mesh.grad_bary
     s = _edge_signs(mesh)
-    vals = np.empty((mesh.num_tets, 6, lam.shape[0], 3))
-    curls = np.empty((mesh.num_tets, 6, 3))
-    for k, (i, j) in enumerate(_LOCAL_EDGES):
-        w = (lam[None, :, i, None] * g[:, None, j]
-             - lam[None, :, j, None] * g[:, None, i])
-        vals[:, k] = s[:, k, None, None] * w
-        curls[:, k] = s[:, k, None] * 2.0 * np.cross(g[:, i], g[:, j])
+    vals = _nedelec_values(g, s, np.asarray(bary, dtype=float)[None])
+    curls = s[:, :, None] * 2.0 * np.cross(g[:, _LOCAL_EDGES[:, 0]],
+                                           g[:, _LOCAL_EDGES[:, 1]])
     return vals.transpose(0, 2, 1, 3), curls
 
 
 def tabulate_rt(mesh: Mesh, bary: np.ndarray):
     """Face values (T, nq, 4, 3), stored function-major, and div (T, 4)."""
-    lam = np.asarray(bary, dtype=float)
     g = mesh.grad_bary
     loc = _sorted_face_locals(mesh)                       # (T, 4, 3)
+    vals = _rt_values(g, loc, np.asarray(bary, dtype=float)[None])
     t_idx = np.arange(mesh.num_tets)[:, None]
-    ga = g[t_idx, loc[:, :, 0]]                           # (T, 4, 3)
-    gb = g[t_idx, loc[:, :, 1]]
-    gc = g[t_idx, loc[:, :, 2]]
-    la, lb, lc = (lam[:, loc[:, :, m]].transpose(1, 2, 0)[..., None]
-                  for m in range(3))                      # (T, 4, nq, 1)
-    cross_bc = np.cross(gb, gc)
-    cross_ca = np.cross(gc, ga)
-    cross_ab = np.cross(ga, gb)
-    vals = np.ascontiguousarray(2.0 * (la * cross_bc[:, :, None]
-                                       + lb * cross_ca[:, :, None]
-                                       + lc * cross_ab[:, :, None]))
-    divs = 6.0 * np.einsum("tfk,tfk->tf", ga, cross_bc)
+    ga, gb, gc = (g[t_idx, loc[:, :, m]] for m in range(3))
+    divs = 6.0 * np.einsum("tfk,tfk->tf", ga, np.cross(gb, gc))
     return vals.transpose(0, 2, 1, 3), divs
 
 
@@ -160,79 +170,26 @@ def interpolate(space: FeSpace, field) -> np.ndarray:
     raise ValueError(f"cannot interpolate into {tag!r}")
 
 
-# ---------------------------------------------------------------------------
-# point evaluation
-
-def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
-    """Containing tet and barycentric coordinates for each point; only the
-    six tets of the point's cube in the unit cube's grid are tried, in
-    Kuhn permutation order, and the first that holds the point wins."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    nx, ny, nz = dims = np.array(mesh.grid_shape)
-    idx = np.clip(np.floor(points * dims).astype(np.int64), 0, dims - 1)
-    cube = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
-    candidates = 6 * cube[:, None] + np.arange(6)[None, :]
-
-    tet_of = np.full(n, -1, dtype=np.int64)
-    bary = np.zeros((n, 4))
-    remaining = np.arange(n)
-    for k in range(candidates.shape[1]):
-        if remaining.size == 0:
-            break
-        t = candidates[remaining, k]
-        x0 = mesh.vertices[mesh.tets[t, 0]]
-        lam = np.empty((remaining.size, 4))
-        lam[:, 1:] = np.einsum("tik,tk->ti", mesh.grad_bary[t, 1:],
-                               points[remaining] - x0)
-        lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
-        inside = lam.min(axis=1) >= -tol
-        hit = remaining[inside]
-        tet_of[hit] = t[inside]
-        bary[hit] = lam[inside]
-        remaining = remaining[~inside]
-    if remaining.size:
-        raise ValueError(f"point {points[remaining[0]]} is outside the mesh")
-    return tet_of, bary
-
-
 def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
     """Evaluate the edge- or face-element function with the given
-    coefficients at points, (n, 3); other spaces are evaluated at
-    quadrature points (assembly.Tabulation).  Location is O(1) per point
-    through the unit cube's grid (see _locate)."""
+    coefficients at points, (n, 3), in the tets mesh.locate finds, as the
+    sum of c_k w_k in local order; other spaces are evaluated at
+    quadrature points (assembly.Tabulation)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dof_count,):
         raise ValueError(f"expected {space.dof_count} coefficients")
     mesh = space.mesh
-    tag = space.tag
-    tet_of, bary = _locate(mesh, points)
-    n = tet_of.size
+    if space.tag not in ("NedelecEdge0", "RaviartThomas0"):
+        raise ValueError(f"cannot evaluate {space.tag!r}")
+    tet_of, bary = locate(mesh, points)
     g = mesh.grad_bary[tet_of]
-    if tag == "NedelecEdge0":
-        s = _edge_signs(mesh)[tet_of]
-        out = np.zeros((n, 3))
+    if space.tag == "NedelecEdge0":
+        w = _nedelec_values(g, _edge_signs(mesh)[tet_of], bary[:, None])
         c = coeffs[mesh.tet_edges[tet_of]]
-        for k, (i, j) in enumerate(_LOCAL_EDGES):
-            w = bary[:, i, None] * g[:, j] - bary[:, j, None] * g[:, i]
-            out += (s[:, k] * c[:, k])[:, None] * w
-        return out
-    if tag == "RaviartThomas0":
-        loc = _sorted_face_locals(mesh)[tet_of]
-        out = np.zeros((n, 3))
+    else:
+        w = _rt_values(g, _sorted_face_locals(mesh)[tet_of], bary[:, None])
         c = coeffs[mesh.tet_faces[tet_of]]
-        r = np.arange(n)
-        for k in range(4):
-            la, lb, lc = (bary[r, loc[:, k, 0]], bary[r, loc[:, k, 1]],
-                          bary[r, loc[:, k, 2]])
-            ga, gb, gc = (g[r, loc[:, k, 0]], g[r, loc[:, k, 1]],
-                          g[r, loc[:, k, 2]])
-            w = 2.0 * (la[:, None] * np.cross(gb, gc)
-                       + lb[:, None] * np.cross(gc, ga)
-                       + lc[:, None] * np.cross(ga, gb))
-            out += c[:, k, None] * w
-        return out
-    raise ValueError(f"cannot evaluate {tag!r}")
+    return sum(c[:, k, None] * w[:, k, 0] for k in range(c.shape[1]))
 
 
 # ---------------------------------------------------------------------------

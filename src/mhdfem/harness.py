@@ -28,7 +28,7 @@ import numpy as np
 from .assembly import RULE_DEG6, QuadratureRule
 from .derham import check_commuting, interpolate, point_eval
 from .linalg import SingularSystemError
-from .mesh import build_box_mesh, write_vtk
+from .mesh import build_box_mesh, kuhn_order, write_vtk
 from .operators import discrete_ops, estimate_poincare_constant
 from .solvers import (MhdParams, check_small_data_conditions, current_at,
                       diagnostics, solve_nonlinear, zero_state)
@@ -389,10 +389,10 @@ def _trig_initial_flux(mesh):
 
 def _kuhn_axes(pts):
     """Unit vectors e_a, e_b of each point's largest and smallest
-    coordinate.  Ties go to the Kuhn tet derham._locate picks, the first
-    permutation: a is the first largest axis, b the last smallest."""
-    a, b = np.argmax(pts, axis=1), 2 - np.argmin(pts[:, ::-1], axis=1)
-    return np.eye(3)[a], np.eye(3)[b]
+    coordinate: the first and last axis of mesh.kuhn_order, so ties go to
+    the Kuhn tet that mesh.locate picks."""
+    order = kuhn_order(pts)
+    return np.eye(3)[order[:, 0]], np.eye(3)[order[:, 2]]
 
 
 def _inspace_potential(pts):
@@ -492,10 +492,14 @@ def _dump_json(doc) -> str:
     return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path, text):
+def _write_output(path, write):
+    """write(path) after making its parents; failure is a ConfigError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from None
 
 
 def _mesh_info(mesh, subdivisions):
@@ -564,8 +568,6 @@ def _write_fields(mesh, state, path):
     n = nv + mesh.num_edges
     vel = np.stack([state.u[c * n:c * n + nv] for c in range(3)], axis=-1)
     b_cell, cur = _cell_fields(mesh, state)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_vtk(mesh, path,
               point_data={"velocity": vel, "pressure": state.p},
               cell_data={"flux": b_cell, "current": cur,
@@ -589,9 +591,11 @@ def run_solve(config: RunConfig) -> dict:
     if case is not None:
         doc["errors"] = exact_errors(mesh, case, state)
     if config.report_path is not None:
-        _write_text(config.report_path, _dump_json(doc))
+        _write_output(config.report_path,
+                      lambda path: path.write_text(_dump_json(doc)))
     if config.fields_path is not None:
-        _write_fields(mesh, state, config.fields_path)
+        _write_output(config.fields_path,
+                      lambda path: _write_fields(mesh, state, path))
     return doc
 
 
@@ -662,7 +666,7 @@ def run_study(config: RunConfig) -> dict:
                                       / math.log2(prev["h"] / row["h"]))
     text = _study_csv(rows, aborted, termination)
     if config.csv_path is not None:
-        _write_text(config.csv_path, text)
+        _write_output(config.csv_path, lambda path: path.write_text(text))
     return {"rows": rows, "aborted": aborted, "termination": termination,
             "csv": text}
 
@@ -775,5 +779,6 @@ def run_diagnose(config: RunConfig) -> dict:
         "structure": structure,
     }
     if config.report_path is not None:
-        _write_text(config.report_path, _dump_json(doc))
+        _write_output(config.report_path,
+                      lambda path: path.write_text(_dump_json(doc)))
     return doc

@@ -7,6 +7,10 @@ Edges and faces are stored with ascending vertex indices; orientation signs
 relative to each tet are derived from that single global convention.
 build_box_mesh is the only source of meshes: there is no general tet-mesh
 input and no other domain.
+
+Only this module states the Kuhn grid: the order of a cube's six tets,
+the cube numbering and kuhn_order's tie rule, from which locate finds each
+point's tet in closed form.
 """
 from __future__ import annotations
 
@@ -146,13 +150,11 @@ def _derive_topology(vertices: np.ndarray, tets: np.ndarray,
     )
 
 
-# vertex chains of the six Kuhn tets: corner -> +e_p0 -> +e_p1 -> +e_p2
+# vertex chains of the six Kuhn tets: corner -> +e_p0 -> +e_p1 -> +e_p2,
+# in lexicographic order; a chain's first two axes give its rank
 _KUHN_PERMS = list(itertools.permutations((0, 1, 2)))
-
-
-def _perm_parity(perm) -> int:
-    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
+_KUHN_RANK = np.zeros((3, 3), dtype=np.int64)
+_KUHN_RANK[tuple(np.array(_KUHN_PERMS)[:, :2].T)] = np.arange(6)
 
 
 def build_box_mesh(nx: int, ny: int, nz: int) -> Mesh:
@@ -161,7 +163,7 @@ def build_box_mesh(nx: int, ny: int, nz: int) -> Mesh:
     All tets of a cube share its main diagonal, and every cube uses the same
     diagonal direction, so faces match across cubes and uniform refinements
     are nested.  Tets are stored cube-major: tet 6*c + k is the k-th
-    permutation tet of cube c.
+    permutation tet of cube c, cube (i, j, k) being c = i + nx*(j + ny*k).
     """
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -171,27 +173,46 @@ def build_box_mesh(nx: int, ny: int, nz: int) -> Mesh:
     gz, gy, gx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    def vid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    ii = ii.transpose(2, 1, 0).ravel()
-    jj = jj.transpose(2, 1, 0).ravel()
-    kk = kk.transpose(2, 1, 0).ravel()
-
-    ncubes = nx * ny * nz
-    tets = np.empty((ncubes, 6, 4), dtype=np.int64)
-    unit = np.eye(3, dtype=np.int64)
-    for pi, perm in enumerate(_KUHN_PERMS):
-        steps = np.zeros((4, 3), dtype=np.int64)
-        for s in range(3):
-            steps[s + 1] = steps[s] + unit[perm[s]]
-        chain = [vid(ii + st[0], jj + st[1], kk + st[2]) for st in steps]
-        if _perm_parity(perm) < 0:
-            chain[1], chain[2] = chain[2], chain[1]
-        tets[:, pi, :] = np.column_stack(chain)
+    # each cube's lowest vertex, and the vertex id step along each axis
+    corner = np.arange(len(vertices)).reshape(nz + 1, ny + 1, nx + 1)
+    corner = corner[:-1, :-1, :-1].ravel()
+    stride = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    tets = np.empty((corner.size, 6, 4), dtype=np.int64)
+    for k, perm in enumerate(_KUHN_PERMS):
+        chain = np.cumsum([0, *stride[list(perm)]])
+        if np.linalg.det(np.eye(3)[list(perm)]) < 0:
+            chain[[1, 2]] = chain[[2, 1]]     # odd: orient positively
+        tets[:, k] = corner[:, None] + chain
 
     return _derive_topology(vertices, tets.reshape(-1, 4), (nx, ny, nz))
+
+
+def kuhn_order(xi: np.ndarray) -> np.ndarray:
+    """Each row's axes, largest coordinate first, ties by ascending axis:
+    the chain of the first Kuhn permutation whose tet holds the point xi
+    of the unit cube."""
+    return np.argsort(-xi, axis=1, kind="stable")
+
+
+def locate(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
+    """Tet and barycentric coordinates of each point (n, 3): its cube of
+    the grid, then the tet of kuhn_order of its coordinates in that cube.
+    A point with a barycentric below -1e-10 there, or a NaN one, is
+    outside the mesh and raises ValueError."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    dims = np.array(mesh.grid_shape)
+    idx = np.clip(np.floor(points * dims).astype(np.int64), 0, dims - 1)
+    order = kuhn_order(points * dims - idx)
+    cube = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
+    tet = 6 * cube + _KUHN_RANK[order[:, 0], order[:, 1]]
+    bary = np.empty((tet.size, 4))
+    bary[:, 1:] = np.einsum("tik,tk->ti", mesh.grad_bary[tet, 1:],
+                            points - mesh.vertices[mesh.tets[tet, 0]])
+    bary[:, 0] = 1.0 - bary[:, 1:].sum(axis=1)
+    outside = ~(bary.min(axis=1) >= -1e-10)
+    if outside.any():
+        raise ValueError(f"point {points[outside][0]} is outside the mesh")
+    return tet, bary
 
 
 def write_vtk(mesh: Mesh, path, point_data, cell_data) -> None:

@@ -589,9 +589,10 @@ _SINGULAR_STEP = {
           "singular.  It is only guaranteed uniquely solvable under "
           f"{_SMALL_RE}; rescale the data, refine the mesh, or switch to the "
           "current-based formulation.",
-    "BJ": "singular current-based step: this linearization is uniquely "
-          "solvable for any positive parameters, so a singular system "
-          "indicates an implementation bug.",
+    "BJ": "singular current-based step: the linearized system is "
+          "numerically singular at this scaling (r_e = {r_e:.6g}, "
+          "r_m = {r_m:.6g}, s = {s:.6g}), although it is uniquely "
+          "solvable for any positive parameters; rescale the data.",
 }
 
 
@@ -603,13 +604,15 @@ def stall_message(formulation: str, step: int) -> str:
             f"and Picard only contracts under small data{why}.")
 
 
-def _singular_step_message(ops: DiscreteOps, formulation: str) -> str:
+def _singular_step_message(ops: DiscreteOps, formulation: str,
+                           params: MhdParams) -> str:
     """Why a step is singular: the mesh when it has too few interior
     velocity DOFs to carry the zero-mean pressures (the Stokes block is
     then singular in both formulations), else the formulation's cause."""
     n_u, n_p = ops.vel.free_index.size, ops.pres.dof_count - 1
     if n_u >= n_p:
-        return _SINGULAR_STEP[formulation]
+        return _SINGULAR_STEP[formulation].format(
+            r_e=params.r_e, r_m=params.r_m, s=params.s)
     name = "x".join(map(str, ops.mesh.grid_shape))
     return (f"singular step: the {name} box mesh is too coarse, its {n_u} "
             f"interior velocity DOFs cannot carry its {n_p} zero-mean "
@@ -624,7 +627,7 @@ def _picard_step(prev: MhdState, params: MhdParams,
         plan, a, b = _step_system(ops, formulation, prev, params)
     except SingularSystemError as exc:
         raise SingularSystemError(
-            _singular_step_message(ops, formulation)) from exc
+            _singular_step_message(ops, formulation, params)) from exc
     # GMRES starts from prev on the free DOFs, the mean multipliers at 0
     x0 = np.concatenate([np.zeros(1) if name in ("mp", "mr")
                          else getattr(prev, name)[free]

@@ -893,3 +893,64 @@ def test_cli_stdout_is_pure_json_despite_native_chatter(command, formulation,
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["structure"]["termination"] == "singular-step"
+
+
+BE_HUGE_RE = {"mesh": [2, 2, 2], "case": "trig-1", "formulation": "BE",
+              "params": {"r_e": 1e78}}
+STDERR_PREFIXES = ("warning: ", "solver error: ", "config error: ",
+                   "study aborted: ")
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    pytest.param("solve", lambda plain: {"mesh": [1, 1, 1]}, 1,
+                 id="singular-1^3"),
+    pytest.param("solve", lambda plain: BE_HUGE_RE, 1, id="BE-r_e=1e78"),
+    pytest.param("solve", lambda plain: {
+        "mesh": [2, 2, 2], "case": "trig-1", "params": {"r_e": 1e20}}, 1,
+        id="BJ-r_e=1e20"),
+    pytest.param("solve", lambda plain: {"mesh": [2, 2, 2], "force": {
+        "kind": "expression", "components": ["0", "x/0", "0"]}}, 2,
+        id="x/0-force"),
+    pytest.param("solve", lambda plain: {"meshes": [2, 2, 2]}, 2,
+                 id="unknown-key"),
+    pytest.param("diagnose", lambda plain: {
+        "mesh": [2, 2, 2], "output": {"report": f"{plain}/sub/r.json"}}, 2,
+        id="report-path"),
+    pytest.param("solve", lambda plain: {
+        "mesh": [2, 2, 2], "output": {"fields": f"{plain}/f.vtk"}}, 2,
+        id="fields-path"),
+    pytest.param("study", lambda plain: {
+        "case": "trig-1", "levels": [2, 3],
+        "output": {"csv": f"{plain}/s.csv"}}, 2, id="csv-path"),
+    pytest.param("study", lambda plain: {
+        "case": "trig-1", "levels": [2, 3], "picard": {"max_iter": 1}}, 1,
+        id="study-abort")])
+def test_cli_stderr_is_one_named_line_per_message(command, payload, code,
+                                                  tmp_path, capsys):
+    # every failure exits with its documented code, and stderr holds only
+    # named one-line messages; plain is a regular file, so no output path
+    # below it can be written
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    payload = payload(plain)
+    assert main([command, write_config(tmp_path, payload)]) == code
+    err = capsys.readouterr().err
+    assert err and all(line.startswith(STDERR_PREFIXES)
+                       for line in err.splitlines())
+    if payload is BE_HUGE_RE:
+        assert "warning: electric-field step outside the guaranteed " \
+               "regime" in err
+    if "output" in payload:
+        assert str(plain) in err
+
+
+def test_cli_warning_is_one_line_in_a_fresh_process(tmp_path):
+    # the interpreter's own warning format would list the warning's source
+    # file and line
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhdfem.cli", "solve",
+         write_config(tmp_path, BE_HUGE_RE)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("warning: electric-field step outside")
+    assert "Traceback" not in proc.stderr and ".py:" not in proc.stderr

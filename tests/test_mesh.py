@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mhdfem.mesh import MeshError, build_box_mesh, write_vtk
+from mhdfem.mesh import MeshError, build_box_mesh, kuhn_order, locate, write_vtk
 
 # entity counts for the unit cube split into 6 tets, worked out by hand:
 # 8 corners, 12 cube edges + 6 face diagonals + 1 main diagonal = 19 edges,
@@ -116,6 +116,86 @@ def test_refinement_is_nested():
     # every coarse vertex appears among the fine vertices
     fe = {tuple(np.round(p, 12)) for p in fine.vertices}
     assert all(tuple(np.round(p, 12)) in fe for p in coarse.vertices)
+
+
+def six_candidate_locate(mesh, points, tol=1e-10):
+    """Reference location: try the six tets of each point's cube in Kuhn
+    permutation order and keep the first whose barycentrics are all at
+    least -tol."""
+    nx, ny, nz = dims = np.array(mesh.grid_shape)
+    idx = np.clip(np.floor(points * dims).astype(np.int64), 0, dims - 1)
+    cube = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
+    tet_of = np.full(len(points), -1, dtype=np.int64)
+    bary = np.zeros((len(points), 4))
+    remaining = np.arange(len(points))
+    for k in range(6):
+        t = 6 * cube[remaining] + k
+        lam = np.empty((remaining.size, 4))
+        lam[:, 1:] = np.einsum("tik,tk->ti", mesh.grad_bary[t, 1:],
+                               points[remaining] - mesh.vertices[mesh.tets[t, 0]])
+        lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
+        inside = lam.min(axis=1) >= -tol
+        tet_of[remaining[inside]] = t[inside]
+        bary[remaining[inside]] = lam[inside]
+        remaining = remaining[~inside]
+    assert remaining.size == 0
+    return tet_of, bary
+
+
+def grid_points(dims, rng, n=200):
+    """Points of the unit cube for the mesh with dims cubes: random ones,
+    ones on the grid's planes, on the Kuhn faces x=y, y=z and x=z of their
+    cube and on its diagonal x=y=z, the grid vertices, and ones up to
+    1e-12 outside the unit cube."""
+    dims = np.array(dims)
+    pts = [rng.random((n, 3))]
+    for axis in range(3):
+        on_plane = rng.random((n, 3))
+        on_plane[:, axis] = rng.integers(0, dims[axis] + 1, n) / dims[axis]
+        pts.append(on_plane)
+    for tied in ((0, 1), (1, 2), (0, 2), (0, 1, 2)):
+        # local coordinates k/64 keep their tie through the rounding of
+        # (cube + local) / dims and back
+        local = rng.integers(0, 65, (n, 3)) / 64
+        local[:, tied] = local[:, tied[:1]]
+        on_face = (rng.integers(0, dims, (n, 3)) + local) / dims
+        xi = on_face * dims - np.floor(on_face * dims)
+        assert np.all(xi[:, tied] == xi[:, tied[:1]])
+        pts.append(on_face)
+    axes = [np.arange(d + 1) / d for d in dims]
+    pts.append(np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3))
+    outside = rng.random((n, 3))
+    beyond = 1e-12 * rng.random(n)
+    outside[np.arange(n), rng.integers(0, 3, n)] = np.where(
+        rng.random(n) < 0.5, -beyond, 1.0 + beyond)
+    pts.append(outside)
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 1), (4, 4, 4)])
+def test_locate_matches_six_candidate_search(dims):
+    mesh = build_box_mesh(*dims)
+    pts = grid_points(dims, np.random.default_rng(3))
+    tet, bary = locate(mesh, pts)
+    want_tet, want_bary = six_candidate_locate(mesh, pts)
+    assert np.array_equal(tet, want_tet)
+    assert np.array_equal(bary, want_bary)
+
+
+def test_kuhn_order_breaks_ties_by_ascending_axis():
+    xi = np.array([[0.2, 0.5, 0.1], [0.5, 0.5, 0.5], [0.3, 0.7, 0.7],
+                   [0.4, 0.1, 0.4]])
+    assert kuhn_order(xi).tolist() == [[1, 0, 2], [0, 1, 2], [1, 2, 0],
+                                       [0, 2, 1]]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("point", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
+                                   [2.0, 0.5, 0.5], [0.5, 0.5, -1e-6]])
+def test_locate_rejects_points_outside_the_mesh(point):
+    mesh = build_box_mesh(2, 3, 1)
+    with pytest.raises(ValueError, match="outside"):
+        locate(mesh, np.array([[0.3, 0.3, 0.3], point]))
 
 
 def test_write_vtk(tmp_path):

@@ -1013,7 +1013,9 @@ def test_singular_step_on_fine_mesh_names_the_formulation(params,
     monkeypatch.setattr(mhdfem.solvers, "_block_factors", singular)
     with pytest.raises(SingularSystemError, match="regime violation"):
         be_picard_step(zero_state(mesh, "BE"), params)
-    with pytest.raises(SingularSystemError, match="implementation bug"):
+    with pytest.raises(SingularSystemError,
+                       match=r"numerically singular at this scaling "
+                             r"\(r_e = 1, r_m = 1, s = 1\)"):
         bj_picard_step(zero_state(mesh, "BJ"), params)
 
 
