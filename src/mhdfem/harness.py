@@ -226,9 +226,7 @@ def load_config(source, seed_override=None) -> RunConfig:
     case = raw.get("case")
     if case is not None:
         _expect(isinstance(case, str), "case must be a string")
-        _expect(case in MANUFACTURED,
-                f"unknown case {case!r}; available: "
-                f"{sorted(MANUFACTURED)}")
+        manufactured_case(case)
 
     force_spec = raw.get("force")
     force = None
@@ -493,13 +491,33 @@ def _dump_json(doc) -> str:
 
 
 def _write_output(path, write):
-    """write(path) after making its parents; failure is a ConfigError."""
+    """write(path) after making its parents, if a path is configured;
+    failure is a ConfigError."""
+    if path is None:
+        return
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
     except OSError as exc:
         raise ConfigError(f"cannot write {str(path)!r}: {exc}") from None
+
+
+def _check_outputs(*paths):
+    """Make the parent of each configured output path and check that the
+    path can be written, so that a bad path fails before any mesh is
+    built, with _write_output's ConfigError."""
+    for path in paths:
+        _write_output(path, _try_write)
+
+
+def _try_write(path):
+    """Open path for appending, and delete what that made: the path, or
+    the target of a dangling link."""
+    new = not path.exists()
+    path.open("a").close()
+    if new:
+        path.resolve().unlink()
 
 
 def _mesh_info(mesh, subdivisions):
@@ -575,7 +593,9 @@ def _write_fields(mesh, state, path):
 
 
 def run_solve(config: RunConfig) -> dict:
-    """One nonlinear solve; returns the report and writes configured files."""
+    """One nonlinear solve; returns the report and writes configured files,
+    the fields first, so a fields path that fails leaves no report."""
+    _check_outputs(config.report_path, config.fields_path)
     mesh = build_box_mesh(*config.mesh)
     params, case = _problem(config, mesh)
     conditions = check_small_data_conditions(params, mesh, config.seed)
@@ -590,12 +610,10 @@ def run_solve(config: RunConfig) -> dict:
     }
     if case is not None:
         doc["errors"] = exact_errors(mesh, case, state)
-    if config.report_path is not None:
-        _write_output(config.report_path,
-                      lambda path: path.write_text(_dump_json(doc)))
-    if config.fields_path is not None:
-        _write_output(config.fields_path,
-                      lambda path: _write_fields(mesh, state, path))
+    _write_output(config.fields_path,
+                  lambda path: _write_fields(mesh, state, path))
+    _write_output(config.report_path,
+                  lambda path: path.write_text(_dump_json(doc)))
     return doc
 
 
@@ -638,6 +656,7 @@ def run_study(config: RunConfig) -> dict:
         raise ConfigError("a refinement study needs a manufactured case")
     if config.levels is None:
         raise ConfigError("a refinement study needs refinement levels")
+    _check_outputs(config.csv_path)
     case = manufactured_case(config.case)
     rows = []
     aborted, termination = None, "converged"
@@ -665,8 +684,7 @@ def run_study(config: RunConfig) -> dict:
                 row[f"rate_{key}"] = (math.log2(e0 / e1)
                                       / math.log2(prev["h"] / row["h"]))
     text = _study_csv(rows, aborted, termination)
-    if config.csv_path is not None:
-        _write_output(config.csv_path, lambda path: path.write_text(text))
+    _write_output(config.csv_path, lambda path: path.write_text(text))
     return {"rows": rows, "aborted": aborted, "termination": termination,
             "csv": text}
 
@@ -712,6 +730,7 @@ def _relative_worsts(report, mesh, u_floor):
 
 def run_diagnose(config: RunConfig) -> dict:
     """Structural checks: complex identities, constants, solve invariants."""
+    _check_outputs(config.report_path)
     mesh = build_box_mesh(*config.mesh)
     ops = discrete_ops(mesh)
     product = ops.div @ ops.curl
@@ -778,7 +797,6 @@ def run_diagnose(config: RunConfig) -> dict:
                       "poincare_div": poincare},
         "structure": structure,
     }
-    if config.report_path is not None:
-        _write_output(config.report_path,
-                      lambda path: path.write_text(_dump_json(doc)))
+    _write_output(config.report_path,
+                  lambda path: path.write_text(_dump_json(doc)))
     return doc

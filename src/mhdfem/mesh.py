@@ -197,11 +197,14 @@ def kuhn_order(xi: np.ndarray) -> np.ndarray:
 def locate(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
     """Tet and barycentric coordinates of each point (n, 3): its cube of
     the grid, then the tet of kuhn_order of its coordinates in that cube.
-    A point with a barycentric below -1e-10 there, or a NaN one, is
-    outside the mesh and raises ValueError."""
+    A point that is not finite, or has a barycentric below -1e-10 there,
+    is outside the mesh and raises ValueError."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {points[~finite][0]} is outside the mesh")
     dims = np.array(mesh.grid_shape)
-    idx = np.clip(np.floor(points * dims).astype(np.int64), 0, dims - 1)
+    idx = np.clip(np.floor(points * dims), 0, dims - 1).astype(np.int64)
     order = kuhn_order(points * dims - idx)
     cube = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
     tet = 6 * cube + _KUHN_RANK[order[:, 0], order[:, 1]]

@@ -6,8 +6,8 @@ mesh: the velocity, pressure, multiplier, edge and face spaces (no other
 code builds a space), the incidences, every fixed matrix (summed from the
 assembly element kernels on its degree-4 tabulation), the factored
 free-edge mass, the basis tabulations at each quadrature rule, and the
-solvers' step plan and loads.  discrete_ops(mesh) hands every caller the
-one instance of the most recent mesh.  Each cube's main diagonal is an
+solvers' step plan.  discrete_ops(mesh) hands every caller the one
+instance of the most recent mesh.  Each cube's main diagonal is an
 interior edge, so no free DOF set of a mesh is empty.
 
 Two spanning trees, built once per mesh, serve the solvers' Maxwell
@@ -80,9 +80,9 @@ class DiscreteOps:
         ascending.
       lu_t: factors of D_T = div over (cells 1.., tree_faces); cell 0 is
         the dual tree's root.
-      plan, loads: the solvers' step plan of the last (formulation, r_e,
-        r_m, s), block factors included, and loads, cached here so they
-        share the context's lifetime.
+      plan: the solvers' step plan of the last (formulation, r_e, r_m,
+        s), block factors included, cached here so it shares the
+        context's lifetime.
     """
 
     def __init__(self, mesh: Mesh):
@@ -117,8 +117,6 @@ class DiscreteOps:
                                          mesh.num_tets)
         self.lu_t, _ = factor(div_free[1:][:, self.tree_faces])
         self.plan = None
-        # [params, loads] of the last parameter object the solvers saw
-        self.loads = []
 
     def tab(self, rule: QuadratureRule) -> Tabulation:
         """The mesh's basis at one rule's points, tabulated on first use."""

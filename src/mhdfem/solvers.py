@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +67,8 @@ class MhdParams:
     a coefficient vector in the matching space (paired through that
     space's mass matrix).  The solver evaluates a callable once per mesh,
     at the degree-6 points, and computes the loads of one parameter object
-    once per mesh, so data must not change after construction.
+    once per mesh, so data must not change after construction.  _loaded
+    holds them per mesh, weakly, so they go with the mesh.
     """
 
     r_e: float
@@ -74,6 +76,8 @@ class MhdParams:
     s: float
     f: object = None
     h: object = None
+    _loaded: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                       init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("r_e", "r_m", "s"):
@@ -161,39 +165,55 @@ class PicardReport:
 # loads and norms on the mesh's context
 
 
-def _slot_load(tab: Tabulation, space: FeSpace, data, mass,
-               slot: str) -> tuple:
-    """(load vector, squared L2 norm) of data slot slot, both from one call
-    of a callable at tab's points; ValueError when data is not finite or
-    not shaped as one 3-vector per point or one value per DOF."""
-    if data is None:
-        return np.zeros(space.dof_count), 0.0
-    pts = tab.points.reshape(-1, 3)
-    vals = np.asarray(data(pts) if callable(data) else data, dtype=float)
-    want = pts.shape if callable(data) else (space.dof_count,)
+def _checked(vals: np.ndarray, want: tuple, slot: str) -> np.ndarray:
+    """vals, or ValueError when they are not shaped want or not finite."""
     if vals.shape != want:
         raise ValueError(
             f"data slot {slot} must be callable with one 3-vector per point "
-            f"or a coefficient vector of length {space.dof_count}; got shape "
-            f"{vals.shape}, not {want}")
+            f"or a coefficient vector of its space; got shape {vals.shape}, "
+            f"not {want}")
     if not np.isfinite(vals).all():
         raise ValueError(f"data slot {slot} is not finite")
+    return vals
+
+
+def _slot_load(tab: Tabulation, space: FeSpace, data, at, mass,
+               slot: str) -> tuple:
+    """(load vector, squared L2 norm) of data slot slot: None, a callable
+    whose values at tab's points are at (n, 3), or a coefficient vector of
+    space; ValueError when the vector is not finite or not of its
+    length."""
+    if data is None:
+        return np.zeros(space.dof_count), 0.0
     if callable(data):
-        at = vals.reshape(*tab.wq.shape, 3)
+        at = at.reshape(*tab.wq.shape, 3)
         return assemble_load(tab, space, at), _quad_l2sq(tab, at)
+    vals = _checked(np.asarray(data, dtype=float), (space.dof_count,), slot)
     load = mass @ vals
     return load, float(vals @ load)
 
 
-def _loads(ops: DiscreteOps, params: MhdParams) -> dict:
+def _loads(mesh: Mesh, params: MhdParams) -> dict:
     """Full-length load vectors of params' data slots and the L2 norm of f
-    (f_l2), computed once per parameter object and mesh."""
-    if not ops.loads or ops.loads[0] is not params:
+    (f_l2), computed once per parameter object and mesh.  Each callable is
+    called once, at the mesh's degree-6 points, before the mesh's context
+    is built, so that values not shaped or not finite fail first."""
+    if mesh not in params._loaded:
+        # only the points are read: a tabulation computes its bases on
+        # first use
+        pts = Tabulation(mesh, RULE_DEG6).points.reshape(-1, 3)
+        at = {slot: _checked(np.asarray(data(pts), dtype=float), pts.shape,
+                             slot)
+              for slot, data in (("f", params.f), ("h", params.h))
+              if callable(data)}
+        ops = discrete_ops(mesh)
         tab = ops.tab(RULE_DEG6)
-        f, f_l2sq = _slot_load(tab, ops.vel, params.f, ops.vel_mass, "f")
-        h, _ = _slot_load(tab, ops.space_d, params.h, ops.M_d, "h")
-        ops.loads[:] = [params, {"f": f, "h": h, "f_l2": math.sqrt(f_l2sq)}]
-    return ops.loads[1]
+        f, f_l2sq = _slot_load(tab, ops.vel, params.f, at.get("f"),
+                               ops.vel_mass, "f")
+        h, _ = _slot_load(tab, ops.space_d, params.h, at.get("h"), ops.M_d,
+                          "h")
+        params._loaded[mesh] = {"f": f, "h": h, "f_l2": math.sqrt(f_l2sq)}
+    return params._loaded[mesh]
 
 
 def _quad_l2sq(tab: Tabulation, field_at: np.ndarray) -> float:
@@ -556,7 +576,7 @@ def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
     """
     # loads first: their temporaries then fit in memory the factorization
     # of a new plan reuses
-    loads = _loads(ops, params)
+    loads = _loads(ops.mesh, params)
     plan = _step_plan(ops, formulation, params)
     # weights in slots order: the fixed values, then each block's entries
     weights = np.empty(plan.slots.size)
@@ -695,7 +715,7 @@ def diagnostics(state, params: MhdParams, current=None) -> dict:
            "b_l2": math.sqrt(float(state.B @ (ops.M_d @ state.B))),
            "multiplier_norm": math.sqrt(float(vols @ (state.r ** 2)))}
 
-    loads = _loads(ops, params)
+    loads = _loads(ops.mesh, params)
     grad2 = float(state.u @ (ops.lap @ state.u))
     work = float(loads["f"] @ state.u)
     if state.formulation == "BJ":
@@ -768,7 +788,7 @@ def check_small_data_conditions(params: MhdParams, mesh: Mesh,
     contraction_satisfied ands the two contraction flags; the small_re
     entry only concerns the electric-field formulation.
     """
-    f_l2 = _loads(discrete_ops(mesh), params)["f_l2"]
+    f_l2 = _loads(mesh, params)["f_l2"]
     dual = POINCARE_H01 * f_l2
     c1, c2 = SOBOLEV_L6, estimate_cross_bound(mesh, trials=20, seed=seed)
     re, rm = params.r_e, params.r_m

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mhdfem import derham, harness, operators
+from mhdfem import derham, harness, operators, solvers
 from mhdfem.cli import main
 from mhdfem.derham import FeSpace, curl_incidence, interpolate, point_eval
 from mhdfem.harness import (ConfigError, _dump_json, _force_values,
@@ -566,6 +566,45 @@ def test_faulty_force_fails_before_the_constant_probe(monkeypatch):
             runner(cfg)
 
 
+def test_faulty_force_fails_before_the_context_is_built(monkeypatch):
+    # the force is evaluated at the mesh's degree-6 points first, so no
+    # fixed matrix is assembled and nothing is factored before the error
+    calls = []
+    for module, name in ((operators, "kernel_matrix"), (operators, "factor"),
+                         (solvers, "factor"), (solvers, "factor_dense")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, _name=name: calls.append(_name))
+    cfg = load_config({"mesh": [2, 2, 2], "force": {
+        "kind": "expression", "components": ["0", "x/0", "0"]}})
+    with pytest.raises(ConfigError, match="'x/0' is not finite"):
+        run_solve(cfg)
+    assert calls == []
+
+
+def test_fields_path_failure_leaves_no_report(tmp_path, monkeypatch):
+    def fail(mesh, state, path):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(harness, "_write_fields", fail)
+    report = tmp_path / "report.json"
+    cfg = load_config({"mesh": [2, 2, 2], "output": {
+        "report": str(report), "fields": str(tmp_path / "fields.vtk")}})
+    with pytest.raises(ConfigError, match="cannot write"):
+        run_solve(cfg)
+    assert not report.exists()
+
+
+def test_output_check_keeps_a_dangling_link(tmp_path):
+    # checking a path that links to a missing file leaves the link as it
+    # is and creates no target
+    (tmp_path / "runs").mkdir()
+    link = tmp_path / "latest.json"
+    link.symlink_to(tmp_path / "runs" / "report.json")
+    harness._check_outputs(link)
+    assert link.is_symlink() and not link.exists()
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
 def test_run_diagnose_builds_discrete_ops_once(monkeypatch):
     builds = []
     orig = DiscreteOps.__init__
@@ -926,13 +965,20 @@ STDERR_PREFIXES = ("warning: ", "solver error: ", "config error: ",
         "case": "trig-1", "levels": [2, 3], "picard": {"max_iter": 1}}, 1,
         id="study-abort")])
 def test_cli_stderr_is_one_named_line_per_message(command, payload, code,
-                                                  tmp_path, capsys):
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
     # every failure exits with its documented code, and stderr holds only
     # named one-line messages; plain is a regular file, so no output path
     # below it can be written
     plain = tmp_path / "plain"
     plain.write_text("")
     payload = payload(plain)
+    if "output" in payload:
+        # an output path is checked before anything is solved
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr("mhdfem.harness.solve_nonlinear", solve)
     assert main([command, write_config(tmp_path, payload)]) == code
     err = capsys.readouterr().err
     assert err and all(line.startswith(STDERR_PREFIXES)

@@ -189,7 +189,7 @@ def test_kuhn_order_breaks_ties_by_ascending_axis():
                                        [0, 2, 1]]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("point", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
                                    [2.0, 0.5, 0.5], [0.5, 0.5, -1e-6]])
 def test_locate_rejects_points_outside_the_mesh(point):

@@ -218,19 +218,20 @@ def test_load_vector_paths(mesh2):
     ops = discrete_ops(mesh2)
     tab = ops.tab(RULE_DEG6)
     rng = np.random.default_rng(3)
-    load, l2sq = _slot_load(tab, ops.vel, None, ops.vel_mass, "f")
+    load, l2sq = _slot_load(tab, ops.vel, None, None, ops.vel_mass, "f")
     assert not np.any(load) and l2sq == 0.0
     coeff = rng.standard_normal(ops.vel.dof_count)
-    direct, _ = _slot_load(tab, ops.vel, coeff, ops.vel_mass, "f")
+    direct, _ = _slot_load(tab, ops.vel, coeff, None, ops.vel_mass, "f")
     assert np.allclose(direct, ops.vel_mass @ coeff, rtol=0, atol=0)
-    by_call, l2sq = _slot_load(tab, ops.vel, smooth_force, ops.vel_mass,
-                               "f")
+    by_call, l2sq = _slot_load(tab, ops.vel, smooth_force,
+                               smooth_force(tab.points.reshape(-1, 3)),
+                               ops.vel_mass, "f")
     assert np.allclose(by_call, force_load(ops, smooth_force), rtol=0,
                        atol=0)
     assert l2sq == quad_l2sq(mesh2, smooth_force(tab.points.reshape(-1, 3))
                              .reshape(tab.points.shape), RULE_DEG6)
     with pytest.raises(ValueError, match="data slot f must be callable"):
-        _slot_load(tab, ops.vel, np.zeros(7), ops.vel_mass, "f")
+        _slot_load(tab, ops.vel, np.zeros(7), None, ops.vel_mass, "f")
 
 
 def test_non_finite_data_names_its_slot():
@@ -259,6 +260,33 @@ def test_data_slot_callable_of_wrong_shape_names_its_slot(slot, shape):
     with pytest.raises(ValueError, match=rf"data slot {slot} must be "
                        rf"callable.*got shape \(.*\), not \(\d+, 3\)"):
         bj_picard_step(zero_state(mesh, "BJ"), params)
+
+
+@pytest.mark.parametrize("data", [lambda p: np.ones((3, len(p))),
+                                  lambda p: np.full((len(p), 3), np.nan)],
+                         ids=["3xn", "nan"])
+def test_callable_data_fails_before_the_context_is_built(data, monkeypatch):
+    # a callable is checked at the mesh's degree-6 points first
+    def build(self, mesh):
+        raise AssertionError("the context was built")
+
+    monkeypatch.setattr("mhdfem.operators.DiscreteOps.__init__", build)
+    params = MhdParams(r_e=1.0, r_m=1.0, s=1.0, f=data)
+    with pytest.raises(ValueError, match="data slot f"):
+        _loads(build_box_mesh(2, 2, 2), params)
+
+
+def test_loads_go_with_their_mesh():
+    # a parameter object keeps its loads per mesh, weakly, so it keeps no
+    # mesh alive once the mesh's context has moved on
+    params = MhdParams(r_e=1.0, r_m=1.0, s=1.0, f=smooth_force)
+    mesh = build_box_mesh(2, 2, 2)
+    assert _loads(mesh, params) is _loads(mesh, params)
+    gone = weakref.ref(mesh)
+    del mesh
+    discrete_ops(build_box_mesh(1, 1, 1))
+    gc.collect()
+    assert gone() is None and len(params._loaded) == 0
 
 
 @pytest.mark.parametrize("formulation, name, value", [
@@ -306,7 +334,7 @@ def test_callable_data_evaluated_once_per_params(mesh2, params):
                         **dict(PICARD, max_iter=2))
     # the load vector, f_l2 and every step and diagnostic share one call
     assert calls == {"f": 1, "h": 1}
-    assert _loads(discrete_ops(mesh2), counting)["f_l2"] > 0.0
+    assert _loads(mesh2, counting)["f_l2"] > 0.0
 
 
 # ---------------------------------------------------------------------------
