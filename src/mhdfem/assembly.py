@@ -34,7 +34,6 @@ from .derham import (
     tabulate_p2_gradients,
     tabulate_rt,
 )
-from .linalg import AssemblyError, SparseMatrix
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -175,7 +174,7 @@ class Tabulation:
     def _local(self, coeff, dofs, size, what) -> np.ndarray:
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (size,):
-            raise AssemblyError(f"{what} coefficient vector has wrong length")
+            raise ValueError(f"{what} coefficient vector has wrong length")
         return coeff[dofs]
 
     # FE functions at the points, (T, nq, 3)
@@ -322,7 +321,7 @@ def element_dofs(mesh, kernel: str) -> tuple:
     return local[:, :, None], local[:, None, :], (n, n)
 
 
-def kernel_matrix(tab: Tabulation, kernel: str, *coeff) -> SparseMatrix:
+def kernel_matrix(tab: Tabulation, kernel: str, *coeff) -> sp.csr_matrix:
     """Global matrix of <kernel>_elements on tab, rows over test DOFs; an
     iterate kernel takes its coefficient vector as coeff.
 
@@ -352,5 +351,5 @@ def assemble_load(tab: Tabulation, space: FeSpace,
         elem = tab.moments(tab.rt, field_at)
         dofs = tab.mesh.tet_faces
     else:
-        raise AssemblyError(f"cannot build a load vector for {space.tag!r}")
+        raise ValueError(f"cannot build a load vector for {space.tag!r}")
     return np.bincount(dofs.ravel(), elem.ravel(), minlength=space.dof_count)

@@ -30,8 +30,8 @@ from .derham import check_commuting, interpolate, point_eval
 from .linalg import SingularSystemError
 from .mesh import build_box_mesh, kuhn_order, write_vtk
 from .operators import discrete_ops, estimate_poincare_constant
-from .solvers import (MhdParams, check_small_data_conditions, current_at,
-                      diagnostics, solve_nonlinear, zero_state)
+from .solvers import (MhdParams, _loads, check_small_data_conditions,
+                      current_at, diagnostics, solve_nonlinear, zero_state)
 
 
 class ConfigError(Exception):
@@ -359,10 +359,15 @@ def _trig_pressure(pts):
 
 
 def _trig_data(mesh, r_e, r_m, s):
-    lorentz = 2.0 * np.pi ** 3 * s / r_m
-    viscous = np.pi ** 2 / r_e
+    # numpy scalars with float errors ignored: an extreme parameter gives
+    # data that is not finite, which _problem rejects, and no Python float
+    # error or warning on the way
+    r_e, r_m, s = np.float64(r_e), np.float64(r_m), np.float64(s)
 
+    @np.errstate(all="ignore")
     def force(pts):
+        lorentz = 2.0 * np.pi ** 3 * s / r_m
+        viscous = np.pi ** 2 / r_e
         (sx, sy, sz), (cx, cy, cz) = _sin_cos(pts)
         f1 = (np.pi * (4.0 * sx ** 3 * cx * sy ** 2 * sz ** 2 - sx * cy * cz)
               - lorentz * sx * cx * sy ** 2
@@ -372,6 +377,7 @@ def _trig_data(mesh, r_e, r_m, s):
               + viscous * (2.0 - 9.0 * sy ** 2) * 2.0 * sx * cx * sz)
         return np.stack([f1, f2, -np.pi * cx * cy * sz], axis=-1)
 
+    @np.errstate(all="ignore")
     def magnetic(pts):
         return (2.0 * np.pi ** 2 * s / r_m ** 2) * _trig_flux(pts)
 
@@ -533,12 +539,19 @@ def _problem(config: RunConfig, mesh):
         slots = case.data(mesh, config.r_e, config.r_m, config.s)
     elif config.force is not None:
         slots = {"f": config.force}
-    return MhdParams(r_e=config.r_e, r_m=config.r_m, s=config.s,
-                     **slots), case
+    params = MhdParams(r_e=config.r_e, r_m=config.r_m, s=config.s, **slots)
+    # the loads are computed here, once per mesh, so that data that is not
+    # finite at these parameters is a config error, whichever run asks
+    try:
+        _loads(mesh, params)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at r_e = {config.r_e:.6g}, r_m = "
+                          f"{config.r_m:.6g}, s = {config.s:.6g}") from None
+    return params, case
 
 
 def _solve(config: RunConfig, mesh, params, case, conditions):
-    """(state, report, warnings) of solve_nonlinear from the zero state,
+    """(state, outcome, warnings) of solve_nonlinear from the zero state,
     B set to the case's interpolated exact flux if any.  A B-E run outside
     the small-Reynolds regime of conditions (check_small_data_conditions),
     where its step is proved solvable, is warned about; it proceeds, the
@@ -557,19 +570,10 @@ def _solve(config: RunConfig, mesh, params, case, conditions):
     if case is not None:
         state.B = case.initial_flux(mesh)
         state.B_prev = state.B.copy()
-    state, report = solve_nonlinear(config.formulation, params, state,
+    state, picard = solve_nonlinear(config.formulation, params, state,
                                     rtol=config.rtol, atol=config.atol,
                                     max_iter=config.max_iter)
-    return state, report, warns
-
-
-def _report_section(report, warns):
-    return {"formulation": report.formulation,
-            "termination": report.termination,
-            "n_iterations": report.n_iterations,
-            "warnings": warns,
-            "iterations": [dict(rec) for rec in report.iterations],
-            "stalled_solve": report.stalled_solve}
+    return state, picard, warns
 
 
 # the tet centroid as a one-point rule, for cellwise field output
@@ -599,13 +603,13 @@ def run_solve(config: RunConfig) -> dict:
     mesh = build_box_mesh(*config.mesh)
     params, case = _problem(config, mesh)
     conditions = check_small_data_conditions(params, mesh, config.seed)
-    state, report, warns = _solve(config, mesh, params, case, conditions)
+    state, picard, warns = _solve(config, mesh, params, case, conditions)
     doc = {
         "config": config.document,
         "mesh": _mesh_info(mesh, config.mesh),
         "constants": {"c1": conditions["c1"], "c2": conditions["c2"]},
         "conditions": conditions,
-        "picard": _report_section(report, warns),
+        "picard": {**picard, "warnings": warns},
         "diagnostics": diagnostics(state, params),
     }
     if case is not None:
@@ -659,23 +663,24 @@ def run_study(config: RunConfig) -> dict:
     _check_outputs(config.csv_path)
     case = manufactured_case(config.case)
     rows = []
-    aborted, termination = None, "converged"
+    aborted = None
     for level in config.levels:
         mesh = build_box_mesh(level, level, level)
         params, _ = _problem(config, mesh)
         # only a B-E run reads the conditions (its small-Re check)
         conditions = (check_small_data_conditions(params, mesh, config.seed)
                       if config.formulation == "BE" else None)
-        state, report, _ = _solve(config, mesh, params, case, conditions)
+        state, picard, _ = _solve(config, mesh, params, case, conditions)
+        termination = picard["termination"]
         errs = exact_errors(mesh, case, state)
         rows.append({"level": level, "h": mesh.h,
-                     "iterations": report.n_iterations,
-                     "converged": report.termination == "converged",
+                     "iterations": picard["n_iterations"],
+                     "converged": termination == "converged",
                      "err_u_h1": errs["u_h1"], "err_b_l2": errs["b_l2"],
                      "err_b_graph": errs["b_graph"],
                      "err_p_l2": errs["p_l2"]})
-        if report.termination != "converged":
-            aborted, termination = level, report.termination
+        if termination != "converged":
+            aborted = level
             break
     for prev, row in zip(rows, rows[1:]):
         for key in ("u_h1", "b_l2", "b_graph", "p_l2"):
@@ -706,9 +711,9 @@ def _poly_probe():
     return value, curl, div
 
 
-def _relative_worsts(report, mesh, u_floor):
+def _relative_worsts(records, mesh, u_floor):
     gauss, mult, energy = 0.0, 0.0, 0.0
-    for rec in report.iterations:
+    for rec in records:
         if rec["b_l2"] > 0.0:
             gauss = max(gauss, rec["div_b_max"] * mesh.h / rec["b_l2"])
         scale = rec["u_h1"] + rec["b_l2"]
@@ -745,17 +750,23 @@ def run_diagnose(config: RunConfig) -> dict:
     poincare = estimate_poincare_constant(mesh)
     params, case = _problem(config, mesh)
     conditions = check_small_data_conditions(params, mesh, config.seed)
+    structure = {"formulation": config.formulation, "checks": {}}
     try:
-        state, report, _ = _solve(config, mesh, params, case, conditions)
+        state, picard, _ = _solve(config, mesh, params, case, conditions)
     except SingularSystemError as exc:
         # meshes too coarse for the velocity-pressure pair still get the
         # complex and constant sections; record why the solve is missing
-        structure = {"formulation": config.formulation,
-                     "termination": "singular-step", "message": str(exc),
-                     "iterations": [], "checks": {}}
+        structure.update(termination="singular-step", message=str(exc),
+                         iterations=[])
     else:
+        structure.update(termination=picard["termination"],
+                         iterations=picard["iterations"])
+    # a run that recorded no iterate, a singular or a stalled first step,
+    # has nothing to check
+    if structure["iterations"]:
         u_floor = 1e-10 * 2.0 * params.r_e * conditions["f_dual_bound"]
-        gauss, mult, energy = _relative_worsts(report, mesh, u_floor)
+        gauss, mult, energy = _relative_worsts(structure["iterations"], mesh,
+                                               u_floor)
 
         def check(worst, tol, applicable):
             if not applicable:
@@ -769,7 +780,7 @@ def run_diagnose(config: RunConfig) -> dict:
         # discrete multiplier legitimately carries discretization error, so
         # those checks do not apply
         f_only = params.h is None
-        checks = {
+        structure["checks"] = checks = {
             "gauss_law": check(gauss, 1e-12, True),
             "multiplier": check(mult, 1e-10, f_only),
             "energy": check(energy, 1e-10, f_only),
@@ -778,10 +789,6 @@ def run_diagnose(config: RunConfig) -> dict:
         if config.formulation == "BJ":
             for key in ("elimination_j", "elimination_sigma"):
                 checks[key] = check(diag[key], 1e-10, True)
-        structure = {"formulation": config.formulation,
-                     "termination": report.termination,
-                     "iterations": [dict(rec) for rec in report.iterations],
-                     "checks": checks}
 
     doc = {
         "config": config.document,

@@ -22,12 +22,6 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-SparseMatrix = sp.csr_matrix
-
-
-class AssemblyError(Exception):
-    """Operands whose shapes do not fit the system or space."""
-
 
 class SingularSystemError(Exception):
     """Factorization hit a zero or untrustworthy pivot."""
@@ -119,10 +113,10 @@ def solve_direct(A, b) -> np.ndarray:
     a_csr = sp.csr_matrix(A)
     n, m = a_csr.shape
     if n != m:
-        raise AssemblyError(f"matrix must be square, got {a_csr.shape}")
+        raise ValueError(f"matrix must be square, got {a_csr.shape}")
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != n:
-        raise AssemblyError(f"rhs length {b.size} does not match matrix size {n}")
+        raise ValueError(f"rhs length {b.size} does not match matrix size {n}")
     if n == 0:
         return np.zeros(0)
 

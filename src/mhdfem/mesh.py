@@ -20,10 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class MeshError(Exception):
-    """Invalid subdivision counts."""
-
-
 # local vertex pairs/triples of a tet; face k is opposite vertex k
 _LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
@@ -167,7 +163,7 @@ def build_box_mesh(nx: int, ny: int, nz: int) -> Mesh:
     """
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         if not isinstance(n, (int, np.integer)) or n < 1:
-            raise MeshError(f"{name} must be a positive integer, got {n!r}")
+            raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
     axes = [np.linspace(0.0, 1.0, n + 1) for n in (nx, ny, nz)]
     gz, gy, gx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
@@ -197,12 +193,13 @@ def kuhn_order(xi: np.ndarray) -> np.ndarray:
 def locate(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
     """Tet and barycentric coordinates of each point (n, 3): its cube of
     the grid, then the tet of kuhn_order of its coordinates in that cube.
-    A point that is not finite, or has a barycentric below -1e-10 there,
-    is outside the mesh and raises ValueError."""
+    A point with a barycentric below -1e-10 there is outside the mesh and
+    raises ValueError, as does one off [-0.5, 1.5]^3, NaN included, which
+    is rejected before the scaling by the grid could overflow."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"point {points[~finite][0]} is outside the mesh")
+    near = (np.abs(points - 0.5) <= 1.0).all(axis=1)
+    if not near.all():
+        raise ValueError(f"point {points[~near][0]} is outside the mesh")
     dims = np.array(mesh.grid_shape)
     idx = np.clip(np.floor(points * dims), 0, dims - 1).astype(np.int64)
     order = kuhn_order(points * dims - idx)

@@ -96,8 +96,8 @@ class MhdState:
     other formulation are None.  B_prev is the magnetic field the step was
     linearized around; the current density of an electric-field iterate is
     the L2 function E + u x B_prev.  linear_solve is the record of the
-    linear solve that produced the iterate (see PicardReport), None for a
-    state no step produced.
+    linear solve that produced the iterate (see solve_nonlinear), None for
+    a state no step produced.
     """
 
     formulation: str
@@ -125,40 +125,6 @@ def zero_state(mesh: Mesh, formulation: str) -> MhdState:
 # perfbench's checks start their B-E solves from zero_state_be
 def zero_state_be(mesh: Mesh) -> MhdState:
     return zero_state(mesh, "BE")
-
-
-@dataclass
-class PicardReport:
-    """Outcome of a nonlinear solve.
-
-    iterations holds one record per Picard step: increment norms, the
-    increment energy (weighted velocity gradient plus current terms), its
-    ratio against the previous step (recorded from the second step on),
-    the structure diagnostics of the new iterate, and linear_solve: the
-    step's reduced system size (unknowns), its GMRES iterations
-    (krylov_iterations), the achieved |b - Ax| / (|A|_F |x| + |b|)
-    (relative_residual), and factors: the size n, stored entries lu_nnz
-    (linalg.factor, linalg.factor_dense) and smallest pivot min_pivot of
-    each factor behind the preconditioner ("laplacian", the scalar
-    velocity block of the Stokes block; "pressure_schur", its dense
-    pressure Schur complement; "maxwell", the (E, A) system of the Maxwell
-    block, over the free and the cotree edges; and for the current-based
-    step the free-edge mass, "edge_mass").  GMRES starts from the previous
-    iterate, so krylov_iterations falls as the iterates converge.  Every
-    entry is a deterministic function of the inputs.  termination is
-    "converged", "max-iterations" or "linear-stall": the next step's linear
-    solve stalled (linalg.LinearStallError), and stalled_solve, None
-    otherwise, is its record.  Non-convergence is never raised.
-    """
-
-    formulation: str
-    termination: str
-    iterations: list = field(default_factory=list)
-    stalled_solve: dict | None = None
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +272,7 @@ class _StepPlan:
     value, then of each taken element entry.  factors: the exact Stokes
     and Maxwell block solves of the fixed matrix (_StokesSolve,
     _MaxwellSolve); summary: their factors' sizes, fill and smallest
-    pivots (see PicardReport).
+    pivots (see solve_nonlinear).
     """
 
     key: tuple
@@ -818,12 +784,29 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial, *,
 
     Stops once |u^n - u^(n-1)|_1 + |B^n - B^(n-1)|_d falls below
     rtol (|u^n|_1 + |B^n|_d) + atol, after max_iter steps, or when a
-    step's linear solve stalls, whose state is then the last iterate
-    (initial at the first step); returns (state, PicardReport) in every
-    case, with the termination reason in the report rather than an
-    exception.  The loop checks no regime condition: runners judge a B-E
-    run with check_small_data_conditions.  An initial field that is not
-    finite raises ValueError naming it.
+    step's linear solve stalls (linalg.LinearStallError); the state is
+    then the last iterate, initial at the first step.  Returns (state,
+    outcome), the outcome being a run report's picard section less its
+    warnings: formulation, termination ("converged", "max-iterations" or
+    "linear-stall"), n_iterations, iterations and stalled_solve (the
+    stalled step's linear_solve record, else None).
+
+    iterations holds one record per step: the increment norms, the
+    increment energy (weighted velocity gradient plus current terms) and
+    its ratio to the previous step's (None at the first), the iterate's
+    u_h1 and diagnostics(), and linear_solve: the reduced system size
+    (unknowns), the GMRES iterations (krylov_iterations, which fall as the
+    iterates converge, GMRES starting from the previous iterate), the
+    achieved |b - Ax| / (|A|_F |x| + |b|) (relative_residual), and
+    factors: n, lu_nnz and min_pivot of each factor behind the
+    preconditioner ("laplacian" and "pressure_schur" of the Stokes block,
+    "maxwell" of the (E, A) system, and "edge_mass" in the current-based
+    step).  Every entry is a deterministic function of the inputs.
+
+    Non-convergence and a stall are outcomes, never raised; a singular
+    step raises SingularSystemError.  The loop checks no regime condition:
+    runners judge a B-E run with check_small_data_conditions.  An initial
+    field that is not finite raises ValueError naming it.
     """
     if formulation not in ("BE", "BJ"):
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -891,6 +874,6 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial, *,
             termination = "converged"
             break
 
-    report = PicardReport(formulation=formulation, termination=termination,
-                          iterations=records, stalled_solve=stalled)
-    return state, report
+    return state, {"formulation": formulation, "termination": termination,
+                   "n_iterations": len(records), "iterations": records,
+                   "stalled_solve": stalled}

@@ -67,7 +67,7 @@ def structure_run(n: int, formulation: str):
     step = be_picard_step if formulation == "BE" else bj_picard_step
     iterates = []
     st = seeded_state(mesh, formulation)
-    for rec in report.iterations:
+    for rec in report["iterations"]:
         st = step(st, params)
         diag = diagnostics(st, params)
         assert diag["b_l2"] == rec["b_l2"], "replay left the trajectory"
@@ -80,7 +80,7 @@ def test_gauss_law_exact_at_every_iterate():
     for n in MESHES:
         for formulation in FORMULATIONS:
             mesh, report, iterates, elapsed = structure_run(n, formulation)
-            assert report.termination == "converged"
+            assert report["termination"] == "converged"
             assert elapsed <= 30.0
             for diag in iterates:
                 assert diag["div_b_max"] <= 1e-12 * diag["b_l2"] / mesh.h, \
@@ -126,8 +126,8 @@ def test_picard_contracts_under_small_data():
         _, report = solve_nonlinear(formulation, params,
                                     seeded_state(mesh, formulation), **PICARD)
         assert time.perf_counter() - t0 <= 60.0
-        assert report.termination == "converged"
-        ratios = [rec["ratio"] for rec in report.iterations[1:]]
+        assert report["termination"] == "converged"
+        ratios = [rec["ratio"] for rec in report["iterations"][1:]]
         assert ratios, "need at least two iterates to observe contraction"
         assert all(r <= 0.75 for r in ratios), (formulation, ratios)
 
@@ -178,8 +178,8 @@ def test_zero_force_gives_zero_state_in_one_iteration():
         state, report = solve_nonlinear(formulation, params,
                                         zero_state(mesh, formulation),
                                         **PICARD)
-        assert report.termination == "converged"
-        assert report.n_iterations == 1
+        assert report["termination"] == "converged"
+        assert report["n_iterations"] == 1
         fields = [state.u, state.B, state.p, state.r]
         fields += [state.j, state.sigma] if formulation == "BJ" \
             else [state.E]

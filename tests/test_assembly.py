@@ -19,7 +19,6 @@ from mhdfem.assembly import (
     kernel_matrix,
     _bary,
 )
-from mhdfem.linalg import AssemblyError
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import discrete_ops
 
@@ -370,5 +369,5 @@ def test_face_load_matches_mass_action(spaces, cube2):
 
 def test_load_rejects_spaces_without_data_slot(spaces, cube2):
     tab = Tabulation(cube2, RULE_DEG6)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(ValueError):
         assemble_load(tab, spaces["p1"], np.zeros(tab.points.shape))

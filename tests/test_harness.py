@@ -700,6 +700,19 @@ def test_high_reynolds_run_ends_as_linear_stall(formulation):
     assert len(diag["structure"]["iterations"]) == 1
 
 
+def test_diagnose_stalled_at_the_first_step_checks_nothing():
+    # 3^3 trig-1 B-J at r_e = 1e4 stalls at its first step: no step
+    # produced an iterate, so there is nothing to score, as for a singular
+    # step (the start state would fail elimination_j, and a max over no
+    # iterates would pass gauss_law)
+    doc = run_diagnose(load_config({"mesh": [3, 3, 3], "case": "trig-1",
+                                    "params": {"r_e": 1e4}}))
+    structure = doc["structure"]
+    assert structure["termination"] == "linear-stall"
+    assert structure["iterations"] == []
+    assert structure["checks"] == {}
+
+
 def test_run_diagnose_single_cube(tmp_path):
     report = tmp_path / "diag.json"
     doc = run_diagnose(load_config({"mesh": [1, 1, 1],
@@ -963,7 +976,26 @@ STDERR_PREFIXES = ("warning: ", "solver error: ", "config error: ",
         "output": {"csv": f"{plain}/s.csv"}}, 2, id="csv-path"),
     pytest.param("study", lambda plain: {
         "case": "trig-1", "levels": [2, 3], "picard": {"max_iter": 1}}, 1,
-        id="study-abort")])
+        id="study-abort"),
+    # manufactured data at extreme parameters: no float operation raises,
+    # and data that is not finite is a config error naming its slot
+    *[pytest.param("solve", lambda plain, f=f, p=p: {
+        "mesh": [2, 2, 2], "case": "trig-1", "formulation": f,
+        "params": p}, code, id=f"{f}-{name}")
+      for f in ("BJ", "BE")
+      for name, p, code in (("r_m=1e-300", {"r_m": 1e-300}, 2),
+                            ("r_m=1e300", {"r_m": 1e300}, 1),
+                            ("r_m=1e-160", {"r_m": 1e-160}, 2),
+                            ("r_e=1e-308", {"r_e": 1e-308}, 2))],
+    pytest.param("solve", lambda plain: {
+        "mesh": [2, 2, 2], "case": "inspace-1", "params": {"r_m": 1e-300}},
+        2, id="inspace-r_m=1e-300"),
+    pytest.param("diagnose", lambda plain: {
+        "mesh": [2, 2, 2], "case": "trig-1", "params": {"r_m": 1e-300}}, 2,
+        id="diagnose-r_m=1e-300"),
+    pytest.param("study", lambda plain: {
+        "case": "trig-1", "levels": [2, 3], "params": {"r_m": 1e300}}, 1,
+        id="study-r_m=1e300")])
 def test_cli_stderr_is_one_named_line_per_message(command, payload, code,
                                                   tmp_path, capsys,
                                                   monkeypatch):
@@ -983,6 +1015,9 @@ def test_cli_stderr_is_one_named_line_per_message(command, payload, code,
     err = capsys.readouterr().err
     assert err and all(line.startswith(STDERR_PREFIXES)
                        for line in err.splitlines())
+    if code == 2 and "params" in payload:
+        slot = "h" if "r_m" in payload["params"] else "f"
+        assert f"config error: data slot {slot} is not finite" in err
     if payload is BE_HUGE_RE:
         assert "warning: electric-field step outside the guaranteed " \
                "regime" in err

@@ -1,5 +1,6 @@
 """Static checks of the package sources that need no linter installed."""
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -263,6 +264,43 @@ def test_only_the_mesh_context_is_cached():
     assert [f"{p.stem}.{name}" for p in SOURCES
             for name in cache_decorators(p.read_text())] \
         == ["operators.discrete_ops"]
+
+
+BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type)
+                      and issubclass(obj, BaseException)}
+
+
+def exception_classes(texts):
+    """Names of the classes of texts (sources) that derive from a builtin
+    exception, directly or through one another."""
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None))
+                         for b in node.bases}
+             for text in texts for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.ClassDef)}
+    found = set()
+    while True:
+        more = {name for name, of in bases.items()
+                if of & (BUILTIN_EXCEPTIONS | found)}
+        if more == found:
+            return sorted(found)
+        found = more
+
+
+def test_exception_class_is_caught():
+    texts = ["class E(Exception):\n    pass\nclass F(E):\n    pass\n"
+             "class G(ValueError):\n    pass\nclass P:\n    pass\n"
+             "class Q(P):\n    pass\n",
+             "class H(a.F):\n    pass\n"]
+    assert exception_classes(texts) == ["E", "F", "G", "H"]
+
+
+def test_exception_classes_are_the_named_outcomes():
+    # a bad argument raises ValueError; the package defines only the types
+    # the CLI names (ConfigError, SingularSystemError) and the one the
+    # Picard loop turns into a termination (LinearStallError)
+    assert exception_classes(p.read_text() for p in SOURCES) \
+        == ["ConfigError", "LinearStallError", "SingularSystemError"]
 
 
 def stray_space_builds(texts):

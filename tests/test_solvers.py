@@ -624,7 +624,7 @@ def test_be_current_evaluated_once_per_iterate(mesh2, params, monkeypatch):
                                 **PICARD)
     # the start once, then every iterate once: diagnostics is passed the
     # loop's current
-    assert len(calls) == 1 + report.n_iterations
+    assert len(calls) == 1 + report["n_iterations"]
 
 
 @pytest.mark.parametrize("formulation", ["BE", "BJ"])
@@ -683,10 +683,10 @@ def test_stalled_krylov_ends_the_run_as_linear_stall(params, formulation,
     # the plan's A_0 and (E, A) factors; nothing factors the whole step
     assert len(calls) == 2
     assert state is init
-    assert report.termination == "linear-stall"
-    assert report.iterations == []
+    assert report["termination"] == "linear-stall"
+    assert report["iterations"] == []
     plan = _step_plan(discrete_ops(mesh), formulation, params)
-    stalled = report.stalled_solve
+    stalled = report["stalled_solve"]
     assert stalled == {
         "unknowns": plan.pattern.shape[0], "krylov_iterations": 0,
         "relative_residual": stalled["relative_residual"],
@@ -874,7 +874,7 @@ def test_step_plan_releases_dropped_meshes(params):
 
 def test_divergence_free_every_iterate(solved_bj, solved_be, mesh2):
     for state, report in (solved_bj, solved_be):
-        for rec in report.iterations:
+        for rec in report["iterations"]:
             assert rec["div_b_max"] <= 1e-12 * max(rec["b_l2"], 1e-250) / mesh2.h
         direct = np.abs(tet_divergences(mesh2, state.B)).max()
         d = diagnostics(state, MhdParams(r_e=1.0, r_m=1.0, s=1.0))
@@ -883,7 +883,7 @@ def test_divergence_free_every_iterate(solved_bj, solved_be, mesh2):
 
 def test_multiplier_vanishes_every_iterate(solved_bj, solved_be):
     for _, report in (solved_bj, solved_be):
-        for rec in report.iterations:
+        for rec in report["iterations"]:
             scale = max(rec["u_h1"] + rec["b_l2"], 1e-250)
             assert rec["multiplier_norm"] <= 1e-10 * scale
 
@@ -911,7 +911,7 @@ def test_energy_identity_be_independent_quadrature(mesh2, params, seeded_be):
 
 def test_energy_identity_recorded_each_iterate(solved_bj, solved_be):
     for _, report in (solved_bj, solved_be):
-        for rec in report.iterations:
+        for rec in report["iterations"]:
             assert rec["energy_residual"] <= 1e-10 * abs(rec["energy_work"])
 
 
@@ -995,8 +995,8 @@ def test_discrete_curl_start_is_bj_fixed_point(mesh2, in_space_case):
     assert np.abs(state.r).max() <= 1e-10
 
     final, report = solve_nonlinear("BJ", params, init, **PICARD)
-    assert report.termination == "converged"
-    assert report.n_iterations == 1
+    assert report["termination"] == "converged"
+    assert report["n_iterations"] == 1
     assert np.abs(final.B - b_star).max() <= 1e-12 * scale
 
 
@@ -1059,8 +1059,8 @@ def test_zero_data_converges_immediately(mesh2):
             state, report = solve_nonlinear(formulation, params0,
                                             zero_state(mesh2, formulation),
                                             **PICARD)
-        assert report.termination == "converged"
-        assert report.n_iterations == 1
+        assert report["termination"] == "converged"
+        assert report["n_iterations"] == 1
         for name in ("u", "B", "p", "r"):
             assert not np.any(getattr(state, name))
         d = diagnostics(state, params0)
@@ -1084,12 +1084,12 @@ def test_fixed_forms_release_dropped_meshes(params):
 
 def test_report_structure(solved_bj):
     state, report = solved_bj
-    assert report.formulation == "BJ"
-    assert report.termination == "converged"
-    assert [rec["iteration"] for rec in report.iterations] \
-        == list(range(1, report.n_iterations + 1))
-    assert report.iterations[0]["ratio"] is None
-    assert all(rec["ratio"] is not None for rec in report.iterations[1:])
+    assert report["formulation"] == "BJ"
+    assert report["termination"] == "converged"
+    assert [rec["iteration"] for rec in report["iterations"]] \
+        == list(range(1, report["n_iterations"] + 1))
+    assert report["iterations"][0]["ratio"] is None
+    assert all(rec["ratio"] is not None for rec in report["iterations"][1:])
     assert state.formulation == "BJ"
 
 
@@ -1099,8 +1099,8 @@ def test_contraction_under_small_data(solved_bj, solved_be, mesh2, params):
     cond = check_small_data_conditions(params, mesh2, seed=0)
     assert cond["contraction_satisfied"]
     for _, report in (solved_bj, solved_be):
-        assert report.n_iterations >= 3
-        for rec in report.iterations[1:]:
+        assert report["n_iterations"] >= 3
+        for rec in report["iterations"][1:]:
             assert rec["ratio"] <= 0.75
 
 
@@ -1110,8 +1110,8 @@ def test_max_iterations_is_reported_not_raised(mesh2, params):
     init.B_prev = init.B.copy()
     state, report = solve_nonlinear("BJ", params, init,
                                     **dict(PICARD, max_iter=1))
-    assert report.termination == "max-iterations"
-    assert report.n_iterations == 1
+    assert report["termination"] == "max-iterations"
+    assert report["n_iterations"] == 1
     assert state.formulation == "BJ"
 
 
