@@ -10,18 +10,21 @@ structural statements (skew-symmetry, adjointness, incidence identities)
 into machine-precision matrix facts rather than approximations.
 
 Each form is an element kernel: <name>_elements(tab[, coeff]) contracts
-the basis values of a Tabulation into one element array per tet, and
+the bases of a Tabulation into one element array per tet, and
 element_dofs(mesh, name) gives the global row and column of each entry,
 rows over test DOFs.  kernel_matrix sums the fixed forms' arrays into the
 matrices of operators.DiscreteOps; the Picard steps scatter the arrays of
 the forms that carry an iterate (convection, cross couplings) into their
 own pattern.  Loads integrate data given at a tabulation's points.
+
+A Tabulation keeps one rule's reference tables and per-tet coefficients,
+never a basis at every point of every tet: that is T nq times the basis
+size, and would grow to about 0.41 GB at 16^3 for the two rules.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,10 +32,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .derham import (
     FeSpace,
+    p2_derivatives,
     p2_values,
     tabulate_nedelec,
     tabulate_p2_gradients,
     tabulate_rt,
+    tet_field,
+    whitney_coefficients,
 )
 
 # ---------------------------------------------------------------------------
@@ -125,6 +131,12 @@ def _bary(points: np.ndarray) -> np.ndarray:
 # tabulation
 
 
+def quadrature_points(mesh, rule: QuadratureRule) -> np.ndarray:
+    """The rule's points on every tet of mesh, (T, nq, 3)."""
+    return np.einsum("qi,tik->tqk", _bary(rule.tet_points),
+                     mesh.vertices[mesh.tets])
+
+
 def _velocity_dofs(mesh) -> np.ndarray:
     """Velocity DOF of each (tet, component, local P2 function), (T, 3, 10)."""
     n = mesh.num_vertices + mesh.num_edges
@@ -134,42 +146,45 @@ def _velocity_dofs(mesh) -> np.ndarray:
 
 
 class Tabulation:
-    """Basis functions of one mesh at the points of one tet rule.
+    """One tet rule's reference tables, and one mesh's bases as per-tet
+    coefficients.
 
-    lam (nq, 4) barycentric coordinates of the points, which are also the
-    P1 values; wq (T, nq) physical weights, p2 (nq, 10) P2 values, vel_dofs
-    (T, 3, 10) the velocity DOF of each (tet, component, local P2
-    function); points (T, nq, 3), p2_grads (T, nq, 10, 3), and ned (T, 6,
-    3 nq) and rt (T, 4, 3 nq), one row per function over (point,
-    component), are tabulated on first use.
+    Per rule: lam (nq, 4) barycentric coordinates of the points, which are
+    also the P1 values, p2 (nq, 10) P2 values and dp2 (nq, 10, 4) their
+    barycentric derivatives.  Per tet: vel_dofs (T, 3, 10), the velocity
+    DOF of each (tet, component, local P2 function), and ned (T, 6, 4, 3)
+    and rt (T, 4, 4, 3), the edge and face functions as barycentric
+    coefficients (derham.whitney_coefficients).  No array held has both a
+    tet and a point axis: wq and points are computed when read, and a
+    field or basis at the points lives only in the call that needs it,
+    which combines per-tet coefficients first and evaluates at the points
+    second.
     """
 
-    def __init__(self, mesh, rule: QuadratureRule):
+    def __init__(self, mesh, rule: QuadratureRule, like=None):
+        """like, a tabulation of the same mesh, lends its per-tet arrays."""
         self.mesh = mesh
+        self.rule = rule
         self.lam = _bary(rule.tet_points)
-        # reference weights sum to 1/6; |detJ| = 6 * volume
-        self.wq = (6.0 * mesh.volumes)[:, None] * rule.tet_weights[None, :]
         self.p2 = p2_values(self.lam)
-        self.vel_dofs = _velocity_dofs(mesh)
+        self.dp2 = p2_derivatives(self.lam)
+        if like is None:
+            self.vel_dofs = _velocity_dofs(mesh)
+            self.ned = whitney_coefficients(mesh, "NedelecEdge0")
+            self.rt = whitney_coefficients(mesh, "RaviartThomas0")
+        else:
+            self.vel_dofs, self.ned, self.rt = like.vel_dofs, like.ned, like.rt
 
-    @cached_property
+    @property
+    def wq(self) -> np.ndarray:
+        """Physical weights (T, nq): the reference weights sum to 1/6, and
+        |detJ| = 6 * volume."""
+        return (6.0 * self.mesh.volumes)[:, None] \
+            * self.rule.tet_weights[None, :]
+
+    @property
     def points(self) -> np.ndarray:
-        return np.einsum("qi,tik->tqk", self.lam,
-                         self.mesh.vertices[self.mesh.tets])
-
-    @cached_property
-    def p2_grads(self) -> np.ndarray:
-        return tabulate_p2_gradients(self.mesh, self.lam)
-
-    @cached_property
-    def ned(self) -> np.ndarray:
-        vals = tabulate_nedelec(self.mesh, self.lam)[0]
-        return vals.transpose(0, 2, 1, 3).reshape(len(vals), 6, -1)
-
-    @cached_property
-    def rt(self) -> np.ndarray:
-        vals = tabulate_rt(self.mesh, self.lam)[0]
-        return vals.transpose(0, 2, 1, 3).reshape(len(vals), 4, -1)
+        return quadrature_points(self.mesh, self.rule)
 
     def _local(self, coeff, dofs, size, what) -> np.ndarray:
         coeff = np.asarray(coeff, dtype=float)
@@ -177,33 +192,50 @@ class Tabulation:
             raise ValueError(f"{what} coefficient vector has wrong length")
         return coeff[dofs]
 
+    def _velocity(self, u) -> np.ndarray:
+        """Local velocity coefficients, (T, 3, 10)."""
+        n = 3 * (self.mesh.num_vertices + self.mesh.num_edges)
+        return self._local(u, self.vel_dofs, n, "velocity")
+
     # FE functions at the points, (T, nq, 3)
     def velocity_at(self, u) -> np.ndarray:
-        n = 3 * (self.mesh.num_vertices + self.mesh.num_edges)
-        u = self._local(u, self.vel_dofs, n, "velocity").reshape(-1, 10)
-        at = np.matmul(u, self.p2.T).reshape(len(self.wq), 3, -1)
-        return at.transpose(0, 2, 1)
+        at = np.matmul(self._velocity(u).reshape(-1, 10), self.p2.T)
+        return at.reshape(len(self.vel_dofs), 3, -1).transpose(0, 2, 1)
+
+    def velocity_grad(self, u) -> np.ndarray:
+        """grad u at the points, (T, nq, 3, 3), [..., c, k] = d u_c/d x_k:
+        the barycentric derivatives at the points, then the chain rule."""
+        u = self._velocity(u)
+        dp2 = self.dp2.transpose(1, 0, 2).reshape(10, -1)
+        du = np.matmul(u.reshape(-1, 10), dp2).reshape(len(u), -1, 4)
+        grad = np.matmul(du, self.mesh.grad_bary).reshape(len(u), 3, -1, 3)
+        return grad.transpose(0, 2, 1, 3)
 
     def edge_at(self, e) -> np.ndarray:
         e = self._local(e, self.mesh.tet_edges, self.mesh.num_edges,
                         "edge-element")
-        return np.matmul(e[:, None], self.ned).reshape(*self.wq.shape, 3)
+        return np.matmul(self.lam, tet_field(self.ned, e))
 
     def face_at(self, b) -> np.ndarray:
         b = self._local(b, self.mesh.tet_faces, self.mesh.num_faces,
                         "face-element")
-        return np.matmul(b[:, None], self.rt).reshape(*self.wq.shape, 3)
+        return np.matmul(self.lam, tet_field(self.rt, b))
 
     def moments(self, basis, field_at) -> np.ndarray:
-        """(field, w_i) on each tet for each function of ned or rt, (T, n)."""
-        weighted = self.wq[..., None] * field_at
-        return np.matmul(basis, weighted.reshape(len(basis), -1, 1))[..., 0]
+        """(field, w_i) on each tet for each function of basis, ned or rt,
+        (T, n): the weighted field's barycentric moments (T, 4, 3) first,
+        then the coefficients."""
+        f = np.matmul(self.lam.T, self.wq[..., None] * field_at)
+        return np.matmul(basis.reshape(*basis.shape[:2], 12),
+                         f.reshape(-1, 12, 1))[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # element kernels of the fixed forms on the degree-4 tabulation, each exact
 # for its constant-coefficient integrand: batched matrix products over the
-# points.  divergence and face_mass keep einsum's plain sums: BLAS's fused
+# points.  operators.DiscreteOps builds them once per mesh, so they may
+# tabulate the bases at the points through derham, for the call only.
+# divergence and face_mass keep einsum's plain sums: BLAS's fused
 # multiply-adds round other exactly cancelling entries to zero, and those
 # zeros fix the patterns of the step matrix and of the Maxwell factor.
 
@@ -223,15 +255,17 @@ def velocity_mass_elements(tab: Tabulation) -> np.ndarray:
 
 def laplacian_elements(tab: Tabulation) -> np.ndarray:
     """(grad phi_j, grad phi_i), (T, 1, 10, 10), repeated likewise."""
-    grads = tab.p2_grads.transpose(0, 2, 1, 3)
+    grads = tabulate_p2_gradients(tab.mesh, tab.lam).transpose(0, 2, 1, 3)
     return _gram(grads.reshape(len(grads), 10, -1), tab.wq)[:, None]
 
 
 def divergence_elements(tab: Tabulation) -> np.ndarray:
     """(d_c phi_j, psi_i) of velocity component c against the P1 hat psi_i,
     (T, 3, 4, 10)."""
-    div = np.einsum("tiq,tqj->tij", tab.lam.T * tab.wq[:, None, :],
-                    tab.p2_grads.reshape(len(tab.wq), -1, 30))
+    wq = tab.wq
+    grads = tabulate_p2_gradients(tab.mesh, tab.lam)
+    div = np.einsum("tiq,tqj->tij", tab.lam.T * wq[:, None, :],
+                    grads.reshape(len(wq), -1, 30))
     return div.reshape(-1, 4, 10, 3).transpose(0, 3, 1, 2)
 
 
@@ -243,47 +277,61 @@ def pressure_mass_elements(tab: Tabulation) -> np.ndarray:
 
 def edge_mass_elements(tab: Tabulation) -> np.ndarray:
     """(w_j, w_i) of the edge functions, (T, 6, 6)."""
-    return _gram(tab.ned, tab.wq)
+    ned = tabulate_nedelec(tab.mesh, tab.lam)[0].transpose(0, 2, 1, 3)
+    return _gram(ned.reshape(len(ned), 6, -1), tab.wq)
 
 
 def face_mass_elements(tab: Tabulation) -> np.ndarray:
     """(w_j, w_i) of the face functions, (T, 4, 4)."""
-    rt = tab.rt.reshape(*tab.rt.shape[:2], -1, 3)
+    rt = tabulate_rt(tab.mesh, tab.lam)[0].transpose(0, 2, 1, 3)
     return np.einsum("tq,tiqk,tjqk->tij", tab.wq, rt, rt)
 
 
 # ---------------------------------------------------------------------------
-# element kernels of the iterate-dependent forms: batched matrix products
-# against a Tabulation, scattered by the Picard steps
+# element kernels of the iterate-dependent forms, scattered by the Picard
+# steps: the iterate is combined on each tet first, and every contraction
+# over the points is one matrix product
 
 
 def convection_elements(tab: Tabulation, w) -> np.ndarray:
     """1/2 [(w.grad phi_j, phi_i) - (w.grad phi_i, phi_j)], (T, 3, 10, 10):
     one scalar block, repeated on the three velocity components."""
-    wgrad = np.matmul(tab.p2_grads, tab.velocity_at(w)[..., None])[..., 0]
-    adv = np.matmul(tab.p2.T * tab.wq[:, None, :], wgrad)
-    elem = 0.5 * (adv - adv.transpose(0, 2, 1))
-    return np.broadcast_to(elem[:, None], (elem.shape[0], 3, 10, 10))
+    wq = tab.wq
+    t, q = wq.shape
+    # w.grad lam_m at the points, weighted, (T, 4 nq) over (m, point)
+    wg = np.matmul(np.matmul(tab.mesh.grad_bary, tab._velocity(w))
+                   .reshape(-1, 10), tab.p2.T).reshape(t, 4, q)
+    wg = (wg * wq[:, None]).reshape(t, 4 * q)
+    # w.grad phi_j = sum_m dp2[:, j, m] w.grad lam_m, so one table of the
+    # rule, phi_i dphi_j/dlam_m made skew in (i, j), takes every point
+    pd = tab.p2[None, :, :, None] * tab.dp2.transpose(2, 0, 1)[:, :, None]
+    skew = 0.5 * (pd - pd.transpose(0, 1, 3, 2))
+    elem = np.matmul(wg, skew.reshape(4 * q, 100)).reshape(t, 10, 10)
+    return np.broadcast_to(elem[:, None], (t, 3, 10, 10))
 
 
 def cross_elements(tab: Tabulation, g) -> np.ndarray:
     """((phi_(c,i) x G), w_j) = (e_c, (G x w_j) phi_i), (T, 3, 10, 6)."""
-    gq = tab.face_at(g)[:, None]                          # (T, 1, nq, 3)
-    ned = tab.ned.reshape(len(gq), 6, -1, 3)              # (T, 6, nq, 3)
+    wq = tab.wq
+    t, q = wq.shape
+    gq = tab.face_at(g)[:, :, None]                       # (T, nq, 1, 3)
+    # the edge functions at the points, for this call only, (T, nq, 6, 3)
+    ned = np.matmul(tab.lam, tab.ned.transpose(0, 2, 1, 3).reshape(t, 4, 18))
+    ned = ned.reshape(t, q, 6, 3)
     gxw = np.stack([gq[..., a] * ned[..., b] - gq[..., b] * ned[..., a]
                     for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
-    return np.matmul((tab.p2.T * tab.wq[:, None, :])[:, None],
-                     gxw.transpose(0, 1, 3, 2))
+    return np.matmul((tab.p2.T * wq[:, None, :])[:, None], gxw)
 
 
 def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
     """((phi_(d,j) x G), (phi_(c,i) x G)), (T, 3, 3, 10, 10) over c, d, i, j."""
     t, q = tab.wq.shape
+    wq = tab.wq
     # w (e_c x G).(e_d x G) = w (|G|^2 delta_cd - G_c G_d), (T, 3, 3, nq)
     gt = tab.face_at(g).transpose(0, 2, 1)
-    wcc = -(gt[:, :, None] * (tab.wq[:, None] * gt)[:, None])
+    wcc = -(gt[:, :, None] * (wq[:, None] * gt)[:, None])
     g2 = (gt * gt).sum(axis=1, keepdims=True)
-    wcc.reshape(t, 9, q)[:, ::4] += tab.wq[:, None] * g2
+    wcc.reshape(t, 9, q)[:, ::4] += wq[:, None] * g2
     pp = (tab.p2[:, :, None] * tab.p2[:, None, :]).reshape(q, 100)
     return np.matmul(wcc.reshape(t * 9, q), pp).reshape(t, 3, 3, 10, 10)
 

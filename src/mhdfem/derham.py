@@ -13,8 +13,12 @@ higher vertex index, face normals follow the right-hand rule on the
 ascending-sorted vertex triple.  Element tabulation applies the matching
 sign per tet, so coefficients are single-valued global DOFs.  Each edge
 and face basis is written once, as a function of per-tet barycentric
-gradients and barycentric points; tabulation and point evaluation (at
-the tets mesh.locate finds) both call it.
+gradients and barycentric points.  Both bases are linear in the
+barycentric coordinates, so their values at a tet's four vertices are
+per-tet coefficients (whitney_coefficients): a field is combined on each
+tet first and evaluated at its points second, by point_eval (at the tets
+mesh.locate finds) and by assembly.Tabulation.  Tabulation at points
+serves the fixed forms, which operators.DiscreteOps builds once.
 """
 from __future__ import annotations
 
@@ -61,6 +65,18 @@ def p2_values(bary: np.ndarray) -> np.ndarray:
     return np.concatenate([vert, edge], axis=1)
 
 
+def p2_derivatives(bary: np.ndarray) -> np.ndarray:
+    """Derivatives of the P2 functions in the barycentric coordinates,
+    (nq, 10, 4): the gradient of function i is sum_m d[:, i, m] grad lam_m."""
+    lam = np.asarray(bary, dtype=float)
+    d = np.zeros((lam.shape[0], 10, 4))
+    d[:, np.arange(4), np.arange(4)] = 4.0 * lam - 1.0
+    i, j = _LOCAL_EDGES.T
+    d[:, 4 + np.arange(6), i] = 4.0 * lam[:, j]
+    d[:, 4 + np.arange(6), j] = 4.0 * lam[:, i]
+    return d
+
+
 def _edge_signs(mesh: Mesh) -> np.ndarray:
     a = mesh.tets[:, _LOCAL_EDGES[:, 0]]
     b = mesh.tets[:, _LOCAL_EDGES[:, 1]]
@@ -88,10 +104,11 @@ def tabulate_p2_gradients(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
 def _nedelec_values(g, s, lam):
     """Signed Whitney edge functions s_k (lam_i grad lam_j - lam_j grad
     lam_i), (T, 6, nq, 3) function-major, from the barycentric gradients g
-    (T, 4, 3), edge signs s (T, 6) and barycentric points (1 or T, nq, 4)."""
-    vals = np.empty((g.shape[0], 6, lam.shape[1], 3))
+    (T, 4, 3), edge signs s (T, 6) and barycentric points lam (nq, 4)."""
+    vals = np.empty((g.shape[0], 6, lam.shape[0], 3))
     for k, (i, j) in enumerate(_LOCAL_EDGES):
-        w = lam[:, :, i, None] * g[:, None, j] - lam[:, :, j, None] * g[:, None, i]
+        w = lam[None, :, i, None] * g[:, None, j] \
+            - lam[None, :, j, None] * g[:, None, i]
         vals[:, k] = s[:, k, None, None] * w
     return vals
 
@@ -102,8 +119,7 @@ def _rt_values(g, loc, lam):
     function-major; g and lam as in _nedelec_values."""
     t_idx = np.arange(g.shape[0])[:, None]
     ga, gb, gc = (g[t_idx, loc[:, :, m]] for m in range(3))    # (T, 4, 3)
-    lam = np.broadcast_to(lam, (g.shape[0],) + lam.shape[1:])
-    la, lb, lc = (lam[t_idx, :, loc[:, :, m]][..., None]
+    la, lb, lc = (lam.T[loc[:, :, m]][..., None]
                   for m in range(3))                            # (T, 4, nq, 1)
     return np.ascontiguousarray(2.0 * (la * np.cross(gb, gc)[:, :, None]
                                        + lb * np.cross(gc, ga)[:, :, None]
@@ -114,7 +130,7 @@ def tabulate_nedelec(mesh: Mesh, bary: np.ndarray):
     """Edge values (T, nq, 6, 3), stored function-major, curls (T, 6, 3)."""
     g = mesh.grad_bary
     s = _edge_signs(mesh)
-    vals = _nedelec_values(g, s, np.asarray(bary, dtype=float)[None])
+    vals = _nedelec_values(g, s, np.asarray(bary, dtype=float))
     curls = s[:, :, None] * 2.0 * np.cross(g[:, _LOCAL_EDGES[:, 0]],
                                            g[:, _LOCAL_EDGES[:, 1]])
     return vals.transpose(0, 2, 1, 3), curls
@@ -124,11 +140,30 @@ def tabulate_rt(mesh: Mesh, bary: np.ndarray):
     """Face values (T, nq, 4, 3), stored function-major, and div (T, 4)."""
     g = mesh.grad_bary
     loc = _sorted_face_locals(mesh)                       # (T, 4, 3)
-    vals = _rt_values(g, loc, np.asarray(bary, dtype=float)[None])
+    vals = _rt_values(g, loc, np.asarray(bary, dtype=float))
     t_idx = np.arange(mesh.num_tets)[:, None]
     ga, gb, gc = (g[t_idx, loc[:, :, m]] for m in range(3))
     divs = 6.0 * np.einsum("tfk,tfk->tf", ga, np.cross(gb, gc))
     return vals.transpose(0, 2, 1, 3), divs
+
+
+def whitney_coefficients(mesh: Mesh, tag: str) -> np.ndarray:
+    """The edge ("NedelecEdge0") or face ("RaviartThomas0") functions as
+    per-tet barycentric coefficients, (T, n, 4, 3) function-major: function
+    k is sum_m lam_m c[:, k, m], c[:, k, m] being its value at vertex m,
+    which the basis formulas give exactly (they meet only 0 and 1 there)."""
+    vertices = np.eye(4)
+    if tag == "NedelecEdge0":
+        return _nedelec_values(mesh.grad_bary, _edge_signs(mesh), vertices)
+    return _rt_values(mesh.grad_bary, _sorted_face_locals(mesh), vertices)
+
+
+def tet_field(basis: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Per-tet barycentric coefficients (T, 4, 3) of the field
+    sum_k local[:, k] w_k, from the basis coefficients (T, n, 4, 3) of
+    whitney_coefficients and the local coefficient vectors (T, n)."""
+    return np.matmul(local[:, None], basis.reshape(*local.shape, 12)) \
+        .reshape(-1, 4, 3)
 
 
 def interpolate(space: FeSpace, field) -> np.ndarray:
@@ -172,24 +207,21 @@ def interpolate(space: FeSpace, field) -> np.ndarray:
 
 def point_eval(space: FeSpace, coeffs, points) -> np.ndarray:
     """Evaluate the edge- or face-element function with the given
-    coefficients at points, (n, 3), in the tets mesh.locate finds, as the
-    sum of c_k w_k in local order; other spaces are evaluated at
+    coefficients at points, (n, 3), in the tets mesh.locate finds: the
+    field is combined on every tet first (tet_field) and evaluated at the
+    points' barycentric coordinates second; other spaces are evaluated at
     quadrature points (assembly.Tabulation)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dof_count,):
         raise ValueError(f"expected {space.dof_count} coefficients")
     mesh = space.mesh
-    if space.tag not in ("NedelecEdge0", "RaviartThomas0"):
+    local = {"NedelecEdge0": mesh.tet_edges,
+             "RaviartThomas0": mesh.tet_faces}.get(space.tag)
+    if local is None:
         raise ValueError(f"cannot evaluate {space.tag!r}")
     tet_of, bary = locate(mesh, points)
-    g = mesh.grad_bary[tet_of]
-    if space.tag == "NedelecEdge0":
-        w = _nedelec_values(g, _edge_signs(mesh)[tet_of], bary[:, None])
-        c = coeffs[mesh.tet_edges[tet_of]]
-    else:
-        w = _rt_values(g, _sorted_face_locals(mesh)[tet_of], bary[:, None])
-        c = coeffs[mesh.tet_faces[tet_of]]
-    return sum(c[:, k, None] * w[:, k, 0] for k in range(c.shape[1]))
+    field = tet_field(whitney_coefficients(mesh, space.tag), coeffs[local])
+    return np.matmul(bary[:, None], field[tet_of])[:, 0]
 
 
 # ---------------------------------------------------------------------------

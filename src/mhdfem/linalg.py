@@ -58,7 +58,9 @@ def _factor(a_csc):
         raise SingularSystemError(f"sparse LU failed ({exc})") from exc
 
     # SuperLU exposes only L, U, nnz, perm_c, perm_r, shape and solve, so
-    # the pivots are read off a copy of U; the check below needs them
+    # the pivots are read off U; the check below needs them.  The first read
+    # makes scipy (1.17) build CSC copies of both L and U, which the factor
+    # keeps while it lives: about 12 bytes per entry of lu.nnz
     d = np.abs(lu.U.diagonal())
     if _singular(d):
         step = int(np.argmin(d))

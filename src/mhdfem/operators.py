@@ -5,8 +5,8 @@ DiscreteOps owns what both Picard schemes and the diagnostics share on one
 mesh: the velocity, pressure, multiplier, edge and face spaces (no other
 code builds a space), the incidences, every fixed matrix (summed from the
 assembly element kernels on its degree-4 tabulation), the factored
-free-edge mass, the basis tabulations at each quadrature rule, and the
-solvers' step plan.  discrete_ops(mesh) hands every caller the one
+free-edge mass, one tabulation per quadrature rule, and the solvers'
+step plan.  discrete_ops(mesh) hands every caller the one
 instance of the most recent mesh.  Each cube's main diagonal is an
 interior edge, so no free DOF set of a mesh is empty.
 
@@ -119,9 +119,11 @@ class DiscreteOps:
         self.plan = None
 
     def tab(self, rule: QuadratureRule) -> Tabulation:
-        """The mesh's basis at one rule's points, tabulated on first use."""
+        """The mesh's tabulation at one rule, made on first use; all share
+        the first one's per-tet coefficients."""
         if rule not in self._tabs:
-            self._tabs[rule] = Tabulation(self.mesh, rule)
+            first = next(iter(self._tabs.values()), None)
+            self._tabs[rule] = Tabulation(self.mesh, rule, first)
         return self._tabs[rule]
 
     def weak_curl(self, B) -> np.ndarray:

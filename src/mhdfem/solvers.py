@@ -43,7 +43,7 @@ from scipy.linalg import lu_solve
 
 from . import assembly
 from .assembly import (KERNEL_RULES, RULE_DEG4, RULE_DEG6, Tabulation,
-                       assemble_load, element_dofs)
+                       assemble_load, element_dofs, quadrature_points)
 from .derham import FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
@@ -165,9 +165,7 @@ def _loads(mesh: Mesh, params: MhdParams) -> dict:
     called once, at the mesh's degree-6 points, before the mesh's context
     is built, so that values not shaped or not finite fail first."""
     if mesh not in params._loaded:
-        # only the points are read: a tabulation computes its bases on
-        # first use
-        pts = Tabulation(mesh, RULE_DEG6).points.reshape(-1, 3)
+        pts = quadrature_points(mesh, RULE_DEG6).reshape(-1, 3)
         at = {slot: _checked(np.asarray(data(pts), dtype=float), pts.shape,
                              slot)
               for slot, data in (("f", params.f), ("h", params.h))

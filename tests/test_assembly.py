@@ -138,26 +138,32 @@ def test_fixed_kernel_matches_einsum_reference(kernel, rule):
 
 @RULES
 def test_vector_bases_evaluate_like_einsum_reference(rule):
+    # a tabulation keeps per-tet coefficients; combined and then evaluated
+    # at the points they give what derham tabulates there
     mesh = build_box_mesh(2, 3, 2)
     tab = Tabulation(mesh, rule)
-    _, wq, _, _, ned, rt = tabulated(mesh, rule)
+    lam, wq, _, grads, ned, rt = tabulated(mesh, rule)
     rng = np.random.default_rng(11)
     e = rng.standard_normal(mesh.num_edges)
     b = rng.standard_normal(mesh.num_faces)
+    u = rng.standard_normal(3 * (mesh.num_vertices + mesh.num_edges))
     field = rng.standard_normal((*wq.shape, 3))
     assert_close(tab.edge_at(e),
                  np.einsum("tqek,te->tqk", ned, e[mesh.tet_edges]))
     assert_close(tab.face_at(b),
                  np.einsum("tqfk,tf->tqk", rt, b[mesh.tet_faces]))
+    assert_close(tab.velocity_grad(u),
+                 np.einsum("tqjk,tcj->tqck", grads, u[tab.vel_dofs]))
     moments = np.einsum("tq,tqk,tqek->te", wq, field, ned)
     assert_close(assemble_load(tab, discrete_ops(mesh).space_c, field),
                  np.bincount(mesh.tet_edges.ravel(), moments.ravel(),
                              minlength=mesh.num_edges))
-    # the rows are a view of derham's function-major values, not a copy
-    for basis, vals in ((tab.ned, ned), (tab.rt, rt)):
-        assert basis.base is not None and basis.base.nbytes == basis.nbytes
-        rows = basis.reshape(len(vals), -1, vals.shape[1], 3)
-        assert np.array_equal(rows.transpose(0, 2, 1, 3), vals)
+    moments = np.einsum("tq,tqk,tqfk->tf", wq, field, rt)
+    assert_close(assemble_load(tab, discrete_ops(mesh).space_d, field),
+                 np.bincount(mesh.tet_faces.ravel(), moments.ravel(),
+                             minlength=mesh.num_faces))
+    for coeffs, vals in ((tab.ned, ned), (tab.rt, rt)):
+        assert_close(np.einsum("qm,tkmc->tqkc", lam, coeffs), vals)
 
 
 @pytest.mark.parametrize("rule,deg", [(RULE_DEG4, 4), (RULE_DEG6, 6)])

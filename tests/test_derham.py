@@ -245,3 +245,20 @@ def test_velocity_dof_layout_is_component_major(cube2):
         coeffs[c * ns + node] = 1.0
         assert np.abs(tab.velocity_at(coeffs)[0, 0]
                       - np.eye(3)[c]).max() < 1e-14
+
+
+def test_point_eval_takes_no_cross_product_per_point(cube2, monkeypatch):
+    # the face functions are combined on each tet first, so every cross
+    # product runs over the tets and none over the points
+    rows = []
+    cross = np.cross
+
+    def recorded(a, b, *args, **kwargs):
+        rows.append(len(a))
+        return cross(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cross", recorded)
+    space = space_of(cube2, "RaviartThomas0")
+    pts = np.random.default_rng(3).random((1000, 3))
+    dh.point_eval(space, np.ones(space.dof_count), pts)
+    assert rows and set(rows) == {cube2.num_tets}

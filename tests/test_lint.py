@@ -234,15 +234,16 @@ def test_no_unread_dataclass_fields():
 
 
 def cache_decorators(text):
-    """Names of the functions a module decorates with functools.lru_cache
-    or functools.cache, bare, called or through the module."""
+    """Names of the functions a module decorates with functools.lru_cache,
+    functools.cache or functools.cached_property, bare, called or through
+    the module."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for dec in node.decorator_list:
                 target = dec.func if isinstance(dec, ast.Call) else dec
                 if getattr(target, "id", getattr(target, "attr", None)) \
-                        in ("lru_cache", "cache"):
+                        in ("lru_cache", "cache", "cached_property"):
                     found.append(node.name)
     return found
 
@@ -254,13 +255,18 @@ def test_cache_decorator_is_caught():
             "@functools.lru_cache(maxsize=None)\ndef c():\n    pass\n"
             "@cache\ndef d():\n    pass\n"
             "@functools.cache\ndef e():\n    pass\n"
-            "class K:\n    @property\n    def f(self):\n        pass\n")
-    assert cache_decorators(text) == ["a", "b", "c", "d", "e"]
+            "class K:\n    @property\n    def f(self):\n        pass\n"
+            "    @cached_property\n    def g(self):\n        pass\n"
+            "    @functools.cached_property\n    def h(self):\n"
+            "        pass\n")
+    assert cache_decorators(text) == ["a", "b", "c", "d", "e", "g", "h"]
 
 
 def test_only_the_mesh_context_is_cached():
     # one per-mesh context holds what a mesh's runs share; a scattered
-    # module cache would keep meshes and their factors alive besides it
+    # module cache would keep meshes and their factors alive besides it,
+    # and a cached property would keep what one call needed (a basis at
+    # every point of every tet, say) for the life of its object
     assert [f"{p.stem}.{name}" for p in SOURCES
             for name in cache_decorators(p.read_text())] \
         == ["operators.discrete_ops"]

@@ -18,6 +18,7 @@ from mhdfem.derham import (curl_incidence, div_incidence, interpolate,
                            p2_values, point_eval, tabulate_nedelec,
                            tabulate_p2_gradients, tabulate_rt)
 from mhdfem.harness import _PICARD_DEFAULTS as PICARD
+from mhdfem.harness import load_config, run_solve
 from mhdfem.linalg import (LinearStallError, SingularSystemError,
                            solve_direct, solve_preconditioned)
 from mhdfem.mesh import build_box_mesh
@@ -595,20 +596,31 @@ def test_later_steps_assemble_nothing_and_load_nothing(params, formulation,
     assert assembled == [] and loaded == []
 
 
-def test_discrete_ops_tabulates_each_rule_once(params, monkeypatch):
-    # one context build and one B-J step tabulate every basis they use once
-    # per rule: the fixed forms and the cross kernel share the degree-4
-    # tabulation, convection and the loads the degree-6 one
-    calls = []
-    for name in ("tabulate_p2_gradients", "tabulate_nedelec", "tabulate_rt"):
-        def counted(mesh, lam, _name=name, _orig=getattr(mhdfem.assembly,
-                                                         name)):
-            calls.append((_name, np.asarray(lam).tobytes()))
-            return _orig(mesh, lam)
-        monkeypatch.setattr(mhdfem.assembly, name, counted)
-    mesh = build_box_mesh(2, 2, 2)
-    bj_picard_step(seeded_start(mesh, "BJ"), params)
-    assert len(calls) == len(set(calls)) == 4
+def test_context_keeps_no_basis_at_every_point(monkeypatch):
+    # after a whole run, the context and its tabulations hold per-rule
+    # tables (no tet axis) and per-tet coefficients (no point axis): a basis
+    # at every point of every tet lives only inside the call that needs it
+    meshes = []
+
+    def recorded(*counts):
+        meshes.append(build_box_mesh(*counts))
+        return meshes[-1]
+
+    monkeypatch.setattr("mhdfem.harness.build_box_mesh", recorded)
+    run_solve(load_config({"mesh": [3, 3, 3], "case": "trig-1",
+                           "formulation": "BE"}))
+    ops = discrete_ops(meshes[0])
+    n_tets = meshes[0].num_tets
+    assert {RULE_DEG4, RULE_DEG6} <= set(ops._tabs)
+    for tab in ops._tabs.values():
+        nq = len(tab.lam)
+        held = [a for a in vars(tab).values() if isinstance(a, np.ndarray)]
+        for a in held + [a for a in vars(ops).values()
+                         if isinstance(a, np.ndarray)]:
+            assert not (a.shape[:1] == (n_tets,)
+                        and {nq, 3 * nq} & set(a.shape[1:])), a.shape
+        # ned, rt and vel_dofs are 150 numbers a tet, whatever the rule
+        assert sum(a.nbytes for a in held) <= 2048 * n_tets
 
 
 def test_be_current_evaluated_once_per_iterate(mesh2, params, monkeypatch):
