@@ -325,8 +325,8 @@ def cross_elements(tab: Tabulation, g) -> np.ndarray:
 
 def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
     """((phi_(d,j) x G), (phi_(c,i) x G)), (T, 3, 3, 10, 10) over c, d, i, j."""
-    t, q = tab.wq.shape
     wq = tab.wq
+    t, q = wq.shape
     # w (e_c x G).(e_d x G) = w (|G|^2 delta_cd - G_c G_d), (T, 3, 3, nq)
     gt = tab.face_at(g).transpose(0, 2, 1)
     wcc = -(gt[:, :, None] * (wq[:, None] * gt)[:, None])
