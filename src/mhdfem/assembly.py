@@ -2,12 +2,14 @@
 of every form in the solvers.
 
 All integrands arising from the lowest-order spaces with P2 coefficient
-fields are polynomial, and the rules are chosen to integrate them exactly:
-a degree-4 tet rule for constant-coefficient forms, a degree-6 rule for
-forms carrying FE coefficient fields (the convection form and the cross
-products against a magnetic field).  Exact integration is what turns the
-structural statements (skew-symmetry, adjointness, incidence identities)
-into machine-precision matrix facts rather than approximations.
+fields are polynomial, and each is integrated exactly: the fixed forms,
+whose coefficients are constant on each tet, in closed form (the tet's
+volume times a reference average), and the forms carrying FE coefficient
+fields by a tet rule of their degree, 4 for a single cross product against
+a magnetic field, 6 for the convection form and the double cross product.
+Exact integration is what turns the structural statements (skew-symmetry,
+adjointness, incidence identities) into machine-precision matrix facts
+rather than approximations.
 
 Each form is an element kernel: <name>_elements(tab[, coeff]) contracts
 the bases of a Tabulation into one element array per tet, and
@@ -34,9 +36,6 @@ from .derham import (
     FeSpace,
     p2_derivatives,
     p2_values,
-    tabulate_nedelec,
-    tabulate_p2_gradients,
-    tabulate_rt,
     tet_field,
     whitney_coefficients,
 )
@@ -186,6 +185,11 @@ class Tabulation:
     def points(self) -> np.ndarray:
         return quadrature_points(self.mesh, self.rule)
 
+    def l2sq(self, field_at) -> float:
+        """Squared L2 norm of a vector field at the points, (T, nq, 3)."""
+        return float(np.sum(self.wq * np.einsum("tqk,tqk->tq", field_at,
+                                                field_at)))
+
     def _local(self, coeff, dofs, size, what) -> np.ndarray:
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (size,):
@@ -231,60 +235,77 @@ class Tabulation:
 
 
 # ---------------------------------------------------------------------------
-# element kernels of the fixed forms on the degree-4 tabulation, each exact
-# for its constant-coefficient integrand: batched matrix products over the
-# points.  operators.DiscreteOps builds them once per mesh, so they may
-# tabulate the bases at the points through derham, for the call only.
-# divergence and face_mass keep einsum's plain sums: BLAS's fused
-# multiply-adds round other exactly cancelling entries to zero, and those
-# zeros fix the patterns of the step matrix and of the Maxwell factor.
+# element kernels of the fixed forms, in closed form.  Each integrand is a
+# polynomial in the barycentric coordinates with coefficients constant on a
+# tet (grad_bary, ned, rt), so each kernel is the tet's volume times one
+# reference tensor, an average over the tet, contracted with them; no rule
+# and no point enters.  The averages of lam lam, phi phi, (dphi/dlam)
+# (dphi/dlam) and lam dphi/dlam are multiples of 1/840: their integrands
+# have integer coefficients and degree at most 4, and lam^a averages to
+# 6 a! / (|a| + 3)!.  So the degree-4 rule's sums, rounded to that grid,
+# are exact.
 
 
-def _gram(rows: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """(T, n, n) weighted Gram matrix of rows (T, n, 3 nq)."""
-    w = np.repeat(wq, 3, axis=1)[:, None]
-    return np.matmul(rows * w, rows.transpose(0, 2, 1))
+def _reference_averages():
+    lam = _bary(RULE_DEG4.tet_points)
+    p2, dp2 = p2_values(lam), p2_derivatives(lam)
+
+    def average(spec, *tables):
+        total = np.einsum(spec, 6.0 * RULE_DEG4.tet_weights, *tables)
+        return np.round(840.0 * total) / 840.0
+
+    return (average("q,qi,qj->ij", lam, lam), average("q,qi,qj->ij", p2, p2),
+            average("q,qim,qjn->imjn", dp2, dp2),
+            average("q,qi,qjm->ijm", lam, dp2))
+
+
+# (4, 4), (10, 10), (10, 4, 10, 4) and (4, 10, 4)
+_LAM_LAM, _P2_P2, _DP2_DP2, _LAM_DP2 = _reference_averages()
 
 
 def velocity_mass_elements(tab: Tabulation) -> np.ndarray:
     """(phi_j, phi_i), (T, 1, 10, 10): one scalar block, repeated on the
     three velocity components."""
-    pp = (tab.p2[:, :, None] * tab.p2[:, None, :]).reshape(-1, 100)
-    return np.matmul(tab.wq, pp).reshape(-1, 1, 10, 10)
+    return tab.mesh.volumes[:, None, None, None] * _P2_P2
 
 
 def laplacian_elements(tab: Tabulation) -> np.ndarray:
     """(grad phi_j, grad phi_i), (T, 1, 10, 10), repeated likewise."""
-    grads = tabulate_p2_gradients(tab.mesh, tab.lam).transpose(0, 2, 1, 3)
-    return _gram(grads.reshape(len(grads), 10, -1), tab.wq)[:, None]
+    g = tab.mesh.grad_bary
+    gg = np.matmul(g, g.transpose(0, 2, 1)).reshape(-1, 16)
+    elem = np.matmul(gg, _DP2_DP2.transpose(1, 3, 0, 2).reshape(16, 100))
+    return (tab.mesh.volumes[:, None] * elem).reshape(-1, 1, 10, 10)
 
 
 def divergence_elements(tab: Tabulation) -> np.ndarray:
     """(d_c phi_j, psi_i) of velocity component c against the P1 hat psi_i,
     (T, 3, 4, 10)."""
-    wq = tab.wq
-    grads = tabulate_p2_gradients(tab.mesh, tab.lam)
-    div = np.einsum("tiq,tqj->tij", tab.lam.T * wq[:, None, :],
-                    grads.reshape(len(wq), -1, 30))
-    return div.reshape(-1, 4, 10, 3).transpose(0, 3, 1, 2)
+    div = np.matmul(tab.mesh.grad_bary.transpose(0, 2, 1),
+                    _LAM_DP2.transpose(2, 0, 1).reshape(4, 40))
+    return tab.mesh.volumes[:, None, None, None] * div.reshape(-1, 3, 4, 10)
 
 
 def pressure_mass_elements(tab: Tabulation) -> np.ndarray:
     """(psi_j, psi_i) of the P1 hats, (T, 4, 4)."""
-    ll = (tab.lam[:, :, None] * tab.lam[:, None, :]).reshape(-1, 16)
-    return np.matmul(tab.wq, ll).reshape(-1, 4, 4)
+    return tab.mesh.volumes[:, None, None] * _LAM_LAM
+
+
+def _whitney_mass(tab: Tabulation, basis: np.ndarray) -> np.ndarray:
+    """(w_j, w_i) of the functions of basis, ned or rt, (T, n, n)."""
+    n = basis.shape[1]
+    weighted = np.matmul(_LAM_LAM, basis).reshape(-1, n, 12)
+    return tab.mesh.volumes[:, None, None] * np.matmul(
+        weighted, basis.reshape(-1, n, 12).transpose(0, 2, 1))
 
 
 def edge_mass_elements(tab: Tabulation) -> np.ndarray:
     """(w_j, w_i) of the edge functions, (T, 6, 6)."""
-    ned = tabulate_nedelec(tab.mesh, tab.lam)[0].transpose(0, 2, 1, 3)
-    return _gram(ned.reshape(len(ned), 6, -1), tab.wq)
+    return _whitney_mass(tab, tab.ned)
 
 
 def face_mass_elements(tab: Tabulation) -> np.ndarray:
     """(w_j, w_i) of the face functions, (T, 4, 4)."""
-    rt = tabulate_rt(tab.mesh, tab.lam)[0].transpose(0, 2, 1, 3)
-    return np.einsum("tq,tiqk,tjqk->tij", tab.wq, rt, rt)
+    return _whitney_mass(tab, tab.rt)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +357,9 @@ def cross_cross_elements(tab: Tabulation, g) -> np.ndarray:
     return np.matmul(wcc.reshape(t * 9, q), pp).reshape(t, 3, 3, 10, 10)
 
 
-# kernel name -> rule integrating <name>_elements exactly; the fixed forms
-# and a single cross product are degree 4, convection and the double cross
-# product degree 6
+# kernel name -> rule integrating <name>_elements exactly: a single cross
+# product is degree 4, convection and the double cross product degree 6;
+# the fixed forms read no point, and name the degree-4 rule
 KERNEL_RULES = {"velocity_mass": RULE_DEG4, "laplacian": RULE_DEG4,
                 "divergence": RULE_DEG4, "pressure_mass": RULE_DEG4,
                 "edge_mass": RULE_DEG4, "face_mass": RULE_DEG4,

@@ -10,15 +10,14 @@ per-mesh context, builds a mesh's spaces.
 
 Orientation is fixed once and globally: edge tangents run from lower to
 higher vertex index, face normals follow the right-hand rule on the
-ascending-sorted vertex triple.  Element tabulation applies the matching
-sign per tet, so coefficients are single-valued global DOFs.  Each edge
-and face basis is written once, as a function of per-tet barycentric
-gradients and barycentric points.  Both bases are linear in the
-barycentric coordinates, so their values at a tet's four vertices are
-per-tet coefficients (whitney_coefficients): a field is combined on each
-tet first and evaluated at its points second, by point_eval (at the tets
-mesh.locate finds) and by assembly.Tabulation.  Tabulation at points
-serves the fixed forms, which operators.DiscreteOps builds once.
+ascending-sorted vertex triple.  The per-tet coefficients carry the
+matching sign per tet, so coefficients are single-valued global DOFs.
+Each edge and face basis is written once, in whitney_coefficients: both
+are linear in the barycentric coordinates, so their values at a tet's four
+vertices, from the per-tet barycentric gradients, define them.  A field is
+combined on each tet first and evaluated at its points second, by
+point_eval (at the tets mesh.locate finds) and by assembly.Tabulation; the
+fixed forms contract the coefficients in closed form and evaluate nothing.
 """
 from __future__ import annotations
 
@@ -89,73 +88,30 @@ def _sorted_face_locals(mesh: Mesh) -> np.ndarray:
     return _LOCAL_FACES[np.arange(4)[:, None], order]
 
 
-def tabulate_p2_gradients(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
-    """Physical gradients of the 10 local P2 functions, (T, nq, 10, 3)."""
-    lam = np.asarray(bary, dtype=float)
-    g = mesh.grad_bary                                    # (T, 4, 3)
-    out = np.empty((mesh.num_tets, lam.shape[0], 10, 3))
-    out[:, :, :4] = (4.0 * lam - 1.0)[None, :, :, None] * g[:, None, :, :]
-    for k, (i, j) in enumerate(_LOCAL_EDGES):
-        out[:, :, 4 + k] = 4.0 * (lam[None, :, i, None] * g[:, None, j]
-                                  + lam[None, :, j, None] * g[:, None, i])
-    return out
-
-
-def _nedelec_values(g, s, lam):
-    """Signed Whitney edge functions s_k (lam_i grad lam_j - lam_j grad
-    lam_i), (T, 6, nq, 3) function-major, from the barycentric gradients g
-    (T, 4, 3), edge signs s (T, 6) and barycentric points lam (nq, 4)."""
-    vals = np.empty((g.shape[0], 6, lam.shape[0], 3))
-    for k, (i, j) in enumerate(_LOCAL_EDGES):
-        w = lam[None, :, i, None] * g[:, None, j] \
-            - lam[None, :, j, None] * g[:, None, i]
-        vals[:, k] = s[:, k, None, None] * w
-    return vals
-
-
-def _rt_values(g, loc, lam):
-    """Face functions 2 (la gb x gc + lb gc x ga + lc ga x gb) of each
-    face's sorted local vertices a, b, c (loc, (T, 4, 3)), (T, 4, nq, 3)
-    function-major; g and lam as in _nedelec_values."""
-    t_idx = np.arange(g.shape[0])[:, None]
-    ga, gb, gc = (g[t_idx, loc[:, :, m]] for m in range(3))    # (T, 4, 3)
-    la, lb, lc = (lam.T[loc[:, :, m]][..., None]
-                  for m in range(3))                            # (T, 4, nq, 1)
-    return np.ascontiguousarray(2.0 * (la * np.cross(gb, gc)[:, :, None]
-                                       + lb * np.cross(gc, ga)[:, :, None]
-                                       + lc * np.cross(ga, gb)[:, :, None]))
-
-
-def tabulate_nedelec(mesh: Mesh, bary: np.ndarray):
-    """Edge values (T, nq, 6, 3), stored function-major, curls (T, 6, 3)."""
-    g = mesh.grad_bary
-    s = _edge_signs(mesh)
-    vals = _nedelec_values(g, s, np.asarray(bary, dtype=float))
-    curls = s[:, :, None] * 2.0 * np.cross(g[:, _LOCAL_EDGES[:, 0]],
-                                           g[:, _LOCAL_EDGES[:, 1]])
-    return vals.transpose(0, 2, 1, 3), curls
-
-
-def tabulate_rt(mesh: Mesh, bary: np.ndarray):
-    """Face values (T, nq, 4, 3), stored function-major, and div (T, 4)."""
-    g = mesh.grad_bary
-    loc = _sorted_face_locals(mesh)                       # (T, 4, 3)
-    vals = _rt_values(g, loc, np.asarray(bary, dtype=float))
-    t_idx = np.arange(mesh.num_tets)[:, None]
-    ga, gb, gc = (g[t_idx, loc[:, :, m]] for m in range(3))
-    divs = 6.0 * np.einsum("tfk,tfk->tf", ga, np.cross(gb, gc))
-    return vals.transpose(0, 2, 1, 3), divs
-
-
 def whitney_coefficients(mesh: Mesh, tag: str) -> np.ndarray:
     """The edge ("NedelecEdge0") or face ("RaviartThomas0") functions as
     per-tet barycentric coefficients, (T, n, 4, 3) function-major: function
-    k is sum_m lam_m c[:, k, m], c[:, k, m] being its value at vertex m,
-    which the basis formulas give exactly (they meet only 0 and 1 there)."""
-    vertices = np.eye(4)
+    k is sum_m lam_m c[:, k, m], c[:, k, m] being its value at vertex m.
+
+    Edge k = (i, j) of the tet carries s_k (lam_i grad lam_j - lam_j grad
+    lam_i), s_k its sign; face f, with sorted local vertices a, b, c,
+    carries 2 (lam_a grad lam_b x grad lam_c + lam_b grad lam_c x grad lam_a
+    + lam_c grad lam_a x grad lam_b)."""
+    g = mesh.grad_bary
     if tag == "NedelecEdge0":
-        return _nedelec_values(mesh.grad_bary, _edge_signs(mesh), vertices)
-    return _rt_values(mesh.grad_bary, _sorted_face_locals(mesh), vertices)
+        s = _edge_signs(mesh)[..., None]
+        i, j = _LOCAL_EDGES.T
+        out = np.zeros((mesh.num_tets, 6, 4, 3))
+        out[:, np.arange(6), i] = s * g[:, j]
+        out[:, np.arange(6), j] = -s * g[:, i]
+        return out
+    t = np.arange(mesh.num_tets)[:, None]
+    loc = _sorted_face_locals(mesh)                       # (T, 4, 3)
+    ga, gb, gc = (g[t, loc[:, :, m]] for m in range(3))
+    out = np.zeros((mesh.num_tets, 4, 4, 3))
+    for m, (x, y) in enumerate(((gb, gc), (gc, ga), (ga, gb))):
+        out[t, np.arange(4), loc[:, :, m]] = 2.0 * np.cross(x, y)
+    return out
 
 
 def tet_field(basis: np.ndarray, local: np.ndarray) -> np.ndarray:

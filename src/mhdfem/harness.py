@@ -477,7 +477,7 @@ def exact_errors(mesh, case: ManufacturedCase, state) -> dict:
 
     b_h = tab.face_at(state.B)
     db = b_h - case.flux(flat).reshape(b_h.shape)
-    err_b_sq = float(np.sum(wq * np.einsum("tqk,tqk->tq", db, db)))
+    err_b_sq = tab.l2sq(db)
     # the exact flux is divergence free, so the graph defect is all discrete
     cell_div = (ops.div @ state.B) / mesh.volumes
     err_graph = math.sqrt(err_b_sq + float(np.sum(mesh.volumes

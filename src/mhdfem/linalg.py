@@ -216,6 +216,7 @@ def _gmres(a, b, precond, tol, x0):
         r = b - a @ x
 
 
+@np.errstate(all="ignore")
 def solve_preconditioned(A, b, factors: BlockFactors, x0):
     """Solve Ax = b by GMRES with a block lower-triangular preconditioner,
     started from x0.
@@ -233,6 +234,8 @@ def solve_preconditioned(A, b, factors: BlockFactors, x0):
     relative_residual (|b - Ax| / (|A|_F |x| + |b|)).  When GMRES stalls
     (_KRYLOV_CAP iterations or a non-finite residual) or the contract fails,
     a NaN residual included, LinearStallError carries the last record.
+    Float warnings are silenced: a right-hand side that overflows ends as
+    such a stall, its record carrying the non-finite residual.
     """
     a = sp.csr_matrix(A)
     b = np.asarray(b, dtype=np.float64).ravel()

@@ -4,11 +4,11 @@ constant estimators.
 DiscreteOps owns what both Picard schemes and the diagnostics share on one
 mesh: the velocity, pressure, multiplier, edge and face spaces (no other
 code builds a space), the incidences, every fixed matrix (summed from the
-assembly element kernels on its degree-4 tabulation), the factored
-free-edge mass, one tabulation per quadrature rule, and the solvers'
-step plan.  discrete_ops(mesh) hands every caller the one
-instance of the most recent mesh.  Each cube's main diagonal is an
-interior edge, so no free DOF set of a mesh is empty.
+closed-form assembly element kernels), the factored free-edge mass, one
+tabulation per quadrature rule, and the solvers' step plan.
+discrete_ops(mesh) hands every caller the one instance of the most recent
+mesh.  Each cube's main diagonal is an interior edge, so no free DOF set
+of a mesh is empty.
 
 Two spanning trees, built once per mesh, serve the solvers' Maxwell
 solve.  The free edges outside a spanning tree of the interior vertices
@@ -235,7 +235,7 @@ def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:
         u = np.zeros(ops.vel.dof_count)
         u[free_u] = rng.standard_normal(free_u.size)
         cross = np.cross(tab.velocity_at(u), tab.face_at(B))
-        num = math.sqrt(np.sum(tab.wq * np.einsum("tqk,tqk->tq", cross, cross)))
+        num = math.sqrt(tab.l2sq(cross))
         den = math.sqrt(u @ (ops.vel_mass @ u) + u @ (ops.lap @ u)) * curl_norm
         best = max(best, num / den)
         done += 1

@@ -153,7 +153,7 @@ def _slot_load(tab: Tabulation, space: FeSpace, data, at, mass,
         return np.zeros(space.dof_count), 0.0
     if callable(data):
         at = at.reshape(*tab.wq.shape, 3)
-        return assemble_load(tab, space, at), _quad_l2sq(tab, at)
+        return assemble_load(tab, space, at), tab.l2sq(at)
     vals = _checked(np.asarray(data, dtype=float), (space.dof_count,), slot)
     load = mass @ vals
     return load, float(vals @ load)
@@ -178,11 +178,6 @@ def _loads(mesh: Mesh, params: MhdParams) -> dict:
                           "h")
         params._loaded[mesh] = {"f": f, "h": h, "f_l2": math.sqrt(f_l2sq)}
     return params._loaded[mesh]
-
-
-def _quad_l2sq(tab: Tabulation, field_at: np.ndarray) -> float:
-    """Squared L2 norm of a vector field given at the rule's points."""
-    return float(np.sum(tab.wq * np.einsum("tqk,tqk->tq", field_at, field_at)))
 
 
 def _h1_velocity(ops: DiscreteOps, v: np.ndarray) -> float:
@@ -686,8 +681,7 @@ def diagnostics(state, params: MhdParams, current=None) -> dict:
         j2 = float(state.j @ (ops.M_c @ state.j))
     else:
         tab = ops.tab(RULE_DEG6)
-        j2 = _quad_l2sq(tab, current_at(tab, state) if current is None
-                        else current)
+        j2 = tab.l2sq(current_at(tab, state) if current is None else current)
     out["energy_work"] = work
     out["energy_residual"] = abs(grad2 / params.r_e + params.s * j2 - work)
     # magnitude of the terms the identity cancels; the roundoff floor for
@@ -842,7 +836,7 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial, *,
             ej2 = float(dj @ (ops.M_c @ dj))
         else:
             prev_cur, cur = cur, current_at(tab, new)
-            ej2 = _quad_l2sq(tab, cur - prev_cur)
+            ej2 = tab.l2sq(cur - prev_cur)
         energy = 0.5 * grad2 / params.r_e + 0.5 * params.s * ej2 / params.r_m
         ratio = None
         if n >= 2 and prev_energy is not None and prev_energy > 0.0:

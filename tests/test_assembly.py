@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from math import factorial
+from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from mhdfem.assembly import (
 )
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import discrete_ops
+
+import reference
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,7 @@ def einsum_reference(kernel, coeff, trial, test):
     gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
     vd = gd[:, None, :] + ns * np.arange(3)[None, :, None]   # (T, c, i)
     if kernel == "convection":
-        grads = dh.tabulate_p2_gradients(m, lam)
+        grads = reference.tabulate_p2_gradients(m, lam)
         w_at = np.stack([np.einsum("qi,ti->tq", vals, coeff[c * ns + gd])
                          for c in range(3)], axis=-1)
         wgrad = np.einsum("tqc,tqjc->tqj", w_at, grads)
@@ -64,7 +67,7 @@ def einsum_reference(kernel, coeff, trial, test):
                                (m.num_tets, 3, 10, 10))
         rows, cols = vd[:, :, :, None], vd[:, :, None, :]
     else:
-        rt_vals, _ = dh.tabulate_rt(m, lam)
+        rt_vals, _ = reference.tabulate_rt(m, lam)
         g_at = np.einsum("tqfk,tf->tqk", rt_vals, coeff[m.tet_faces])
         basis_cross = np.cross(np.eye(3)[None, None, :, :], g_at[:, :, None, :])
         if trial is test:
@@ -72,7 +75,7 @@ def einsum_reference(kernel, coeff, trial, test):
             elem = np.einsum("tq,qi,qj,tqcd->tcidj", wq, vals, vals, cc)
             rows, cols = vd[:, :, :, None, None], vd[:, None, None, :, :]
         else:
-            ned_vals, _ = dh.tabulate_nedelec(m, lam)
+            ned_vals, _ = reference.tabulate_nedelec(m, lam)
             elem = np.einsum("tq,qi,tqck,tqjk->tcij", wq, vals, basis_cross,
                              ned_vals)
             rows = m.tet_edges[:, None, None, :]
@@ -96,12 +99,14 @@ def assert_matches_reference(kernel, coeff, trial, test):
 
 def tabulated(mesh, rule):
     """(lam, wq, P2 values, P2 gradients, edge values, face values) of one
-    rule, tabulated by derham alone, the vector bases point-major."""
+    rule, tabulated by the reference formulas, the vector bases
+    point-major."""
     lam = _bary(rule.tet_points)
     wq = (6.0 * mesh.volumes)[:, None] * rule.tet_weights[None, :]
-    return (lam, wq, dh.p2_values(lam), dh.tabulate_p2_gradients(mesh, lam),
-            np.ascontiguousarray(dh.tabulate_nedelec(mesh, lam)[0]),
-            np.ascontiguousarray(dh.tabulate_rt(mesh, lam)[0]))
+    return (lam, wq, dh.p2_values(lam),
+            reference.tabulate_p2_gradients(mesh, lam),
+            reference.tabulate_nedelec(mesh, lam)[0],
+            reference.tabulate_rt(mesh, lam)[0])
 
 
 # each fixed kernel's element array, term by term
@@ -136,10 +141,80 @@ def test_fixed_kernel_matches_einsum_reference(kernel, rule):
     assert_close(got, FIXED_REFERENCES[kernel](*tabulated(mesh, rule)))
 
 
+def exact_average(poly):
+    """Average over a tet of a polynomial {exponents of lam: coefficient},
+    from the integral of lam^a, 6 |T| a! / (|a| + 3)!."""
+    return sum(c * Fraction(6 * prod(map(factorial, a)), factorial(sum(a) + 3))
+               for a, c in poly.items())
+
+
+def monomial(coeff, *factors):
+    """coeff times the product of lam_i over i in factors."""
+    return {tuple(factors.count(i) for i in range(4)): Fraction(coeff)}
+
+
+def poly_product(p, q):
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            key = tuple(i + j for i, j in zip(a, b))
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def poly_derivative(p, m):
+    """d p / d lam_m."""
+    out = {}
+    for a, c in p.items():
+        if a[m]:
+            key = tuple(k - (i == m) for i, k in enumerate(a))
+            out[key] = out.get(key, 0) + c * a[m]
+    return out
+
+
+def test_reference_averages_are_exact():
+    lam = [monomial(1, i) for i in range(4)]
+    # lam_i (2 lam_i - 1), then 4 lam_i lam_j on each local edge
+    p2 = [{**monomial(2, i, i), **monomial(-1, i)} for i in range(4)]
+    p2 += [monomial(4, i, j)
+           for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    dp2 = [[poly_derivative(p, m) for m in range(4)] for p in p2]
+
+    def table(shape, entry):
+        return np.array([float(exact_average(entry(*idx)))
+                         for idx in np.ndindex(*shape)]).reshape(shape)
+
+    exact = {
+        "_LAM_LAM": table((4, 4), lambda i, j: poly_product(lam[i], lam[j])),
+        "_P2_P2": table((10, 10), lambda i, j: poly_product(p2[i], p2[j])),
+        "_DP2_DP2": table((10, 4, 10, 4), lambda i, m, j, n: poly_product(
+            dp2[i][m], dp2[j][n])),
+        "_LAM_DP2": table((4, 10, 4), lambda i, j, m: poly_product(
+            lam[i], dp2[j][m])),
+    }
+    for name, want in exact.items():
+        got = getattr(assembly, name)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), name
+
+
+def test_fixed_matrices_do_not_depend_on_the_rule():
+    # the fixed kernels read no point of the tabulation: their matrices on
+    # the two rules agree bit for bit, stored entries included
+    mesh = build_box_mesh(3, 2, 3)
+    like = Tabulation(mesh, RULE_DEG4)
+    for kernel in sorted(FIXED_REFERENCES):
+        a = kernel_matrix(like, kernel)
+        b = kernel_matrix(Tabulation(mesh, RULE_DEG6, like), kernel)
+        assert np.array_equal(a.indptr, b.indptr), kernel
+        assert np.array_equal(a.indices, b.indices), kernel
+        assert np.array_equal(a.data, b.data), kernel
+
+
 @RULES
 def test_vector_bases_evaluate_like_einsum_reference(rule):
     # a tabulation keeps per-tet coefficients; combined and then evaluated
-    # at the points they give what derham tabulates there
+    # at the points they give what the reference formulas tabulate there
     mesh = build_box_mesh(2, 3, 2)
     tab = Tabulation(mesh, rule)
     lam, wq, _, grads, ned, rt = tabulated(mesh, rule)
@@ -257,7 +332,7 @@ def test_convection_against_dense_oracle():
 
     lam = _bary(RULE_DEG6.tet_points)
     vals = dh.p2_values(lam)
-    grads = dh.tabulate_p2_gradients(m, lam)
+    grads = reference.tabulate_p2_gradients(m, lam)
     gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
     ns = vel.dof_count // 3
     ref = np.zeros_like(a)
@@ -293,8 +368,8 @@ def test_cross_coupling_antisymmetry_oracle():
 
     lam = _bary(RULE_DEG4.tet_points)
     vals = dh.p2_values(lam)
-    ned_vals, _ = dh.tabulate_nedelec(m, lam)
-    rt_vals, _ = dh.tabulate_rt(m, lam)
+    ned_vals, _ = reference.tabulate_nedelec(m, lam)
+    rt_vals, _ = reference.tabulate_rt(m, lam)
     gd = np.concatenate([m.tets, m.num_vertices + m.tet_edges], axis=1)
     ns = vel.dof_count // 3
     ref = np.zeros_like(x_ev)

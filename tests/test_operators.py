@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 
 from mhdfem.assembly import RULE_DEG4, RULE_DEG6, Tabulation, kernel_matrix
-from mhdfem.derham import (curl_incidence, div_incidence, tabulate_nedelec,
-                           tabulate_rt)
+from mhdfem.derham import curl_incidence, div_incidence
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (POINCARE_DOF_LIMIT, POINCARE_H01, SOBOLEV_L6,
                               DiscreteOps, estimate_cross_bound, discrete_ops,
                               estimate_poincare_constant)
+from reference import tabulate_nedelec, tabulate_rt
 
 # regression value for the coarsest box; the dense eigensolve is the oracle
 POINCARE_SINGLE_CUBE = 0.2236067977499790
