@@ -551,6 +551,8 @@ def _problem(config: RunConfig, mesh):
     try:
         _loads(mesh, params)
     except ValueError as exc:
+        if not str(exc).startswith("data slot "):  # not from _checked
+            raise
         raise ConfigError(f"{exc} at r_e = {config.r_e:.6g}, r_m = "
                           f"{config.r_m:.6g}, s = {config.s:.6g}") from None
     return params, case

@@ -4,8 +4,10 @@ constant estimators.
 DiscreteOps owns what both Picard schemes and the diagnostics share on one
 mesh: the velocity, pressure, multiplier, edge and face spaces (no other
 code builds a space), the incidences, every fixed matrix (summed from the
-closed-form assembly element kernels), the factored free-edge mass, one
-tabulation per quadrature rule, and the solvers' step plan.
+closed-form assembly element kernels), every factorization, one
+tabulation per quadrature rule, and the solvers' step plan.  The step
+blocks are factored at unit parameters, each on first use; every step
+plan only scales those factors, so no parameter makes one singular.
 discrete_ops(mesh) hands every caller the one instance of the most recent
 mesh.  Each cube's main diagonal is an interior edge, so no free DOF set
 of a mesh is empty.
@@ -32,18 +34,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .assembly import (RULE_DEG4, RULE_DEG6, QuadratureRule, Tabulation,
                        kernel_matrix)
 from .derham import FeSpace, curl_incidence, div_incidence
-from .linalg import factor
+from .linalg import SingularSystemError, factor, factor_dense
 from .mesh import Mesh
-
-# largest free face-DOF count the dense Poincare eigensolve accepts
-POINCARE_DOF_LIMIT = 2000
 
 # C in |v| <= C |grad v| for H1_0 functions on the unit cube, from the
 # first Dirichlet eigenvalue 3 pi^2
@@ -68,7 +67,8 @@ class DiscreteOps:
         velocity-pressure pairing (div u, q) and pressure mass.
       M_c, M_d: edge and face mass matrices over the full index sets;
         constraints enter only through which rows get solved.
-      K_cd: (faces x edges) pairing matrix (curl w_e, w_f).
+      K_cd: (faces x edges) pairing matrix (curl w_e, w_f); K_free: K_cd
+        over (free faces x free edges).
       div, curl: face-to-cell and edge-to-face incidences.
       mean_p: integral of each pressure basis function.
       lu_c, lu_c_summary: factors of the edge mass over free edges and
@@ -81,8 +81,7 @@ class DiscreteOps:
       lu_t: factors of D_T = div over (cells 1.., tree_faces); cell 0 is
         the dual tree's root.
       plan: the solvers' step plan of the last (formulation, r_e, r_m,
-        s), block factors included, cached here so it shares the
-        context's lifetime.
+        s), cached here so it shares the context's lifetime.
     """
 
     def __init__(self, mesh: Mesh):
@@ -108,6 +107,7 @@ class DiscreteOps:
         free_c = self.space_c.free_index
         self.lu_c, self.lu_c_summary = factor(self.M_c[free_c][:, free_c])
         free_d = self.space_d.free_index
+        self.K_free = self.K_cd[free_d][:, free_c].sorted_indices()
         self.cotree = _cotree_edges(mesh, free_c)
         self.g_ct = self.curl[free_d][:, free_c[self.cotree]].tocsr()
         # the cell graph: every free face joins its two cells
@@ -116,7 +116,7 @@ class DiscreteOps:
         self.tree_faces = _spanning_tree(cells[:, 0], cells[:, 1],
                                          mesh.num_tets)
         self.lu_t, _ = factor(div_free[1:][:, self.tree_faces])
-        self.plan = None
+        self.plan = self._stokes = self._maxwell = None
 
     def tab(self, rule: QuadratureRule) -> Tabulation:
         """The mesh's tabulation at one rule, made on first use; all share
@@ -132,6 +132,52 @@ class DiscreteOps:
         out = np.zeros(self.space_c.dof_count)
         out[free] = self.lu_c.solve((self.K_cd.T @ np.asarray(B, float))[free])
         return out
+
+    def stokes_factors(self) -> tuple:
+        """(lu_a, schur, b, bt, summary) of the Stokes block S_0 over
+        (u, p, mp) at r_e = 1, built on first use: the factors of A_0 and
+        the dense LU of C_0, b = S_0[(p, mp), u], bt = S_0[u, (p, mp)]
+        (see solvers._StokesSolve), and the factor summaries "laplacian"
+        and "pressure_schur".  SingularSystemError, naming the mesh, when
+        the mesh is too coarse for the velocity-pressure pair; the
+        Maxwell factor is built apart, so such a mesh still has it."""
+        if self._stokes is None:
+            free = self.vel.free_index
+            m = free.size // 3
+            # -(div u, q), and the mean row mp, which couples to p only
+            b = sp.vstack([-self.bdiv[:, free],
+                           sp.csr_matrix((1, free.size))], format="csr")
+            bt = b.T.tocsr()
+            c = np.zeros((b.shape[0], b.shape[0]))
+            c[:-1, -1] = c[-1, :-1] = self.mean_p
+            try:
+                lu_a, summary_a = factor(self.lap[free[:m]][:, free[:m]])
+                for comp in range(3):
+                    at = slice(comp * m, (comp + 1) * m)
+                    c -= b[:, at] @ lu_a.solve(bt[at].toarray())
+                schur, summary_c = factor_dense(c)
+            except SingularSystemError as exc:
+                name = "x".join(map(str, self.mesh.grid_shape))
+                raise SingularSystemError(
+                    f"singular step: the {name} box mesh is too coarse, its "
+                    f"{free.size} interior velocity DOFs cannot carry its "
+                    f"{self.pres.dof_count - 1} zero-mean pressure DOFs; "
+                    "refine the mesh.") from exc
+            self._stokes = (lu_a, schur, b, bt, {"laplacian": summary_a,
+                                                 "pressure_schur": summary_c})
+        return self._stokes
+
+    def maxwell_factor(self) -> tuple:
+        """(lu, summary) of the (E, A) matrix at r_m = s = 1, built on first
+        use: K_0 = [[M_c, -H], [H^T, 0]] over (free edges, cotree), with
+        H = K_free^T G_ct (see solvers._MaxwellSolve)."""
+        if self._maxwell is None:
+            free_c = self.space_c.free_index
+            self._maxwell = factor(sp.bmat(
+                [[self.M_c[free_c][:, free_c],
+                  -(self.K_free.T.tocsr() @ self.g_ct)],
+                 [self.g_ct.T @ self.K_free, None]]))
+        return self._maxwell
 
     # -- norms ------------------------------------------------------------
 
@@ -185,26 +231,37 @@ def _cotree_edges(mesh: Mesh, free_c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # constant estimators
 
-def estimate_poincare_constant(mesh: Mesh) -> float | None:
+def estimate_poincare_constant(mesh: Mesh) -> float:
     """Largest |B| / |weak curl B| over constrained divergence-free
-    face-element fields; None on a mesh with more than POINCARE_DOF_LIMIT
-    free face DOFs.
+    face-element fields.
 
-    Those fields are the curls of constrained edge fields, so the constant
-    is 1 / sqrt(mu) for the smallest nonzero eigenvalue mu of the discrete
-    Maxwell problem (curl w, curl v) = mu (w, v) over free edges, solved
-    densely.  On the cube its kernel is exactly the gradients of the
-    interior-vertex hats, so mu comes after one zero per interior vertex.
+    Those fields are B = G_ct a, one to one over the cotree (see
+    DiscreteOps), and |weak curl B|^2 = a^T H^T M_c^-1 H a (H as in
+    DiscreteOps.maxwell_factor), so the constant is 1 / sqrt(nu) for the
+    smallest eigenvalue nu of (H^T M_c^-1 H) a = nu (G_ct^T M_d G_ct) a.
+    ARPACK finds it in shift-invert mode at 0 from a fixed start, the
+    inverse being the A part of K_0 (e, A) = (0, y), solved with the
+    context's Maxwell factor.  A single cube's cotree is one edge, where
+    nu is the 1x1 quotient.
     """
-    if np.count_nonzero(~mesh.boundary_face) > POINCARE_DOF_LIMIT:
-        return None
     ops = discrete_ops(mesh)
-    free_c = ops.space_c.free_index
-    n_grad = int(np.count_nonzero(~mesh.boundary_vertex))
-    stiff = (ops.curl.T @ ops.K_cd)[free_c][:, free_c].toarray()
-    mass = ops.M_c[free_c][:, free_c].toarray()
-    eigs = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
-    return float(1.0 / math.sqrt(eigs[n_grad]))
+    lu, _ = ops.maxwell_factor()
+    free_d = ops.space_d.free_index
+    h = ops.K_free.T @ ops.g_ct
+    mass = ops.g_ct.T @ ops.M_d[free_d][:, free_d] @ ops.g_ct
+    n_e, n = ops.space_c.free_index.size, ops.cotree.size
+
+    def inverse(y):
+        return lu.solve(np.concatenate([np.zeros(n_e), y]))[n_e:]
+
+    if n == 1:
+        return float(math.sqrt(inverse(np.ones(1))[0] * mass[0, 0]))
+    pencil = LinearOperator((n, n), dtype=float,
+                            matvec=lambda a: h.T @ ops.lu_c.solve(h @ a))
+    nu = eigsh(pencil, k=1, M=mass, sigma=0.0, v0=np.ones(n),
+               OPinv=LinearOperator((n, n), matvec=inverse, dtype=float),
+               return_eigenvectors=False)[0]
+    return float(1.0 / math.sqrt(nu))
 
 
 def estimate_cross_bound(mesh: Mesh, trials: int = 100, seed: int = 0) -> float:

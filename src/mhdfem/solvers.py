@@ -11,17 +11,18 @@ Each step is written once, as a block table (_FORMULATIONS); only the
 convection and cross-coupling blocks, element kernels, depend on the
 iterate.  Once per mesh and parameter set a step plan (_step_plan) maps
 every block entry in a free row and column to its place in one reduced
-CSR pattern and factors the two diagonal blocks of the fixed part:
-the Stokes block S over (u, p, mp) through its pressure Schur complement
+CSR pattern and solves the two diagonal blocks of the fixed part: the
+Stokes block S over (u, p, mp) through its pressure Schur complement
 (_StokesSolve), the Maxwell block K over the other unknowns through a
 tree-cotree vector potential, so that Gauss's law holds by construction
-(_MaxwellSolve).  A step scatters those entries of the element arrays
-onto the fixed values with one bincount and solves by GMRES from the
-previous iterate, preconditioned with the block solves
-(linalg.solve_preconditioned).  That is the only solve: nothing factors
-the whole step.  A singular block raises SingularSystemError when the
-plan is built; a step whose GMRES stalls ends the run with termination
-"linear-stall".
+(_MaxwellSolve).  Both only scale the context's factors, which are made
+once per mesh at unit parameters (DiscreteOps).  A step scatters the
+entries of the element arrays onto the fixed values with one bincount
+and solves by GMRES from the previous iterate, preconditioned with the
+block solves (linalg.solve_preconditioned).  Nothing factors the whole
+step.  A mesh too coarse for the velocity-pressure pair raises
+SingularSystemError; a step whose GMRES stalls ends the run with
+termination "linear-stall".
 
 The magnetic field lives in the face-element space, where every
 candidate's divergence is piecewise constant, and the multiplier r tests
@@ -48,7 +49,6 @@ from .derham import FeSpace
 # solve_direct stays importable from this module: perfbench's tracing test
 # calls it as mhdfem.solvers.solve_direct
 from .linalg import (BlockFactors, LinearStallError,  # noqa: F401
-                     SingularSystemError, factor, factor_dense,
                      solve_direct, solve_preconditioned)
 from .mesh import Mesh
 from .operators import (POINCARE_H01, SOBOLEV_L6, DiscreteOps,
@@ -132,7 +132,8 @@ def zero_state_be(mesh: Mesh) -> MhdState:
 
 
 def _checked(vals: np.ndarray, want: tuple, slot: str) -> np.ndarray:
-    """vals, or ValueError when they are not shaped want or not finite."""
+    """vals, or ValueError, starting "data slot <slot>", when they are not
+    shaped want or not finite."""
     if vals.shape != want:
         raise ValueError(
             f"data slot {slot} must be callable with one 3-vector per point "
@@ -264,8 +265,8 @@ class _StepPlan:
     block, in block order.  slots: the pattern position of each fixed
     value, then of each taken element entry.  factors: the exact Stokes
     and Maxwell block solves of the fixed matrix (_StokesSolve,
-    _MaxwellSolve); summary: their factors' sizes, fill and smallest
-    pivots (see solve_nonlinear).
+    _MaxwellSolve); summary: the sizes, fill and smallest pivots of the
+    unit-parameter factors they scale (see solve_nonlinear).
     """
 
     key: tuple
@@ -282,52 +283,39 @@ class _StepPlan:
 class _StokesSolve:
     """Exact solve with the Stokes block S of a step's fixed matrix.
 
-    Ordered as (u, then p and mp), S = [[I_3 (x) A_0, B^T], [B, D]]: the
-    laplacian kernel is one scalar block broadcast over the three velocity
-    components, so the velocity block repeats A_0, the scalar block over
-    the free P2 DOFs, and lu_a factors A_0 alone.  schur holds the dense
-    LU (linalg.factor_dense) of the pressure Schur complement
-    C = D - sum_c B_c A_0^-1 B_c^T over (p, mp).  A solve takes
-    w = A_0^-1 rho_u per component, then y_p = C^-1 (rho_p - B w), then
-    y_u = A_0^-1 (rho_u - B^T y_p); every row of S holds to factorization
-    roundoff.  b is S[(p, mp), u] and bt S[u, (p, mp)].
+    Ordered as (u, then p and mp), S = [[I_3 (x) A_0 / r_e, B^T], [B, D]]:
+    the laplacian kernel is one scalar block broadcast over the three
+    velocity components, and A_0 is it over the free P2 DOFs at r_e = 1.
+    B has no mp row, so the pressure Schur complement
+    C = D - r_e sum_c B_c A_0^-1 B_c^T is L C_0 L, with C_0 = C at r_e = 1
+    and L = diag(sqrt(r_e) on p, 1 / sqrt(r_e) on mp).  lu_a, schur (C_0's
+    dense LU), b = B and bt = B^T are the context's stokes_factors().  A
+    solve takes w = r_e A_0^-1 rho_u per component, y_p = L^-1 C_0^-1 L^-1
+    (rho_p - B w) and y_u = r_e A_0^-1 (rho_u - B^T y_p); every row of S
+    holds to factorization roundoff, and at r_e = 1 every scale is 1.
     """
 
     lu_a: object
     schur: tuple
     b: sp.csr_matrix
     bt: sp.csr_matrix
+    r_e: float
 
     def _velocity(self, rho_u: np.ndarray) -> np.ndarray:
         # the three components as three right-hand sides of one solve
-        return self.lu_a.solve(rho_u.reshape(3, -1).T).T.ravel()
+        return self.r_e * self.lu_a.solve(rho_u.reshape(3, -1).T).T.ravel()
 
     def solve(self, rho: np.ndarray) -> np.ndarray:
         n_u = self.bt.shape[0]
         y = np.empty_like(rho)
         w = self._velocity(rho[:n_u])
+        l_inv = np.full(rho.size - n_u, 1.0 / math.sqrt(self.r_e))
+        l_inv[-1] = math.sqrt(self.r_e)
         # factor_dense checked the factors; GMRES stops on a non-finite rho
-        y[n_u:] = lu_solve(self.schur, rho[n_u:] - self.b @ w,
-                           check_finite=False)
+        y[n_u:] = l_inv * lu_solve(
+            self.schur, l_inv * (rho[n_u:] - self.b @ w), check_finite=False)
         y[:n_u] = self._velocity(rho[:n_u] - self.bt @ y[n_u:])
         return y
-
-
-def _stokes_solve(s: sp.csr_matrix, n_u: int) -> tuple:
-    """(_StokesSolve, summary) of the Stokes block s, whose first n_u
-    unknowns are the velocity, three components of equal size; A_0 is
-    read from the first component's rows.  SingularSystemError when A_0 or
-    the Schur complement is singular."""
-    m = n_u // 3
-    lu_a, summary_a = factor(s[:m, :m])
-    b, bt = s[n_u:, :n_u], s[:n_u, n_u:]
-    c = s[n_u:, n_u:].toarray()
-    for comp in range(3):
-        at = slice(comp * m, (comp + 1) * m)
-        c -= b[:, at] @ lu_a.solve(bt[at].toarray())
-    schur, summary_c = factor_dense(c)
-    return (_StokesSolve(lu_a=lu_a, schur=schur, b=b, bt=bt),
-            {"laplacian": summary_a, "pressure_schur": summary_c})
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,34 +323,35 @@ class _MaxwellSolve:
     """Exact solve with the Maxwell block K of a step's fixed matrix.
 
     K's unknowns are the edge field e (E, or j in the current-based step),
-    sigma (current-based only), B, r and mr, and its rows read
-        e:     K_ee e + K_eB B                  = rho_e
-        sigma: sigma_scale M_c sigma            = rho_sigma
-        B:     K_Be e + K_Bsigma sigma + D^T r  = rho_B
-        r:     D B + vols mr                    = rho_r
-        mr:    vols^T r                         = rho_mr
-    with D the divergence over the free faces.  sigma is solved first,
-    with the context's edge-mass factor lu_c, and leaves the B rows.
-    Summing the r rows gives (1^T vols) mr = 1^T rho_r, because 1^T D = 0,
-    so mr has a closed form.  Then, with the context's trees (see
-    DiscreteOps):
+    sigma (current-based only), B, r and mr, and with c = s / r_m its rows
+    read
+        e:     s M_c e - c P^T B                 = rho_e
+        sigma: c M_c sigma                       = rho_sigma
+        B:     c P e - c P sigma + D^T r         = rho_B
+        r:     D B + vols mr                     = rho_r
+        mr:    vols^T r                          = rho_mr
+    with P the context's K_free (k_free) and D the divergence over the
+    free faces.  sigma is solved first, with the context's edge-mass
+    factor lu_c, and leaves the B rows.  Summing the r rows gives
+    (1^T vols) mr = 1^T rho_r, because 1^T D = 0, so mr has a closed form.
+    Then, with the context's trees (see DiscreteOps):
       1. B_c on the dual-tree faces solves D B_c = rho_r - mr vols (D_T);
       2. B = B_c + G_ct A satisfies the r rows for every A, since
          D G_ct = 0; the e rows, and the B rows projected by G_ct^T, which
          annihilates D^T r, give the (E, A) system (e is j in the
-         current-based step) [[K_ee, K_eB G_ct], [G_ct^T K_Be, 0]] over
-         (e, A), factored by lu;
+         current-based step) over (e, A), D_1 K_0 D_2 with
+         D_1 = diag(s, c), D_2 = diag(1, 1 / r_m) and K_0 the context's
+         unit matrix (DiscreteOps.maxwell_factor), factored by lu;
       3. B = B_c + G_ct A;
       4. r, with r_0 = 0, from the B rows on the tree faces (D_T^T); the
          other B rows then hold too: their residual w - D^T r has
          G_ct^T w = 0, and G_ct spans the kernel of D;
       5. r is shifted by a constant to meet the mr row; D^T 1 = 0, so the
          B rows do not move.
-    Every row of K then holds to factorization roundoff.
-
-    Positions index K's unknowns: edge, sigma (None in the electric-field
-    step), b and r are slices, mr an index.  sigma_cols is K[b, sigma],
-    k_eb K[edge, b], k_be K[b, edge] and vols K[mr, r].
+    Every row of K then holds to factorization roundoff, and at
+    r_m = s = 1 every scale is exactly 1.  Positions index K's unknowns:
+    edge, sigma (None in the electric-field step), b and r are slices, mr
+    an index.
     """
 
     edge: slice
@@ -370,11 +359,10 @@ class _MaxwellSolve:
     b: slice
     r: slice
     mr: int
-    sigma_scale: float
+    s: float
+    r_m: float
     lu_c: object
-    sigma_cols: sp.csr_matrix | None
-    k_eb: sp.csr_matrix
-    k_be: sp.csr_matrix
+    k_free: sp.csr_matrix
     vols: np.ndarray
     g_ct: sp.csr_matrix
     tree_faces: np.ndarray
@@ -383,23 +371,25 @@ class _MaxwellSolve:
 
     def solve(self, rho: np.ndarray) -> np.ndarray:
         x = np.empty_like(rho)
+        c = self.s / self.r_m
         rho_b = rho[self.b]
         if self.sigma is not None:
-            x[self.sigma] = self.lu_c.solve(rho[self.sigma]) / self.sigma_scale
-            rho_b = rho_b - self.sigma_cols @ x[self.sigma]
+            x[self.sigma] = self.lu_c.solve(rho[self.sigma]) / c
+            rho_b = rho_b + c * (self.k_free @ x[self.sigma])
         total = self.vols.sum()
         mr = rho[self.r].sum() / total
         # steps 1 to 3: B_c, then (E, A), then B
         b = np.zeros(rho_b.size)
         rho_r = rho[self.r] - mr * self.vols
         b[self.tree_faces] = self.lu_t.solve(rho_r[1:])
-        n_e = self.k_eb.shape[0]
-        ea = self.lu.solve(np.concatenate([rho[self.edge] - self.k_eb @ b,
-                                           self.g_ct.T @ rho_b]))
+        n_e = self.k_free.shape[1]
+        ea = self.lu.solve(np.concatenate(
+            [(rho[self.edge] + c * (self.k_free.T @ b)) / self.s,
+             (self.g_ct.T @ rho_b) / c]))
         x[self.edge] = ea[:n_e]
-        x[self.b] = b + self.g_ct @ ea[n_e:]
+        x[self.b] = b + self.g_ct @ (self.r_m * ea[n_e:])
         # steps 4 and 5: r from the tree-face rows, then the mr shift
-        w = rho_b - self.k_be @ x[self.edge]
+        w = rho_b - c * (self.k_free @ x[self.edge])
         r = np.zeros(rho_r.size)
         r[1:] = self.lu_t.solve(w[self.tree_faces], trans="T")
         x[self.r] = r + (rho[self.mr] - self.vols @ r) / total
@@ -407,56 +397,34 @@ class _MaxwellSolve:
         return x
 
 
-def _block_factors(ops: DiscreteOps, form: _Formulation, numbers: tuple,
-                   unknowns: list, fixed: sp.csr_matrix) -> tuple:
-    """(BlockFactors, summary) of a step's fixed matrix.  SingularSystemError
-    when A_0 or the Schur complement of the Stokes block S over (u, p, mp)
-    (see _StokesSolve), or the (E, A) system of the Maxwell block K (see
-    _MaxwellSolve), is singular."""
+def _block_factors(ops: DiscreteOps, numbers: tuple,
+                   unknowns: list) -> tuple:
+    """(BlockFactors, summary): the solves of the Stokes block S over
+    (u, p, mp) and of the Maxwell block K (_StokesSolve, _MaxwellSolve) at
+    numbers = (r_e, r_m, s), scaling the context's unit factors."""
+    r_e, r_m, s = numbers
     in_stokes = np.concatenate([np.full(free.size, name in _STOKES)
                                 for name, _, free in unknowns])
-    stokes, maxwell = np.flatnonzero(in_stokes), np.flatnonzero(~in_stokes)
     # each Maxwell unknown's positions within K
     at, off = {}, 0
     for name, _, free in unknowns:
         if name not in _STOKES:
             at[name] = slice(off, off + free.size)
             off += free.size
-    edge, sigma = at.get("E", at.get("j")), at.get("sigma")
-    b, r = at["B"], at["r"]
-    k = fixed[maxwell][:, maxwell]
-    k_eb, k_be = k[edge][:, b], k[b][:, edge]
-    n_u = next(free.size for name, _, free in unknowns if name == "u")
-    solve_s, summary = _stokes_solve(fixed[stokes][:, stokes], n_u)
-    lu, summary["maxwell"] = factor(sp.bmat(
-        [[k[edge][:, edge], k_eb @ ops.g_ct], [ops.g_ct.T @ k_be, None]]))
-    scale = 1.0
-    if sigma is not None:
-        scale = next(coef(*numbers) for row, col, _, _, coef in form.blocks
-                     if row == col == "sigma")
+    lu_a, schur, b, bt, summary = ops.stokes_factors()
+    solve_s = _StokesSolve(lu_a=lu_a, schur=schur, b=b, bt=bt, r_e=r_e)
+    lu, summary_k = ops.maxwell_factor()
+    summary = {**summary, "maxwell": summary_k}
+    if "sigma" in at:
         summary["edge_mass"] = ops.lu_c_summary
     solve_k = _MaxwellSolve(
-        edge=edge, sigma=sigma, b=b, r=r, mr=at["mr"].start,
-        sigma_scale=scale, lu_c=ops.lu_c,
-        sigma_cols=k[b][:, sigma] if sigma is not None else None,
-        k_eb=k_eb, k_be=k_be, vols=k[at["mr"]][:, r].toarray().ravel(),
-        g_ct=ops.g_ct, tree_faces=ops.tree_faces, lu_t=ops.lu_t, lu=lu)
-    return BlockFactors(first=stokes, second=maxwell, lu_first=solve_s,
+        edge=at.get("E", at.get("j")), sigma=at.get("sigma"), b=at["B"],
+        r=at["r"], mr=at["mr"].start, s=s, r_m=r_m, lu_c=ops.lu_c,
+        k_free=ops.K_free, vols=ops.mesh.volumes, g_ct=ops.g_ct,
+        tree_faces=ops.tree_faces, lu_t=ops.lu_t, lu=lu)
+    return BlockFactors(first=np.flatnonzero(in_stokes),
+                        second=np.flatnonzero(~in_stokes), lu_first=solve_s,
                         lu_second=solve_k), summary
-
-
-def _fixed_matrix(pattern: sp.csr_matrix, fixed: np.ndarray,
-                  slots: np.ndarray) -> sp.csr_matrix:
-    """The fixed part of the scatter: the fixed values on their own
-    entries of pattern, stored zeros included."""
-    at = slots[:fixed.size]
-    keep = np.zeros(pattern.nnz, dtype=bool)
-    keep[at] = True
-    data = np.zeros(pattern.nnz)
-    data[at] = fixed
-    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr]
-    return sp.csr_matrix((data[keep], pattern.indices[keep], indptr),
-                         shape=pattern.shape)
 
 
 def _step_plan(ops: DiscreteOps, formulation: str,
@@ -466,7 +434,7 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     key = (formulation, *numbers)
     if ops.plan is not None and ops.plan.key == key:
         return ops.plan
-    # the old plan goes first, so its block factors can be freed
+    # the old plan goes first, so its maps can be freed
     ops.plan = None
     form = _FORMULATIONS[formulation]
 
@@ -514,11 +482,10 @@ def _step_plan(ops: DiscreteOps, formulation: str,
     pattern = sp.csr_matrix((np.zeros(used.size), used % n, indptr),
                             shape=(n, n))
     fixed = np.concatenate(fixed)
-    # the map's temporaries are freed before the blocks are factored, so
-    # the factorization reuses their memory and peak memory stays lower
+    # the map's temporaries are freed before a mesh's first plan factors
+    # its blocks, so the factorization reuses their memory
     del keys, order, used, first, r, c, free
-    factors, summary = _block_factors(ops, form, numbers, unknowns,
-                                      _fixed_matrix(pattern, fixed, slots))
+    factors, summary = _block_factors(ops, numbers, unknowns)
     ops.plan = _StepPlan(
         key=key, unknowns=unknowns, pattern=pattern, fixed=fixed,
         takes=tuple(takes), slots=slots, factors=factors, summary=summary)
@@ -561,52 +528,20 @@ def _step_system(ops: DiscreteOps, formulation: str, prev: MhdState,
     return plan, a, b
 
 
-_SMALL_RE = ("the stringent small-Reynolds condition "
-             "R_e <= 2 / (sqrt(5) C2 |f|_(-1))")
-_SINGULAR_STEP = {
-    "BE": "B-E regime violation: the linearized electric-field step is "
-          "singular.  It is only guaranteed uniquely solvable under "
-          f"{_SMALL_RE}; rescale the data, refine the mesh, or switch to the "
-          "current-based formulation.",
-    "BJ": "singular current-based step: the linearized system is "
-          "numerically singular at this scaling (r_e = {r_e:.6g}, "
-          "r_m = {r_m:.6g}, s = {s:.6g}), although it is uniquely "
-          "solvable for any positive parameters; rescale the data.",
-}
-
-
 def stall_message(formulation: str, step: int) -> str:
     """Why a run ended with "linear-stall" at Picard step step."""
     why = ("" if formulation == "BJ" else "; the electric-field step is "
-           f"only guaranteed uniquely solvable under {_SMALL_RE}")
+           "only guaranteed uniquely solvable under the stringent "
+           "small-Reynolds condition R_e <= 2 / (sqrt(5) C2 |f|_(-1))")
     return (f"linear-stall: the linear solve of Picard step {step} stalled, "
             f"and Picard only contracts under small data{why}.")
-
-
-def _singular_step_message(ops: DiscreteOps, formulation: str,
-                           params: MhdParams) -> str:
-    """Why a step is singular: the mesh when it has too few interior
-    velocity DOFs to carry the zero-mean pressures (the Stokes block is
-    then singular in both formulations), else the formulation's cause."""
-    n_u, n_p = ops.vel.free_index.size, ops.pres.dof_count - 1
-    if n_u >= n_p:
-        return _SINGULAR_STEP[formulation].format(
-            r_e=params.r_e, r_m=params.r_m, s=params.s)
-    name = "x".join(map(str, ops.mesh.grid_shape))
-    return (f"singular step: the {name} box mesh is too coarse, its {n_u} "
-            f"interior velocity DOFs cannot carry its {n_p} zero-mean "
-            "pressure DOFs; refine the mesh.")
 
 
 def _picard_step(prev: MhdState, params: MhdParams,
                  formulation: str) -> MhdState:
     """One step of formulation linearized around (prev.u, prev.B)."""
-    ops = discrete_ops(prev.mesh)
-    try:
-        plan, a, b = _step_system(ops, formulation, prev, params)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            _singular_step_message(ops, formulation, params)) from exc
+    plan, a, b = _step_system(discrete_ops(prev.mesh), formulation, prev,
+                              params)
     # GMRES starts from prev on the free DOFs, the mean multipliers at 0
     x0 = np.concatenate([np.zeros(1) if name in ("mp", "mr")
                          else getattr(prev, name)[free]
@@ -740,9 +675,11 @@ def check_small_data_conditions(params: MhdParams, mesh: Mesh,
     The loads are evaluated first, so data that is not finite fails before
     any constant is estimated.  c1 is the embedding constant SOBOLEV_L6;
     c2 is the cross-product bound sampled by estimate_cross_bound (20
-    trials from seed), a lower estimate of the supremum.  |f|_(-1) is
-    upper-bounded by C_P |f| with the unit cube's Poincare constant
-    POINCARE_H01.  A condition whose lhs overflows reads inf, unsatisfied.
+    trials from seed), a lower estimate of the supremum, so a satisfied
+    condition is evaluated, not guaranteed sufficient: with the true c2
+    it may fail.  |f|_(-1) is upper-bounded by C_P |f| with the unit
+    cube's Poincare constant POINCARE_H01.  A condition whose lhs
+    overflows reads inf, unsatisfied.
     contraction_satisfied ands the two contraction flags; the small_re
     entry only concerns the electric-field formulation.
     """
@@ -793,12 +730,15 @@ def solve_nonlinear(formulation: str, params: MhdParams, initial, *,
     factors: n, lu_nnz and min_pivot of each factor behind the
     preconditioner ("laplacian" and "pressure_schur" of the Stokes block,
     "maxwell" of the (E, A) system, and "edge_mass" in the current-based
-    step).  Every entry is a deterministic function of the inputs.
+    step).  Those are the mesh's factors at r_e = r_m = s = 1, which
+    every parameter set's block solves scale.  Every entry is a
+    deterministic function of the inputs.
 
-    Non-convergence and a stall are outcomes, never raised; a singular
-    step raises SingularSystemError.  The loop checks no regime condition:
-    runners judge a B-E run with check_small_data_conditions.  An initial
-    field that is not finite raises ValueError naming it.
+    Non-convergence and a stall are outcomes, never raised; a mesh too
+    coarse for the velocity-pressure pair raises SingularSystemError.  The
+    loop checks no regime condition: runners judge a B-E run with
+    check_small_data_conditions.  An initial field that is not finite
+    raises ValueError naming it.
     """
     if formulation not in ("BE", "BJ"):
         raise ValueError(f"unknown formulation {formulation!r}")

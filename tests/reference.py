@@ -1,13 +1,15 @@
-"""Per-point reference formulas of the bases, for tests only.
+"""Reference formulas for tests only: per-point bases, and the fixed
+part of a step plan's matrix.
 
-Each function tabulates a basis at barycentric points (nq, 4) on every tet
-of a mesh, written term by term from its textbook formula with the
+Each basis function tabulates a basis at barycentric points (nq, 4) on
+every tet of a mesh, written term by term from its textbook formula with the
 package's orientation conventions (edge tangents from the lower to the
 higher global vertex, face functions over the ascending-sorted vertex
 triple).  Nothing here reads the per-tet coefficients or the barycentric
 derivative tables of the package, so the two can check each other.
 """
 import numpy as np
+import scipy.sparse as sp
 
 from mhdfem.mesh import _LOCAL_EDGES, _LOCAL_FACES
 
@@ -71,3 +73,16 @@ def tabulate_rt(mesh, bary):
                   + lc * np.cross(ga, gb)[:, :, None])
     divs = 6.0 * np.einsum("tfk,tfk->tf", ga, np.cross(gb, gc))
     return np.ascontiguousarray(vals.transpose(0, 2, 1, 3)), divs
+
+
+def fixed_matrix(pattern, fixed, slots):
+    """The fixed part of a step plan's scatter: the fixed values on their
+    own entries of pattern, stored zeros included."""
+    at = slots[:fixed.size]
+    keep = np.zeros(pattern.nnz, dtype=bool)
+    keep[at] = True
+    data = np.zeros(pattern.nnz)
+    data[at] = fixed
+    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr]
+    return sp.csr_matrix((data[keep], pattern.indices[keep], indptr),
+                         shape=pattern.shape)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mhdfem import derham, harness, operators, solvers
+from mhdfem import derham, harness, operators
 from mhdfem.cli import main
 from mhdfem.derham import FeSpace, curl_incidence, interpolate, point_eval
 from mhdfem.harness import (ConfigError, _dump_json, _force_values,
@@ -571,7 +571,7 @@ def test_faulty_force_fails_before_the_context_is_built(monkeypatch):
     # fixed matrix is assembled and nothing is factored before the error
     calls = []
     for module, name in ((operators, "kernel_matrix"), (operators, "factor"),
-                         (solvers, "factor"), (solvers, "factor_dense")):
+                         (operators, "factor_dense")):
         monkeypatch.setattr(module, name,
                             lambda *args, _name=name: calls.append(_name))
     cfg = load_config({"mesh": [2, 2, 2], "force": {
@@ -579,6 +579,20 @@ def test_faulty_force_fails_before_the_context_is_built(monkeypatch):
     with pytest.raises(ConfigError, match="'x/0' is not finite"):
         run_solve(cfg)
     assert calls == []
+
+
+def test_context_value_error_is_no_config_error(monkeypatch):
+    # only the data checks' errors are config errors: a fixed kernel's
+    # ValueError, raised while the loads build the mesh's context, is a
+    # fault of the program and propagates as it is
+    def broken(tab, kernel):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(operators, "kernel_matrix", broken)
+    cfg = load_config({"mesh": [2, 2, 2], "force": {
+        "kind": "constant", "vector": [1.0, 0.0, 0.0]}})
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run_solve(cfg)
 
 
 def test_fields_path_failure_leaves_no_report(tmp_path, monkeypatch):

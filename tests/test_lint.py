@@ -328,3 +328,29 @@ def test_stray_space_build_is_caught():
 def test_only_the_mesh_context_builds_spaces():
     assert stray_space_builds({p.stem: p.read_text()
                                for p in SOURCES}) == []
+
+
+FACTORIZATIONS = ("factor", "factor_dense", "splu", "lu_factor")
+
+
+def stray_factorizations(texts):
+    """`module:line` of every factorization call outside linalg and
+    operators, as texts maps module name to source: the per-mesh context,
+    operators.DiscreteOps, makes every factor a run uses, and a step plan
+    only scales them."""
+    return [f"{module}:{line}" for module, text in texts.items()
+            if module not in ("linalg", "operators")
+            for name in FACTORIZATIONS for line in calls_of(text, name)]
+
+
+def test_stray_factorization_is_caught():
+    texts = {"operators": "lu, _ = factor(a)\nlu = factor_dense(c)\n",
+             "linalg": "lu = splu(a)\nlu = scipy.linalg.lu_factor(a)\n",
+             "solvers": "lu, summary = factor_dense(c)\n",
+             "harness": "x = factor\nlu = sp.linalg.splu(a)\n"}
+    assert stray_factorizations(texts) == ["solvers:1", "harness:2"]
+
+
+def test_only_linalg_and_the_mesh_context_factor():
+    assert stray_factorizations({p.stem: p.read_text()
+                                 for p in SOURCES}) == []

@@ -9,8 +9,8 @@ import scipy.linalg
 from mhdfem.assembly import RULE_DEG4, RULE_DEG6, Tabulation, kernel_matrix
 from mhdfem.derham import curl_incidence, div_incidence
 from mhdfem.mesh import build_box_mesh
-from mhdfem.operators import (POINCARE_DOF_LIMIT, POINCARE_H01, SOBOLEV_L6,
-                              DiscreteOps, estimate_cross_bound, discrete_ops,
+from mhdfem.operators import (POINCARE_H01, SOBOLEV_L6, DiscreteOps,
+                              estimate_cross_bound, discrete_ops,
                               estimate_poincare_constant)
 from reference import tabulate_nedelec, tabulate_rt
 
@@ -185,10 +185,14 @@ def test_poincare_matches_null_space_reference(n):
 
 
 def test_poincare_capability_limit():
-    # 8^3 has 5,760 free faces, past the dense eigensolve's limit
+    # 8^3 has 5,760 free faces, past what a dense eigensolve could take:
+    # the sparse one approaches the unit cube's 1 / (pi sqrt 2), the first
+    # Maxwell eigenvalue being 2 pi^2, and is deterministic
     mesh = build_box_mesh(8, 8, 8)
-    assert (~mesh.boundary_face).sum() > POINCARE_DOF_LIMIT
-    assert estimate_poincare_constant(mesh) is None
+    first = estimate_poincare_constant(mesh)
+    assert first == pytest.approx(1.0 / (math.pi * math.sqrt(2.0)),
+                                  rel=0.01, abs=0)
+    assert estimate_poincare_constant(mesh) == first
 
 
 def test_poincare_bounds_divergence_free_probes(mesh2, ops2):

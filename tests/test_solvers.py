@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -22,13 +23,13 @@ from mhdfem.linalg import (LinearStallError, SingularSystemError,
                            solve_direct, solve_preconditioned)
 from mhdfem.mesh import build_box_mesh
 from mhdfem.operators import (SOBOLEV_L6, DiscreteOps, discrete_ops,
-                              estimate_cross_bound)
+                              estimate_cross_bound, estimate_poincare_constant)
 from mhdfem.solvers import (MhdParams, be_picard_step, bj_picard_step,
                             check_small_data_conditions, diagnostics,
                             solve_nonlinear, zero_state,
-                            _fixed_matrix, _loads, _slot_load, _step_plan,
-                            _step_system)
-from reference import tabulate_nedelec, tabulate_p2_gradients, tabulate_rt
+                            _loads, _slot_load, _step_plan, _step_system)
+from reference import (fixed_matrix, tabulate_nedelec, tabulate_p2_gradients,
+                       tabulate_rt)
 
 
 def smooth_force(pts):
@@ -499,7 +500,7 @@ def test_plan_fixed_matrix_is_the_paper_system(formulation):
     params = MhdParams(r_e=0.7, r_m=1.9, s=2.3, f=smooth_force,
                        h=np.zeros(ops.space_d.dof_count))
     plan = _step_plan(ops, formulation, params)
-    got = _fixed_matrix(plan.pattern, plan.fixed, plan.slots)
+    got = fixed_matrix(plan.pattern, plan.fixed, plan.slots)
     want, _ = paper_system(ops, formulation, params)
     # the factored operator keeps its stored zeros: they steer SuperLU's
     # ordering and with it every bit downstream
@@ -718,13 +719,44 @@ def test_step_is_bitwise_deterministic(params, formulation):
 
 
 def test_block_factors_cached_per_mesh_and_params(mesh2, params):
+    # a plan serves one key; the factors its block solves scale are the
+    # context's, made once per mesh at unit parameters
     ops = discrete_ops(mesh2)
     assert discrete_ops(mesh2) is ops
     first = _step_plan(ops, "BJ", params)
     assert _step_plan(ops, "BJ", params) is first
-    assert first.factors is not None
-    other = MhdParams(r_e=2.0, r_m=1.0, s=1.0, f=smooth_force)
-    assert _step_plan(ops, "BJ", other) is not first
+    other = _step_plan(ops, "BJ", MhdParams(r_e=2.0, r_m=3.0, s=0.5,
+                                            f=smooth_force))
+    assert other is not first
+    for plan in (first, other):
+        assert plan.factors.lu_first.lu_a is ops.stokes_factors()[0]
+        assert plan.factors.lu_first.schur is ops.stokes_factors()[1]
+        assert plan.factors.lu_second.lu is ops.maxwell_factor()[0]
+    assert other.summary == first.summary
+
+
+def test_second_parameter_set_factors_nothing(monkeypatch):
+    # a run at another r_e on the same mesh only scales the unit factors:
+    # no SuperLU or LAPACK factorization
+    mesh = build_box_mesh(3, 3, 3)
+    sparse = count_calls(monkeypatch, "splu")
+    dense = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        dense.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    runs = []
+    for r_e in (1.0, 2.0):
+        params = MhdParams(r_e=r_e, r_m=1.0, s=1.0, f=smooth_force)
+        _, report = solve_nonlinear("BJ", params, zero_state(mesh, "BJ"),
+                                    **PICARD)
+        assert report["termination"] == "converged"
+        runs.append((len(sparse), len(dense)))
+    # the first run factors the edge mass, D_T, A_0, K_0 and C_0
+    assert runs == [(4, 1), (4, 1)]
 
 
 def test_block_factors_release_dropped_meshes(params):
@@ -744,7 +776,7 @@ def fixed_block(plan, positions):
     """The unsplit diagonal block of a plan's fixed matrix over positions:
     factors.first for the Stokes block over (u, p, mp), factors.second for
     the Maxwell block over the rest."""
-    fixed = _fixed_matrix(plan.pattern, plan.fixed, plan.slots)
+    fixed = fixed_matrix(plan.pattern, plan.fixed, plan.slots)
     return fixed[positions][:, positions]
 
 
@@ -1043,20 +1075,19 @@ def test_single_cube_steps_are_singular():
             step(zero_state(mesh, formulation), params)
 
 
-def test_singular_step_on_fine_mesh_names_the_formulation(params,
-                                                          monkeypatch):
-    def singular(*args):
-        raise SingularSystemError("forced")
-
-    # a fresh mesh, so no cached plan skips the block factorization
-    mesh = build_box_mesh(2, 2, 2)
-    monkeypatch.setattr(mhdfem.solvers, "_block_factors", singular)
-    with pytest.raises(SingularSystemError, match="regime violation"):
-        be_picard_step(zero_state(mesh, "BE"), params)
-    with pytest.raises(SingularSystemError,
-                       match=r"numerically singular at this scaling "
-                             r"\(r_e = 1, r_m = 1, s = 1\)"):
-        bj_picard_step(zero_state(mesh, "BJ"), params)
+def test_coarse_mesh_names_itself_despite_enough_velocity_dofs():
+    # a 1x1x3 box has as many interior velocity DOFs as zero-mean
+    # pressures, and still no stable velocity-pressure pair; the factors
+    # are parameter-free, so the mesh is named, not the formulation
+    mesh = build_box_mesh(1, 1, 3)
+    params = MhdParams(r_e=1.0, r_m=1.0, s=1.0)
+    for formulation, step in STEPS.items():
+        with pytest.raises(SingularSystemError,
+                           match="1x1x3 box mesh is too coarse, its 15 "
+                                 "interior velocity DOFs cannot carry its 15"):
+            step(zero_state(mesh, formulation), params)
+    # the Maxwell factor is made apart, so the mesh keeps its constant
+    assert estimate_poincare_constant(mesh) > 0.0
 
 
 # ---------------------------------------------------------------------------
